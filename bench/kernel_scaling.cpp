@@ -4,32 +4,29 @@
 // scalar serial reference, and emits machine-readable JSON for the CI
 // perf lane.
 //
-// This is the repository's only *measured* perf check: the dev
-// container is single-core, so the perf-smoke CI job runs this binary
-// on a multi-core runner and asserts the speedups it observes, e.g.
+// The perf-smoke CI job runs this binary on a multi-core runner and
+// asserts the speedups it observes, e.g.
 //
 //   kernel_scaling --json=kernel_scaling.json --assert-case=integer_conv_large
 //                  --assert-threads=4 --assert-speedup=1.5
-//                  --assert-backend-speedup=1.2
+//   kernel_scaling --backends=scalar,simd --assert-case=integer_conv_large
+//                  --assert-threads=1 --assert-backend-speedup=2.0
 //
 // --assert-speedup gates thread scaling of the named scalar case;
-// --assert-backend-speedup gates the blocked backend's win over the
+// --assert-backend-speedup gates the simd backend's win over the
 // scalar kernels on the same case at --assert-threads (requires both
-// backends in the sweep). --assert-simd-speedup /
-// --assert-simd-portable-speedup gate the simd backend's win over
-// *blocked* on the same case: the binary applies the first on runners
-// whose resolved SIMD tier is avx2 and the second elsewhere, so one CI
-// command line gates every runner at the bar its ISA can meet. Exit
-// codes: 0 ok, 1 assertion failed, 2 output mismatch vs the scalar
-// reference.
+// backends in the sweep). One threshold serves every SIMD tier: a simd
+// case that silently fell back to scalar-speed code reads about 1x.
+// Exit codes: 0 ok, 1 assertion failed, 2 output mismatch vs the
+// scalar reference.
 //
 // Other knobs: --threads=1,2,4 (thread counts), --repeat=N (timed runs
 // per point; best-of is reported to shed scheduler noise),
-// --backends=scalar,blocked,simd (kernel backends to sweep; blocked /
-// simd cases are named <case>@blocked / <case>@simd and always
-// verified byte-identical against scalar before timing). The JSON
-// carries a "cpu" object (CPUID features + the resolved SIMD tier) so
-// perf artifacts say what machine produced them.
+// --backends=scalar,simd (kernel backends to sweep; simd cases are
+// named <case>@simd and always verified byte-identical against scalar
+// before timing). The JSON carries a "cpu" object (CPUID features +
+// the resolved SIMD tier) so perf artifacts say what machine produced
+// them.
 
 #include <cstdio>
 #include <cstring>
@@ -56,9 +53,9 @@ using namespace cq;
 /// One timed kernel under test: run() executes the kernel under the
 /// given context and returns the output bytes for the byte-identity
 /// check. `ref` (when set) produces the reference those bytes must
-/// equal — blocked cases point it at the scalar kernel, so every
-/// blocked measurement doubles as a cross-backend identity check;
-/// scalar cases default to their own serial run.
+/// equal — simd cases point it at the scalar kernel, so every simd
+/// measurement doubles as a cross-backend identity check; scalar cases
+/// default to their own serial run.
 struct Case {
   std::string name;
   std::string desc;
@@ -137,7 +134,7 @@ int main(int argc, char** argv) {
     thread_counts.push_back(std::stoi(t));
   }
   const std::vector<std::string> backends =
-      parse_list(cli.get("backends", "scalar,blocked"));
+      parse_list(cli.get("backends", "scalar,simd"));
   for (const std::string& b : backends) {
     deploy::parse_backend_kind(b);  // fail fast on typos, naming the options
   }
@@ -147,11 +144,7 @@ int main(int argc, char** argv) {
   const int assert_threads = static_cast<int>(cli.get_int("assert-threads", 4));
   const double assert_speedup = cli.get_double("assert-speedup", 0.0);
   const double assert_backend_speedup = cli.get_double("assert-backend-speedup", 0.0);
-  const double assert_simd_speedup = cli.get_double("assert-simd-speedup", 0.0);
-  const double assert_simd_portable_speedup =
-      cli.get_double("assert-simd-portable-speedup", 0.0);
   const bool want_scalar = contains(backends, "scalar");
-  const bool want_blocked = contains(backends, "blocked");
   // The simd cases run at the tier this machine resolves (CPUID +
   // CQ_SIMD); tier scalar means the explicit kernels are disabled, so
   // the cases would only throw — skip them and say so.
@@ -167,21 +160,15 @@ int main(int argc, char** argv) {
   util::Rng rng(42);
   std::vector<Case> cases;
 
-  /// Registers a scalar integer case plus (per --backends) its blocked
-  /// and simd twins running the packed kernels over the same layer and
-  /// codes; both twins are byte-verified against the scalar serial run
-  /// before any timing.
+  /// Registers a scalar integer case plus (per --backends) its simd
+  /// twin running the packed kernel over the same layer and codes; the
+  /// twin is byte-verified against the scalar serial run before any
+  /// timing.
   const auto add_integer_case =
       [&](const std::string& name, const std::string& desc, long long macs,
           std::function<std::vector<float>(const util::ExecContext&)> scalar_run,
-          std::function<std::vector<float>(const util::ExecContext&)> blocked_run,
           std::function<std::vector<float>(const util::ExecContext&)> simd_run) {
         if (want_scalar) cases.push_back({name, desc, "scalar", macs, scalar_run, {}});
-        if (want_blocked) {
-          cases.push_back({name + "@blocked", desc + " (blocked backend)", "blocked",
-                           macs, blocked_run,
-                           [scalar_run] { return scalar_run({}); }});
-        }
         if (want_simd) {
           cases.push_back({name + "@simd",
                            desc + " (simd backend, " +
@@ -199,12 +186,10 @@ int main(int argc, char** argv) {
     const std::int64_t per_filter = static_cast<std::int64_t>(in_c) * kernel * kernel;
     auto layer = std::make_shared<deploy::IntegerLayer>(
         fabricate_integer_layer(filters, per_filter, rng));
-    auto packed = std::make_shared<deploy::blocked::PackedCodes>(
-        deploy::blocked::pack_codes(*layer));
-    auto spacked = std::make_shared<deploy::simd::PackedSimd>(
-        deploy::simd::pack_simd(*layer));
     auto acts = std::make_shared<deploy::ActCodes>(fabricate_act_codes(
         static_cast<std::size_t>(batch) * in_c * hw * hw, 3, rng));
+    auto spacked = std::make_shared<deploy::simd::PackedSimd>(
+        deploy::simd::pack_simd(*layer, simd_tier, acts->bits));
     add_integer_case(
         "integer_conv_large", "integer conv 64x32x32 -> 128 filters, 3x3",
         2LL * batch * filters * per_filter * hw * hw,
@@ -216,18 +201,11 @@ int main(int argc, char** argv) {
         [=](const util::ExecContext& exec) {
           std::vector<float> out(static_cast<std::size_t>(batch) * filters * hw * hw);
           std::vector<std::int32_t> cols;
-          deploy::blocked::conv_forward_into(*packed, *acts, batch, in_c, hw, hw,
-                                             kernel, 1, 1, out.data(), cols, exec);
-          return out;
-        },
-        [=](const util::ExecContext& exec) {
-          std::vector<float> out(static_cast<std::size_t>(batch) * filters * hw * hw);
-          std::vector<std::int32_t> cols;
           std::vector<std::int16_t> cols16;
           std::vector<std::uint8_t> cols8;
-          deploy::simd::conv_forward_into(simd_tier, *spacked, *acts, batch, in_c,
-                                          hw, hw, kernel, 1, 1, out.data(), cols,
-                                          cols16, cols8, exec);
+          deploy::simd::conv_forward_into(*spacked, *acts, batch, in_c, hw, hw,
+                                          kernel, 1, 1, out.data(), cols, cols16,
+                                          cols8, exec);
           return out;
         });
   }
@@ -238,12 +216,10 @@ int main(int argc, char** argv) {
     const std::int64_t per_filter = static_cast<std::int64_t>(in_c) * kernel * kernel;
     auto layer = std::make_shared<deploy::IntegerLayer>(
         fabricate_integer_layer(filters, per_filter, rng));
-    auto packed = std::make_shared<deploy::blocked::PackedCodes>(
-        deploy::blocked::pack_codes(*layer));
-    auto spacked = std::make_shared<deploy::simd::PackedSimd>(
-        deploy::simd::pack_simd(*layer));
     auto acts = std::make_shared<deploy::ActCodes>(fabricate_act_codes(
         static_cast<std::size_t>(batch) * in_c * hw * hw, 3, rng));
+    auto spacked = std::make_shared<deploy::simd::PackedSimd>(
+        deploy::simd::pack_simd(*layer, simd_tier, acts->bits));
     add_integer_case(
         "integer_conv_small", "integer conv 8x16x16 -> 16 filters, 3x3",
         2LL * batch * filters * per_filter * hw * hw,
@@ -255,18 +231,11 @@ int main(int argc, char** argv) {
         [=](const util::ExecContext& exec) {
           std::vector<float> out(static_cast<std::size_t>(batch) * filters * hw * hw);
           std::vector<std::int32_t> cols;
-          deploy::blocked::conv_forward_into(*packed, *acts, batch, in_c, hw, hw,
-                                             kernel, 1, 1, out.data(), cols, exec);
-          return out;
-        },
-        [=](const util::ExecContext& exec) {
-          std::vector<float> out(static_cast<std::size_t>(batch) * filters * hw * hw);
-          std::vector<std::int32_t> cols;
           std::vector<std::int16_t> cols16;
           std::vector<std::uint8_t> cols8;
-          deploy::simd::conv_forward_into(simd_tier, *spacked, *acts, batch, in_c,
-                                          hw, hw, kernel, 1, 1, out.data(), cols,
-                                          cols16, cols8, exec);
+          deploy::simd::conv_forward_into(*spacked, *acts, batch, in_c, hw, hw,
+                                          kernel, 1, 1, out.data(), cols, cols16,
+                                          cols8, exec);
           return out;
         });
   }
@@ -276,12 +245,10 @@ int main(int argc, char** argv) {
     const int in_features = 1024, filters = 1024, batch = 16;
     auto layer = std::make_shared<deploy::IntegerLayer>(
         fabricate_integer_layer(filters, in_features, rng));
-    auto packed = std::make_shared<deploy::blocked::PackedCodes>(
-        deploy::blocked::pack_codes(*layer));
-    auto spacked = std::make_shared<deploy::simd::PackedSimd>(
-        deploy::simd::pack_simd(*layer));
     auto acts = std::make_shared<deploy::ActCodes>(fabricate_act_codes(
         static_cast<std::size_t>(batch) * in_features, 4, rng));
+    auto spacked = std::make_shared<deploy::simd::PackedSimd>(
+        deploy::simd::pack_simd(*layer, simd_tier, acts->bits));
     add_integer_case(
         "integer_linear_large", "integer linear 16x1024 -> 1024",
         2LL * batch * in_features * filters,
@@ -292,17 +259,10 @@ int main(int argc, char** argv) {
         },
         [=](const util::ExecContext& exec) {
           std::vector<float> out(static_cast<std::size_t>(batch) * filters);
-          deploy::blocked::linear_forward_into(*packed, *acts, batch, in_features,
-                                               out.data(), exec);
-          return out;
-        },
-        [=](const util::ExecContext& exec) {
-          std::vector<float> out(static_cast<std::size_t>(batch) * filters);
           std::vector<std::int16_t> acts16;
           std::vector<std::uint8_t> acts8;
-          deploy::simd::linear_forward_into(simd_tier, *spacked, *acts, batch,
-                                            in_features, out.data(), acts16, acts8,
-                                            exec);
+          deploy::simd::linear_forward_into(*spacked, *acts, batch, in_features,
+                                            out.data(), acts16, acts8, exec);
           return out;
         });
   }
@@ -341,14 +301,14 @@ int main(int argc, char** argv) {
   for (const Case& c : cases) {
     CaseResult result;
     result.c = &c;
-    // Identity reference: the case's own serial run, or — for blocked
+    // Identity reference: the case's own serial run, or — for simd
     // cases — the scalar kernel's serial run (the byte-identity
     // contract every backend is held to).
     const std::vector<float> reference = c.ref ? c.ref() : c.run({});
     // The speedup baseline is always the strictly serial run, whatever
     // --threads lists — otherwise omitting 1 would silently rebase the
     // asserted speedup on a threaded time. Scalar cases are already
-    // warm from the reference run; blocked cases warm their own kernel.
+    // warm from the reference run; simd cases warm their own kernel.
     if (c.ref) c.run({});
     double base_ms = 0.0;
     for (int r = 0; r < repeat; ++r) {
@@ -469,50 +429,22 @@ int main(int argc, char** argv) {
     }
   }
   if (assert_backend_speedup > 0.0) {
-    double scalar_ms = 0.0, blocked_ms = 0.0;
+    double scalar_ms = 0.0, simd_ms = 0.0;
     if (!best_ms_at(assert_case, assert_threads, &scalar_ms) ||
-        !best_ms_at(assert_case + "@blocked", assert_threads, &blocked_ms)) {
+        !best_ms_at(assert_case + "@simd", assert_threads, &simd_ms)) {
       std::fprintf(stderr,
                    "assert: backend comparison needs '%s' under both backends at "
-                   "%d threads (run with --backends=scalar,blocked)\n",
+                   "%d threads (run with --backends=scalar,simd)\n",
                    assert_case.c_str(), assert_threads);
       failed = true;
     } else {
-      const double ratio = blocked_ms > 0.0 ? scalar_ms / blocked_ms : 0.0;
+      const double ratio = simd_ms > 0.0 ? scalar_ms / simd_ms : 0.0;
       const bool ok = ratio >= assert_backend_speedup;
       std::fprintf(stderr,
-                   "assert: %s blocked vs scalar at %d threads: %.2fx "
-                   "(need >= %.2fx) — %s\n",
-                   assert_case.c_str(), assert_threads, ratio, assert_backend_speedup,
-                   ok ? "PASS" : "FAIL");
-      failed = failed || !ok;
-    }
-  }
-  if (assert_simd_speedup > 0.0 || assert_simd_portable_speedup > 0.0) {
-    // One command line, every runner: the avx2 gate applies where the
-    // intrinsic kernels resolved, the (lower) portable gate elsewhere.
-    // A gate of 0 for the resolved tier means "not asserted here".
-    const bool avx2 = simd_tier == deploy::SimdTier::kAvx2;
-    const double need = avx2 ? assert_simd_speedup : assert_simd_portable_speedup;
-    double blocked_ms = 0.0, simd_ms = 0.0;
-    if (need <= 0.0) {
-      std::fprintf(stderr, "assert: no simd gate configured for tier '%s' — skipped\n",
-                   deploy::simd_tier_name(simd_tier));
-    } else if (!best_ms_at(assert_case + "@blocked", assert_threads, &blocked_ms) ||
-               !best_ms_at(assert_case + "@simd", assert_threads, &simd_ms)) {
-      std::fprintf(stderr,
-                   "assert: simd comparison needs '%s' under blocked and simd at "
-                   "%d threads (run with --backends=scalar,blocked,simd)\n",
-                   assert_case.c_str(), assert_threads);
-      failed = true;
-    } else {
-      const double ratio = simd_ms > 0.0 ? blocked_ms / simd_ms : 0.0;
-      const bool ok = ratio >= need;
-      std::fprintf(stderr,
-                   "assert: %s simd (%s tier) vs blocked at %d threads: %.2fx "
+                   "assert: %s simd (%s tier) vs scalar at %d threads: %.2fx "
                    "(need >= %.2fx) — %s\n",
                    assert_case.c_str(), deploy::simd_tier_name(simd_tier),
-                   assert_threads, ratio, need, ok ? "PASS" : "FAIL");
+                   assert_threads, ratio, assert_backend_speedup, ok ? "PASS" : "FAIL");
       failed = failed || !ok;
     }
   }

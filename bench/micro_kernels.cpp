@@ -222,59 +222,9 @@ void BM_IntegerLinearForwardThreaded(benchmark::State& state) {
 }
 BENCHMARK(BM_IntegerLinearForwardThreaded)->Arg(1)->Arg(2)->Arg(4);
 
-// --- Blocked backend variants ----------------------------------------
-// The deploy::blocked packed/tiled kernels against the scalar rows
-// above (same layers, same codes); Arg(0) is again the thread count.
-
-void BM_BlockedConvForwardThreaded(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const auto pool = pool_for(threads);
-  const util::ExecContext exec{pool.get(), threads};
-  util::Rng rng(11);  // same seed/shape as BM_IntegerConvForwardThreaded
-  nn::Conv2d conv(16, 32, 3, 1, 1, rng);
-  conv.set_filter_bits(std::vector<int>(32, 3));
-  const deploy::PackedLayer packed = deploy::pack_layer(conv, "conv");
-  const deploy::IntegerLayer integer =
-      deploy::build_integer_layer(packed, std::vector<float>(32, 0.0f));
-  const deploy::blocked::PackedCodes codes_panel = deploy::blocked::pack_codes(integer);
-  const tensor::Tensor x = tensor::Tensor::rand_uniform({4, 16, 16, 16}, rng, 0.0f, 1.0f);
-  const deploy::ActCodes codes = deploy::encode_activations(x, 1.0f, 3);
-  std::vector<float> out(static_cast<std::size_t>(4) * 32 * 16 * 16);
-  std::vector<std::int32_t> cols;
-  for (auto _ : state) {
-    deploy::blocked::conv_forward_into(codes_panel, codes, 4, 16, 16, 16, 3, 1, 1,
-                                       out.data(), cols, exec);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2LL * 4 * 32 * (16 * 9) * 16 * 16);
-}
-BENCHMARK(BM_BlockedConvForwardThreaded)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_BlockedLinearForwardThreaded(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const auto pool = pool_for(threads);
-  const util::ExecContext exec{pool.get(), threads};
-  util::Rng rng(12);  // same seed/shape as BM_IntegerLinearForwardThreaded
-  nn::Linear fc(512, 256, rng);
-  fc.set_filter_bits(std::vector<int>(256, 4));
-  const deploy::PackedLayer packed = deploy::pack_layer(fc, "fc");
-  const deploy::IntegerLayer integer =
-      deploy::build_integer_layer(packed, std::vector<float>(256, 0.0f));
-  const deploy::blocked::PackedCodes codes_panel = deploy::blocked::pack_codes(integer);
-  const tensor::Tensor x = tensor::Tensor::rand_uniform({32, 512}, rng, 0.0f, 1.0f);
-  const deploy::ActCodes codes = deploy::encode_activations(x, 1.0f, 4);
-  std::vector<float> out(static_cast<std::size_t>(32) * 256);
-  for (auto _ : state) {
-    deploy::blocked::linear_forward_into(codes_panel, codes, 32, 512, out.data(), exec);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2LL * 32 * 512 * 256);
-}
-BENCHMARK(BM_BlockedLinearForwardThreaded)->Arg(1)->Arg(2)->Arg(4);
-
 // --- SIMD backend variants -------------------------------------------
-// The deploy::simd explicit kernels (same layers/codes as the blocked
-// rows) at the tier this machine resolves — avx2 where CPUID allows,
+// The deploy::simd explicit kernels (same layers/codes as the scalar
+// rows above) at the tier this machine resolves — avx2 where CPUID allows,
 // portable elsewhere. Skipped under CQ_SIMD=off, where the tier would
 // only throw.
 
@@ -287,13 +237,13 @@ void BM_SimdConvForwardThreaded(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const auto pool = pool_for(threads);
   const util::ExecContext exec{pool.get(), threads};
-  util::Rng rng(11);  // same seed/shape as BM_BlockedConvForwardThreaded
+  util::Rng rng(11);  // same seed/shape as BM_IntegerConvForwardThreaded
   nn::Conv2d conv(16, 32, 3, 1, 1, rng);
   conv.set_filter_bits(std::vector<int>(32, 3));
   const deploy::PackedLayer packed = deploy::pack_layer(conv, "conv");
   const deploy::IntegerLayer integer =
       deploy::build_integer_layer(packed, std::vector<float>(32, 0.0f));
-  const deploy::simd::PackedSimd panels = deploy::simd::pack_simd(integer);
+  const deploy::simd::PackedSimd panels = deploy::simd::pack_simd(integer, tier, 3);
   const tensor::Tensor x = tensor::Tensor::rand_uniform({4, 16, 16, 16}, rng, 0.0f, 1.0f);
   const deploy::ActCodes codes = deploy::encode_activations(x, 1.0f, 3);
   std::vector<float> out(static_cast<std::size_t>(4) * 32 * 16 * 16);
@@ -301,8 +251,8 @@ void BM_SimdConvForwardThreaded(benchmark::State& state) {
   std::vector<std::int16_t> cols16;
   std::vector<std::uint8_t> cols8;
   for (auto _ : state) {
-    deploy::simd::conv_forward_into(tier, panels, codes, 4, 16, 16, 16, 3, 1, 1,
-                                    out.data(), cols, cols16, cols8, exec);
+    deploy::simd::conv_forward_into(panels, codes, 4, 16, 16, 16, 3, 1, 1, out.data(),
+                                    cols, cols16, cols8, exec);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 2LL * 4 * 32 * (16 * 9) * 16 * 16);
@@ -318,21 +268,21 @@ void BM_SimdLinearForwardThreaded(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const auto pool = pool_for(threads);
   const util::ExecContext exec{pool.get(), threads};
-  util::Rng rng(12);  // same seed/shape as BM_BlockedLinearForwardThreaded
+  util::Rng rng(12);  // same seed/shape as BM_IntegerLinearForwardThreaded
   nn::Linear fc(512, 256, rng);
   fc.set_filter_bits(std::vector<int>(256, 4));
   const deploy::PackedLayer packed = deploy::pack_layer(fc, "fc");
   const deploy::IntegerLayer integer =
       deploy::build_integer_layer(packed, std::vector<float>(256, 0.0f));
-  const deploy::simd::PackedSimd panels = deploy::simd::pack_simd(integer);
+  const deploy::simd::PackedSimd panels = deploy::simd::pack_simd(integer, tier, 4);
   const tensor::Tensor x = tensor::Tensor::rand_uniform({32, 512}, rng, 0.0f, 1.0f);
   const deploy::ActCodes codes = deploy::encode_activations(x, 1.0f, 4);
   std::vector<float> out(static_cast<std::size_t>(32) * 256);
   std::vector<std::int16_t> acts16;
   std::vector<std::uint8_t> acts8;
   for (auto _ : state) {
-    deploy::simd::linear_forward_into(tier, panels, codes, 32, 512, out.data(),
-                                      acts16, acts8, exec);
+    deploy::simd::linear_forward_into(panels, codes, 32, 512, out.data(), acts16, acts8,
+                                      exec);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 2LL * 32 * 512 * 256);

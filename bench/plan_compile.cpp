@@ -21,10 +21,7 @@
 #include "deploy/passes/passes.h"
 #include "deploy/plan.h"
 #include "deploy/verify.h"
-#include "nn/models/mlp.h"
-#include "nn/models/resnet20.h"
-#include "nn/models/vgg_small.h"
-#include "serve_fixtures.h"
+#include "serve/zoo.h"
 #include "util/cli.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -104,33 +101,11 @@ int main(int argc, char** argv) {
   const int repeat = static_cast<int>(cli.get_int("repeat", 5));
   const std::string json_path = cli.get("json", "");
 
-  // Default-size zoo models (larger than the tiny_* test fixtures, so
-  // the compile cost is representative), fabricated with the shared
-  // fixture helper; input shapes derive from each config.
+  // Default-size zoo models (larger than the tiny test fixtures, so
+  // the compile cost is representative).
   std::vector<Result> results;
-  {
-    const nn::MlpConfig cfg;
-    nn::Mlp mlp(cfg);
-    results.push_back(
-        measure("Mlp", serve::fabricate_artifact(mlp, {cfg.in_features}, 3, 3), repeat));
-  }
-  {
-    const nn::VggSmallConfig cfg;
-    nn::VggSmall vgg(cfg);
-    results.push_back(measure(
-        "VggSmall",
-        serve::fabricate_artifact(
-            vgg, {cfg.in_channels, cfg.image_size, cfg.image_size}, 3, 5),
-        repeat));
-  }
-  {
-    const nn::ResNet20Config cfg;
-    nn::ResNet20 resnet(cfg);
-    results.push_back(measure(
-        "ResNet20",
-        serve::fabricate_artifact(
-            resnet, {cfg.in_channels, cfg.image_size, cfg.image_size}, 3, 7),
-        repeat));
+  for (const serve::ZooModel& model : serve::default_zoo()) {
+    results.push_back(measure(model.name, model.artifact, repeat));
   }
 
   util::Table table({"model", "compile ms", "verify ms", "verify", "ops", "slots",

@@ -11,13 +11,13 @@
 // this binary on a multi-core runner and asserts the end-to-end win it
 // observes, e.g.
 //
-//   plan_optimize --json=plan_optimize.json --assert-case=ResNet20
+//   plan_optimize --json=plan_optimize.json --assert-case=resnet20
 //                 --assert-speedup=1.15
 //
 // Exit codes: 0 ok, 1 assertion failed, 2 optimized output not
 // byte-identical to the unoptimized plan's.
 //
-// Other knobs: --backend=scalar|blocked|simd (kernel backend for both
+// Other knobs: --backend=scalar|simd (kernel backend for both
 // sessions), --threads=N (intra-op threads), --batch=N (samples per
 // run), --repeat=N (timed runs per session; best-of reported).
 
@@ -28,11 +28,8 @@
 #include <vector>
 
 #include "deploy/backend.h"
-#include "nn/models/mlp.h"
-#include "nn/models/resnet20.h"
-#include "nn/models/vgg_small.h"
-#include "serve_fixtures.h"
 #include "serve/engine_session.h"
+#include "serve/zoo.h"
 #include "util/cli.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -79,40 +76,15 @@ int main(int argc, char** argv) {
   if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads - 1);
   const util::ExecContext exec{pool.get(), threads};
 
-  // Default-size zoo models (same fabrication as bench/plan_compile),
-  // so the A/B covers representative integer layer shapes.
-  struct Model {
-    std::string name;
-    deploy::QuantizedArtifact artifact;
-    tensor::Shape sample;
-  };
-  std::vector<Model> models;
-  {
-    const nn::MlpConfig cfg;
-    nn::Mlp mlp(cfg);
-    models.push_back({"Mlp", serve::fabricate_artifact(mlp, {cfg.in_features}, 3, 3),
-                      {cfg.in_features}});
-  }
-  {
-    const nn::VggSmallConfig cfg;
-    nn::VggSmall vgg(cfg);
-    const tensor::Shape in = {cfg.in_channels, cfg.image_size, cfg.image_size};
-    models.push_back({"VggSmall", serve::fabricate_artifact(vgg, in, 3, 5), in});
-  }
-  {
-    const nn::ResNet20Config cfg;
-    nn::ResNet20 resnet(cfg);
-    const tensor::Shape in = {cfg.in_channels, cfg.image_size, cfg.image_size};
-    models.push_back({"ResNet20", serve::fabricate_artifact(resnet, in, 3, 7), in});
-  }
-
+  // Default-size zoo models, so the A/B covers representative integer
+  // layer shapes.
   std::vector<Result> results;
-  for (const Model& m : models) {
+  for (const serve::ZooModel& m : serve::default_zoo()) {
     serve::EngineSession o0(m.artifact, 1, exec, deploy::make_backend(backend_kind),
                             serve::PlanCheck::kNone, serve::PlanOpt::kO0);
     serve::EngineSession o1(m.artifact, 1, exec, deploy::make_backend(backend_kind),
                             serve::PlanCheck::kNone, serve::PlanOpt::kO1);
-    const tensor::Tensor input = serve::random_batch(m.sample, batch, 23);
+    const tensor::Tensor input = serve::random_batch(o0.sample_shape(), batch, 23);
 
     // Warm both sessions (arena growth stays out of the timed window)
     // and prove the passes' exactness contract on this input.
@@ -131,17 +103,17 @@ int main(int argc, char** argv) {
     r.name = m.name;
     r.ops_o0 = o0.plan().ops().size();
     r.ops_o1 = o1.plan().ops().size();
+    // The two sessions' runs alternate, so a noisy stretch on the host
+    // slows both sides of the A/B alike.
     for (int i = 0; i < repeat; ++i) {
-      util::Timer timer;
+      util::Timer t0;
       o0.run(input);
-      const double ms = timer.millis();
-      if (i == 0 || ms < r.o0_ms) r.o0_ms = ms;
-    }
-    for (int i = 0; i < repeat; ++i) {
-      util::Timer timer;
+      const double ms0 = t0.millis();
+      util::Timer t1;
       o1.run(input);
-      const double ms = timer.millis();
-      if (i == 0 || ms < r.o1_ms) r.o1_ms = ms;
+      const double ms1 = t1.millis();
+      if (i == 0 || ms0 < r.o0_ms) r.o0_ms = ms0;
+      if (i == 0 || ms1 < r.o1_ms) r.o1_ms = ms1;
     }
     results.push_back(std::move(r));
   }

@@ -22,12 +22,9 @@
 
 #include "deploy/artifact.h"
 #include "deploy/backend.h"
-#include "nn/models/mlp.h"
-#include "nn/models/resnet20.h"
-#include "nn/models/vgg_small.h"
 #include "obs/profiler.h"
 #include "serve/engine_session.h"
-#include "serve_fixtures.h"
+#include "serve/zoo.h"
 #include "util/cli.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -89,37 +86,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Default-size zoo models (same fabrication as bench/plan_compile):
-  // ops run tens of microseconds and up, so the two steady_clock reads
-  // the tracing loop adds per op are noise next to the work they time.
-  struct Zoo {
-    std::string name;
-    deploy::QuantizedArtifact artifact;
-  };
-  std::vector<Zoo> zoo;
-  {
-    const nn::MlpConfig cfg;
-    nn::Mlp mlp(cfg);
-    zoo.push_back({"Mlp", serve::fabricate_artifact(mlp, {cfg.in_features}, 3, 3)});
-  }
-  {
-    const nn::VggSmallConfig cfg;
-    nn::VggSmall vgg(cfg);
-    zoo.push_back({"VggSmall",
-                   serve::fabricate_artifact(
-                       vgg, {cfg.in_channels, cfg.image_size, cfg.image_size}, 3, 5)});
-  }
-  {
-    const nn::ResNet20Config cfg;
-    nn::ResNet20 resnet(cfg);
-    zoo.push_back(
-        {"ResNet20",
-         serve::fabricate_artifact(
-             resnet, {cfg.in_channels, cfg.image_size, cfg.image_size}, 3, 7)});
-  }
-
+  // Default-size zoo models: ops run tens of microseconds and up, so
+  // the two steady_clock reads the tracing loop adds per op are noise
+  // next to the work they time.
   std::vector<Result> results;
-  for (const Zoo& entry : zoo) {
+  for (const serve::ZooModel& entry : serve::default_zoo()) {
     for (const deploy::BackendKind kind : deploy::all_backend_kinds()) {
       results.push_back(profile(entry.name, entry.artifact, kind, repeat, batch));
     }

@@ -17,7 +17,7 @@
 // arrangement and a forward-pass activation calibration before export.
 //
 // Run: ./serve_throughput [--fast] [--requests=N] [--threads=N]
-//                         [--backend=scalar|blocked|simd]  (kernel backend, all sections)
+//                         [--backend=scalar|simd]  (kernel backend, all sections)
 //                         [--json=sweep.json]   (section 3, machine-readable;
 //                          records the backend so artifacts from different
 //                          backends stay distinguishable in the trajectory.

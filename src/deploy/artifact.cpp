@@ -75,6 +75,7 @@ class Reader {
     pos_ += size;
   }
   bool done() const { return pos_ == data_.size(); }
+  std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
   template <typename T>
@@ -103,15 +104,24 @@ tensor::Tensor read_tensor(Reader& r) {
   const std::uint32_t rank = r.u32();
   if (rank > 8) throw ArtifactError("artifact tensor rank implausible");
   std::vector<int> dims(rank);
-  std::size_t size = 1;
   for (auto& d : dims) {
     const std::uint32_t v = r.u32();
     if (v == 0 || v > (1u << 28)) throw ArtifactError("artifact tensor dim implausible");
     d = static_cast<int>(v);
-    size *= v;
+  }
+  // A CRC-valid file can still declare dims whose product wraps size_t
+  // or dwarfs the file, so the element count is checked against the
+  // payload bytes left before anything is allocated.
+  const std::size_t max_count = r.remaining() / sizeof(float);
+  std::size_t count = 1;
+  for (const int d : dims) {
+    if (count > max_count / static_cast<std::size_t>(d)) {
+      throw ArtifactError("artifact tensor is larger than the payload left");
+    }
+    count *= static_cast<std::size_t>(d);
   }
   tensor::Tensor t{tensor::Shape(dims)};
-  r.raw(t.data(), size * sizeof(float));
+  r.raw(t.data(), count * sizeof(float));
   return t;
 }
 

@@ -45,9 +45,8 @@ struct BackendScratch {
 /// executes while the plan fixes *what* it computes. This is the
 /// paper's "uniform codes run on existing processors directly" claim
 /// made concrete — swapping the backend swaps the execution strategy
-/// (scalar reference, cache-blocked, a future ISA- or
-/// accelerator-specific variant) without touching compilation,
-/// scheduling, or serving.
+/// (scalar reference, explicit SIMD, a future accelerator-specific
+/// variant) without touching compilation, scheduling, or serving.
 ///
 /// Contract:
 ///  - prepare(plan) is called exactly once before any run() against
@@ -70,7 +69,7 @@ class Backend {
  public:
   virtual ~Backend() = default;
 
-  /// Stable lowercase identifier ("scalar", "blocked") used by CLI
+  /// Stable lowercase identifier ("scalar", "simd") used by CLI
   /// flags, bench JSON records and listings.
   virtual const char* name() const = 0;
 
@@ -114,9 +113,9 @@ void apply_epilogue(const PlanOp& op, const BackendIo& io,
                     const util::ExecContext& exec = {});
 
 /// The registered backend implementations.
-enum class BackendKind { Scalar, Blocked, Simd };
+enum class BackendKind { Scalar, Simd };
 
-/// Stable name of a kind ("scalar", "blocked", "simd").
+/// Stable name of a kind ("scalar", "simd").
 const char* backend_kind_name(BackendKind kind);
 
 /// Parses a backend name; throws std::invalid_argument naming the
@@ -139,140 +138,79 @@ class ScalarBackend : public Backend {
            BackendScratch& scratch, const util::ExecContext& exec) const override;
 };
 
-namespace blocked {
-
-/// Filters per packed panel: the inner kernels broadcast one im2col /
-/// activation row across this many output filters, so each code row is
-/// read once per tile instead of once per filter.
-inline constexpr int kFilterTile = 8;
-/// Output positions per cache block of the conv kernel; the int64
-/// accumulator tile (kFilterTile x kSpatialBlock) stays L1-resident.
-inline constexpr int kSpatialBlock = 128;
-
-/// Backend-owned packed layout of one IntegerLayer: centered doubled
-/// weight codes (2q - (levels-1), the value the MAC loop actually
-/// multiplies by) narrowed to int16 and interleaved into panels of
-/// kFilterTile filters — panels[tile][j][lane] — so the 2-4-bit rows
-/// of a tile are contiguous for the inner loop. Per-filter rescale
-/// state rides along, with pruned (0-bit) filters encoded as
-/// scale = bias = 0 so they cost no branch in the hot loop.
-struct PackedCodes {
-  std::int32_t num_filters = 0;
-  std::int64_t weights_per_filter = 0;
-  /// False when some filter's centered codes exceed int16 (bits > 15);
-  /// BlockedBackend then delegates the layer to the scalar kernels.
-  bool usable = false;
-  std::vector<std::int16_t> panels;   ///< [ceil(F/tile)][per_filter][tile]
-  std::vector<float> weight_scales;   ///< IntegerLayer::weight_scale(k); 0 if pruned
-  std::vector<float> out_bias;        ///< per-filter bias; forced 0 if pruned
-  /// Largest |centered code| over all filters: with the activation
-  /// code bound it proves when a whole reduction fits exactly in
-  /// int32, unlocking the vectorizable narrow-accumulator path (int64
-  /// multiplies do not vectorize on most SIMD ISAs; int32 ones do).
-  std::int32_t max_abs_weight = 0;
-};
-
-/// Packs an IntegerLayer into the blocked layout (done once at
-/// Backend::prepare time, never on the serving path).
-PackedCodes pack_codes(const IntegerLayer& layer);
-
-/// Cache-blocked integer convolution: same im2col as the scalar
-/// kernel, then a tiled MAC stage — kFilterTile filters x kSpatialBlock
-/// output positions per block, int64 accumulation. Exact integer
-/// arithmetic plus the scalar kernel's final rescale expression makes
-/// the output byte-identical to integer_conv_forward_into at any
-/// thread count. Parallelism: filter tiles chunk over `exec`.
-void conv_forward_into(const PackedCodes& packed, const ActCodes& acts, int batch,
-                       int in_c, int height, int width, int kernel, int stride,
-                       int pad, float* out, std::vector<std::int32_t>& cols_scratch,
-                       const util::ExecContext& exec = {});
-
-/// Blocked fully-connected kernel: per filter tile, the int16 weight
-/// panel (L1-resident) is swept once per sample with a kFilterTile-wide
-/// accumulator. Byte-identical to integer_linear_forward_into.
-void linear_forward_into(const PackedCodes& packed, const ActCodes& acts, int batch,
-                         int in_features, float* out,
-                         const util::ExecContext& exec = {});
-
-}  // namespace blocked
-
-/// Cache-blocked/packed integer backend: IntConv/IntLinear run the
-/// blocked:: kernels over panel layouts built in prepare(); every
-/// other op (and any integer layer the layout cannot hold) delegates
-/// to the scalar reference. Byte-identical to ScalarBackend on every
-/// plan op — the cross-backend property test enforces it.
-class BlockedBackend : public ScalarBackend {
- public:
-  const char* name() const override { return "blocked"; }
-  void prepare(const ExecutionPlan& plan) override;
-  void run(const PlanOp& op, const ExecutionPlan& plan, const BackendIo& io,
-           BackendScratch& scratch, const util::ExecContext& exec) const override;
-  const char* dispatch(const PlanOp& op) const override;
-  /// Bytes held by the packed int16 panels + rescale vectors.
-  std::size_t prepared_bytes() const override;
-
- private:
-  std::vector<blocked::PackedCodes> packed_;  ///< by PlanOp::layer
-  /// Identity of the plan prepare() packed for; run() refuses any
-  /// other plan (same-sized layer lists would otherwise silently
-  /// execute with the wrong weights).
-  const ExecutionPlan* prepared_for_ = nullptr;
-};
-
 namespace simd {
 
-/// Backend-owned explicit-SIMD layout of one IntegerLayer. Two
-/// reduction-interleaved views of the same centered doubled codes the
-/// blocked panels hold, shaped for the multiply-accumulate
-/// instructions instead of for cache lines:
+/// Filters per packed panel: the kernels broadcast one activation row
+/// (or pair/quad) across this many output filters — one ymm of int32
+/// accumulator lanes — so each code row is read once per tile instead
+/// of once per filter.
+inline constexpr int kFilterTile = 8;
+
+/// The MAC kernel an integer layer runs on. pack_simd decides it once,
+/// from the tier, the layer's weights and the op's activation width,
+/// and packs only the layout that kernel reads; the kernels and the
+/// dispatch label both read this field, so they cannot disagree.
+enum class Kernel {
+  kScalar,   ///< no panels: the op delegates to ScalarBackend
+  kAvx2I8,   ///< _mm256_maddubs_epi16 over int8 quad panels
+  kAvx2I16,  ///< _mm256_madd_epi16 over int16 pair panels
+  kSse2I16,  ///< baseline-SSE2 pmaddwd over int16 pair panels (x86-64)
+  kGeneric,  ///< GCC vector extensions over int16 pair panels (other
+             ///  ISAs, and 16-bit activation codes everywhere)
+};
+
+/// Dispatch label of a kernel: "simd/avx2-i8", "simd/avx2",
+/// "simd/portable" (SSE2 and generic), or "scalar".
+const char* kernel_label(Kernel kernel);
+
+/// Backend-owned packed layout of one IntegerLayer: centered doubled
+/// weight codes (2q - (levels-1), the value the MAC loops multiply by)
+/// interleaved for the chosen kernel's multiply-accumulate instruction,
+/// kFilterTile filters per panel:
 ///
-///  - pair_panels (int16): kFilterTile filters x adjacent reduction
-///    *pairs* — pair_panels[tile][j/2][f] is the 32-bit lane
+///  - pair_panels (int16, every kernel but kAvx2I8):
+///    pair_panels[tile][j/2][f][j%2] — the 32-bit lane
 ///    (w[f][j], w[f][j+1]) a madd_epi16-style instruction multiplies
-///    against an interleaved activation pair in one step. Odd
-///    reduction tails are zero-padded (exact: 0 * anything = 0).
-///  - quad_panels (int8): the same for reduction *quads*, feeding the
-///    maddubs_epi16 u8 x s8 path; built only when every centered code
-///    fits int8.
-///  - lane_panels (int16): the blocked backend's [j][lane] panel shape
-///    (one row of kFilterTile filters per reduction index), which the
-///    portable tier's generic GCC-vector-extension kernels (non-x86
-///    builds, or 16-bit activation codes) widen and multiply directly;
-///    on x86-64 the portable tier rides pair_panels via baseline-SSE2
-///    pmaddwd instead.
+///    against an interleaved activation pair in one step.
+///  - quad_panels (int8, kAvx2I8 only): the same for reduction quads,
+///    feeding the maddubs_epi16 u8 x s8 path.
+///
+/// Tail lanes (filters % tile) and odd reduction tails stay zero
+/// (exact: 0 * anything = 0). Pruned (0-bit) filters are zero rows
+/// with scale = bias = 0, so they cost no branch in the hot loop.
 struct PackedSimd {
+  Kernel kernel = Kernel::kScalar;
+  /// Widest activation code the kernel is certified for; the kernels
+  /// refuse wider codes (a narrower grid only shrinks the bound).
+  int act_bits = 0;
   std::int32_t num_filters = 0;
   std::int64_t weights_per_filter = 0;
-  /// False when some filter's centered codes exceed int16 (bits > 15);
-  /// the layer then stays on the blocked/scalar kernels entirely.
-  bool usable = false;
-  /// True when max|centered code| <= 127 so the quad panels exist; the
-  /// per-dispatch int8 decision additionally needs the activation
-  /// grid, via int_reduction_fits_int8_madd (deploy/overflow.h).
-  bool int8_usable = false;
   std::int32_t max_abs_weight = 0;  ///< shared overflow-bound input
-  std::vector<std::int16_t> lane_panels;  ///< [tiles][J][tile]
   std::vector<std::int16_t> pair_panels;  ///< [tiles][ceil(J/2)][tile][2]
   std::vector<std::int8_t> quad_panels;   ///< [tiles][ceil(J/4)][tile][4]
   std::vector<float> weight_scales;       ///< per-filter; 0 if pruned
   std::vector<float> out_bias;            ///< per-filter; forced 0 if pruned
+
+  /// Bytes held: the one panel layout plus the rescale vectors.
+  std::size_t bytes() const;
 };
 
-/// Packs an IntegerLayer into the SIMD layouts (prepare() time only).
-PackedSimd pack_simd(const IntegerLayer& layer);
+/// Chooses the kernel for `layer` fed `act_bits`-bit activation codes
+/// at `tier`, and packs the layout it reads (prepare() time only).
+/// kScalar — no panels — when the tier is scalar, a filter has more
+/// than 15 bits (centered codes overflow int16), or the reduction is
+/// not certified for the int32 accumulator (deploy/overflow.h).
+PackedSimd pack_simd(const IntegerLayer& layer, SimdTier tier, int act_bits);
 
-/// Explicit-SIMD integer convolution. Requires packed.usable, a tier
-/// above kScalar, and a reduction that provably fits int32
-/// (deploy/overflow.h) — callers below the bound delegate to the
-/// blocked int64 kernels instead. Same im2col and final rescale
-/// expressions as the scalar kernel, so outputs are byte-identical at
-/// every tier and thread count. cols_scratch holds the int32 im2col
-/// matrix; cols16/cols8 the interleaved narrowed copies (int8 used
-/// only when int_reduction_fits_int8_madd proves it exact).
-void conv_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& acts,
-                       int batch, int in_c, int height, int width, int kernel,
-                       int stride, int pad, float* out,
-                       std::vector<std::int32_t>& cols_scratch,
+/// Explicit-SIMD integer convolution on packed.kernel. Throws
+/// std::logic_error for a kScalar pack or activation codes wider than
+/// packed.act_bits. Same im2col and final rescale expressions as the
+/// scalar kernel, so outputs are byte-identical at every tier and
+/// thread count. cols_scratch holds the int32 im2col matrix; cols16 /
+/// cols8 the pair/quad-interleaved narrowed copies.
+void conv_forward_into(const PackedSimd& packed, const ActCodes& acts, int batch,
+                       int in_c, int height, int width, int kernel, int stride,
+                       int pad, float* out, std::vector<std::int32_t>& cols_scratch,
                        std::vector<std::int16_t>& cols16_scratch,
                        std::vector<std::uint8_t>& cols8_scratch,
                        const util::ExecContext& exec = {});
@@ -280,54 +218,50 @@ void conv_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& 
 /// Explicit-SIMD fully-connected kernel; same requirements and
 /// byte-identity contract as conv_forward_into. acts16/acts8 hold the
 /// narrowed activation matrices (padded to the pair/quad boundary).
-void linear_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& acts,
-                         int batch, int in_features, float* out,
+void linear_forward_into(const PackedSimd& packed, const ActCodes& acts, int batch,
+                         int in_features, float* out,
                          std::vector<std::int16_t>& acts16_scratch,
                          std::vector<std::uint8_t>& acts8_scratch,
                          const util::ExecContext& exec = {});
 
 }  // namespace simd
 
-/// Explicit-SIMD integer backend over the packed panel layouts:
-/// IntConv/IntLinear run hand-scheduled AVX2 kernels
-/// (_mm256_madd_epi16 int16 pairs; _mm256_maddubs_epi16 int8 quads
-/// when the shared overflow bound proves saturation impossible) on
-/// CPUs that have AVX2, portable kernels everywhere else
-/// (baseline-SSE2 pmaddwd on x86-64, GCC vector extensions
-/// otherwise),
-/// and delegate to the blocked/scalar kernels when the int32
-/// accumulator is not certified or explicit SIMD is disabled
-/// (CQ_SIMD=off). The tier is resolved by runtime CPUID at
-/// construction — one binary, every x86 — and every tier is
-/// byte-identical to ScalarBackend (backend_test pins each reachable
-/// tier).
-class SimdBackend : public BlockedBackend {
+/// Explicit-SIMD integer backend: IntConv/IntLinear run hand-scheduled
+/// AVX2 kernels (_mm256_madd_epi16 int16 pairs; _mm256_maddubs_epi16
+/// int8 quads when the shared overflow bound proves saturation
+/// impossible) on CPUs that have AVX2, portable kernels everywhere else
+/// (baseline-SSE2 pmaddwd on x86-64, GCC vector extensions otherwise),
+/// and delegate to the scalar reference when the int32 accumulator is
+/// not certified or explicit SIMD is disabled (CQ_SIMD=off). The tier
+/// is resolved by runtime CPUID at construction — one binary, every
+/// x86 — and every tier is byte-identical to ScalarBackend
+/// (backend_test pins each reachable tier).
+class SimdBackend : public ScalarBackend {
  public:
   SimdBackend() : tier_(resolve_simd_tier()) {}
 
   const char* name() const override { return "simd"; }
+  /// Packs each integer layer once, for the activation width of the
+  /// op that reads it.
   void prepare(const ExecutionPlan& plan) override;
   void run(const PlanOp& op, const ExecutionPlan& plan, const BackendIo& io,
            BackendScratch& scratch, const util::ExecContext& exec) const override;
-  /// "simd/avx2-i8", "simd/avx2", "simd/portable", or the delegated
-  /// implementation's label ("blocked"/"scalar") — the resolved ISA
+  /// The op's simd::kernel_label ("simd/avx2-i8", "simd/avx2",
+  /// "simd/portable") or "scalar" for delegated ops — the resolved ISA
   /// cqar_info's dispatch column and the plan profiler rows show.
   const char* dispatch(const PlanOp& op) const override;
-  /// Blocked panels plus the pair/quad SIMD panels.
+  /// One packed layout per integer layer.
   std::size_t prepared_bytes() const override;
 
   /// The tier this instance resolved at construction.
   SimdTier tier() const { return tier_; }
 
  private:
-  /// Which implementation run()/dispatch() pick for an integer op —
-  /// one decision procedure so the label can never lie about the
-  /// kernel.
-  enum class Path { kDelegate, kPortable, kAvx2, kAvx2Int8 };
-  Path resolve_path(const PlanOp& op) const;
-
   SimdTier tier_;
   std::vector<simd::PackedSimd> packed_;  ///< by PlanOp::layer
+  /// Identity of the plan prepare() packed for; run() refuses any
+  /// other plan (same-sized layer lists would otherwise silently
+  /// execute with the wrong weights).
   const ExecutionPlan* prepared_for_ = nullptr;
 };
 

@@ -1,10 +1,7 @@
 // Explicit-SIMD integer backend.
 //
-// The blocked kernels rely on the compiler autovectorizing their int32
-// fast path at the build's baseline ISA (SSE2 for x86-64). This
-// backend spends the instructions by hand where it pays: the conv MAC
-// tile and the linear panel sweep run as AVX2 intrinsic kernels —
-// _mm256_madd_epi16 over pair-interleaved int16 panels, or
+// The conv MAC tile and the linear panel sweep run as AVX2 intrinsic
+// kernels — _mm256_madd_epi16 over pair-interleaved int16 panels, or
 // _mm256_maddubs_epi16 over quad-interleaved int8 panels when the
 // shared overflow bound (deploy/overflow.h) proves the instruction's
 // saturating intermediate unreachable — and, below AVX2, as the
@@ -14,13 +11,15 @@
 // Which tier runs is decided by runtime CPUID
 // (deploy/cpu_features.h), so one binary serves every x86.
 //
-// Byte identity is inherited, not re-argued: integer accumulation
+// pack_simd picks each layer's kernel once, at prepare() time, and
+// packs only the layout that kernel reads: the kernels and the
+// dispatch label switch on the stored choice instead of re-deriving
+// it. Byte identity is inherited, not re-argued: integer accumulation
 // below the proven bound is exact in any width and any order, the
 // final rescale uses the scalar kernel's exact float expressions
 // (multiply then add — never FMA, which rounds differently), and the
 // fused tail goes through the shared apply_epilogue. Anything the
-// SIMD layouts cannot hold exactly delegates to the blocked/scalar
-// kernels.
+// layouts cannot hold exactly delegates to the scalar reference.
 
 #include <algorithm>
 #include <cstring>
@@ -52,103 +51,148 @@
 namespace cq::deploy {
 namespace simd {
 
-using blocked::kFilterTile;
-
 static_assert(kFilterTile == 8,
               "SIMD kernels assume 8-filter panels: one ymm of int32 lanes");
 
-PackedSimd pack_simd(const IntegerLayer& layer) {
-  PackedSimd packed;
-  packed.num_filters = layer.num_filters;
-  packed.weights_per_filter = layer.weights_per_filter;
+const char* kernel_label(Kernel kernel) {
+  switch (kernel) {
+    case Kernel::kAvx2I8:
+      return "simd/avx2-i8";
+    case Kernel::kAvx2I16:
+      return "simd/avx2";
+    case Kernel::kSse2I16:
+    case Kernel::kGeneric:
+      return "simd/portable";
+    case Kernel::kScalar:
+      break;
+  }
+  return "scalar";
+}
+
+std::size_t PackedSimd::bytes() const {
+  return pair_panels.size() * sizeof(std::int16_t) +
+         quad_panels.size() * sizeof(std::int8_t) +
+         weight_scales.size() * sizeof(float) + out_bias.size() * sizeof(float);
+}
+
+namespace {
+
+/// The kernel choice, made in this one place. Each predicate is a
+/// deploy/overflow.h helper verify_plan also calls, so the verifier's
+/// certificate and the kernel that runs cannot disagree.
+Kernel select_kernel(const IntegerLayer& layer, SimdTier tier, int act_bits,
+                     std::int32_t max_abs_weight) {
+  if (tier == SimdTier::kScalar) return Kernel::kScalar;
   for (const std::uint8_t b : layer.filter_bits) {
     // Centered doubled codes span [-(levels-1), levels-1]; above 15
-    // bits they overflow the int16 panels, and the layer stays on the
-    // blocked/scalar kernels (same cutoff as blocked::pack_codes).
-    if (b > 15) return packed;
+    // bits they overflow the int16 panels (none in the paper's 0-8-bit
+    // regime).
+    if (b > 15) return Kernel::kScalar;
   }
-  packed.usable = true;
-  packed.max_abs_weight = max_abs_centered_code(layer);
-  packed.int8_usable = packed.max_abs_weight <= 127;
+  // A reduction the int32 accumulator may not hold exactly needs the
+  // scalar reference's int64 one.
+  if (!int_reduction_fits_int32(max_abs_weight, act_bits, layer.weights_per_filter)) {
+    return Kernel::kScalar;
+  }
+  // 16-bit activation codes don't fit the int16 activation pairs; the
+  // generic kernels read the int32 codes directly.
+  if (act_bits > 15) return Kernel::kGeneric;
+#if CQ_SIMD_X86
+  if (tier == SimdTier::kAvx2) {
+    return int_reduction_fits_int8_madd(max_abs_weight, act_bits,
+                                        layer.weights_per_filter)
+               ? Kernel::kAvx2I8
+               : Kernel::kAvx2I16;
+  }
+#endif
+#if CQ_SIMD_SSE2_BASELINE
+  return Kernel::kSse2I16;
+#else
+  return Kernel::kGeneric;
+#endif
+}
 
+/// The layer's centered doubled codes interleaved into panels of
+/// kFilterTile filters x kGroup adjacent reduction slots: code j of
+/// filter k lands at [k / tile][j / kGroup][k % tile][j % kGroup]. Tail
+/// lanes, tail reduction slots and pruned (0-bit) rows stay zero.
+template <std::size_t kGroup, typename T>
+std::vector<T> interleave_panels(const IntegerLayer& layer) {
   const std::size_t filters = static_cast<std::size_t>(layer.num_filters);
   const std::size_t patch = static_cast<std::size_t>(layer.weights_per_filter);
-  const std::size_t tiles = (filters + kFilterTile - 1) / kFilterTile;
-  const std::size_t pairs = (patch + 1) / 2;
-  const std::size_t quads = (patch + 3) / 4;
-  // Tail lanes (filters % tile) and tail reduction slots (patch % 2/4)
-  // stay zero: the kernels sweep full tiles and full pairs/quads, and
-  // the extra slots accumulate exact zeros.
-  packed.lane_panels.assign(tiles * patch * kFilterTile, 0);
-  packed.pair_panels.assign(tiles * pairs * kFilterTile * 2, 0);
-  if (packed.int8_usable) {
-    packed.quad_panels.assign(tiles * quads * kFilterTile * 4, 0);
+  const std::size_t tile_size = (patch + kGroup - 1) / kGroup * kFilterTile * kGroup;
+  std::vector<T> panels((filters + kFilterTile - 1) / kFilterTile * tile_size, 0);
+  for (std::size_t k = 0; k < filters; ++k) {
+    const int b = layer.filter_bits[k];
+    if (b == 0) continue;
+    const std::int32_t offset = static_cast<std::int32_t>(quant::levels_for_bits(b)) - 1;
+    const std::int32_t* row = layer.codes.data() + k * patch;
+    T* dst = panels.data() + (k / kFilterTile) * tile_size + (k % kFilterTile) * kGroup;
+    for (std::size_t j = 0; j < patch; ++j) {
+      dst[(j / kGroup) * kFilterTile * kGroup + j % kGroup] =
+          static_cast<T>(2 * row[j] - offset);
+    }
   }
+  return panels;
+}
+
+}  // namespace
+
+PackedSimd pack_simd(const IntegerLayer& layer, SimdTier tier, int act_bits) {
+  PackedSimd packed;
+  packed.act_bits = act_bits;
+  packed.num_filters = layer.num_filters;
+  packed.weights_per_filter = layer.weights_per_filter;
+  // The shared overflow-bound helper scans the same codes the panels
+  // hold, so the kernel choice and verify_plan's certificate start
+  // from the same number.
+  packed.max_abs_weight = max_abs_centered_code(layer);
+  packed.kernel = select_kernel(layer, tier, act_bits, packed.max_abs_weight);
+  if (packed.kernel == Kernel::kScalar) return packed;
+
+  if (packed.kernel == Kernel::kAvx2I8) {
+    packed.quad_panels = interleave_panels<4, std::int8_t>(layer);
+  } else {
+    packed.pair_panels = interleave_panels<2, std::int16_t>(layer);
+  }
+  const std::size_t filters = static_cast<std::size_t>(layer.num_filters);
   packed.weight_scales.resize(filters);
   packed.out_bias.resize(filters);
   for (std::size_t k = 0; k < filters; ++k) {
-    const int b = layer.filter_bits[k];
     packed.weight_scales[k] = layer.weight_scale(static_cast<int>(k));  // 0 if pruned
-    packed.out_bias[k] = b == 0 ? 0.0f : layer.bias[k];
-    if (b == 0) continue;  // pruned: zero panel rows, zero scale/bias
-    const std::int32_t offset =
-        static_cast<std::int32_t>(quant::levels_for_bits(b)) - 1;
-    const std::int32_t* row = layer.codes.data() + k * patch;
-    const std::size_t t = k / kFilterTile;
-    const std::size_t lane = k % kFilterTile;
-    std::int16_t* lane_panel = packed.lane_panels.data() + t * patch * kFilterTile;
-    std::int16_t* pair_panel =
-        packed.pair_panels.data() + t * pairs * kFilterTile * 2;
-    std::int8_t* quad_panel =
-        packed.int8_usable ? packed.quad_panels.data() + t * quads * kFilterTile * 4
-                           : nullptr;
-    for (std::size_t j = 0; j < patch; ++j) {
-      const std::int32_t centered = 2 * row[j] - offset;
-      lane_panel[j * kFilterTile + lane] = static_cast<std::int16_t>(centered);
-      pair_panel[((j / 2) * kFilterTile + lane) * 2 + (j % 2)] =
-          static_cast<std::int16_t>(centered);
-      if (quad_panel != nullptr) {
-        quad_panel[((j / 4) * kFilterTile + lane) * 4 + (j % 4)] =
-            static_cast<std::int8_t>(centered);
-      }
-    }
+    packed.out_bias[k] = layer.filter_bits[k] == 0 ? 0.0f : layer.bias[k];
   }
   return packed;
 }
 
 namespace {
 
-/// Samples per weight-panel sweep of the linear kernels (matches the
-/// blocked kernel's amortization of weight traffic over the batch).
+/// Samples per weight-panel sweep of the linear kernels: each panel
+/// row is loaded once and multiplied into this many samples'
+/// accumulators, amortizing the weight traffic over the batch.
 inline constexpr int kBatchBlock = 4;
 
-void check_packed(const PackedSimd& packed, SimdTier tier, const char* kernel) {
-  if (!packed.usable) {
+/// The kernels' entry check: the pack must carry panels, and the
+/// activation grid must be no wider than the one the kernel choice was
+/// certified for (a narrower grid only shrinks the overflow bound).
+void check_runnable(const PackedSimd& packed, const ActCodes& acts, const char* kernel) {
+  if (packed.kernel == Kernel::kScalar) {
     throw std::logic_error(std::string(kernel) +
-                           ": layer is not packable (use the scalar kernels)");
+                           ": layer has no SIMD panels (delegate to the scalar kernels)");
   }
-  if (tier == SimdTier::kScalar) {
-    throw std::logic_error(std::string(kernel) +
-                           ": tier 'scalar' disables the explicit-SIMD kernels "
-                           "(use the blocked or scalar kernels)");
-  }
-}
-
-void check_fits_int32(const PackedSimd& packed, const ActCodes& acts,
-                      std::size_t terms, const char* kernel) {
-  if (!int_reduction_fits_int32(packed.max_abs_weight, acts.bits,
-                                static_cast<std::int64_t>(terms))) {
-    throw std::logic_error(std::string(kernel) +
-                           ": reduction is not certified for the int32 "
-                           "accumulator (use the blocked kernels)");
+  if (acts.bits > packed.act_bits) {
+    throw std::logic_error(std::string(kernel) + ": " + std::to_string(acts.bits) +
+                           "-bit activation codes exceed the " +
+                           std::to_string(packed.act_bits) +
+                           "-bit grid the layer was packed for");
   }
 }
 
 /// Rewrites one image's im2col matrix [patch][spatial] into the
 /// pair-interleaved int16 layout [pairs][spatial][2] the madd_epi16
 /// conv kernel consumes. A missing odd row is written as zeros (exact:
-/// 0 * anything = 0). Codes are non-negative and the caller proved
-/// acts.bits <= 15, so the int16 narrowing is value-preserving.
+/// 0 * anything = 0). Codes are non-negative and the int16 kernels are
+/// only chosen for act_bits <= 15, so the narrowing is value-preserving.
 void build_pair_cols(const std::int32_t* cols, std::size_t patch,
                      std::size_t spatial, std::int16_t* cols16,
                      const util::ExecContext& exec) {
@@ -169,7 +213,7 @@ void build_pair_cols(const std::int32_t* cols, std::size_t patch,
 }
 
 /// Same rewrite into the quad-interleaved uint8 layout [quads][spatial][4]
-/// for the maddubs path; the caller proved acts.bits <= 8.
+/// for the maddubs path, which is only chosen for act_bits <= 8.
 void build_quad_cols(const std::int32_t* cols, std::size_t patch,
                      std::size_t spatial, std::uint8_t* cols8,
                      const util::ExecContext& exec) {
@@ -191,32 +235,73 @@ void build_quad_cols(const std::int32_t* cols, std::size_t patch,
   });
 }
 
+/// Narrows the [batch][features] activation code matrix to int16,
+/// zero-padding each row to the pair boundary.
+void build_pair_acts(const ActCodes& acts, int batch, std::size_t features,
+                     std::int16_t* acts16, const util::ExecContext& exec) {
+  const std::size_t padded = ((features + 1) / 2) * 2;
+  exec.parallel_for(0, batch, [=, &acts](std::int64_t n0, std::int64_t n1) {
+    for (std::int64_t n = n0; n < n1; ++n) {
+      const std::int32_t* src =
+          acts.codes.data() + static_cast<std::size_t>(n) * features;
+      std::int16_t* dst = acts16 + static_cast<std::size_t>(n) * padded;
+      for (std::size_t j = 0; j < features; ++j) {
+        dst[j] = static_cast<std::int16_t>(src[j]);
+      }
+      for (std::size_t j = features; j < padded; ++j) dst[j] = 0;
+    }
+  });
+}
+
+/// Same, to uint8 at the quad boundary.
+void build_quad_acts(const ActCodes& acts, int batch, std::size_t features,
+                     std::uint8_t* acts8, const util::ExecContext& exec) {
+  const std::size_t padded = ((features + 3) / 4) * 4;
+  exec.parallel_for(0, batch, [=, &acts](std::int64_t n0, std::int64_t n1) {
+    for (std::int64_t n = n0; n < n1; ++n) {
+      const std::int32_t* src =
+          acts.codes.data() + static_cast<std::size_t>(n) * features;
+      std::uint8_t* dst = acts8 + static_cast<std::size_t>(n) * padded;
+      for (std::size_t j = 0; j < features; ++j) {
+        dst[j] = static_cast<std::uint8_t>(src[j]);
+      }
+      for (std::size_t j = features; j < padded; ++j) dst[j] = 0;
+    }
+  });
+}
+
 // ---------------------------------------------------------------------------
-// Portable tier, generic flavor: GNU C vector extensions, compiled at
-// the build's baseline ISA so the kernels are legal wherever the
-// binary runs. On x86-64 the portable tier instead uses the
-// baseline-SSE2 pmaddwd kernels further down (the psABI guarantees
-// SSE2, and emulated int32 vector multiplies make these generic
-// kernels lose to the blocked backend there); these remain the
-// portable implementation for non-x86 builds and for 16-bit
-// activation codes, which don't fit the int16 pair layout.
+// Portable tier, generic flavor (Kernel::kGeneric): GNU C vector
+// extensions, compiled at the build's baseline ISA so the kernels are
+// legal wherever the binary runs. On x86-64 the portable tier instead
+// uses the baseline-SSE2 pmaddwd kernels further down (the psABI
+// guarantees SSE2, and emulated int32 vector multiplies make these
+// generic kernels slow there); these remain the implementation for
+// non-x86 builds and for 16-bit activation codes, which don't fit the
+// int16 activation pairs. They read the int32 codes directly and the
+// weights of reduction row j from the pair panel at [j/2][f][j%2].
 // ---------------------------------------------------------------------------
 
 typedef std::int32_t Vec8i __attribute__((vector_size(32), aligned(4)));
 typedef float Vec8f __attribute__((vector_size(32), aligned(4)));
-typedef std::int16_t Vec8s __attribute__((vector_size(16), aligned(2)));
+
+/// Row j of a tile's pair panel: lane f's weight sits at [j/2][f][j%2],
+/// so the row's 8 weights are every other int16 from here.
+const std::int16_t* pair_row(const std::int16_t* panel, std::size_t j) {
+  return panel + (j / 2) * kFilterTile * 2 + j % 2;
+}
 
 /// Conv MAC over one image, filter tiles [t0, t1): 8 output positions
-/// per vector accumulator, weights read as scalars from the lane
-/// panels and broadcast.
-void conv_tiles_portable(const PackedSimd& packed, float act_scale,
-                         const std::int32_t* cols, std::size_t patch,
-                         std::size_t spatial, float* out_n, std::int64_t t0,
-                         std::int64_t t1) {
+/// per vector accumulator, weights read as scalars and broadcast.
+void conv_tiles_generic(const PackedSimd& packed, float act_scale,
+                        const std::int32_t* cols, std::size_t patch,
+                        std::size_t spatial, float* out_n, std::int64_t t0,
+                        std::int64_t t1) {
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
+  const std::size_t pairs = (patch + 1) / 2;
   for (std::int64_t t = t0; t < t1; ++t) {
     const std::int16_t* panel =
-        packed.lane_panels.data() + static_cast<std::size_t>(t) * patch * kFilterTile;
+        packed.pair_panels.data() + static_cast<std::size_t>(t) * pairs * kFilterTile * 2;
     const std::size_t k0 = static_cast<std::size_t>(t) * kFilterTile;
     const int kt = static_cast<int>(std::min<std::size_t>(kFilterTile, filters - k0));
     std::size_t s = 0;
@@ -225,9 +310,9 @@ void conv_tiles_portable(const PackedSimd& packed, float act_scale,
       for (std::size_t j = 0; j < patch; ++j) {
         Vec8i a;
         std::memcpy(&a, cols + j * spatial + s, sizeof(a));
-        const std::int16_t* w = panel + j * kFilterTile;
+        const std::int16_t* w = pair_row(panel, j);
         for (int f = 0; f < kFilterTile; ++f) {
-          const std::int32_t wv = w[f];
+          const std::int32_t wv = w[f * 2];
           if (wv == 0) continue;  // exact: pruned lanes add nothing
           acc[f] += a * wv;
         }
@@ -244,7 +329,7 @@ void conv_tiles_portable(const PackedSimd& packed, float act_scale,
       for (int f = 0; f < kt; ++f) {
         std::int32_t acc = 0;
         for (std::size_t j = 0; j < patch; ++j) {
-          acc += static_cast<std::int32_t>(panel[j * kFilterTile + f]) *
+          acc += static_cast<std::int32_t>(pair_row(panel, j)[f * 2]) *
                  cols[j * spatial + s];
         }
         const std::size_t k = k0 + static_cast<std::size_t>(f);
@@ -256,17 +341,17 @@ void conv_tiles_portable(const PackedSimd& packed, float act_scale,
   }
 }
 
-/// Linear MAC, filter tiles [t0, t1): the int16 lane panel row is
-/// widened to a full int32 vector once and multiplied into
-/// kBatchBlock samples' 8-wide accumulators.
-void linear_tiles_portable(const PackedSimd& packed, const ActCodes& acts,
-                           int batch, std::size_t features, float* out,
-                           std::int64_t t0, std::int64_t t1) {
+/// Linear MAC, filter tiles [t0, t1): each weight row is gathered into
+/// a full int32 vector once and multiplied into kBatchBlock samples'
+/// 8-wide accumulators.
+void linear_tiles_generic(const PackedSimd& packed, const ActCodes& acts,
+                          int batch, std::size_t features, float* out,
+                          std::int64_t t0, std::int64_t t1) {
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
+  const std::size_t pairs = (features + 1) / 2;
   for (std::int64_t t = t0; t < t1; ++t) {
     const std::int16_t* panel =
-        packed.lane_panels.data() +
-        static_cast<std::size_t>(t) * features * kFilterTile;
+        packed.pair_panels.data() + static_cast<std::size_t>(t) * pairs * kFilterTile * 2;
     const std::size_t k0 = static_cast<std::size_t>(t) * kFilterTile;
     const int kt = static_cast<int>(std::min<std::size_t>(kFilterTile, filters - k0));
     for (int n0 = 0; n0 < batch; n0 += kBatchBlock) {
@@ -275,9 +360,8 @@ void linear_tiles_portable(const PackedSimd& packed, const ActCodes& acts,
           acts.codes.data() + static_cast<std::size_t>(n0) * features;
       Vec8i acc[kBatchBlock] = {};
       for (std::size_t j = 0; j < features; ++j) {
-        Vec8s ws;
-        std::memcpy(&ws, panel + j * kFilterTile, sizeof(ws));
-        const Vec8i w = __builtin_convertvector(ws, Vec8i);
+        const std::int16_t* wj = pair_row(panel, j);
+        const Vec8i w = {wj[0], wj[2], wj[4], wj[6], wj[8], wj[10], wj[12], wj[14]};
         for (int b = 0; b < nb; ++b) {
           const std::int32_t av = a[static_cast<std::size_t>(b) * features + j];
           if (av == 0) continue;  // exact: zero codes add nothing
@@ -535,41 +619,6 @@ __attribute__((target("avx2"))) void linear_tiles_avx2_i8(
   }
 }
 
-/// Narrows the [batch][features] activation code matrix to int16,
-/// zero-padding each row to the pair boundary.
-void build_pair_acts(const ActCodes& acts, int batch, std::size_t features,
-                     std::int16_t* acts16, const util::ExecContext& exec) {
-  const std::size_t padded = ((features + 1) / 2) * 2;
-  exec.parallel_for(0, batch, [=, &acts](std::int64_t n0, std::int64_t n1) {
-    for (std::int64_t n = n0; n < n1; ++n) {
-      const std::int32_t* src =
-          acts.codes.data() + static_cast<std::size_t>(n) * features;
-      std::int16_t* dst = acts16 + static_cast<std::size_t>(n) * padded;
-      for (std::size_t j = 0; j < features; ++j) {
-        dst[j] = static_cast<std::int16_t>(src[j]);
-      }
-      for (std::size_t j = features; j < padded; ++j) dst[j] = 0;
-    }
-  });
-}
-
-/// Same, to uint8 at the quad boundary.
-void build_quad_acts(const ActCodes& acts, int batch, std::size_t features,
-                     std::uint8_t* acts8, const util::ExecContext& exec) {
-  const std::size_t padded = ((features + 3) / 4) * 4;
-  exec.parallel_for(0, batch, [=, &acts](std::int64_t n0, std::int64_t n1) {
-    for (std::int64_t n = n0; n < n1; ++n) {
-      const std::int32_t* src =
-          acts.codes.data() + static_cast<std::size_t>(n) * features;
-      std::uint8_t* dst = acts8 + static_cast<std::size_t>(n) * padded;
-      for (std::size_t j = 0; j < features; ++j) {
-        dst[j] = static_cast<std::uint8_t>(src[j]);
-      }
-      for (std::size_t j = features; j < padded; ++j) dst[j] = 0;
-    }
-  });
-}
-
 #if CQ_SIMD_SSE2_BASELINE
 
 /// Portable-tier conv MAC on x86-64: the avx2_i16 kernel at xmm width.
@@ -702,14 +751,13 @@ void linear_tiles_sse2_i16(const PackedSimd& packed, const ActCodes& acts,
 
 }  // namespace
 
-void conv_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& acts,
-                       int batch, int in_c, int height, int width, int kernel,
-                       int stride, int pad, float* out,
-                       std::vector<std::int32_t>& cols_scratch,
+void conv_forward_into(const PackedSimd& packed, const ActCodes& acts, int batch,
+                       int in_c, int height, int width, int kernel, int stride,
+                       int pad, float* out, std::vector<std::int32_t>& cols_scratch,
                        std::vector<std::int16_t>& cols16_scratch,
                        std::vector<std::uint8_t>& cols8_scratch,
                        const util::ExecContext& exec) {
-  check_packed(packed, tier, "simd::conv_forward_into");
+  check_runnable(packed, acts, "simd::conv_forward_into");
   if (packed.weights_per_filter !=
       static_cast<std::int64_t>(in_c) * kernel * kernel) {
     throw std::invalid_argument("simd::conv_forward_into: geometry mismatch");
@@ -729,7 +777,8 @@ void conv_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& 
   const std::size_t patch = static_cast<std::size_t>(packed.weights_per_filter);
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
   const std::size_t tiles = (filters + kFilterTile - 1) / kFilterTile;
-  check_fits_int32(packed, acts, patch, "simd::conv_forward_into");
+  const std::size_t pairs = (patch + 1) / 2;
+  const std::size_t quads = (patch + 3) / 4;
 
   cols_scratch.resize(patch * spatial);
   std::int32_t* const cols_data = cols_scratch.data();
@@ -740,85 +789,57 @@ void conv_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& 
   geometry.kernel = kernel;
   geometry.stride = stride;
   geometry.pad = pad;
-
-#if CQ_SIMD_X86
-  // The same predicates SimdBackend::resolve_path evaluates, so a
-  // bench caller hitting these kernels directly lands on the same
-  // implementation the dispatch label advertises.
-  const bool use_i8 =
-      tier == SimdTier::kAvx2 && packed.int8_usable &&
-      int_reduction_fits_int8_madd(packed.max_abs_weight, acts.bits,
-                                   static_cast<std::int64_t>(patch));
-  const bool pair_ok = !use_i8 && acts.bits <= 15;
-  const bool use_i16 = tier == SimdTier::kAvx2 && pair_ok;
-  // On x86-64 the portable tier rides the same pair layout through
-  // baseline-SSE2 pmaddwd; only 16-bit activation codes stay on the
-  // vector-extension kernel (they don't fit the int16 layout).
-  const bool use_sse2 =
-      CQ_SIMD_SSE2_BASELINE != 0 && tier == SimdTier::kPortable && pair_ok;
-  const std::size_t pairs = (patch + 1) / 2;
-  const std::size_t quads = (patch + 3) / 4;
-  if (use_i8) {
-    cols8_scratch.resize(quads * spatial * 4);
-  } else if (use_i16 || use_sse2) {
-    cols16_scratch.resize(pairs * spatial * 2);
-  }
-#else
-  (void)cols16_scratch;
-  (void)cols8_scratch;
-#endif
+  // The narrowed activation layout the kernel reads, if any; the
+  // generic kernel reads the int32 im2col matrix itself.
+  const bool quad_cols = packed.kernel == Kernel::kAvx2I8;
+  const bool pair_cols =
+      packed.kernel == Kernel::kAvx2I16 || packed.kernel == Kernel::kSse2I16;
+  if (quad_cols) cols8_scratch.resize(quads * spatial * 4);
+  if (pair_cols) cols16_scratch.resize(pairs * spatial * 2);
+  [[maybe_unused]] const std::uint8_t* const cols8 = cols8_scratch.data();
+  [[maybe_unused]] const std::int16_t* const cols16 = cols16_scratch.data();
 
   for (int n = 0; n < batch; ++n) {
     const std::int32_t* img = acts.codes.data() + static_cast<std::size_t>(n) * image;
-    // Same im2col as the scalar/blocked kernels: the SIMD layouts only
-    // change the MAC stage. Zero padding is code 0 = activation 0.0.
+    // Same im2col as the scalar kernel: the SIMD layouts only change
+    // the MAC stage. Zero padding is code 0 = activation 0.0.
     tensor::im2col_any(img, geometry, cols_data, exec);
+    if (quad_cols) build_quad_cols(cols_data, patch, spatial, cols8_scratch.data(), exec);
+    if (pair_cols) build_pair_cols(cols_data, patch, spatial, cols16_scratch.data(), exec);
     float* out_n = out + static_cast<std::size_t>(n) * filters * spatial;
-#if CQ_SIMD_X86
-    if (use_i8) {
-      build_quad_cols(cols_data, patch, spatial, cols8_scratch.data(), exec);
-      const std::uint8_t* cols8 = cols8_scratch.data();
-      exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                        [&, out_n, cols8](std::int64_t t0, std::int64_t t1) {
-        conv_tiles_avx2_i8(packed, acts.scale, cols8, quads, spatial, out_n, t0, t1);
-      });
-      continue;
-    }
-    if (use_i16) {
-      build_pair_cols(cols_data, patch, spatial, cols16_scratch.data(), exec);
-      const std::int16_t* cols16 = cols16_scratch.data();
-      exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                        [&, out_n, cols16](std::int64_t t0, std::int64_t t1) {
-        conv_tiles_avx2_i16(packed, acts.scale, cols16, pairs, spatial, out_n, t0, t1);
-      });
-      continue;
-    }
-#if CQ_SIMD_SSE2_BASELINE
-    if (use_sse2) {
-      build_pair_cols(cols_data, patch, spatial, cols16_scratch.data(), exec);
-      const std::int16_t* cols16 = cols16_scratch.data();
-      exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                        [&, out_n, cols16](std::int64_t t0, std::int64_t t1) {
-        conv_tiles_sse2_i16(packed, acts.scale, cols16, pairs, spatial, out_n, t0, t1);
-      });
-      continue;
-    }
-#endif
-#endif
     exec.parallel_for(0, static_cast<std::int64_t>(tiles),
                       [&, out_n](std::int64_t t0, std::int64_t t1) {
-      conv_tiles_portable(packed, acts.scale, cols_data, patch, spatial, out_n, t0,
-                          t1);
+      switch (packed.kernel) {
+#if CQ_SIMD_X86
+        case Kernel::kAvx2I8:
+          conv_tiles_avx2_i8(packed, acts.scale, cols8, quads, spatial, out_n, t0, t1);
+          return;
+        case Kernel::kAvx2I16:
+          conv_tiles_avx2_i16(packed, acts.scale, cols16, pairs, spatial, out_n, t0, t1);
+          return;
+#endif
+#if CQ_SIMD_SSE2_BASELINE
+        case Kernel::kSse2I16:
+          conv_tiles_sse2_i16(packed, acts.scale, cols16, pairs, spatial, out_n, t0, t1);
+          return;
+#endif
+        case Kernel::kGeneric:
+          conv_tiles_generic(packed, acts.scale, cols_data, patch, spatial, out_n, t0,
+                             t1);
+          return;
+        default:  // kScalar (refused above) and kernels this build lacks
+          return;
+      }
     });
   }
 }
 
-void linear_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes& acts,
-                         int batch, int in_features, float* out,
+void linear_forward_into(const PackedSimd& packed, const ActCodes& acts, int batch,
+                         int in_features, float* out,
                          std::vector<std::int16_t>& acts16_scratch,
                          std::vector<std::uint8_t>& acts8_scratch,
                          const util::ExecContext& exec) {
-  check_packed(packed, tier, "simd::linear_forward_into");
+  check_runnable(packed, acts, "simd::linear_forward_into");
   if (in_features != packed.weights_per_filter) {
     throw std::invalid_argument("simd::linear_forward_into: in_features mismatch");
   }
@@ -830,97 +851,65 @@ void linear_forward_into(SimdTier tier, const PackedSimd& packed, const ActCodes
   const std::size_t features = static_cast<std::size_t>(in_features);
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
   const std::size_t tiles = (filters + kFilterTile - 1) / kFilterTile;
-  check_fits_int32(packed, acts, features, "simd::linear_forward_into");
+  const std::size_t pairs = (features + 1) / 2;
+  const std::size_t quads = (features + 3) / 4;
 
-#if CQ_SIMD_X86
-  const bool use_i8 =
-      tier == SimdTier::kAvx2 && packed.int8_usable &&
-      int_reduction_fits_int8_madd(packed.max_abs_weight, acts.bits,
-                                   static_cast<std::int64_t>(features));
-  const bool pair_ok = !use_i8 && acts.bits <= 15;
-  const bool use_i16 = tier == SimdTier::kAvx2 && pair_ok;
-  // Portable tier on x86-64: same pair layout, baseline-SSE2 pmaddwd.
-  const bool use_sse2 =
-      CQ_SIMD_SSE2_BASELINE != 0 && tier == SimdTier::kPortable && pair_ok;
-  if (use_i8) {
-    const std::size_t quads = (features + 3) / 4;
+  // The narrowed activation layout the kernel reads, if any; the
+  // generic kernel reads the int32 codes themselves.
+  if (packed.kernel == Kernel::kAvx2I8) {
     acts8_scratch.resize(static_cast<std::size_t>(batch) * quads * 4);
     build_quad_acts(acts, batch, features, acts8_scratch.data(), exec);
-    const std::uint8_t* acts8 = acts8_scratch.data();
-    exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                      [&, acts8](std::int64_t t0, std::int64_t t1) {
-      linear_tiles_avx2_i8(packed, acts, acts8, batch, quads, out, t0, t1);
-    });
-    return;
-  }
-  if (use_i16 || use_sse2) {
-    const std::size_t pairs = (features + 1) / 2;
+  } else if (packed.kernel == Kernel::kAvx2I16 || packed.kernel == Kernel::kSse2I16) {
     acts16_scratch.resize(static_cast<std::size_t>(batch) * pairs * 2);
     build_pair_acts(acts, batch, features, acts16_scratch.data(), exec);
-    const std::int16_t* acts16 = acts16_scratch.data();
-    if (use_i16) {
-      exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                        [&, acts16](std::int64_t t0, std::int64_t t1) {
-        linear_tiles_avx2_i16(packed, acts, acts16, batch, pairs, out, t0, t1);
-      });
-      return;
-    }
-#if CQ_SIMD_SSE2_BASELINE
-    exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                      [&, acts16](std::int64_t t0, std::int64_t t1) {
-      linear_tiles_sse2_i16(packed, acts, acts16, batch, pairs, out, t0, t1);
-    });
-    return;
-#endif
   }
-#else
-  (void)acts16_scratch;
-  (void)acts8_scratch;
-#endif
-
+  [[maybe_unused]] const std::uint8_t* const acts8 = acts8_scratch.data();
+  [[maybe_unused]] const std::int16_t* const acts16 = acts16_scratch.data();
   exec.parallel_for(0, static_cast<std::int64_t>(tiles),
                     [&](std::int64_t t0, std::int64_t t1) {
-    linear_tiles_portable(packed, acts, batch, features, out, t0, t1);
+    switch (packed.kernel) {
+#if CQ_SIMD_X86
+      case Kernel::kAvx2I8:
+        linear_tiles_avx2_i8(packed, acts, acts8, batch, quads, out, t0, t1);
+        return;
+      case Kernel::kAvx2I16:
+        linear_tiles_avx2_i16(packed, acts, acts16, batch, pairs, out, t0, t1);
+        return;
+#endif
+#if CQ_SIMD_SSE2_BASELINE
+      case Kernel::kSse2I16:
+        linear_tiles_sse2_i16(packed, acts, acts16, batch, pairs, out, t0, t1);
+        return;
+#endif
+      case Kernel::kGeneric:
+        linear_tiles_generic(packed, acts, batch, features, out, t0, t1);
+        return;
+      default:  // kScalar (refused above) and kernels this build lacks
+        return;
+    }
   });
 }
 
 }  // namespace simd
 
 void SimdBackend::prepare(const ExecutionPlan& plan) {
-  BlockedBackend::prepare(plan);
+  // Each integer layer is packed once, for the widest activation grid
+  // among the ops that read it (one op per layer in compiled plans);
+  // layers no op reads keep an empty kScalar pack.
+  const std::vector<IntegerLayer>& layers = plan.integer_layers();
+  std::vector<int> act_bits(layers.size(), 0);
+  for (const PlanOp& op : plan.ops()) {
+    if (op.kind != OpKind::IntConv && op.kind != OpKind::IntLinear) continue;
+    if (op.layer < 0 || static_cast<std::size_t>(op.layer) >= layers.size()) continue;
+    int& bits = act_bits[static_cast<std::size_t>(op.layer)];
+    bits = std::max(bits, op.act_bits);
+  }
   packed_.clear();
-  packed_.reserve(plan.integer_layers().size());
-  for (const IntegerLayer& layer : plan.integer_layers()) {
-    packed_.push_back(simd::pack_simd(layer));
+  packed_.resize(layers.size());
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    if (act_bits[i] > 0) packed_[i] = simd::pack_simd(layers[i], tier_, act_bits[i]);
   }
   prepared_for_ = &plan;
-}
-
-SimdBackend::Path SimdBackend::resolve_path(const PlanOp& op) const {
-  if (op.kind != OpKind::IntConv && op.kind != OpKind::IntLinear) {
-    return Path::kDelegate;
-  }
-  if (tier_ == SimdTier::kScalar) return Path::kDelegate;
-  const auto layer = static_cast<std::size_t>(op.layer);
-  if (layer >= packed_.size() || !packed_[layer].usable) return Path::kDelegate;
-  const simd::PackedSimd& packed = packed_[layer];
-  const std::int64_t terms = packed.weights_per_filter;
-  // Below the int32 bound the blocked kernels' int64 path is already
-  // the right tool; explicit SIMD only covers the certified reductions.
-  if (!int_reduction_fits_int32(packed.max_abs_weight, op.act_bits, terms)) {
-    return Path::kDelegate;
-  }
-  if (tier_ == SimdTier::kAvx2) {
-    if (packed.int8_usable &&
-        int_reduction_fits_int8_madd(packed.max_abs_weight, op.act_bits, terms)) {
-      return Path::kAvx2Int8;
-    }
-    // Activation codes above int16 (bits == 16) can't ride the pair
-    // layout; the portable kernels read the int32 codes directly.
-    if (op.act_bits <= 15) return Path::kAvx2;
-    return Path::kPortable;
-  }
-  return Path::kPortable;
 }
 
 void SimdBackend::run(const PlanOp& op, const ExecutionPlan& plan,
@@ -930,8 +919,8 @@ void SimdBackend::run(const PlanOp& op, const ExecutionPlan& plan,
     if (prepared_for_ != &plan) {
       throw std::logic_error("SimdBackend: prepare() was not run for this plan");
     }
-    if (resolve_path(op) != Path::kDelegate) {
-      const simd::PackedSimd& packed = packed_[static_cast<std::size_t>(op.layer)];
+    const simd::PackedSimd& packed = packed_[static_cast<std::size_t>(op.layer)];
+    if (packed.kernel != simd::Kernel::kScalar) {
       const std::size_t in_count =
           op.kind == OpKind::IntConv
               ? plan.slots()[static_cast<std::size_t>(op.in0)].numel *
@@ -948,46 +937,35 @@ void SimdBackend::run(const PlanOp& op, const ExecutionPlan& plan,
                                 scratch.codes, exec);
       }
       if (op.kind == OpKind::IntConv) {
-        simd::conv_forward_into(tier_, packed, scratch.codes, io.batch, op.in_c,
-                                op.in_h, op.in_w, op.kernel, op.stride, op.pad,
-                                io.out, scratch.int_cols, scratch.simd_cols16,
+        simd::conv_forward_into(packed, scratch.codes, io.batch, op.in_c, op.in_h,
+                                op.in_w, op.kernel, op.stride, op.pad, io.out,
+                                scratch.int_cols, scratch.simd_cols16,
                                 scratch.simd_cols8, exec);
       } else {
-        simd::linear_forward_into(tier_, packed, scratch.codes, io.batch,
-                                  op.in_features, io.out, scratch.simd_cols16,
-                                  scratch.simd_cols8, exec);
+        simd::linear_forward_into(packed, scratch.codes, io.batch, op.in_features,
+                                  io.out, scratch.simd_cols16, scratch.simd_cols8,
+                                  exec);
       }
+      // The shared epilogue keeps fused tails byte-identical to the
+      // scalar reference (and to the unfused plan).
       apply_epilogue(op, io, plan.slots()[static_cast<std::size_t>(op.out)].numel,
                      exec);
       return;
     }
   }
-  BlockedBackend::run(op, plan, io, scratch, exec);
+  ScalarBackend::run(op, plan, io, scratch, exec);
 }
 
 const char* SimdBackend::dispatch(const PlanOp& op) const {
-  switch (resolve_path(op)) {
-    case Path::kAvx2Int8:
-      return "simd/avx2-i8";
-    case Path::kAvx2:
-      return "simd/avx2";
-    case Path::kPortable:
-      return "simd/portable";
-    case Path::kDelegate:
-      break;
-  }
-  return BlockedBackend::dispatch(op);
+  if (op.kind != OpKind::IntConv && op.kind != OpKind::IntLinear) return "scalar";
+  const auto layer = static_cast<std::size_t>(op.layer);
+  if (layer >= packed_.size()) return "scalar";
+  return simd::kernel_label(packed_[layer].kernel);
 }
 
 std::size_t SimdBackend::prepared_bytes() const {
-  std::size_t bytes = BlockedBackend::prepared_bytes();
-  for (const simd::PackedSimd& packed : packed_) {
-    bytes += packed.lane_panels.size() * sizeof(std::int16_t) +
-             packed.pair_panels.size() * sizeof(std::int16_t) +
-             packed.quad_panels.size() * sizeof(std::int8_t) +
-             packed.weight_scales.size() * sizeof(float) +
-             packed.out_bias.size() * sizeof(float);
-  }
+  std::size_t bytes = 0;
+  for (const simd::PackedSimd& packed : packed_) bytes += packed.bytes();
   return bytes;
 }
 

@@ -5,8 +5,9 @@
 // explicit-SIMD story. Kernels compiled for a specific ISA (AVX2 via
 // the GCC/clang `target` attribute) may only be *called* after this
 // module has proven at runtime that the CPU executes them; everything
-// below AVX2 lands on the GCC-vector-extension portable kernels, and
-// CQ_SIMD=off retires the explicit kernels entirely.
+// below AVX2 lands on the portable kernels (baseline-SSE2 pmaddwd on
+// x86-64, GCC vector extensions elsewhere), and CQ_SIMD=off retires
+// the explicit kernels entirely.
 
 #include <string>
 
@@ -28,8 +29,8 @@ struct CpuFeatures {
 const CpuFeatures& cpu_features();
 
 /// Execution tiers of the explicit-SIMD backend, ordered by
-/// capability. Scalar = explicit SIMD off (delegate to the blocked /
-/// scalar kernels); Portable = kernels legal on every CPU the binary
+/// capability. Scalar = explicit SIMD off (delegate to the scalar
+/// reference); Portable = kernels legal on every CPU the binary
 /// runs on without a runtime check (baseline-SSE2 pmaddwd on x86-64,
 /// GCC vector extensions elsewhere); Avx2 = hand-scheduled AVX2
 /// intrinsic kernels, legal only when cpu_features().avx2.

@@ -2,19 +2,17 @@
 
 // The integer-path accumulator overflow bound, in one place.
 //
-// The blocked backend's int32 fast path and the plan verifier's
-// overflow certification must make the *same* decision from the same
-// numbers: a reduction over `terms` products of centered doubled
+// The simd backend's kernel choice and the plan verifier's overflow
+// certification must make the *same* decision from the same numbers: a reduction over `terms` products of centered doubled
 // weight codes (|w| <= max_abs_weight) and activation codes
 // (0 <= a <= levels(act_bits) - 1) is bounded by
 //
 //     max|acc| <= max_abs_weight * act_max * terms
 //
 // and integer sums below a type's max are exact in that type. Keeping
-// the bound here — used by blocked::pack_codes, the blocked kernels'
-// accumulator selection, and deploy::verify_plan — makes it impossible
-// for the backend and the verifier to disagree about when the narrow
-// accumulator is licensed.
+// the bound here — used by simd::pack_simd's kernel choice and by
+// deploy::verify_plan — makes it impossible for the backend and the
+// verifier to disagree about when the narrow accumulator is licensed.
 
 #include <cstdint>
 #include <limits>
@@ -65,8 +63,9 @@ inline std::int64_t int_reduction_bound(std::int32_t max_abs_weight, int act_bit
 }
 
 /// True when every possible reduction provably fits an int32
-/// accumulator — the decision blocked::conv/linear take per dispatch.
-/// Below the bound integer sums are exact in any width, so the narrow
+/// accumulator — the condition for any SIMD kernel to run the op
+/// (otherwise it delegates to the scalar int64 reference). Below the
+/// bound integer sums are exact in any width, so the narrow
 /// accumulator changes nothing but speed (int32 MACs vectorize; int64
 /// ones don't).
 inline bool int_reduction_fits_int32(std::int32_t max_abs_weight, int act_bits,
@@ -86,8 +85,8 @@ inline bool int_reduction_fits_int32(std::int32_t max_abs_weight, int act_bits,
 ///     int16 saturation boundary (the one lossy step of the
 ///     instruction), and
 ///   - the whole reduction fits the int32 accumulator.
-/// SimdBackend's dispatch and verify_plan's certificate both call this
-/// helper, so the backend's kernel choice and the verifier's
+/// simd::pack_simd's kernel choice and verify_plan's certificate both
+/// call this helper, so the backend's kernel choice and the verifier's
 /// `int8_fast_path` record agree structurally.
 inline bool int_reduction_fits_int8_madd(std::int32_t max_abs_weight, int act_bits,
                                          std::int64_t terms) {

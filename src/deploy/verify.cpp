@@ -5,7 +5,7 @@
 // dataflow is re-walked, shapes are re-derived, slot lifetimes are
 // recomputed from the op list, and the integer-path overflow bound is
 // recomputed from the actual packed codes through the same
-// deploy/overflow.h helper the blocked backend dispatches on. Anything
+// deploy/overflow.h helpers the simd backend chooses kernels with. Anything
 // that rewrites the IR — today's compiler, the ROADMAP's optimizer
 // passes — must produce programs that come back clean.
 //
@@ -460,9 +460,10 @@ class Verifier {
   /// must match the op records; every code must respect its declared
   /// bit-width (the premise of the overflow bound); and the
   /// accumulator bound — recomputed from the actual codes through
-  /// deploy/overflow.h, the helper BlockedBackend itself dispatches on
-  /// — must certify int64 safety. The certificate also records the
-  /// int32 fast-path decision the blocked kernels will take.
+  /// deploy/overflow.h, the helpers simd::pack_simd chooses kernels
+  /// with — must certify int64 safety. The certificate also records
+  /// whether the SIMD kernels may run the op (int32) and whether the
+  /// maddubs path is licensed (int8).
   void check_integer_path() {
     for (int i = 0; i < num_ops_; ++i) {
       const PlanOp& op = plan_.ops()[static_cast<std::size_t>(i)];
@@ -554,8 +555,8 @@ class Verifier {
       cert.int32_fast_path =
           packable &&
           int_reduction_fits_int32(cert.max_abs_weight, op.act_bits, cert.terms);
-      // Same helper SimdBackend::resolve_path calls, so this record is
-      // by construction the backend's maddubs-eligibility decision.
+      // Same helper simd::pack_simd calls, so this record is by
+      // construction the backend's maddubs-eligibility decision.
       cert.int8_fast_path =
           packable &&
           int_reduction_fits_int8_madd(cert.max_abs_weight, op.act_bits, cert.terms);

@@ -56,9 +56,9 @@ struct PlanDiagnostic {
 };
 
 /// Overflow certificate of one integer op: the bound recomputed from
-/// the actual packed codes via deploy/overflow.h — the same helper
-/// BlockedBackend's dispatch calls, so the `int32_fast_path` recorded
-/// here is by construction the decision the backend takes.
+/// the actual packed codes via deploy/overflow.h — the same helpers
+/// simd::pack_simd chooses kernels with, so the fast-path flags
+/// recorded here are by construction the decisions the backend takes.
 struct IntOpCertificate {
   int op = -1;
   int layer = -1;                  ///< PlanOp::layer
@@ -66,7 +66,9 @@ struct IntOpCertificate {
   std::int64_t terms = 0;          ///< reduction length per output
   std::int64_t bound = 0;          ///< worst-case |accumulator| (saturated)
   bool fits_int64 = false;         ///< scalar kernels' accumulator is exact
-  bool int32_fast_path = false;    ///< blocked kernels take the narrow path
+  /// The SIMD kernels' int32 accumulator is exact for this op; when
+  /// false, SimdBackend delegates it to the scalar int64 reference.
+  bool int32_fast_path = false;
   /// SimdBackend's maddubs int8 path is proven exact for this op
   /// (int_reduction_fits_int8_madd — the saturating pair sum cannot be
   /// reached); implies int32_fast_path.

@@ -29,8 +29,8 @@ struct ServerConfig {
   /// cuts single-request latency).
   int intra_threads = 1;
   /// Kernel backend the engine dispatches every plan op through
-  /// (deploy::make_backend): the scalar reference or the
-  /// blocked/packed integer backend. Both are byte-identical, so this
+  /// (deploy::make_backend): scalar|simd — the scalar reference or the
+  /// explicit-SIMD integer backend. Both are byte-identical, so this
   /// only trades execution speed.
   deploy::BackendKind backend = deploy::BackendKind::Scalar;
   /// Plan optimization level for the compiled artifact: PlanOpt::kO1

@@ -10,6 +10,7 @@
 #include "nn/models/resnet20.h"
 #include "nn/models/vgg_small.h"
 #include "tensor/tensor.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace cq::deploy {
@@ -327,6 +328,61 @@ TEST(Artifact, LoadRejectsTrailingGarbage) {
   save_artifact(path, export_model(mlp));
   std::ofstream(path, std::ios::binary | std::ios::app) << "EXTRA";
   EXPECT_THROW(load_artifact(path), ArtifactError);
+  std::remove(path.c_str());
+}
+
+/// Writes a CRC-valid artifact whose payload is one dense tensor "p0"
+/// declaring `dims`, followed by `floats` zero floats of data.
+void write_one_tensor_artifact(const std::string& path,
+                               const std::vector<std::uint32_t>& dims,
+                               std::size_t floats) {
+  std::vector<std::uint8_t> payload;
+  const auto put = [&payload](const void* data, std::size_t size) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    payload.insert(payload.end(), p, p + size);
+  };
+  const auto u32 = [&put](std::uint32_t v) { put(&v, sizeof v); };
+  const auto str = [&](const std::string& s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    put(s.data(), s.size());
+  };
+  str("Mlp");  // architecture kind
+  u32(0);      // architecture params
+  u32(0);      // activation quantizers
+  u32(0);      // packed layers
+  u32(1);      // dense tensors
+  str("p0");
+  u32(static_cast<std::uint32_t>(dims.size()));
+  for (const std::uint32_t d : dims) u32(d);
+  const std::vector<float> data(floats, 0.0f);
+  put(data.data(), data.size() * sizeof(float));
+
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write("CQAR", 4);
+  const std::uint32_t version = 1;
+  out.write(reinterpret_cast<const char*>(&version), sizeof version);
+  const std::uint64_t size = payload.size();
+  out.write(reinterpret_cast<const char*>(&size), sizeof size);
+  out.write(reinterpret_cast<const char*>(payload.data()),
+            static_cast<std::streamsize>(payload.size()));
+  const std::uint32_t crc = util::crc32(payload.data(), payload.size());
+  out.write(reinterpret_cast<const char*>(&crc), sizeof crc);
+}
+
+TEST(Artifact, LoadRejectsTensorDimsBeyondPayload) {
+  const std::string path = temp_path("huge_dims.cqar");
+  // Control: the crafted format loads when the data is really there.
+  write_one_tensor_artifact(path, {2, 3}, 6);
+  EXPECT_EQ(6u, load_artifact(path).dense.at("p0").numel());
+  // The CRC passes, but the declared shapes hold far more floats than
+  // the payload: [2^28]^3 wraps size_t to 0, [2^28]^2 is too large to
+  // allocate. Both must fail as ArtifactError before any allocation.
+  const std::vector<std::vector<std::uint32_t>> huge = {
+      {1u << 28, 1u << 28, 1u << 28}, {1u << 28, 1u << 28}};
+  for (const std::vector<std::uint32_t>& dims : huge) {
+    write_one_tensor_artifact(path, dims, 0);
+    EXPECT_THROW(load_artifact(path), ArtifactError) << dims.size() << " dims";
+  }
   std::remove(path.c_str());
 }
 

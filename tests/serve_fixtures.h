@@ -1,44 +1,19 @@
 #pragma once
 
-// Shared serving fixtures: model-zoo artifacts fabricated without
-// training (calibrated activation quantizers + a mixed per-filter bit
-// pattern including pruned filters). Used by serve_test.cpp and
-// plan_test.cpp so both suites exercise the exact same deployment
-// payloads, and by bench/plan_compile for default-size zoo artifacts.
+// Shared serving fixtures: tiny model-zoo artifacts fabricated without
+// training by serve::fabricate_artifact (calibrated activation
+// quantizers + a mixed per-filter bit pattern including pruned
+// filters). Used by the serving, plan, backend and verifier suites so
+// they all exercise the exact same deployment payloads; the
+// default-size zoo lives in serve/zoo.h.
 
 #include "deploy/artifact.h"
 #include "nn/models/mlp.h"
-#include "nn/models/model.h"
 #include "nn/models/resnet20.h"
 #include "nn/models/vgg_small.h"
-#include "util/rng.h"
+#include "serve/zoo.h"
 
 namespace cq::serve {
-
-/// Gives `model` a deployable state without training: calibrated
-/// activation quantizers and a mixed per-filter bit arrangement
-/// (including pruned filters), then exports it.
-inline deploy::QuantizedArtifact fabricate_artifact(nn::Model& model,
-                                                    const tensor::Shape& in,
-                                                    int act_bits, std::uint64_t seed) {
-  util::Rng rng(seed);
-  tensor::Shape calib_shape;
-  calib_shape.push_back(32);
-  calib_shape.insert(calib_shape.end(), in.begin(), in.end());
-  model.calibrate_activations(
-      tensor::Tensor::rand_uniform(calib_shape, rng, 0.0f, 1.0f));
-  model.set_activation_bits(act_bits);
-  const int pattern[7] = {2, 3, 1, 4, 2, 0, 2};
-  int i = 0;
-  for (const nn::ScoredLayerRef& ref : model.scored_layers()) {
-    for (quant::QuantizableLayer* layer : ref.layers) {
-      std::vector<int> bits(static_cast<std::size_t>(layer->num_filters()));
-      for (int& b : bits) b = pattern[i++ % 7];
-      layer->set_filter_bits(std::move(bits));
-    }
-  }
-  return deploy::export_model(model);
-}
 
 inline deploy::QuantizedArtifact tiny_vgg_artifact() {
   nn::VggSmallConfig cfg;
@@ -70,15 +45,6 @@ inline deploy::QuantizedArtifact tiny_resnet_artifact() {
   cfg.base_width = 4;
   nn::ResNet20 model(cfg);
   return fabricate_artifact(model, {3, 8, 8}, 3, 17);
-}
-
-inline tensor::Tensor random_batch(const tensor::Shape& sample, int n,
-                                   std::uint64_t seed) {
-  util::Rng rng(seed);
-  tensor::Shape shape;
-  shape.push_back(n);
-  shape.insert(shape.end(), sample.begin(), sample.end());
-  return tensor::Tensor::rand_uniform(shape, rng, -0.2f, 1.2f);
 }
 
 }  // namespace cq::serve

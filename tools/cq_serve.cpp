@@ -12,7 +12,7 @@
 //
 //   <name> <artifact.cqar> [key=value ...]   # per-model overrides
 //
-// with keys workers, intra_threads, backend (scalar|blocked|simd),
+// with keys workers, intra_threads, backend (scalar|simd),
 // max_batch, max_wait_us, queue_capacity, admit_depth, budget_mb,
 // opt (0|1); '#' starts a comment. Positional name=path arguments
 // load additional models with the flag-level defaults, and --zoo
@@ -29,7 +29,7 @@
 // path; exit status reports the verdict.
 //
 // Usage: cq_serve [--manifest=FILE] [name=path...] [--zoo] [--port=N]
-//                 [--workers=N] [--intra_threads=N] [--backend=scalar|blocked|simd]
+//                 [--workers=N] [--intra_threads=N] [--backend=scalar|simd]
 //                 [--max_batch=N] [--max_wait_us=N] [--queue_capacity=N]
 //                 [--admit_depth=N] [--budget_mb=N] [--opt=0|1]
 //                 [--max_inflight=N] [--responders=N] [--max_connections=N]
@@ -52,7 +52,7 @@
 #include "net/front_end.h"
 #include "serve/engine_session.h"
 #include "serve/model_registry.h"
-#include "serve_fixtures.h"
+#include "serve/zoo.h"
 #include "util/cli.h"
 #include "util/rng.h"
 
@@ -79,7 +79,7 @@ serve::ModelConfig config_from_flags(const util::Cli& cli) {
   serve::ModelConfig config;
   config.server.workers = static_cast<int>(cli.get_int("workers", 2));
   config.server.intra_threads = static_cast<int>(cli.get_int("intra_threads", 1));
-  config.server.backend = deploy::parse_backend_kind(cli.get("backend", "blocked"));
+  config.server.backend = deploy::parse_backend_kind(cli.get("backend", "simd"));
   config.server.max_batch = static_cast<int>(cli.get_int("max_batch", 16));
   config.server.max_wait_us = cli.get_int("max_wait_us", 200);
   config.server.queue_capacity =
@@ -153,34 +153,6 @@ std::vector<LoadedModel> parse_manifest(const std::string& path,
     }
     model.artifact = deploy::load_artifact(artifact_path);
     models.push_back(std::move(model));
-  }
-  return models;
-}
-
-std::vector<LoadedModel> zoo_models(const serve::ModelConfig& defaults) {
-  std::vector<LoadedModel> models;
-  {
-    const nn::VggSmallConfig cfg;
-    nn::VggSmall vgg(cfg);
-    models.push_back({"vgg_small",
-                      serve::fabricate_artifact(
-                          vgg, {cfg.in_channels, cfg.image_size, cfg.image_size}, 3, 5),
-                      defaults});
-  }
-  {
-    const nn::MlpConfig cfg;
-    nn::Mlp mlp(cfg);
-    models.push_back(
-        {"mlp", serve::fabricate_artifact(mlp, {cfg.in_features}, 3, 3), defaults});
-  }
-  {
-    const nn::ResNet20Config cfg;
-    nn::ResNet20 resnet(cfg);
-    models.push_back({"resnet20",
-                      serve::fabricate_artifact(
-                          resnet, {cfg.in_channels, cfg.image_size, cfg.image_size}, 3,
-                          7),
-                      defaults});
   }
   return models;
 }
@@ -289,8 +261,9 @@ int main(int argc, char** argv) {
       models.push_back(std::move(model));
     }
     if (cli.get_bool("zoo", false)) {
-      std::vector<LoadedModel> zoo = zoo_models(defaults);
-      for (LoadedModel& model : zoo) models.push_back(std::move(model));
+      for (serve::ZooModel& model : serve::default_zoo()) {
+        models.push_back({std::move(model.name), std::move(model.artifact), defaults});
+      }
     }
   } catch (const std::exception& error) {
     std::fprintf(stderr, "%s\n", error.what());

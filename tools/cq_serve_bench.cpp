@@ -23,7 +23,7 @@
 //   --threads=N       closed-loop submitter threads (default 8)
 //   --workers=N       server batch workers / engine contexts (default 4)
 //   --intra_threads=N threads one forward pass may occupy (default 1)
-//   --backend=NAME    kernel backend: scalar | blocked | simd (default scalar)
+//   --backend=NAME    kernel backend: scalar | simd (default scalar)
 //   --max_batch=N     micro-batch flush size (default 16)
 //   --max_wait_us=N   micro-batch flush age in microseconds (default 200)
 //   --queue=N         bounded request queue depth (default 1024)
@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
   if (argc < 2 || argv[1][0] == '-') {
     std::fprintf(stderr,
                  "usage: cq_serve_bench <model.cqar> [--requests=512] [--threads=8] "
-                 "[--workers=4] [--intra_threads=1] [--backend=scalar|blocked|simd] "
+                 "[--workers=4] [--intra_threads=1] [--backend=scalar|simd] "
                  "[--max_batch=16] [--max_wait_us=200] [--queue=1024] [--warmup=64] "
                  "[--seed=1] [--json=PATH] [--profile] [--trace=PATH] [--metrics]\n"
                  "       cq_serve_bench --connect=host:port --model=NAME "

@@ -25,7 +25,7 @@
 //              per op, per op kind, per layer, plus the fraction of
 //              end-to-end time the profiler attributes to ops
 //   --backend  backend --plan's dispatch column reflects and --profile
-//              executes on: scalar | blocked | simd (default scalar)
+//              executes on: scalar | simd (default scalar)
 //   --runs     profiled runs for --profile (default 16)
 //   --batch    samples per profiled run (default 8)
 //
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   if (argc < 2 || argv[1][0] == '-') {
     std::fprintf(stderr,
                  "usage: cqar_info <model.cqar> [--verify] [--plan] [--profile] "
-                 "[--optimize=0|1] [--backend=scalar|blocked|simd] [--runs=16] "
+                 "[--optimize=0|1] [--backend=scalar|simd] [--runs=16] "
                  "[--batch=8]\n");
     return 2;
   }

@@ -3,18 +3,19 @@
 // Compiles each artifact's deployment ExecutionPlan and proves the IR
 // invariant catalog over it (deploy/verify.h): dataflow
 // well-formedness, shape consistency, arena lifetime safety at every
-// batch size, and the integer-path overflow certification the blocked
-// backend's int32 fast path rests on. Any finding is printed as a
+// batch size, and the integer-path overflow certification the simd
+// backend's int32 kernels rest on. Any finding is printed as a
 // diagnostic table and turns the exit status nonzero, so CI can gate
 // the model zoo on "plans verify clean" the same way it gates tests.
 //
 // Usage: cqar_verify [--zoo] [--certs] [--optimize] [<model.cqar>...]
-//   --zoo       also verify the three built-in zoo models (VggSmall,
-//               Mlp, ResNet20 — fabricated in process, the same fixtures
-//               the plan/backend test suites pin byte-identity against)
+//   --zoo       also verify the three default-size zoo models
+//               (vgg_small, mlp, resnet20 — fabricated in process by
+//               serve::default_zoo, the models `cq_serve --zoo` serves)
 //   --certs     print the per-integer-op overflow certificates (bound,
 //               narrowest certified accumulator: int8 = the SIMD
-//               backend's maddubs path, int32 = the blocked fast path)
+//               backend's maddubs path, int32 = its other kernels,
+//               int64 = delegated to the scalar reference)
 //   --optimize  additionally run the deploy::optimize_plan pass
 //               pipeline over each plan and verify the optimized plan
 //               too (shown as "<name> +opt") — the shape serving
@@ -31,7 +32,7 @@
 #include "deploy/passes/passes.h"
 #include "deploy/plan.h"
 #include "deploy/verify.h"
-#include "serve_fixtures.h"
+#include "serve/zoo.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -69,7 +70,8 @@ bool verify_one(const std::string& name, const deploy::ExecutionPlan& plan,
     util::Table certs({"op", "layer", "max|w|", "terms", "bound", "acc"});
     for (const deploy::IntOpCertificate& cert : report.certificates) {
       // Narrowest certified accumulator: int8 is the SIMD backend's
-      // maddubs path (implies int32), int32 the blocked fast path.
+      // maddubs path (implies int32), int32 its other kernels, int64
+      // the scalar reference it delegates to.
       const char* acc = cert.int8_fast_path    ? "int8"
                         : cert.int32_fast_path ? "int32"
                                                : "int64";
@@ -146,21 +148,15 @@ int main(int argc, char** argv) {
     all_clean = verify_artifact(path, certs, optimize) && all_clean;
   }
   if (zoo) {
-    // The same fabricated zoo the plan/backend byte-identity suites
-    // run; a compiler change that breaks an invariant for any of the
-    // three architectures fails here without needing artifact files.
-    all_clean = verify_plan_shapes("zoo:vgg_small",
-                                   deploy::compile_plan(serve::tiny_vgg_artifact()),
-                                   certs, optimize) &&
-                all_clean;
-    all_clean = verify_plan_shapes("zoo:mlp",
-                                   deploy::compile_plan(serve::tiny_mlp_artifact()),
-                                   certs, optimize) &&
-                all_clean;
-    all_clean = verify_plan_shapes("zoo:resnet20",
-                                   deploy::compile_plan(serve::tiny_resnet_artifact()),
-                                   certs, optimize) &&
-                all_clean;
+    // The fabricated zoo cq_serve serves; a compiler change that breaks
+    // an invariant for any of the three architectures fails here
+    // without needing artifact files.
+    for (const serve::ZooModel& model : serve::default_zoo()) {
+      all_clean = verify_plan_shapes("zoo:" + model.name,
+                                     deploy::compile_plan(model.artifact), certs,
+                                     optimize) &&
+                  all_clean;
+    }
   }
   return all_clean ? 0 : 1;
 }
