@@ -11,12 +11,18 @@
 //                  --assert-threads=4 --assert-speedup=1.5
 //   kernel_scaling --backends=scalar,simd --assert-case=integer_conv_large
 //                  --assert-threads=1 --assert-backend-speedup=2.0
+//   kernel_scaling --backends=scalar,simd --assert-case=integer_conv_paper
+//                  --assert-threads=1 --assert-backend-speedup=6.0
 //
 // --assert-speedup gates thread scaling of the named scalar case;
 // --assert-backend-speedup gates the simd backend's win over the
 // scalar kernels on the same case at --assert-threads (requires both
 // backends in the sweep). One threshold serves every SIMD tier: a simd
 // case that silently fell back to scalar-speed code reads about 1x.
+// Each integer case times the whole op from float activations — the
+// scalar reference's encode or cast, im2col and int64 MACs against the
+// simd backend's code-image build and MACs; integer_conv_paper feeds
+// raw activations, the others grid codes.
 // Exit codes: 0 ok, 1 assertion failed, 2 output mismatch vs the
 // scalar reference.
 //
@@ -92,16 +98,40 @@ deploy::IntegerLayer fabricate_integer_layer(int num_filters, std::int64_t per_f
   return layer;
 }
 
-deploy::ActCodes fabricate_act_codes(std::size_t count, int bits, util::Rng& rng) {
-  deploy::ActCodes acts;
-  acts.bits = bits;
+/// Float activations an integer case reads, and the grid they are
+/// adopted onto: codes stored as floats (in_codes, as an ep_encode
+/// producer leaves them) or raw activations the kernels must encode.
+struct IntegerInput {
+  std::vector<float> acts;
+  deploy::simd::ActGrid grid;
+};
+
+/// `count` random codes on the [0, 1] x bits grid, stored as floats.
+IntegerInput fabricate_codes(std::size_t count, int bits, util::Rng& rng) {
+  IntegerInput in{std::vector<float>(count), {1.0f, bits, /*in_codes=*/true}};
   const int levels = 1 << bits;
-  acts.scale = 1.0f / static_cast<float>(levels - 1);
-  acts.codes.resize(count);
-  for (std::int32_t& c : acts.codes) {
-    c = static_cast<std::int32_t>(rng.uniform_int(0, levels - 1));
+  for (float& a : in.acts) a = static_cast<float>(rng.uniform_int(0, levels - 1));
+  return in;
+}
+
+/// `count` raw post-ReLU activations for the [0, 1] x bits grid, a
+/// fifth of them above the clip.
+IntegerInput fabricate_raw(std::size_t count, int bits, util::Rng& rng) {
+  IntegerInput in{std::vector<float>(count), {1.0f, bits, /*in_codes=*/false}};
+  for (float& a : in.acts) a = static_cast<float>(rng.uniform(0.0, 1.25));
+  return in;
+}
+
+/// The scalar reference's input adoption — ScalarBackend's cast or
+/// encode into int32 codes — reusing `codes` across runs.
+void adopt(const IntegerInput& in, deploy::ActCodes& codes, const util::ExecContext& exec) {
+  if (in.grid.in_codes) {
+    deploy::cast_codes_into(in.acts.data(), in.acts.size(), in.grid.hi, in.grid.bits, codes,
+                            exec);
+  } else {
+    deploy::encode_activations_into(in.acts.data(), in.acts.size(), in.grid.hi,
+                                    in.grid.bits, codes, exec);
   }
-  return acts;
 }
 
 std::vector<std::string> parse_list(const std::string& list) {
@@ -179,90 +209,80 @@ int main(int argc, char** argv) {
         }
       };
 
-  // The "large-layer case" of the perf-smoke assertions: one image
-  // through a VGG-middle-sized conv, ~75M MACs.
-  {
-    const int in_c = 64, hw = 32, filters = 128, kernel = 3, batch = 1;
+  /// Registers a conv case: the scalar run is ScalarBackend's op
+  /// (adopt into int32 codes, im2col, int64 MACs), the simd run
+  /// simd::conv_forward_into straight from the floats.
+  const auto add_conv_case = [&](const std::string& name, const std::string& desc,
+                                 int in_c, int hw, int filters, int kernel,
+                                 IntegerInput input) {
     const std::int64_t per_filter = static_cast<std::int64_t>(in_c) * kernel * kernel;
     auto layer = std::make_shared<deploy::IntegerLayer>(
         fabricate_integer_layer(filters, per_filter, rng));
-    auto acts = std::make_shared<deploy::ActCodes>(fabricate_act_codes(
-        static_cast<std::size_t>(batch) * in_c * hw * hw, 3, rng));
+    auto in = std::make_shared<const IntegerInput>(std::move(input));
     auto spacked = std::make_shared<deploy::simd::PackedSimd>(
-        deploy::simd::pack_simd(*layer, simd_tier, acts->bits));
+        deploy::simd::pack_simd(*layer, simd_tier, in->grid.bits, kernel));
+    auto codes = std::make_shared<deploy::ActCodes>();
+    auto cols = std::make_shared<std::vector<std::int32_t>>();
+    auto image = std::make_shared<std::vector<std::uint32_t>>();
+    const std::size_t out_size = static_cast<std::size_t>(filters) * hw * hw;
     add_integer_case(
-        "integer_conv_large", "integer conv 64x32x32 -> 128 filters, 3x3",
-        2LL * batch * filters * per_filter * hw * hw,
+        name, desc, 2LL * filters * per_filter * hw * hw,
         [=](const util::ExecContext& exec) {
-          tensor::Tensor out = deploy::integer_conv_forward(
-              *layer, *acts, batch, in_c, hw, hw, kernel, 1, 1, exec);
-          return std::vector<float>(out.data(), out.data() + out.numel());
+          std::vector<float> out(out_size);
+          adopt(*in, *codes, exec);
+          deploy::integer_conv_forward_into(*layer, *codes, 1, in_c, hw, hw, kernel, 1,
+                                            kernel / 2, out.data(), *cols, exec);
+          return out;
         },
         [=](const util::ExecContext& exec) {
-          std::vector<float> out(static_cast<std::size_t>(batch) * filters * hw * hw);
-          std::vector<std::int32_t> cols;
-          std::vector<std::int16_t> cols16;
-          std::vector<std::uint8_t> cols8;
-          deploy::simd::conv_forward_into(*spacked, *acts, batch, in_c, hw, hw,
-                                          kernel, 1, 1, out.data(), cols, cols16,
-                                          cols8, exec);
+          std::vector<float> out(out_size);
+          deploy::simd::conv_forward_into(*spacked, in->acts.data(), in->grid, 1, in_c,
+                                          hw, hw, kernel, 1, kernel / 2, out.data(),
+                                          *image, exec);
           return out;
         });
-  }
+  };
+
+  // The "large-layer case" of the perf-smoke assertions: one image
+  // through a VGG-middle-sized conv, ~75M MACs, fed grid codes.
+  add_conv_case("integer_conv_large", "integer conv 64x32x32 -> 128 filters, 3x3", 64, 32,
+                128, 3, fabricate_codes(64 * 32 * 32, 3, rng));
 
   // Small conv: shows where threading/tiling overhead eats the win.
-  {
-    const int in_c = 8, hw = 16, filters = 16, kernel = 3, batch = 1;
-    const std::int64_t per_filter = static_cast<std::int64_t>(in_c) * kernel * kernel;
-    auto layer = std::make_shared<deploy::IntegerLayer>(
-        fabricate_integer_layer(filters, per_filter, rng));
-    auto acts = std::make_shared<deploy::ActCodes>(fabricate_act_codes(
-        static_cast<std::size_t>(batch) * in_c * hw * hw, 3, rng));
-    auto spacked = std::make_shared<deploy::simd::PackedSimd>(
-        deploy::simd::pack_simd(*layer, simd_tier, acts->bits));
-    add_integer_case(
-        "integer_conv_small", "integer conv 8x16x16 -> 16 filters, 3x3",
-        2LL * batch * filters * per_filter * hw * hw,
-        [=](const util::ExecContext& exec) {
-          tensor::Tensor out = deploy::integer_conv_forward(
-              *layer, *acts, batch, in_c, hw, hw, kernel, 1, 1, exec);
-          return std::vector<float>(out.data(), out.data() + out.numel());
-        },
-        [=](const util::ExecContext& exec) {
-          std::vector<float> out(static_cast<std::size_t>(batch) * filters * hw * hw);
-          std::vector<std::int32_t> cols;
-          std::vector<std::int16_t> cols16;
-          std::vector<std::uint8_t> cols8;
-          deploy::simd::conv_forward_into(*spacked, *acts, batch, in_c, hw, hw,
-                                          kernel, 1, 1, out.data(), cols, cols16,
-                                          cols8, exec);
-          return out;
-        });
-  }
+  add_conv_case("integer_conv_small", "integer conv 8x16x16 -> 16 filters, 3x3", 8, 16, 16,
+                3, fabricate_codes(8 * 16 * 16, 3, rng));
+
+  // The paper-shaped case: ResNet20's stage-1 conv at CIFAR-10 size,
+  // fed raw 2-bit activations, so both backends pay their encode.
+  add_conv_case("integer_conv_paper",
+                "integer conv 16x32x32 -> 16 filters, 3x3, raw A2 activations", 16, 32,
+                16, 3, fabricate_raw(16 * 32 * 32, 2, rng));
 
   // Integer FC layer, chunked over output rows / filter tiles.
   {
     const int in_features = 1024, filters = 1024, batch = 16;
     auto layer = std::make_shared<deploy::IntegerLayer>(
         fabricate_integer_layer(filters, in_features, rng));
-    auto acts = std::make_shared<deploy::ActCodes>(fabricate_act_codes(
-        static_cast<std::size_t>(batch) * in_features, 4, rng));
+    auto in = std::make_shared<const IntegerInput>(
+        fabricate_codes(static_cast<std::size_t>(batch) * in_features, 4, rng));
     auto spacked = std::make_shared<deploy::simd::PackedSimd>(
-        deploy::simd::pack_simd(*layer, simd_tier, acts->bits));
+        deploy::simd::pack_simd(*layer, simd_tier, in->grid.bits));
+    auto codes = std::make_shared<deploy::ActCodes>();
+    auto image = std::make_shared<std::vector<std::uint32_t>>();
     add_integer_case(
         "integer_linear_large", "integer linear 16x1024 -> 1024",
         2LL * batch * in_features * filters,
         [=](const util::ExecContext& exec) {
-          tensor::Tensor out =
-              deploy::integer_linear_forward(*layer, *acts, batch, in_features, exec);
-          return std::vector<float>(out.data(), out.data() + out.numel());
+          std::vector<float> out(static_cast<std::size_t>(batch) * filters);
+          adopt(*in, *codes, exec);
+          deploy::integer_linear_forward_into(*layer, *codes, batch, in_features,
+                                              out.data(), exec);
+          return out;
         },
         [=](const util::ExecContext& exec) {
           std::vector<float> out(static_cast<std::size_t>(batch) * filters);
-          std::vector<std::int16_t> acts16;
-          std::vector<std::uint8_t> acts8;
-          deploy::simd::linear_forward_into(*spacked, *acts, batch, in_features,
-                                            out.data(), acts16, acts8, exec);
+          deploy::simd::linear_forward_into(*spacked, in->acts.data(), in->grid, batch,
+                                            in_features, out.data(), *image, exec);
           return out;
         });
   }

@@ -223,10 +223,12 @@ void BM_IntegerLinearForwardThreaded(benchmark::State& state) {
 BENCHMARK(BM_IntegerLinearForwardThreaded)->Arg(1)->Arg(2)->Arg(4);
 
 // --- SIMD backend variants -------------------------------------------
-// The deploy::simd explicit kernels (same layers/codes as the scalar
-// rows above) at the tier this machine resolves — avx2 where CPUID allows,
-// portable elsewhere. Skipped under CQ_SIMD=off, where the tier would
-// only throw.
+// The deploy::simd explicit kernels (same layers and activations as the
+// scalar rows above) at the tier this machine resolves — avx2 where
+// CPUID allows, portable elsewhere. They read the float activations and
+// encode them inside the timed op, as serving does; the scalar rows
+// encode once, outside the loop. Skipped under CQ_SIMD=off, where the
+// tier would only throw.
 
 void BM_SimdConvForwardThreaded(benchmark::State& state) {
   const deploy::SimdTier tier = deploy::resolve_simd_tier();
@@ -243,16 +245,13 @@ void BM_SimdConvForwardThreaded(benchmark::State& state) {
   const deploy::PackedLayer packed = deploy::pack_layer(conv, "conv");
   const deploy::IntegerLayer integer =
       deploy::build_integer_layer(packed, std::vector<float>(32, 0.0f));
-  const deploy::simd::PackedSimd panels = deploy::simd::pack_simd(integer, tier, 3);
+  const deploy::simd::PackedSimd panels = deploy::simd::pack_simd(integer, tier, 3, 3);
   const tensor::Tensor x = tensor::Tensor::rand_uniform({4, 16, 16, 16}, rng, 0.0f, 1.0f);
-  const deploy::ActCodes codes = deploy::encode_activations(x, 1.0f, 3);
   std::vector<float> out(static_cast<std::size_t>(4) * 32 * 16 * 16);
-  std::vector<std::int32_t> cols;
-  std::vector<std::int16_t> cols16;
-  std::vector<std::uint8_t> cols8;
+  std::vector<std::uint32_t> image;
   for (auto _ : state) {
-    deploy::simd::conv_forward_into(panels, codes, 4, 16, 16, 16, 3, 1, 1, out.data(),
-                                    cols, cols16, cols8, exec);
+    deploy::simd::conv_forward_into(panels, x.data(), {1.0f, 3, false}, 4, 16, 16, 16, 3,
+                                    1, 1, out.data(), image, exec);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 2LL * 4 * 32 * (16 * 9) * 16 * 16);
@@ -276,13 +275,11 @@ void BM_SimdLinearForwardThreaded(benchmark::State& state) {
       deploy::build_integer_layer(packed, std::vector<float>(256, 0.0f));
   const deploy::simd::PackedSimd panels = deploy::simd::pack_simd(integer, tier, 4);
   const tensor::Tensor x = tensor::Tensor::rand_uniform({32, 512}, rng, 0.0f, 1.0f);
-  const deploy::ActCodes codes = deploy::encode_activations(x, 1.0f, 4);
   std::vector<float> out(static_cast<std::size_t>(32) * 256);
-  std::vector<std::int16_t> acts16;
-  std::vector<std::uint8_t> acts8;
+  std::vector<std::uint32_t> image;
   for (auto _ : state) {
-    deploy::simd::linear_forward_into(panels, codes, 32, 512, out.data(), acts16, acts8,
-                                      exec);
+    deploy::simd::linear_forward_into(panels, x.data(), {1.0f, 4, false}, 32, 512,
+                                      out.data(), image, exec);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 2LL * 32 * 512 * 256);

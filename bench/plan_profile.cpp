@@ -12,7 +12,8 @@
 //   --repeat           profiled runs per model x backend (default 16,
 //                      --fast drops it to 4)
 //   --batch            samples per run (default 8)
-//   --json             machine-readable per-op profiles for the CI artifact
+//   --json             machine-readable per-op profiles (time, bytes, MACs,
+//                      GMAC/s) for the CI artifact
 //   --assert_coverage  fail (exit 1) when attributed_ms / wall_ms falls
 //                      below F for any model x backend (e.g. 0.9)
 

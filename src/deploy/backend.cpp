@@ -1,7 +1,5 @@
 #include "deploy/backend.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "quant/uniform.h"
@@ -25,8 +23,7 @@ struct EpilogueTail {
     if constexpr (kAdd) v = v + residual;
     if constexpr (kRelu) v = v > 0.0f ? v : 0.0f;
     if constexpr (kEncode) {
-      const float clipped = std::clamp(v, 0.0f, enc_hi);
-      v = static_cast<float>(static_cast<std::int32_t>(std::round(clipped * to_code)));
+      v = static_cast<float>(quant::activation_code(v, enc_hi, to_code));
     }
     return v;
   }
@@ -63,6 +60,7 @@ void apply_epilogue(const PlanOp& op, const BackendIo& io,
   // hoisted into the producer: the resulting integer codes are exactly
   // what every in_codes consumer would have computed, stored as floats
   // (codes are <= 65535, exactly representable).
+  const util::ExecContext limited = exec.capped(total / kMinElementsPerThread);
   const float enc_hi = op.out_hi;
   const float to_code =
       op.ep_encode
@@ -87,7 +85,7 @@ void apply_epilogue(const PlanOp& op, const BackendIo& io,
       const float* const inv_std = op.bn_inv_std.data();
       const float* const gamma = op.bn_gamma.data();
       const float* const beta = op.bn_beta.data();
-      exec.parallel_for(0, static_cast<std::int64_t>(batch) * channels,
+      limited.parallel_for(0, static_cast<std::int64_t>(batch) * channels,
                         [=](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t p = lo; p < hi; ++p) {
           const auto c = static_cast<std::size_t>(p % channels);
@@ -105,7 +103,7 @@ void apply_epilogue(const PlanOp& op, const BackendIo& io,
         }
       });
     } else {
-      exec.parallel_for(0, total, [=](std::int64_t lo, std::int64_t hi) {
+      limited.parallel_for(0, total, [=](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t i = lo; i < hi; ++i) {
           out[i] = tail(out[i], in1 != nullptr ? in1[i] : 0.0f, enc_hi, to_code);
         }
@@ -120,6 +118,21 @@ std::size_t op_arena_bytes(const PlanOp& op, const ExecutionPlan& plan) {
     return plan.slots()[static_cast<std::size_t>(slot)].numel * sizeof(float);
   };
   return slot_bytes(op.in0) + slot_bytes(op.in1) + slot_bytes(op.out);
+}
+
+std::uint64_t op_macs(const PlanOp& op) {
+  const auto u = [](int v) { return static_cast<std::uint64_t>(v < 0 ? 0 : v); };
+  switch (op.kind) {
+    case OpKind::IntConv:
+    case OpKind::FloatConv:
+      return u(op.out_c) * u(op.out_h) * u(op.out_w) * u(op.in_c) * u(op.kernel) *
+             u(op.kernel);
+    case OpKind::IntLinear:
+    case OpKind::FloatLinear:
+      return u(op.in_features) * u(op.out_features);
+    default:
+      return 0;
+  }
 }
 
 const char* backend_kind_name(BackendKind kind) {

@@ -31,11 +31,10 @@ struct BackendScratch {
   ActCodes codes;
   std::vector<std::int32_t> int_cols;
   std::vector<float> float_cols;
-  /// SimdBackend's narrowed activation layouts: pair-interleaved int16
-  /// and quad-interleaved uint8 rewrites of the int32 code matrix,
-  /// rebuilt per op from `codes`/`int_cols` (capacity retained).
-  std::vector<std::int16_t> simd_cols16;
-  std::vector<std::uint8_t> simd_cols8;
+  /// SimdBackend's padded code image (simd::conv_forward_into), which
+  /// replaces both `codes` and `int_cols` on its path; capacity is
+  /// retained across ops.
+  std::vector<std::uint32_t> code_image;
 };
 
 /// Kernel-dispatch seam of the deployment runtime.
@@ -91,12 +90,29 @@ class Backend {
   virtual std::size_t prepared_bytes() const { return 0; }
 };
 
+/// Intra-op thread grain shared by the backends. Waking a pool helper
+/// costs from ~10 us on an idle host to ~100 us on a busy shared one,
+/// so a kernel only spreads over as many threads as get at least this
+/// much work each, and an op too small to gain runs on the calling
+/// thread (util::ExecContext::capped). MACs for the conv and linear
+/// kernels (~50 us of avx2-i8 work), elements for the elementwise
+/// passes (activation encode, fused epilogue).
+inline constexpr std::int64_t kMinMacsPerThread = std::int64_t{1} << 21;
+inline constexpr std::int64_t kMinElementsPerThread = std::int64_t{1} << 17;
+
 /// Arena bytes one execution of `op` touches *per sample*: the slot
 /// intervals it reads (in0, and in1 for Add) plus the one it writes.
 /// The obs::PlanProfiler multiplies by the samples actually served to
 /// report per-op memory traffic next to per-op time; scratch buffers
 /// (im2col, activation codes) are backend-internal and excluded.
 std::size_t op_arena_bytes(const PlanOp& op, const ExecutionPlan& plan);
+
+/// Multiply-accumulates one execution of `op` performs *per sample*:
+/// out_c * out_h * out_w * in_c * kernel^2 for a conv (integer or
+/// float), in_features * out_features for a linear layer, 0 for every
+/// other op. The obs::PlanProfiler reports it next to per-op time, so
+/// GMAC/s shows layer by layer how far each kernel runs from its MACs.
+std::uint64_t op_macs(const PlanOp& op);
 
 /// Executes a compute op's fused epilogue stages in place on io.out
 /// (batch x out_numel_per_sample elements): BatchNorm -> residual Add
@@ -140,10 +156,10 @@ class ScalarBackend : public Backend {
 
 namespace simd {
 
-/// Filters per packed panel: the kernels broadcast one activation row
-/// (or pair/quad) across this many output filters — one ymm of int32
-/// accumulator lanes — so each code row is read once per tile instead
-/// of once per filter.
+/// Filters per packed panel: the kernels broadcast one weight word
+/// across a strip of 8 output positions for each of this many output
+/// filters — one ymm of int32 accumulator lanes per filter — so each
+/// activation strip is loaded once per tile instead of once per filter.
 inline constexpr int kFilterTile = 8;
 
 /// The MAC kernel an integer layer runs on. pack_simd decides it once,
@@ -152,32 +168,39 @@ inline constexpr int kFilterTile = 8;
 /// dispatch label both read this field, so they cannot disagree.
 enum class Kernel {
   kScalar,   ///< no panels: the op delegates to ScalarBackend
-  kAvx2I8,   ///< _mm256_maddubs_epi16 over int8 quad panels
-  kAvx2I16,  ///< _mm256_madd_epi16 over int16 pair panels
-  kSse2I16,  ///< baseline-SSE2 pmaddwd over int16 pair panels (x86-64)
-  kGeneric,  ///< GCC vector extensions over int16 pair panels (other
-             ///  ISAs, and 16-bit activation codes everywhere)
+  kAvx2I8,   ///< _mm256_maddubs_epi16 over uint8 x int8 code quads
+  kAvx2I16,  ///< _mm256_madd_epi16 over int16 code pairs
+  kSse2I16,  ///< baseline-SSE2 pmaddwd over int16 code pairs (x86-64)
+  kGeneric,  ///< GCC vector extensions over int32 codes (other ISAs,
+             ///  and 16-bit activation codes everywhere)
 };
 
 /// Dispatch label of a kernel: "simd/avx2-i8", "simd/avx2",
 /// "simd/portable" (SSE2 and generic), or "scalar".
 const char* kernel_label(Kernel kernel);
 
-/// Backend-owned packed layout of one IntegerLayer: centered doubled
-/// weight codes (2q - (levels-1), the value the MAC loops multiply by)
-/// interleaved for the chosen kernel's multiply-accumulate instruction,
-/// kFilterTile filters per panel:
+/// Codes one 32-bit word holds for `kernel`, in its activation code
+/// image and its weight panels alike: 4 (uint8 activations, int8
+/// weights) for kAvx2I8, 2 int16 for the pair kernels, 1 int32 for
+/// kGeneric, 0 for kScalar. The word is what one multiply-add lane of
+/// the kernel consumes.
+int codes_per_word(Kernel kernel);
+
+/// Backend-owned packed weights of one IntegerLayer: centered doubled
+/// weight codes (2q - (levels-1), the value the MAC loops multiply by),
+/// tap-major and channel-grouped to match the activation code image,
 ///
-///  - pair_panels (int16, every kernel but kAvx2I8):
-///    pair_panels[tile][j/2][f][j%2] — the 32-bit lane
-///    (w[f][j], w[f][j+1]) a madd_epi16-style instruction multiplies
-///    against an interleaved activation pair in one step.
-///  - quad_panels (int8, kAvx2I8 only): the same for reduction quads,
-///    feeding the maddubs_epi16 u8 x s8 path.
+///   panels[tile][tap][group][f] = the word holding the codes of
+///   filter tile * kFilterTile + f for channels group * g .. + g - 1
+///   at kernel tap (ky, kx), tap = ky * kernel + kx,
 ///
-/// Tail lanes (filters % tile) and odd reduction tails stay zero
-/// (exact: 0 * anything = 0). Pruned (0-bit) filters are zero rows
-/// with scale = bias = 0, so they cost no branch in the hot loop.
+/// with g = codes_per_word(kernel). A kernel loads one image strip per
+/// (tap, group) and multiplies it against the 8 words of that panel
+/// row. Tail filters (filters % tile), tail channels (channels % g) and
+/// pruned (0-bit) rows stay zero (exact: 0 * anything = 0), so they
+/// cost no branch in the hot loop; pruned filters also get scale =
+/// bias = 0. A linear layer is the 1x1 case: one tap, one channel per
+/// input feature.
 struct PackedSimd {
   Kernel kernel = Kernel::kScalar;
   /// Widest activation code the kernel is certified for; the kernels
@@ -185,43 +208,66 @@ struct PackedSimd {
   int act_bits = 0;
   std::int32_t num_filters = 0;
   std::int64_t weights_per_filter = 0;
+  int taps = 1;      ///< kernel * kernel (1 for linear layers)
+  int channels = 0;  ///< weights_per_filter / taps
   std::int32_t max_abs_weight = 0;  ///< shared overflow-bound input
-  std::vector<std::int16_t> pair_panels;  ///< [tiles][ceil(J/2)][tile][2]
-  std::vector<std::int8_t> quad_panels;   ///< [tiles][ceil(J/4)][tile][4]
-  std::vector<float> weight_scales;       ///< per-filter; 0 if pruned
-  std::vector<float> out_bias;            ///< per-filter; forced 0 if pruned
+  std::vector<std::uint32_t> panels;  ///< [tiles][taps][groups][tile] words
+  std::vector<float> weight_scales;   ///< per-filter; 0 if pruned
+  std::vector<float> out_bias;        ///< per-filter; forced 0 if pruned
 
-  /// Bytes held: the one panel layout plus the rescale vectors.
+  /// Bytes held: the panels plus the rescale vectors.
   std::size_t bytes() const;
 };
 
 /// Chooses the kernel for `layer` fed `act_bits`-bit activation codes
-/// at `tier`, and packs the layout it reads (prepare() time only).
-/// kScalar — no panels — when the tier is scalar, a filter has more
-/// than 15 bits (centered codes overflow int16), or the reduction is
-/// not certified for the int32 accumulator (deploy/overflow.h).
-PackedSimd pack_simd(const IntegerLayer& layer, SimdTier tier, int act_bits);
+/// at `tier`, and packs the panels it reads for a kernel x kernel
+/// convolution (1 for linear layers; prepare() time only). kScalar — no
+/// panels — when the tier is scalar, a filter has more than 15 bits
+/// (centered codes overflow int16), or the reduction is not certified
+/// for the int32 accumulator (deploy/overflow.h). Throws
+/// std::invalid_argument when weights_per_filter is not a whole number
+/// of kernel x kernel taps.
+PackedSimd pack_simd(const IntegerLayer& layer, SimdTier tier, int act_bits,
+                     int kernel = 1);
 
-/// Explicit-SIMD integer convolution on packed.kernel. Throws
-/// std::logic_error for a kScalar pack or activation codes wider than
-/// packed.act_bits. Same im2col and final rescale expressions as the
-/// scalar kernel, so outputs are byte-identical at every tier and
-/// thread count. cols_scratch holds the int32 im2col matrix; cols16 /
-/// cols8 the pair/quad-interleaved narrowed copies.
-void conv_forward_into(const PackedSimd& packed, const ActCodes& acts, int batch,
-                       int in_c, int height, int width, int kernel, int stride,
-                       int pad, float* out, std::vector<std::int32_t>& cols_scratch,
-                       std::vector<std::int16_t>& cols16_scratch,
-                       std::vector<std::uint8_t>& cols8_scratch,
+/// The float activations an integer op reads and the [0, hi] x bits
+/// grid they are adopted onto: raw activations are clamped and rounded
+/// exactly as encode_activations_into does (NaN -> code 0); in_codes
+/// inputs already hold grid codes (an ep_encode producer wrote them)
+/// and are cast, as cast_codes_into does.
+struct ActGrid {
+  float hi = 0.0f;
+  int bits = 0;
+  bool in_codes = false;
+};
+
+/// Explicit-SIMD integer convolution on packed.kernel over float
+/// activations [batch][in_c][height][width]. One pass adopts them into
+/// `image` — a zero-padded code image, [stride^2 phase planes][channel
+/// groups][rows][cols] words per sample, holding codes_per_word codes
+/// each — and the kernel then reads every tap's strip of 8 output
+/// positions (4 on SSE2) from it in place: no im2col, no intermediate
+/// int32 codes.
+/// Phase planes keep strided taps contiguous. Throws std::logic_error
+/// for a kScalar pack or a grid wider than packed.act_bits. Integer
+/// sums are exact and the rescale is the scalar kernel's, so outputs
+/// are byte-identical to encode/cast + integer_conv_forward_into at
+/// every tier and thread count. Chunks over (sample, filter tile,
+/// output rows) tasks of a minimum MAC count, so ops too small to
+/// repay a thread dispatch run on the calling thread.
+void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid,
+                       int batch, int in_c, int height, int width, int kernel,
+                       int stride, int pad, float* out,
+                       std::vector<std::uint32_t>& image,
                        const util::ExecContext& exec = {});
 
-/// Explicit-SIMD fully-connected kernel; same requirements and
-/// byte-identity contract as conv_forward_into. acts16/acts8 hold the
-/// narrowed activation matrices (padded to the pair/quad boundary).
-void linear_forward_into(const PackedSimd& packed, const ActCodes& acts, int batch,
-                         int in_features, float* out,
-                         std::vector<std::int16_t>& acts16_scratch,
-                         std::vector<std::uint8_t>& acts8_scratch,
+/// Explicit-SIMD fully-connected kernel over float activations
+/// [batch][in_features]: the same adoption writes each sample's codes
+/// as one zero-padded row of words. Same requirements and byte-identity
+/// contract as conv_forward_into.
+void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid,
+                         int batch, int in_features, float* out,
+                         std::vector<std::uint32_t>& image,
                          const util::ExecContext& exec = {});
 
 }  // namespace simd

@@ -120,12 +120,15 @@ void ScalarBackend::run(const PlanOp& op, const ExecutionPlan& plan,
       const std::size_t in_stride =
           static_cast<std::size_t>(op.in_c) * op.in_h * op.in_w;
       const std::size_t out_stride = static_cast<std::size_t>(op.out_c) * spatial;
+      // One image per gemm: spread it only over threads it keeps busy.
+      const util::ExecContext per_image =
+          exec.capped(static_cast<std::int64_t>(op_macs(op)) / kMinMacsPerThread);
       for (int n = 0; n < batch; ++n) {
         tensor::im2col(in0 + static_cast<std::size_t>(n) * in_stride, g,
-                       scratch.float_cols.data(), exec);
+                       scratch.float_cols.data(), per_image);
         float* out_n = out + static_cast<std::size_t>(n) * out_stride;
         tensor::gemm(op.weight.data(), scratch.float_cols.data(), out_n, op.out_c,
-                     g.patch_size(), spatial, /*accumulate=*/false, exec);
+                     g.patch_size(), spatial, /*accumulate=*/false, per_image);
         for (int c = 0; c < op.out_c; ++c) {
           const float b = op.bias[static_cast<std::size_t>(c)];
           if (b == 0.0f) continue;
@@ -138,7 +141,9 @@ void ScalarBackend::run(const PlanOp& op, const ExecutionPlan& plan,
     }
     case OpKind::FloatLinear: {
       tensor::gemm_a_bt(in0, op.weight.data(), out, batch, op.in_features,
-                        op.out_features, /*accumulate=*/false, exec);
+                        op.out_features, /*accumulate=*/false,
+                        exec.capped(static_cast<std::int64_t>(op_macs(op)) * batch /
+                                    kMinMacsPerThread));
       for (int n = 0; n < batch; ++n) {
         float* row = out + static_cast<std::size_t>(n) * op.out_features;
         for (int k = 0; k < op.out_features; ++k) {

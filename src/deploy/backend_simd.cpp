@@ -1,35 +1,42 @@
 // Explicit-SIMD integer backend.
 //
-// The conv MAC tile and the linear panel sweep run as AVX2 intrinsic
-// kernels — _mm256_madd_epi16 over pair-interleaved int16 panels, or
-// _mm256_maddubs_epi16 over quad-interleaved int8 panels when the
-// shared overflow bound (deploy/overflow.h) proves the instruction's
-// saturating intermediate unreachable — and, below AVX2, as the
-// portable tier: on x86-64 the same pair-layout MAC built from
-// baseline-SSE2 pmaddwd (part of the ABI, legal on every x86-64 CPU
-// without a runtime check), GCC-vector-extension kernels elsewhere.
-// Which tier runs is decided by runtime CPUID
-// (deploy/cpu_features.h), so one binary serves every x86.
+// Each integer op adopts its float input in one pass — clamp and exact
+// rounding for raw activations, a cast for in_codes inputs — straight
+// into a zero-padded, channel-grouped code image whose 32-bit words
+// hold what the kernel multiplies: 4 uint8 codes for the AVX2 maddubs
+// kernel, 2 int16 codes for the madd_epi16 / SSE2 pmaddwd kernels, 1
+// int32 code for the GCC-vector-extension kernel. The conv kernels
+// then read each tap's strip of 8 output positions (4 on SSE2) from
+// that image in place, against tap-major weight panels packed once in
+// prepare(), so no im2col matrix and no intermediate int32 code copy
+// exists on this path. Strided convs get one image plane per stride phase, which keeps
+// every tap's strip contiguous. Which tier runs is decided by runtime
+// CPUID (deploy/cpu_features.h), so one binary serves every x86; the
+// SSE2 kernels need no check (the x86-64 psABI mandates SSE2).
 //
 // pack_simd picks each layer's kernel once, at prepare() time, and
-// packs only the layout that kernel reads: the kernels and the
-// dispatch label switch on the stored choice instead of re-deriving
-// it. Byte identity is inherited, not re-argued: integer accumulation
-// below the proven bound is exact in any width and any order, the
-// final rescale uses the scalar kernel's exact float expressions
-// (multiply then add — never FMA, which rounds differently), and the
-// fused tail goes through the shared apply_epilogue. Anything the
-// layouts cannot hold exactly delegates to the scalar reference.
+// packs only the panels that kernel reads: the kernels and the dispatch
+// label switch on the stored choice instead of re-deriving it. Byte
+// identity is inherited, not re-argued: encoding uses the scalar
+// reference's helper (quant::activation_code), integer accumulation
+// below the proven bound is exact in any width and any order (so the
+// tap-major reduction order is free), the maddubs pair bound holds for
+// any pairing of codes, the final rescale uses the scalar kernel's
+// exact float expressions (multiply then add — never FMA, which rounds
+// differently), and the fused tail goes through the shared
+// apply_epilogue. Anything the layouts cannot hold exactly delegates to
+// the scalar reference.
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "deploy/backend.h"
 #include "deploy/overflow.h"
 #include "quant/uniform.h"
-#include "tensor/ops.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define CQ_SIMD_X86 1
@@ -69,10 +76,24 @@ const char* kernel_label(Kernel kernel) {
   return "scalar";
 }
 
+int codes_per_word(Kernel kernel) {
+  switch (kernel) {
+    case Kernel::kAvx2I8:
+      return 4;
+    case Kernel::kAvx2I16:
+    case Kernel::kSse2I16:
+      return 2;
+    case Kernel::kGeneric:
+      return 1;
+    case Kernel::kScalar:
+      break;
+  }
+  return 0;
+}
+
 std::size_t PackedSimd::bytes() const {
-  return pair_panels.size() * sizeof(std::int16_t) +
-         quad_panels.size() * sizeof(std::int8_t) +
-         weight_scales.size() * sizeof(float) + out_bias.size() * sizeof(float);
+  return panels.size() * sizeof(std::uint32_t) + weight_scales.size() * sizeof(float) +
+         out_bias.size() * sizeof(float);
 }
 
 namespace {
@@ -95,7 +116,7 @@ Kernel select_kernel(const IntegerLayer& layer, SimdTier tier, int act_bits,
     return Kernel::kScalar;
   }
   // 16-bit activation codes don't fit the int16 activation pairs; the
-  // generic kernels read the int32 codes directly.
+  // generic kernels read whole int32 codes.
   if (act_bits > 15) return Kernel::kGeneric;
 #if CQ_SIMD_X86
   if (tier == SimdTier::kAvx2) {
@@ -112,37 +133,82 @@ Kernel select_kernel(const IntegerLayer& layer, SimdTier tier, int act_bits,
 #endif
 }
 
-/// The layer's centered doubled codes interleaved into panels of
-/// kFilterTile filters x kGroup adjacent reduction slots: code j of
-/// filter k lands at [k / tile][j / kGroup][k % tile][j % kGroup]. Tail
-/// lanes, tail reduction slots and pruned (0-bit) rows stay zero.
-template <std::size_t kGroup, typename T>
-std::vector<T> interleave_panels(const IntegerLayer& layer) {
-  const std::size_t filters = static_cast<std::size_t>(layer.num_filters);
-  const std::size_t patch = static_cast<std::size_t>(layer.weights_per_filter);
-  const std::size_t tile_size = (patch + kGroup - 1) / kGroup * kFilterTile * kGroup;
-  std::vector<T> panels((filters + kFilterTile - 1) / kFilterTile * tile_size, 0);
+/// Channel groups of `channels` codes at `g` codes per word.
+std::size_t groups_of(int channels, int g) {
+  return (static_cast<std::size_t>(channels) + static_cast<std::size_t>(g) - 1) /
+         static_cast<std::size_t>(g);
+}
+
+/// Runs body(std::integral_constant<int, g>) for g codes per word, so
+/// the lane arithmetic of the panel packer and the encoders compiles to
+/// shifts.
+template <typename Body>
+void with_codes_per_word(int g, Body&& body) {
+  switch (g) {
+    case 4:
+      body(std::integral_constant<int, 4>{});
+      return;
+    case 2:
+      body(std::integral_constant<int, 2>{});
+      return;
+    default:
+      body(std::integral_constant<int, 1>{});
+      return;
+  }
+}
+
+/// Writes the layer's centered doubled codes into zeroed tap-major
+/// panels of G-code words. Channel c's code is lane c % G of its word:
+/// an int8, int16 or int32 at byte c % G * sizeof(Lane), the
+/// little-endian lane order the multiply-add instructions read.
+template <int G>
+void pack_panels(const IntegerLayer& layer, std::size_t taps, std::size_t channels,
+                 std::uint32_t* panels) {
+  using Lane = std::conditional_t<G == 4, std::int8_t,
+                                  std::conditional_t<G == 2, std::int16_t, std::int32_t>>;
+  constexpr std::size_t kWordBytes = sizeof(std::uint32_t);
+  const std::size_t groups = groups_of(static_cast<int>(channels), G);
+  const std::size_t tap_stride = groups * kFilterTile * kWordBytes;
+  const std::size_t tile_bytes = taps * tap_stride;
+  auto* const bytes = reinterpret_cast<unsigned char*>(panels);
+  const auto filters = static_cast<std::size_t>(layer.num_filters);
   for (std::size_t k = 0; k < filters; ++k) {
     const int b = layer.filter_bits[k];
     if (b == 0) continue;
     const std::int32_t offset = static_cast<std::int32_t>(quant::levels_for_bits(b)) - 1;
-    const std::int32_t* row = layer.codes.data() + k * patch;
-    T* dst = panels.data() + (k / kFilterTile) * tile_size + (k % kFilterTile) * kGroup;
-    for (std::size_t j = 0; j < patch; ++j) {
-      dst[(j / kGroup) * kFilterTile * kGroup + j % kGroup] =
-          static_cast<T>(2 * row[j] - offset);
+    const std::int32_t* row = layer.codes.data() + k * taps * channels;
+    unsigned char* const lane =
+        bytes + k / kFilterTile * tile_bytes + k % kFilterTile * kWordBytes;
+    // Reduction index j = c * taps + tap: the im2col row order of the
+    // scalar kernel and of IntegerLayer::codes.
+    for (std::size_t t = 0; t < taps; ++t) {
+      unsigned char* const tap_lane = lane + t * tap_stride;
+      for (std::size_t c = 0; c < channels; ++c) {
+        const auto centered = static_cast<Lane>(2 * row[c * taps + t] - offset);
+        std::memcpy(tap_lane + c / G * kFilterTile * kWordBytes + c % G * sizeof(Lane),
+                    &centered, sizeof(centered));
+      }
     }
   }
-  return panels;
 }
 
 }  // namespace
 
-PackedSimd pack_simd(const IntegerLayer& layer, SimdTier tier, int act_bits) {
+PackedSimd pack_simd(const IntegerLayer& layer, SimdTier tier, int act_bits, int kernel) {
+  const std::int64_t taps = static_cast<std::int64_t>(kernel) * kernel;
+  if (kernel < 1 || layer.weights_per_filter % taps != 0) {
+    throw std::invalid_argument("simd::pack_simd: " +
+                                std::to_string(layer.weights_per_filter) +
+                                " weights per filter are not whole " +
+                                std::to_string(kernel) + "x" + std::to_string(kernel) +
+                                " taps");
+  }
   PackedSimd packed;
   packed.act_bits = act_bits;
   packed.num_filters = layer.num_filters;
   packed.weights_per_filter = layer.weights_per_filter;
+  packed.taps = static_cast<int>(taps);
+  packed.channels = static_cast<int>(layer.weights_per_filter / taps);
   // The shared overflow-bound helper scans the same codes the panels
   // hold, so the kernel choice and verify_plan's certificate start
   // from the same number.
@@ -150,12 +216,16 @@ PackedSimd pack_simd(const IntegerLayer& layer, SimdTier tier, int act_bits) {
   packed.kernel = select_kernel(layer, tier, act_bits, packed.max_abs_weight);
   if (packed.kernel == Kernel::kScalar) return packed;
 
-  if (packed.kernel == Kernel::kAvx2I8) {
-    packed.quad_panels = interleave_panels<4, std::int8_t>(layer);
-  } else {
-    packed.pair_panels = interleave_panels<2, std::int16_t>(layer);
-  }
-  const std::size_t filters = static_cast<std::size_t>(layer.num_filters);
+  const int g = codes_per_word(packed.kernel);
+  const auto tap_count = static_cast<std::size_t>(taps);
+  const auto channels = static_cast<std::size_t>(packed.channels);
+  const auto filters = static_cast<std::size_t>(layer.num_filters);
+  packed.panels.assign((filters + kFilterTile - 1) / kFilterTile * tap_count *
+                           groups_of(packed.channels, g) * kFilterTile,
+                       0u);
+  with_codes_per_word(g, [&](auto group) {
+    pack_panels<decltype(group)::value>(layer, tap_count, channels, packed.panels.data());
+  });
   packed.weight_scales.resize(filters);
   packed.out_bias.resize(filters);
   for (std::size_t k = 0; k < filters; ++k) {
@@ -172,199 +242,459 @@ namespace {
 /// accumulators, amortizing the weight traffic over the batch.
 inline constexpr int kBatchBlock = 4;
 
-/// The kernels' entry check: the pack must carry panels, and the
-/// activation grid must be no wider than the one the kernel choice was
-/// certified for (a narrower grid only shrinks the overflow bound).
-void check_runnable(const PackedSimd& packed, const ActCodes& acts, const char* kernel) {
+/// Words past the last sample's image that a strip load may touch: a
+/// tail strip's lanes beyond the output width read (and discard) up to
+/// 7 words past the last one a valid lane reads.
+inline constexpr std::size_t kImageSlack = 8;
+
+/// The kernels' entry check, returning the grid's activation scale
+/// (the expression encode_activations_into / cast_codes_into store).
+/// The pack must carry panels, and the grid must be no wider than the
+/// one the kernel choice was certified for (a narrower grid only
+/// shrinks the overflow bound).
+float check_runnable(const PackedSimd& packed, ActGrid grid, const char* kernel) {
   if (packed.kernel == Kernel::kScalar) {
     throw std::logic_error(std::string(kernel) +
                            ": layer has no SIMD panels (delegate to the scalar kernels)");
   }
-  if (acts.bits > packed.act_bits) {
-    throw std::logic_error(std::string(kernel) + ": " + std::to_string(acts.bits) +
+  if (grid.bits < 1 || grid.bits > 16) {
+    throw std::invalid_argument(std::string(kernel) + ": bits must be in [1, 16]");
+  }
+  if (!(grid.hi > 0.0f)) {
+    throw std::invalid_argument(std::string(kernel) +
+                                ": activation range must be positive");
+  }
+  if (grid.bits > packed.act_bits) {
+    throw std::logic_error(std::string(kernel) + ": " + std::to_string(grid.bits) +
                            "-bit activation codes exceed the " +
                            std::to_string(packed.act_bits) +
                            "-bit grid the layer was packed for");
   }
-}
-
-/// Rewrites one image's im2col matrix [patch][spatial] into the
-/// pair-interleaved int16 layout [pairs][spatial][2] the madd_epi16
-/// conv kernel consumes. A missing odd row is written as zeros (exact:
-/// 0 * anything = 0). Codes are non-negative and the int16 kernels are
-/// only chosen for act_bits <= 15, so the narrowing is value-preserving.
-void build_pair_cols(const std::int32_t* cols, std::size_t patch,
-                     std::size_t spatial, std::int16_t* cols16,
-                     const util::ExecContext& exec) {
-  const std::size_t pairs = (patch + 1) / 2;
-  exec.parallel_for(0, static_cast<std::int64_t>(pairs),
-                    [=](std::int64_t p0, std::int64_t p1) {
-    for (std::int64_t p = p0; p < p1; ++p) {
-      const std::size_t j0 = static_cast<std::size_t>(p) * 2;
-      const std::int32_t* r0 = cols + j0 * spatial;
-      const std::int32_t* r1 = j0 + 1 < patch ? r0 + spatial : nullptr;
-      std::int16_t* dst = cols16 + static_cast<std::size_t>(p) * spatial * 2;
-      for (std::size_t s = 0; s < spatial; ++s) {
-        dst[s * 2] = static_cast<std::int16_t>(r0[s]);
-        dst[s * 2 + 1] = r1 != nullptr ? static_cast<std::int16_t>(r1[s]) : 0;
-      }
-    }
-  });
-}
-
-/// Same rewrite into the quad-interleaved uint8 layout [quads][spatial][4]
-/// for the maddubs path, which is only chosen for act_bits <= 8.
-void build_quad_cols(const std::int32_t* cols, std::size_t patch,
-                     std::size_t spatial, std::uint8_t* cols8,
-                     const util::ExecContext& exec) {
-  const std::size_t quads = (patch + 3) / 4;
-  exec.parallel_for(0, static_cast<std::int64_t>(quads),
-                    [=](std::int64_t q0, std::int64_t q1) {
-    for (std::int64_t q = q0; q < q1; ++q) {
-      const std::size_t j0 = static_cast<std::size_t>(q) * 4;
-      std::uint8_t* dst = cols8 + static_cast<std::size_t>(q) * spatial * 4;
-      for (std::size_t s = 0; s < spatial; ++s) {
-        for (std::size_t r = 0; r < 4; ++r) {
-          dst[s * 4 + r] =
-              j0 + r < patch
-                  ? static_cast<std::uint8_t>(cols[(j0 + r) * spatial + s])
-                  : 0;
-        }
-      }
-    }
-  });
-}
-
-/// Narrows the [batch][features] activation code matrix to int16,
-/// zero-padding each row to the pair boundary.
-void build_pair_acts(const ActCodes& acts, int batch, std::size_t features,
-                     std::int16_t* acts16, const util::ExecContext& exec) {
-  const std::size_t padded = ((features + 1) / 2) * 2;
-  exec.parallel_for(0, batch, [=, &acts](std::int64_t n0, std::int64_t n1) {
-    for (std::int64_t n = n0; n < n1; ++n) {
-      const std::int32_t* src =
-          acts.codes.data() + static_cast<std::size_t>(n) * features;
-      std::int16_t* dst = acts16 + static_cast<std::size_t>(n) * padded;
-      for (std::size_t j = 0; j < features; ++j) {
-        dst[j] = static_cast<std::int16_t>(src[j]);
-      }
-      for (std::size_t j = features; j < padded; ++j) dst[j] = 0;
-    }
-  });
-}
-
-/// Same, to uint8 at the quad boundary.
-void build_quad_acts(const ActCodes& acts, int batch, std::size_t features,
-                     std::uint8_t* acts8, const util::ExecContext& exec) {
-  const std::size_t padded = ((features + 3) / 4) * 4;
-  exec.parallel_for(0, batch, [=, &acts](std::int64_t n0, std::int64_t n1) {
-    for (std::int64_t n = n0; n < n1; ++n) {
-      const std::int32_t* src =
-          acts.codes.data() + static_cast<std::size_t>(n) * features;
-      std::uint8_t* dst = acts8 + static_cast<std::size_t>(n) * padded;
-      for (std::size_t j = 0; j < features; ++j) {
-        dst[j] = static_cast<std::uint8_t>(src[j]);
-      }
-      for (std::size_t j = features; j < padded; ++j) dst[j] = 0;
-    }
-  });
+  return grid.hi / static_cast<float>(quant::levels_for_bits(grid.bits) - 1);
 }
 
 // ---------------------------------------------------------------------------
-// Portable tier, generic flavor (Kernel::kGeneric): GNU C vector
-// extensions, compiled at the build's baseline ISA so the kernels are
-// legal wherever the binary runs. On x86-64 the portable tier instead
-// uses the baseline-SSE2 pmaddwd kernels further down (the psABI
-// guarantees SSE2, and emulated int32 vector multiplies make these
-// generic kernels slow there); these remain the implementation for
-// non-x86 builds and for 16-bit activation codes, which don't fit the
-// int16 activation pairs. They read the int32 codes directly and the
-// weights of reduction row j from the pair panel at [j/2][f][j%2].
+// Activation adoption: float activations -> code image words.
 // ---------------------------------------------------------------------------
 
-typedef std::int32_t Vec8i __attribute__((vector_size(32), aligned(4)));
-typedef float Vec8f __attribute__((vector_size(32), aligned(4)));
+/// Codes of raw activations: clamp to [0, hi] (NaN -> 0) and round onto
+/// the grid — encode_activations_into's arithmetic, via the same helper.
+struct EncodeRaw {
+  float hi = 0.0f;
+  float to_code = 0.0f;
+  std::uint32_t operator()(float v) const {
+    return static_cast<std::uint32_t>(quant::activation_code(v, hi, to_code));
+  }
+};
 
-/// Row j of a tile's pair panel: lane f's weight sits at [j/2][f][j%2],
-/// so the row's 8 weights are every other int16 from here.
-const std::int16_t* pair_row(const std::int16_t* panel, std::size_t j) {
-  return panel + (j / 2) * kFilterTile * 2 + j % 2;
+/// Codes of in_codes activations, which already are grid codes stored
+/// as floats: cast_codes_into's cast.
+struct CastCodes {
+  std::uint32_t operator()(float v) const {
+    return static_cast<std::uint32_t>(static_cast<std::int32_t>(v));
+  }
+};
+
+/// Writes `count` words; word i packs the codes of channels c < channels
+/// (<= G), read from src[c * cstride + i * step], into its lanes. Lanes
+/// past `channels` stay zero: tail channels are code 0, activation 0.0.
+/// The unit-step instantiation is the one the compiler vectorizes.
+template <int G, bool kUnitStep, typename Code>
+void pack_words(const float* src, std::size_t cstride, std::size_t step, int channels,
+                std::size_t count, std::uint32_t* dst, Code code) {
+  constexpr int kWidth = 32 / G;
+  if constexpr (kUnitStep) step = 1;
+  if (channels == G) {
+    for (std::size_t i = 0; i < count; ++i) {
+      std::uint32_t word = 0;
+      for (int c = 0; c < G; ++c) {
+        word |= code(src[static_cast<std::size_t>(c) * cstride + i * step]) << (c * kWidth);
+      }
+      dst[i] = word;
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint32_t word = 0;
+    for (int c = 0; c < channels; ++c) {
+      word |= code(src[static_cast<std::size_t>(c) * cstride + i * step]) << (c * kWidth);
+    }
+    dst[i] = word;
+  }
 }
 
-/// Conv MAC over one image, filter tiles [t0, t1): 8 output positions
-/// per vector accumulator, weights read as scalars and broadcast.
-void conv_tiles_generic(const PackedSimd& packed, float act_scale,
-                        const std::int32_t* cols, std::size_t patch,
-                        std::size_t spatial, float* out_n, std::int64_t t0,
-                        std::int64_t t1) {
-  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  const std::size_t pairs = (patch + 1) / 2;
-  for (std::int64_t t = t0; t < t1; ++t) {
-    const std::int16_t* panel =
-        packed.pair_panels.data() + static_cast<std::size_t>(t) * pairs * kFilterTile * 2;
-    const std::size_t k0 = static_cast<std::size_t>(t) * kFilterTile;
-    const int kt = static_cast<int>(std::min<std::size_t>(kFilterTile, filters - k0));
-    std::size_t s = 0;
-    for (; s + 8 <= spatial; s += 8) {
-      Vec8i acc[kFilterTile] = {};
-      for (std::size_t j = 0; j < patch; ++j) {
-        Vec8i a;
-        std::memcpy(&a, cols + j * spatial + s, sizeof(a));
-        const std::int16_t* w = pair_row(panel, j);
-        for (int f = 0; f < kFilterTile; ++f) {
-          const std::int32_t wv = w[f * 2];
-          if (wv == 0) continue;  // exact: pruned lanes add nothing
-          acc[f] += a * wv;
+/// One sample's code image: stride^2 phase planes — phase (ry, rx)
+/// holds the zero-padded input pixels (s*Y + ry, s*X + rx) — each laid
+/// out [channel groups][rows][cols]. Output (oy, ox) at tap (ky, kx)
+/// reads pixel (oy + ky/s, ox + kx/s) of phase (ky%s, kx%s), so 8
+/// consecutive outputs read 8 consecutive words for every stride.
+struct ImageLayout {
+  ImageLayout(int g, int channels, int height, int width, int stride, int pad)
+      : stride(stride),
+        pad(pad),
+        height(height),
+        width(width),
+        groups(groups_of(channels, g)),
+        rows(static_cast<std::size_t>((height + 2 * pad + stride - 1) / stride)),
+        cols(static_cast<std::size_t>((width + 2 * pad + stride - 1) / stride)),
+        plane(rows * cols),
+        phase_words(groups * plane),
+        sample_words(static_cast<std::size_t>(stride) * static_cast<std::size_t>(stride) *
+                     phase_words) {}
+
+  /// Word offset of phase (ry, rx), group 0, row qy, col qx.
+  std::size_t offset(int ry, int rx, int qy, int qx) const {
+    return static_cast<std::size_t>(ry * stride + rx) * phase_words +
+           static_cast<std::size_t>(qy) * cols + static_cast<std::size_t>(qx);
+  }
+
+  int stride, pad, height, width;
+  std::size_t groups, rows, cols, plane, phase_words, sample_words;
+};
+
+/// First phase index whose padded coordinate s*i + r - pad is >= 0.
+int first_inside(int pad, int r, int s) { return pad > r ? (pad - r + s - 1) / s : 0; }
+
+/// How many of x0, x0 + s, ... lie below `extent`.
+int count_inside(int x0, int extent, int s) {
+  return x0 < extent ? (extent - x0 + s - 1) / s : 0;
+}
+
+/// Encodes channels [c0, c0 + channels) of one sample — `src` points at
+/// channel c0's plane — into their group of every phase plane, borders
+/// zero.
+template <int G, typename Code>
+void encode_group(const float* src, int channels, const ImageLayout& img,
+                  std::uint32_t* group_image, Code code) {
+  const int s = img.stride;
+  const auto hw = static_cast<std::size_t>(img.height) * static_cast<std::size_t>(img.width);
+  for (int ry = 0; ry < s; ++ry) {
+    const int y_first = first_inside(img.pad, ry, s);
+    const int y0 = s * y_first + ry - img.pad;
+    const int ny = count_inside(y0, img.height, s);
+    for (int rx = 0; rx < s; ++rx) {
+      std::uint32_t* plane = group_image + img.offset(ry, rx, 0, 0);
+      std::fill(plane, plane + img.plane, 0u);
+      const int x_first = first_inside(img.pad, rx, s);
+      const int x0 = s * x_first + rx - img.pad;
+      const auto nx = static_cast<std::size_t>(count_inside(x0, img.width, s));
+      for (int i = 0; i < ny; ++i) {
+        const float* row = src + static_cast<std::size_t>(y0 + i * s) * img.width + x0;
+        std::uint32_t* dst = plane + static_cast<std::size_t>(y_first + i) * img.cols +
+                             static_cast<std::size_t>(x_first);
+        if (s == 1) {
+          pack_words<G, true>(row, hw, 1, channels, nx, dst, code);
+        } else {
+          pack_words<G, false>(row, hw, static_cast<std::size_t>(s), channels, nx, dst,
+                               code);
         }
-      }
-      for (int f = 0; f < kt; ++f) {
-        const std::size_t k = k0 + static_cast<std::size_t>(f);
-        const float scale = packed.weight_scales[k] * act_scale;
-        const Vec8f o = __builtin_convertvector(acc[f], Vec8f) * scale +
-                        packed.out_bias[k];
-        std::memcpy(out_n + k * spatial + s, &o, sizeof(o));
-      }
-    }
-    for (; s < spatial; ++s) {  // spatial tail: scalar, same int32 sums
-      for (int f = 0; f < kt; ++f) {
-        std::int32_t acc = 0;
-        for (std::size_t j = 0; j < patch; ++j) {
-          acc += static_cast<std::int32_t>(pair_row(panel, j)[f * 2]) *
-                 cols[j * spatial + s];
-        }
-        const std::size_t k = k0 + static_cast<std::size_t>(f);
-        const float scale = packed.weight_scales[k] * act_scale;
-        out_n[k * spatial + s] =
-            scale * static_cast<float>(acc) + packed.out_bias[k];
       }
     }
   }
 }
 
-/// Linear MAC, filter tiles [t0, t1): each weight row is gathered into
-/// a full int32 vector once and multiplied into kBatchBlock samples'
-/// 8-wide accumulators.
-void linear_tiles_generic(const PackedSimd& packed, const ActCodes& acts,
-                          int batch, std::size_t features, float* out,
-                          std::int64_t t0, std::int64_t t1) {
+/// Runs body(code) with the adoption functor for `grid`.
+template <typename Body>
+void with_adoption(ActGrid grid, Body&& body) {
+  if (grid.in_codes) {
+    body(CastCodes{});
+  } else {
+    const float to_code =
+        static_cast<float>(quant::levels_for_bits(grid.bits) - 1) / grid.hi;
+    body(EncodeRaw{grid.hi, to_code});
+  }
+}
+
+/// Adopts [batch][channels][height][width] float activations into the
+/// batch's code images, chunked over (sample, channel group).
+void encode_image(const float* acts, ActGrid grid, int batch, int channels, int g,
+                  const ImageLayout& img, std::uint32_t* image,
+                  const util::ExecContext& exec) {
+  const auto hw = static_cast<std::size_t>(img.height) * static_cast<std::size_t>(img.width);
+  const auto groups = static_cast<std::int64_t>(img.groups);
+  const util::ExecContext limited =
+      exec.capped(static_cast<std::int64_t>(hw) * channels * batch / kMinElementsPerThread);
+  with_codes_per_word(g, [&](auto group) {
+    constexpr int G = decltype(group)::value;
+    with_adoption(grid, [&](auto code) {
+      limited.parallel_for(0, batch * groups, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t task = lo; task < hi; ++task) {
+          const std::int64_t n = task / groups;
+          const int c0 = static_cast<int>(task % groups) * G;
+          encode_group<G>(acts + (static_cast<std::size_t>(n) * channels + c0) * hw,
+                          std::min(G, channels - c0), img,
+                          image + static_cast<std::size_t>(n) * img.sample_words +
+                              static_cast<std::size_t>(c0 / G) * img.plane,
+                          code);
+        }
+      });
+    });
+  });
+}
+
+/// Adopts [batch][features] float activations into one zero-padded row
+/// of words per sample (the 1x1 image a linear kernel reads).
+void encode_rows(const float* acts, ActGrid grid, int batch, int features, int g,
+                 std::uint32_t* image, const util::ExecContext& exec) {
+  const std::size_t words = groups_of(features, g);
+  const util::ExecContext limited =
+      exec.capped(static_cast<std::int64_t>(features) * batch / kMinElementsPerThread);
+  with_codes_per_word(g, [&](auto group) {
+    constexpr int G = decltype(group)::value;
+    const std::size_t full = static_cast<std::size_t>(features) / G;
+    const int tail = features % G;
+    with_adoption(grid, [&](auto code) {
+      limited.parallel_for(0, batch, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t n = lo; n < hi; ++n) {
+          const float* src = acts + static_cast<std::size_t>(n) * features;
+          std::uint32_t* dst = image + static_cast<std::size_t>(n) * words;
+          pack_words<G, false>(src, 1, G, G, full, dst, code);
+          if (tail > 0) pack_words<G, false>(src + full * G, 1, G, tail, 1, dst + full, code);
+        }
+      });
+    });
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Conv kernels. Each computes output rows [y0, y1) of one 8-filter tile
+// for one sample, strip by strip: for every tap and channel group it
+// loads the strip's 8 image words once and multiply-adds them against
+// the 8 filters' weight words of that panel row. Pruned and tail filters
+// have zero words and add exact zeros; multiplying them anyway keeps the
+// inner loop free of branches, which is faster than skipping them.
+// ---------------------------------------------------------------------------
+
+/// What a conv kernel reads for one sample.
+struct ConvView {
+  const std::uint32_t* image = nullptr;  ///< the sample's code image
+  const std::size_t* tap_offset = nullptr;  ///< [taps] image offset per tap
+  std::size_t plane = 0;  ///< words between channel groups
+  std::size_t cols = 0;   ///< words per image row
+  std::size_t groups = 0;
+  int taps = 0;
+  int oh = 0, ow = 0;
+  float act_scale = 0.0f;
+};
+
+/// Filters of tile `tile` that exist (the last tile may be partial).
+int tile_filters(const PackedSimd& packed, std::size_t tile) {
+  return static_cast<int>(std::min<std::size_t>(
+      kFilterTile, static_cast<std::size_t>(packed.num_filters) - tile * kFilterTile));
+}
+
+// Portable tier, generic flavor (Kernel::kGeneric): GNU C vector
+// extensions at the build's baseline ISA, so the kernels are legal
+// wherever the binary runs. On x86-64 the portable tier uses the
+// baseline-SSE2 pmaddwd kernels further down instead; these remain the
+// implementation for non-x86 builds and for 16-bit activation codes,
+// which don't fit int16 lanes. Image and panel words are whole int32s.
+
+typedef std::int32_t Vec8i __attribute__((vector_size(32), aligned(4)));
+typedef float Vec8f __attribute__((vector_size(32), aligned(4)));
+
+void conv_rows_generic(const PackedSimd& packed, const ConvView& v, float* out_n,
+                       std::size_t tile, int y0, int y1) {
+  const std::size_t k0 = tile * kFilterTile;
+  const int kt = tile_filters(packed, tile);
+  const std::size_t spatial = static_cast<std::size_t>(v.oh) * v.ow;
+  const std::uint32_t* panel =
+      packed.panels.data() + tile * static_cast<std::size_t>(v.taps) * v.groups * kFilterTile;
+  for (int oy = y0; oy < y1; ++oy) {
+    for (int ox = 0; ox < v.ow; ox += 8) {
+      Vec8i acc[kFilterTile] = {};
+      const std::uint32_t* origin = v.image + static_cast<std::size_t>(oy) * v.cols + ox;
+      const std::uint32_t* w = panel;
+      for (int t = 0; t < v.taps; ++t) {
+        const std::uint32_t* strip = origin + v.tap_offset[t];
+        for (std::size_t g = 0; g < v.groups; ++g, strip += v.plane, w += kFilterTile) {
+          Vec8i a;
+          std::memcpy(&a, strip, sizeof(a));
+          for (int f = 0; f < kFilterTile; ++f) acc[f] += a * static_cast<std::int32_t>(w[f]);
+        }
+      }
+      const auto lanes = static_cast<std::size_t>(std::min(8, v.ow - ox));
+      float* dst = out_n + static_cast<std::size_t>(oy) * v.ow + ox;
+      for (int f = 0; f < kt; ++f) {
+        const std::size_t k = k0 + static_cast<std::size_t>(f);
+        const float scale = packed.weight_scales[k] * v.act_scale;
+        const Vec8f o = __builtin_convertvector(acc[f], Vec8f) * scale + packed.out_bias[k];
+        std::memcpy(dst + k * spatial, &o, lanes * sizeof(float));
+      }
+    }
+  }
+}
+
+#if CQ_SIMD_X86
+
+// AVX2 tier: intrinsic kernels compiled with the `target` attribute so
+// the translation unit builds at the baseline ISA; they are only called
+// after runtime CPUID proved AVX2 (deploy/cpu_features.h). No FMA
+// anywhere on these paths: the rescale is cvtepi32_ps, mul_ps, add_ps —
+// bit-identical to the scalar expression's two roundings.
+
+/// Rescales one strip's 8 accumulators (one per filter of the tile) and
+/// stores the first `lanes` positions of each filter's output row.
+__attribute__((target("avx2"))) void store_strip_avx2(
+    const PackedSimd& packed, const __m256i* acc, float act_scale, std::size_t k0,
+    int kt, std::size_t spatial, float* dst, std::size_t lanes) {
+  for (int f = 0; f < kt; ++f) {
+    const std::size_t k = k0 + static_cast<std::size_t>(f);
+    const float scale = packed.weight_scales[k] * act_scale;
+    const __m256 o =
+        _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(acc[f]), _mm256_set1_ps(scale)),
+                      _mm256_set1_ps(packed.out_bias[k]));
+    if (lanes == 8) {
+      _mm256_storeu_ps(dst + k * spatial, o);
+    } else {
+      alignas(32) float tmp[8];
+      _mm256_store_ps(tmp, o);
+      std::memcpy(dst + k * spatial, tmp, lanes * sizeof(float));
+    }
+  }
+}
+
+/// kQuads: maddubs_epi16 forms the two adjacent-pair sums of each
+/// uint8 x int8 quad (proven below int16 saturation by
+/// int_reduction_fits_int8_madd, for any pairing), madd_epi16 against 1
+/// widens and adds them. Otherwise one madd_epi16 per int16 pair word.
+template <bool kQuads>
+__attribute__((target("avx2"))) void conv_rows_avx2(const PackedSimd& packed,
+                                                    const ConvView& v, float* out_n,
+                                                    std::size_t tile, int y0, int y1) {
+  const std::size_t k0 = tile * kFilterTile;
+  const int kt = tile_filters(packed, tile);
+  const std::size_t spatial = static_cast<std::size_t>(v.oh) * v.ow;
+  const std::uint32_t* panel =
+      packed.panels.data() + tile * static_cast<std::size_t>(v.taps) * v.groups * kFilterTile;
+  const __m256i ones = _mm256_set1_epi16(1);
+  for (int oy = y0; oy < y1; ++oy) {
+    for (int ox = 0; ox < v.ow; ox += 8) {
+      __m256i acc[kFilterTile];
+      for (auto& a : acc) a = _mm256_setzero_si256();
+      const std::uint32_t* origin = v.image + static_cast<std::size_t>(oy) * v.cols + ox;
+      const std::uint32_t* w = panel;
+      for (int t = 0; t < v.taps; ++t) {
+        const std::uint32_t* strip = origin + v.tap_offset[t];
+        for (std::size_t g = 0; g < v.groups; ++g, strip += v.plane, w += kFilterTile) {
+          const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(strip));
+          for (int f = 0; f < kFilterTile; ++f) {
+            const __m256i wv = _mm256_set1_epi32(static_cast<std::int32_t>(w[f]));
+            if constexpr (kQuads) {
+              acc[f] = _mm256_add_epi32(
+                  acc[f], _mm256_madd_epi16(_mm256_maddubs_epi16(a, wv), ones));
+            } else {
+              acc[f] = _mm256_add_epi32(acc[f], _mm256_madd_epi16(a, wv));
+            }
+          }
+        }
+      }
+      store_strip_avx2(packed, acc, v.act_scale, k0, kt, spatial,
+                       out_n + static_cast<std::size_t>(oy) * v.ow + ox,
+                       static_cast<std::size_t>(std::min(8, v.ow - ox)));
+    }
+  }
+}
+
+#if CQ_SIMD_SSE2_BASELINE
+
+/// Portable-tier conv on x86-64: the avx2 pair kernel at xmm width, 4
+/// output positions per strip. pmaddwd is baseline (the x86-64 psABI
+/// mandates SSE2), so this runs on every CPU the binary runs on.
+void conv_rows_sse2(const PackedSimd& packed, const ConvView& v, float* out_n,
+                    std::size_t tile, int y0, int y1) {
+  const std::size_t k0 = tile * kFilterTile;
+  const int kt = tile_filters(packed, tile);
+  const std::size_t spatial = static_cast<std::size_t>(v.oh) * v.ow;
+  const std::uint32_t* panel =
+      packed.panels.data() + tile * static_cast<std::size_t>(v.taps) * v.groups * kFilterTile;
+  for (int oy = y0; oy < y1; ++oy) {
+    for (int ox = 0; ox < v.ow; ox += 4) {
+      __m128i acc[kFilterTile];
+      for (auto& a : acc) a = _mm_setzero_si128();
+      const std::uint32_t* origin = v.image + static_cast<std::size_t>(oy) * v.cols + ox;
+      const std::uint32_t* w = panel;
+      for (int t = 0; t < v.taps; ++t) {
+        const std::uint32_t* strip = origin + v.tap_offset[t];
+        for (std::size_t g = 0; g < v.groups; ++g, strip += v.plane, w += kFilterTile) {
+          const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(strip));
+          for (int f = 0; f < kFilterTile; ++f) {
+            const __m128i wv = _mm_set1_epi32(static_cast<std::int32_t>(w[f]));
+            acc[f] = _mm_add_epi32(acc[f], _mm_madd_epi16(a, wv));
+          }
+        }
+      }
+      const auto lanes = static_cast<std::size_t>(std::min(4, v.ow - ox));
+      float* dst = out_n + static_cast<std::size_t>(oy) * v.ow + ox;
+      for (int f = 0; f < kt; ++f) {
+        const std::size_t k = k0 + static_cast<std::size_t>(f);
+        const float scale = packed.weight_scales[k] * v.act_scale;
+        const __m128 o = _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(acc[f]), _mm_set1_ps(scale)),
+                                    _mm_set1_ps(packed.out_bias[k]));
+        if (lanes == 4) {
+          _mm_storeu_ps(dst + k * spatial, o);
+        } else {
+          alignas(16) float tmp[4];
+          _mm_store_ps(tmp, o);
+          std::memcpy(dst + k * spatial, tmp, lanes * sizeof(float));
+        }
+      }
+    }
+  }
+}
+
+#endif  // CQ_SIMD_SSE2_BASELINE
+#endif  // CQ_SIMD_X86
+
+void conv_rows(const PackedSimd& packed, const ConvView& v, float* out_n, std::size_t tile,
+               int y0, int y1) {
+  switch (packed.kernel) {
+#if CQ_SIMD_X86
+    case Kernel::kAvx2I8:
+      conv_rows_avx2<true>(packed, v, out_n, tile, y0, y1);
+      return;
+    case Kernel::kAvx2I16:
+      conv_rows_avx2<false>(packed, v, out_n, tile, y0, y1);
+      return;
+#endif
+#if CQ_SIMD_SSE2_BASELINE
+    case Kernel::kSse2I16:
+      conv_rows_sse2(packed, v, out_n, tile, y0, y1);
+      return;
+#endif
+    case Kernel::kGeneric:
+      conv_rows_generic(packed, v, out_n, tile, y0, y1);
+      return;
+    default:  // kScalar (refused by check_runnable) and kernels this build lacks
+      return;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Linear kernels, filter tiles [t0, t1): per image word, one 8-filter
+// panel row is multiplied against each sample's broadcast word. Zero
+// words (ReLU zeros, padding) multiply through too: a data-dependent
+// skip mispredicts more than it saves.
+// ---------------------------------------------------------------------------
+
+void linear_tiles_generic(const PackedSimd& packed, float act_scale,
+                          const std::uint32_t* image, int batch, std::size_t words,
+                          float* out, std::int64_t t0, std::int64_t t1) {
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  const std::size_t pairs = (features + 1) / 2;
   for (std::int64_t t = t0; t < t1; ++t) {
-    const std::int16_t* panel =
-        packed.pair_panels.data() + static_cast<std::size_t>(t) * pairs * kFilterTile * 2;
-    const std::size_t k0 = static_cast<std::size_t>(t) * kFilterTile;
-    const int kt = static_cast<int>(std::min<std::size_t>(kFilterTile, filters - k0));
+    const auto tile = static_cast<std::size_t>(t);
+    const std::uint32_t* panel = packed.panels.data() + tile * words * kFilterTile;
+    const std::size_t k0 = tile * kFilterTile;
+    const int kt = tile_filters(packed, tile);
     for (int n0 = 0; n0 < batch; n0 += kBatchBlock) {
       const int nb = std::min(kBatchBlock, batch - n0);
-      const std::int32_t* a =
-          acts.codes.data() + static_cast<std::size_t>(n0) * features;
       Vec8i acc[kBatchBlock] = {};
-      for (std::size_t j = 0; j < features; ++j) {
-        const std::int16_t* wj = pair_row(panel, j);
-        const Vec8i w = {wj[0], wj[2], wj[4], wj[6], wj[8], wj[10], wj[12], wj[14]};
+      for (std::size_t q = 0; q < words; ++q) {
+        Vec8i w;
+        std::memcpy(&w, panel + q * kFilterTile, sizeof(w));
         for (int b = 0; b < nb; ++b) {
-          const std::int32_t av = a[static_cast<std::size_t>(b) * features + j];
-          if (av == 0) continue;  // exact: zero codes add nothing
+          const auto av =
+              static_cast<std::int32_t>(image[static_cast<std::size_t>(n0 + b) * words + q]);
           acc[b] += w * av;
         }
       }
@@ -372,7 +702,7 @@ void linear_tiles_generic(const PackedSimd& packed, const ActCodes& acts,
         float* row = out + static_cast<std::size_t>(n0 + b) * filters;
         for (int f = 0; f < kt; ++f) {
           const std::size_t k = k0 + static_cast<std::size_t>(f);
-          const float scale = packed.weight_scales[k] * acts.scale;
+          const float scale = packed.weight_scales[k] * act_scale;
           row[k] = scale * static_cast<float>(acc[b][f]) + packed.out_bias[k];
         }
       }
@@ -380,237 +710,52 @@ void linear_tiles_generic(const PackedSimd& packed, const ActCodes& acts,
   }
 }
 
-// ---------------------------------------------------------------------------
-// AVX2 tier: intrinsic kernels compiled with the `target` attribute so
-// the translation unit builds at the baseline ISA; they are only
-// called after runtime CPUID proved AVX2 (deploy/cpu_features.h).
-// No FMA anywhere on these paths: the rescale is cvtepi32_ps, mul_ps,
-// add_ps — bit-identical to the scalar expression's two roundings.
-// ---------------------------------------------------------------------------
-
 #if CQ_SIMD_X86
 
-/// Conv MAC over pair-interleaved int16 codes: one madd_epi16 per
-/// (pair, filter) computes w[j]*a[j] + w[j+1]*a[j+1] for 8 output
-/// positions at once.
-__attribute__((target("avx2"))) void conv_tiles_avx2_i16(
-    const PackedSimd& packed, float act_scale, const std::int16_t* cols16,
-    std::size_t pairs, std::size_t spatial, float* out_n, std::int64_t t0,
-    std::int64_t t1) {
-  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  for (std::int64_t t = t0; t < t1; ++t) {
-    const std::int16_t* panel =
-        packed.pair_panels.data() +
-        static_cast<std::size_t>(t) * pairs * kFilterTile * 2;
-    const std::size_t k0 = static_cast<std::size_t>(t) * kFilterTile;
-    const int kt = static_cast<int>(std::min<std::size_t>(kFilterTile, filters - k0));
-    std::size_t s = 0;
-    for (; s + 8 <= spatial; s += 8) {
-      __m256i acc[kFilterTile];
-      for (auto& v : acc) v = _mm256_setzero_si256();
-      for (std::size_t p = 0; p < pairs; ++p) {
-        const __m256i a = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(cols16 + (p * spatial + s) * 2));
-        const std::int16_t* w = panel + p * kFilterTile * 2;
-        for (int f = 0; f < kFilterTile; ++f) {
-          std::uint32_t wpair;
-          std::memcpy(&wpair, w + f * 2, sizeof(wpair));
-          if (wpair == 0) continue;  // exact: pruned pairs add nothing
-          const __m256i wv = _mm256_set1_epi32(static_cast<std::int32_t>(wpair));
-          acc[f] = _mm256_add_epi32(acc[f], _mm256_madd_epi16(a, wv));
-        }
-      }
-      for (int f = 0; f < kt; ++f) {
-        const std::size_t k = k0 + static_cast<std::size_t>(f);
-        const float scale = packed.weight_scales[k] * act_scale;
-        const __m256 o = _mm256_add_ps(
-            _mm256_mul_ps(_mm256_cvtepi32_ps(acc[f]), _mm256_set1_ps(scale)),
-            _mm256_set1_ps(packed.out_bias[k]));
-        _mm256_storeu_ps(out_n + k * spatial + s, o);
-      }
-    }
-    for (; s < spatial; ++s) {  // spatial tail: scalar over the pair layout
-      for (int f = 0; f < kt; ++f) {
-        std::int32_t acc = 0;
-        for (std::size_t p = 0; p < pairs; ++p) {
-          const std::int16_t* w = panel + (p * kFilterTile + static_cast<std::size_t>(f)) * 2;
-          const std::int16_t* a = cols16 + (p * spatial + s) * 2;
-          acc += static_cast<std::int32_t>(w[0]) * a[0] +
-                 static_cast<std::int32_t>(w[1]) * a[1];
-        }
-        const std::size_t k = k0 + static_cast<std::size_t>(f);
-        const float scale = packed.weight_scales[k] * act_scale;
-        out_n[k * spatial + s] =
-            scale * static_cast<float>(acc) + packed.out_bias[k];
-      }
-    }
-  }
-}
-
-/// Conv MAC over quad-interleaved uint8 codes: maddubs_epi16 forms the
-/// two adjacent-pair sums (proven below int16 saturation by
-/// int_reduction_fits_int8_madd), madd_epi16 against 1 widens and
-/// adds them — a full weight quad per instruction pair, 8 positions
-/// wide.
-__attribute__((target("avx2"))) void conv_tiles_avx2_i8(
-    const PackedSimd& packed, float act_scale, const std::uint8_t* cols8,
-    std::size_t quads, std::size_t spatial, float* out_n, std::int64_t t0,
-    std::int64_t t1) {
+template <bool kQuads>
+__attribute__((target("avx2"))) void linear_tiles_avx2(
+    const PackedSimd& packed, float act_scale, const std::uint32_t* image, int batch,
+    std::size_t words, float* out, std::int64_t t0, std::int64_t t1) {
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
   const __m256i ones = _mm256_set1_epi16(1);
   for (std::int64_t t = t0; t < t1; ++t) {
-    const std::int8_t* panel =
-        packed.quad_panels.data() +
-        static_cast<std::size_t>(t) * quads * kFilterTile * 4;
-    const std::size_t k0 = static_cast<std::size_t>(t) * kFilterTile;
-    const int kt = static_cast<int>(std::min<std::size_t>(kFilterTile, filters - k0));
-    std::size_t s = 0;
-    for (; s + 8 <= spatial; s += 8) {
-      __m256i acc[kFilterTile];
-      for (auto& v : acc) v = _mm256_setzero_si256();
-      for (std::size_t q = 0; q < quads; ++q) {
-        const __m256i a = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(cols8 + (q * spatial + s) * 4));
-        const std::int8_t* w = panel + q * kFilterTile * 4;
-        for (int f = 0; f < kFilterTile; ++f) {
-          std::uint32_t wquad;
-          std::memcpy(&wquad, w + f * 4, sizeof(wquad));
-          if (wquad == 0) continue;  // exact: pruned quads add nothing
-          const __m256i wv = _mm256_set1_epi32(static_cast<std::int32_t>(wquad));
-          const __m256i prod = _mm256_maddubs_epi16(a, wv);  // u8 acts x s8 weights
-          acc[f] = _mm256_add_epi32(acc[f], _mm256_madd_epi16(prod, ones));
-        }
-      }
-      for (int f = 0; f < kt; ++f) {
-        const std::size_t k = k0 + static_cast<std::size_t>(f);
-        const float scale = packed.weight_scales[k] * act_scale;
-        const __m256 o = _mm256_add_ps(
-            _mm256_mul_ps(_mm256_cvtepi32_ps(acc[f]), _mm256_set1_ps(scale)),
-            _mm256_set1_ps(packed.out_bias[k]));
-        _mm256_storeu_ps(out_n + k * spatial + s, o);
-      }
-    }
-    for (; s < spatial; ++s) {  // spatial tail: scalar over the quad layout
-      for (int f = 0; f < kt; ++f) {
-        std::int32_t acc = 0;
-        for (std::size_t q = 0; q < quads; ++q) {
-          const std::int8_t* w = panel + (q * kFilterTile + static_cast<std::size_t>(f)) * 4;
-          const std::uint8_t* a = cols8 + (q * spatial + s) * 4;
-          for (std::size_t r = 0; r < 4; ++r) {
-            acc += static_cast<std::int32_t>(w[r]) * a[r];
-          }
-        }
-        const std::size_t k = k0 + static_cast<std::size_t>(f);
-        const float scale = packed.weight_scales[k] * act_scale;
-        out_n[k * spatial + s] =
-            scale * static_cast<float>(acc) + packed.out_bias[k];
-      }
-    }
-  }
-}
-
-/// Linear MAC over pair-interleaved int16 activations: per pair, one
-/// 32-byte panel row (8 filters x 1 pair) is multiplied against each
-/// sample's broadcast activation pair.
-__attribute__((target("avx2"))) void linear_tiles_avx2_i16(
-    const PackedSimd& packed, const ActCodes& acts, const std::int16_t* acts16,
-    int batch, std::size_t pairs, float* out, std::int64_t t0, std::int64_t t1) {
-  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  const std::size_t padded = pairs * 2;
-  for (std::int64_t t = t0; t < t1; ++t) {
-    const std::int16_t* panel =
-        packed.pair_panels.data() +
-        static_cast<std::size_t>(t) * pairs * kFilterTile * 2;
-    const std::size_t k0 = static_cast<std::size_t>(t) * kFilterTile;
-    const int kt = static_cast<int>(std::min<std::size_t>(kFilterTile, filters - k0));
+    const auto tile = static_cast<std::size_t>(t);
+    const std::uint32_t* panel = packed.panels.data() + tile * words * kFilterTile;
+    const std::size_t k0 = tile * kFilterTile;
+    const int kt = tile_filters(packed, tile);
     for (int n0 = 0; n0 < batch; n0 += kBatchBlock) {
       const int nb = std::min(kBatchBlock, batch - n0);
       __m256i acc[kBatchBlock];
       for (auto& v : acc) v = _mm256_setzero_si256();
-      for (std::size_t p = 0; p < pairs; ++p) {
-        const __m256i w = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(panel + p * kFilterTile * 2));
+      for (std::size_t q = 0; q < words; ++q) {
+        const __m256i w =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(panel + q * kFilterTile));
         for (int b = 0; b < nb; ++b) {
-          std::uint32_t apair;
-          std::memcpy(&apair,
-                      acts16 + static_cast<std::size_t>(n0 + b) * padded + p * 2,
-                      sizeof(apair));
-          if (apair == 0) continue;  // exact: zero codes add nothing
-          const __m256i av = _mm256_set1_epi32(static_cast<std::int32_t>(apair));
-          acc[b] = _mm256_add_epi32(acc[b], _mm256_madd_epi16(av, w));
+          const std::uint32_t word = image[static_cast<std::size_t>(n0 + b) * words + q];
+          const __m256i av = _mm256_set1_epi32(static_cast<std::int32_t>(word));
+          if constexpr (kQuads) {
+            // u8 activations x s8 weights
+            acc[b] = _mm256_add_epi32(acc[b],
+                                      _mm256_madd_epi16(_mm256_maddubs_epi16(av, w), ones));
+          } else {
+            acc[b] = _mm256_add_epi32(acc[b], _mm256_madd_epi16(av, w));
+          }
         }
       }
       for (int b = 0; b < nb; ++b) {
         float* row = out + static_cast<std::size_t>(n0 + b) * filters;
         if (kt == kFilterTile) {
-          const __m256 vscale =
-              _mm256_mul_ps(_mm256_loadu_ps(packed.weight_scales.data() + k0),
-                            _mm256_set1_ps(acts.scale));
-          const __m256 o = _mm256_add_ps(
-              _mm256_mul_ps(_mm256_cvtepi32_ps(acc[b]), vscale),
-              _mm256_loadu_ps(packed.out_bias.data() + k0));
+          const __m256 vscale = _mm256_mul_ps(_mm256_loadu_ps(packed.weight_scales.data() + k0),
+                                              _mm256_set1_ps(act_scale));
+          const __m256 o = _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(acc[b]), vscale),
+                                         _mm256_loadu_ps(packed.out_bias.data() + k0));
           _mm256_storeu_ps(row + k0, o);
         } else {
           alignas(32) std::int32_t tmp[kFilterTile];
           _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), acc[b]);
           for (int f = 0; f < kt; ++f) {
             const std::size_t k = k0 + static_cast<std::size_t>(f);
-            const float scale = packed.weight_scales[k] * acts.scale;
-            row[k] = scale * static_cast<float>(tmp[f]) + packed.out_bias[k];
-          }
-        }
-      }
-    }
-  }
-}
-
-/// Linear MAC over quad-interleaved uint8 activations via maddubs.
-__attribute__((target("avx2"))) void linear_tiles_avx2_i8(
-    const PackedSimd& packed, const ActCodes& acts, const std::uint8_t* acts8,
-    int batch, std::size_t quads, float* out, std::int64_t t0, std::int64_t t1) {
-  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  const std::size_t padded = quads * 4;
-  const __m256i ones = _mm256_set1_epi16(1);
-  for (std::int64_t t = t0; t < t1; ++t) {
-    const std::int8_t* panel =
-        packed.quad_panels.data() +
-        static_cast<std::size_t>(t) * quads * kFilterTile * 4;
-    const std::size_t k0 = static_cast<std::size_t>(t) * kFilterTile;
-    const int kt = static_cast<int>(std::min<std::size_t>(kFilterTile, filters - k0));
-    for (int n0 = 0; n0 < batch; n0 += kBatchBlock) {
-      const int nb = std::min(kBatchBlock, batch - n0);
-      __m256i acc[kBatchBlock];
-      for (auto& v : acc) v = _mm256_setzero_si256();
-      for (std::size_t q = 0; q < quads; ++q) {
-        const __m256i w = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(panel + q * kFilterTile * 4));
-        for (int b = 0; b < nb; ++b) {
-          std::uint32_t aquad;
-          std::memcpy(&aquad,
-                      acts8 + static_cast<std::size_t>(n0 + b) * padded + q * 4,
-                      sizeof(aquad));
-          if (aquad == 0) continue;  // exact: zero codes add nothing
-          const __m256i av = _mm256_set1_epi32(static_cast<std::int32_t>(aquad));
-          const __m256i prod = _mm256_maddubs_epi16(av, w);  // u8 acts x s8 weights
-          acc[b] = _mm256_add_epi32(acc[b], _mm256_madd_epi16(prod, ones));
-        }
-      }
-      for (int b = 0; b < nb; ++b) {
-        float* row = out + static_cast<std::size_t>(n0 + b) * filters;
-        if (kt == kFilterTile) {
-          const __m256 vscale =
-              _mm256_mul_ps(_mm256_loadu_ps(packed.weight_scales.data() + k0),
-                            _mm256_set1_ps(acts.scale));
-          const __m256 o = _mm256_add_ps(
-              _mm256_mul_ps(_mm256_cvtepi32_ps(acc[b]), vscale),
-              _mm256_loadu_ps(packed.out_bias.data() + k0));
-          _mm256_storeu_ps(row + k0, o);
-        } else {
-          alignas(32) std::int32_t tmp[kFilterTile];
-          _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), acc[b]);
-          for (int f = 0; f < kt; ++f) {
-            const std::size_t k = k0 + static_cast<std::size_t>(f);
-            const float scale = packed.weight_scales[k] * acts.scale;
+            const float scale = packed.weight_scales[k] * act_scale;
             row[k] = scale * static_cast<float>(tmp[f]) + packed.out_bias[k];
           }
         }
@@ -621,98 +766,31 @@ __attribute__((target("avx2"))) void linear_tiles_avx2_i8(
 
 #if CQ_SIMD_SSE2_BASELINE
 
-/// Portable-tier conv MAC on x86-64: the avx2_i16 kernel at xmm width.
-/// pmaddwd is baseline (x86-64 psABI mandates SSE2), so this runs on
-/// every CPU the binary runs on — no runtime check needed. 4 output
-/// positions per strip, one madd_epi16 per (pair, filter).
-void conv_tiles_sse2_i16(const PackedSimd& packed, float act_scale,
-                         const std::int16_t* cols16, std::size_t pairs,
-                         std::size_t spatial, float* out_n, std::int64_t t0,
-                         std::int64_t t1) {
+/// Portable-tier linear MAC on x86-64: per word, the 8-filter panel row
+/// is two xmm loads; each sample's broadcast pair feeds both halves'
+/// accumulators through pmaddwd.
+void linear_tiles_sse2(const PackedSimd& packed, float act_scale,
+                       const std::uint32_t* image, int batch, std::size_t words,
+                       float* out, std::int64_t t0, std::int64_t t1) {
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
   for (std::int64_t t = t0; t < t1; ++t) {
-    const std::int16_t* panel =
-        packed.pair_panels.data() +
-        static_cast<std::size_t>(t) * pairs * kFilterTile * 2;
-    const std::size_t k0 = static_cast<std::size_t>(t) * kFilterTile;
-    const int kt = static_cast<int>(std::min<std::size_t>(kFilterTile, filters - k0));
-    std::size_t s = 0;
-    for (; s + 4 <= spatial; s += 4) {
-      __m128i acc[kFilterTile];
-      for (auto& v : acc) v = _mm_setzero_si128();
-      for (std::size_t p = 0; p < pairs; ++p) {
-        const __m128i a = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(cols16 + (p * spatial + s) * 2));
-        const std::int16_t* w = panel + p * kFilterTile * 2;
-        for (int f = 0; f < kFilterTile; ++f) {
-          std::uint32_t wpair;
-          std::memcpy(&wpair, w + f * 2, sizeof(wpair));
-          if (wpair == 0) continue;  // exact: pruned pairs add nothing
-          const __m128i wv = _mm_set1_epi32(static_cast<std::int32_t>(wpair));
-          acc[f] = _mm_add_epi32(acc[f], _mm_madd_epi16(a, wv));
-        }
-      }
-      for (int f = 0; f < kt; ++f) {
-        const std::size_t k = k0 + static_cast<std::size_t>(f);
-        const float scale = packed.weight_scales[k] * act_scale;
-        const __m128 o =
-            _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(acc[f]), _mm_set1_ps(scale)),
-                       _mm_set1_ps(packed.out_bias[k]));
-        _mm_storeu_ps(out_n + k * spatial + s, o);
-      }
-    }
-    for (; s < spatial; ++s) {  // spatial tail: scalar over the pair layout
-      for (int f = 0; f < kt; ++f) {
-        std::int32_t acc = 0;
-        for (std::size_t p = 0; p < pairs; ++p) {
-          const std::int16_t* w = panel + (p * kFilterTile + static_cast<std::size_t>(f)) * 2;
-          const std::int16_t* a = cols16 + (p * spatial + s) * 2;
-          acc += static_cast<std::int32_t>(w[0]) * a[0] +
-                 static_cast<std::int32_t>(w[1]) * a[1];
-        }
-        const std::size_t k = k0 + static_cast<std::size_t>(f);
-        const float scale = packed.weight_scales[k] * act_scale;
-        out_n[k * spatial + s] =
-            scale * static_cast<float>(acc) + packed.out_bias[k];
-      }
-    }
-  }
-}
-
-/// Portable-tier linear MAC on x86-64: per pair, the 8-filter panel
-/// row is two xmm loads; each sample's broadcast activation pair
-/// feeds both halves' accumulators through pmaddwd.
-void linear_tiles_sse2_i16(const PackedSimd& packed, const ActCodes& acts,
-                           const std::int16_t* acts16, int batch,
-                           std::size_t pairs, float* out, std::int64_t t0,
-                           std::int64_t t1) {
-  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  const std::size_t padded = pairs * 2;
-  for (std::int64_t t = t0; t < t1; ++t) {
-    const std::int16_t* panel =
-        packed.pair_panels.data() +
-        static_cast<std::size_t>(t) * pairs * kFilterTile * 2;
-    const std::size_t k0 = static_cast<std::size_t>(t) * kFilterTile;
-    const int kt = static_cast<int>(std::min<std::size_t>(kFilterTile, filters - k0));
+    const auto tile = static_cast<std::size_t>(t);
+    const std::uint32_t* panel = packed.panels.data() + tile * words * kFilterTile;
+    const std::size_t k0 = tile * kFilterTile;
+    const int kt = tile_filters(packed, tile);
     for (int n0 = 0; n0 < batch; n0 += kBatchBlock) {
       const int nb = std::min(kBatchBlock, batch - n0);
       __m128i acc[kBatchBlock][2];
       for (auto& halves : acc) {
         for (auto& v : halves) v = _mm_setzero_si128();
       }
-      for (std::size_t p = 0; p < pairs; ++p) {
-        const std::int16_t* w = panel + p * kFilterTile * 2;
-        const __m128i w_lo =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(w));
-        const __m128i w_hi =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + 8));
+      for (std::size_t q = 0; q < words; ++q) {
+        const std::uint32_t* w = panel + q * kFilterTile;
+        const __m128i w_lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w));
+        const __m128i w_hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + 4));
         for (int b = 0; b < nb; ++b) {
-          std::uint32_t apair;
-          std::memcpy(&apair,
-                      acts16 + static_cast<std::size_t>(n0 + b) * padded + p * 2,
-                      sizeof(apair));
-          if (apair == 0) continue;  // exact: zero codes add nothing
-          const __m128i av = _mm_set1_epi32(static_cast<std::int32_t>(apair));
+          const std::uint32_t word = image[static_cast<std::size_t>(n0 + b) * words + q];
+          const __m128i av = _mm_set1_epi32(static_cast<std::int32_t>(word));
           acc[b][0] = _mm_add_epi32(acc[b][0], _mm_madd_epi16(av, w_lo));
           acc[b][1] = _mm_add_epi32(acc[b][1], _mm_madd_epi16(av, w_hi));
         }
@@ -722,12 +800,10 @@ void linear_tiles_sse2_i16(const PackedSimd& packed, const ActCodes& acts,
         if (kt == kFilterTile) {
           for (int h = 0; h < 2; ++h) {
             const std::size_t kh = k0 + static_cast<std::size_t>(h) * 4;
-            const __m128 vscale =
-                _mm_mul_ps(_mm_loadu_ps(packed.weight_scales.data() + kh),
-                           _mm_set1_ps(acts.scale));
-            const __m128 o = _mm_add_ps(
-                _mm_mul_ps(_mm_cvtepi32_ps(acc[b][h]), vscale),
-                _mm_loadu_ps(packed.out_bias.data() + kh));
+            const __m128 vscale = _mm_mul_ps(_mm_loadu_ps(packed.weight_scales.data() + kh),
+                                             _mm_set1_ps(act_scale));
+            const __m128 o = _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(acc[b][h]), vscale),
+                                        _mm_loadu_ps(packed.out_bias.data() + kh));
             _mm_storeu_ps(row + kh, o);
           }
         } else {
@@ -736,7 +812,7 @@ void linear_tiles_sse2_i16(const PackedSimd& packed, const ActCodes& acts,
           _mm_store_si128(reinterpret_cast<__m128i*>(tmp + 4), acc[b][1]);
           for (int f = 0; f < kt; ++f) {
             const std::size_t k = k0 + static_cast<std::size_t>(f);
-            const float scale = packed.weight_scales[k] * acts.scale;
+            const float scale = packed.weight_scales[k] * act_scale;
             row[k] = scale * static_cast<float>(tmp[f]) + packed.out_bias[k];
           }
         }
@@ -746,168 +822,147 @@ void linear_tiles_sse2_i16(const PackedSimd& packed, const ActCodes& acts,
 }
 
 #endif  // CQ_SIMD_SSE2_BASELINE
-
 #endif  // CQ_SIMD_X86
 
 }  // namespace
 
-void conv_forward_into(const PackedSimd& packed, const ActCodes& acts, int batch,
-                       int in_c, int height, int width, int kernel, int stride,
-                       int pad, float* out, std::vector<std::int32_t>& cols_scratch,
-                       std::vector<std::int16_t>& cols16_scratch,
-                       std::vector<std::uint8_t>& cols8_scratch,
+void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid,
+                       int batch, int in_c, int height, int width, int kernel,
+                       int stride, int pad, float* out, std::vector<std::uint32_t>& image,
                        const util::ExecContext& exec) {
-  check_runnable(packed, acts, "simd::conv_forward_into");
-  if (packed.weights_per_filter !=
-      static_cast<std::int64_t>(in_c) * kernel * kernel) {
+  const float act_scale = check_runnable(packed, grid, "simd::conv_forward_into");
+  if (packed.taps != kernel * kernel || packed.channels != in_c) {
     throw std::invalid_argument("simd::conv_forward_into: geometry mismatch");
-  }
-  const std::size_t image =
-      static_cast<std::size_t>(in_c) * static_cast<std::size_t>(height) * width;
-  if (acts.codes.size() != static_cast<std::size_t>(batch) * image) {
-    throw std::invalid_argument(
-        "simd::conv_forward_into: activation code count mismatch");
   }
   const int oh = (height + 2 * pad - kernel) / stride + 1;
   const int ow = (width + 2 * pad - kernel) / stride + 1;
   if (oh <= 0 || ow <= 0) {
     throw std::invalid_argument("simd::conv_forward_into: empty output");
   }
-  const std::size_t spatial = static_cast<std::size_t>(oh) * ow;
-  const std::size_t patch = static_cast<std::size_t>(packed.weights_per_filter);
-  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  const std::size_t tiles = (filters + kFilterTile - 1) / kFilterTile;
-  const std::size_t pairs = (patch + 1) / 2;
-  const std::size_t quads = (patch + 3) / 4;
+  const int g = codes_per_word(packed.kernel);
+  const ImageLayout img(g, in_c, height, width, stride, pad);
+  image.resize(static_cast<std::size_t>(batch) * img.sample_words + kImageSlack);
+  encode_image(acts, grid, batch, in_c, g, img, image.data(), exec);
+  std::fill(image.end() - kImageSlack, image.end(), 0u);
 
-  cols_scratch.resize(patch * spatial);
-  std::int32_t* const cols_data = cols_scratch.data();
-  tensor::ConvGeometry geometry;
-  geometry.in_c = in_c;
-  geometry.in_h = height;
-  geometry.in_w = width;
-  geometry.kernel = kernel;
-  geometry.stride = stride;
-  geometry.pad = pad;
-  // The narrowed activation layout the kernel reads, if any; the
-  // generic kernel reads the int32 im2col matrix itself.
-  const bool quad_cols = packed.kernel == Kernel::kAvx2I8;
-  const bool pair_cols =
-      packed.kernel == Kernel::kAvx2I16 || packed.kernel == Kernel::kSse2I16;
-  if (quad_cols) cols8_scratch.resize(quads * spatial * 4);
-  if (pair_cols) cols16_scratch.resize(pairs * spatial * 2);
-  [[maybe_unused]] const std::uint8_t* const cols8 = cols8_scratch.data();
-  [[maybe_unused]] const std::int16_t* const cols16 = cols16_scratch.data();
-
-  for (int n = 0; n < batch; ++n) {
-    const std::int32_t* img = acts.codes.data() + static_cast<std::size_t>(n) * image;
-    // Same im2col as the scalar kernel: the SIMD layouts only change
-    // the MAC stage. Zero padding is code 0 = activation 0.0.
-    tensor::im2col_any(img, geometry, cols_data, exec);
-    if (quad_cols) build_quad_cols(cols_data, patch, spatial, cols8_scratch.data(), exec);
-    if (pair_cols) build_pair_cols(cols_data, patch, spatial, cols16_scratch.data(), exec);
-    float* out_n = out + static_cast<std::size_t>(n) * filters * spatial;
-    exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                      [&, out_n](std::int64_t t0, std::int64_t t1) {
-      switch (packed.kernel) {
-#if CQ_SIMD_X86
-        case Kernel::kAvx2I8:
-          conv_tiles_avx2_i8(packed, acts.scale, cols8, quads, spatial, out_n, t0, t1);
-          return;
-        case Kernel::kAvx2I16:
-          conv_tiles_avx2_i16(packed, acts.scale, cols16, pairs, spatial, out_n, t0, t1);
-          return;
-#endif
-#if CQ_SIMD_SSE2_BASELINE
-        case Kernel::kSse2I16:
-          conv_tiles_sse2_i16(packed, acts.scale, cols16, pairs, spatial, out_n, t0, t1);
-          return;
-#endif
-        case Kernel::kGeneric:
-          conv_tiles_generic(packed, acts.scale, cols_data, patch, spatial, out_n, t0,
-                             t1);
-          return;
-        default:  // kScalar (refused above) and kernels this build lacks
-          return;
-      }
-    });
+  // Per-tap image offsets, tap = ky * kernel + kx (the panel order);
+  // kernels up to 8x8 keep the table on the stack.
+  std::array<std::size_t, 64> small_offsets{};
+  std::vector<std::size_t> large_offsets;
+  if (packed.taps > static_cast<int>(small_offsets.size())) {
+    large_offsets.resize(static_cast<std::size_t>(packed.taps));
   }
+  std::size_t* const tap_offset =
+      large_offsets.empty() ? small_offsets.data() : large_offsets.data();
+  for (int ky = 0; ky < kernel; ++ky) {
+    for (int kx = 0; kx < kernel; ++kx) {
+      tap_offset[ky * kernel + kx] =
+          img.offset(ky % stride, kx % stride, ky / stride, kx / stride);
+    }
+  }
+
+  ConvView view;
+  view.tap_offset = tap_offset;
+  view.plane = img.plane;
+  view.cols = img.cols;
+  view.groups = img.groups;
+  view.taps = packed.taps;
+  view.oh = oh;
+  view.ow = ow;
+  view.act_scale = act_scale;
+
+  // Tasks are (sample, filter tile, block of output rows), each at
+  // least kMinMacsPerThread; consecutive tasks share a tile's panel.
+  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
+  const std::size_t spatial = static_cast<std::size_t>(oh) * ow;
+  const auto tiles = static_cast<std::int64_t>((filters + kFilterTile - 1) / kFilterTile);
+  const std::int64_t row_macs = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(ow) * kFilterTile * packed.weights_per_filter);
+  const auto rows_per_task = static_cast<int>(
+      std::clamp<std::int64_t>((kMinMacsPerThread + row_macs - 1) / row_macs, 1, oh));
+  const std::int64_t row_blocks = (oh + rows_per_task - 1) / rows_per_task;
+  const std::int64_t tasks = batch * tiles * row_blocks;
+  const std::uint32_t* const image_data = image.data();
+  exec.capped(batch * tiles * oh * row_macs / kMinMacsPerThread)
+      .parallel_for(0, tasks, [&](std::int64_t lo, std::int64_t hi) {
+        ConvView v = view;
+        for (std::int64_t task = lo; task < hi; ++task) {
+          const std::int64_t block = task % row_blocks;
+          const std::int64_t tile = task / row_blocks % tiles;
+          const auto n = static_cast<std::size_t>(task / row_blocks / tiles);
+          v.image = image_data + n * img.sample_words;
+          const int y0 = static_cast<int>(block) * rows_per_task;
+          conv_rows(packed, v, out + n * filters * spatial, static_cast<std::size_t>(tile),
+                    y0, std::min(oh, y0 + rows_per_task));
+        }
+      });
 }
 
-void linear_forward_into(const PackedSimd& packed, const ActCodes& acts, int batch,
-                         int in_features, float* out,
-                         std::vector<std::int16_t>& acts16_scratch,
-                         std::vector<std::uint8_t>& acts8_scratch,
+void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid,
+                         int batch, int in_features, float* out,
+                         std::vector<std::uint32_t>& image,
                          const util::ExecContext& exec) {
-  check_runnable(packed, acts, "simd::linear_forward_into");
-  if (in_features != packed.weights_per_filter) {
+  const float act_scale = check_runnable(packed, grid, "simd::linear_forward_into");
+  if (packed.taps != 1 || in_features != packed.weights_per_filter) {
     throw std::invalid_argument("simd::linear_forward_into: in_features mismatch");
   }
-  if (acts.codes.size() !=
-      static_cast<std::size_t>(batch) * static_cast<std::size_t>(in_features)) {
-    throw std::invalid_argument(
-        "simd::linear_forward_into: activation code count mismatch");
-  }
-  const std::size_t features = static_cast<std::size_t>(in_features);
-  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  const std::size_t tiles = (filters + kFilterTile - 1) / kFilterTile;
-  const std::size_t pairs = (features + 1) / 2;
-  const std::size_t quads = (features + 3) / 4;
+  const int g = codes_per_word(packed.kernel);
+  const std::size_t words = groups_of(in_features, g);
+  image.resize(static_cast<std::size_t>(batch) * words);
+  encode_rows(acts, grid, batch, in_features, g, image.data(), exec);
 
-  // The narrowed activation layout the kernel reads, if any; the
-  // generic kernel reads the int32 codes themselves.
-  if (packed.kernel == Kernel::kAvx2I8) {
-    acts8_scratch.resize(static_cast<std::size_t>(batch) * quads * 4);
-    build_quad_acts(acts, batch, features, acts8_scratch.data(), exec);
-  } else if (packed.kernel == Kernel::kAvx2I16 || packed.kernel == Kernel::kSse2I16) {
-    acts16_scratch.resize(static_cast<std::size_t>(batch) * pairs * 2);
-    build_pair_acts(acts, batch, features, acts16_scratch.data(), exec);
-  }
-  [[maybe_unused]] const std::uint8_t* const acts8 = acts8_scratch.data();
-  [[maybe_unused]] const std::int16_t* const acts16 = acts16_scratch.data();
-  exec.parallel_for(0, static_cast<std::int64_t>(tiles),
-                    [&](std::int64_t t0, std::int64_t t1) {
-    switch (packed.kernel) {
+  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
+  const auto tiles = static_cast<std::int64_t>((filters + kFilterTile - 1) / kFilterTile);
+  const std::uint32_t* const image_data = image.data();
+  exec.capped(static_cast<std::int64_t>(filters) * in_features * batch / kMinMacsPerThread)
+      .parallel_for(0, tiles, [&](std::int64_t t0, std::int64_t t1) {
+        switch (packed.kernel) {
 #if CQ_SIMD_X86
-      case Kernel::kAvx2I8:
-        linear_tiles_avx2_i8(packed, acts, acts8, batch, quads, out, t0, t1);
-        return;
-      case Kernel::kAvx2I16:
-        linear_tiles_avx2_i16(packed, acts, acts16, batch, pairs, out, t0, t1);
-        return;
+          case Kernel::kAvx2I8:
+            linear_tiles_avx2<true>(packed, act_scale, image_data, batch, words, out, t0, t1);
+            return;
+          case Kernel::kAvx2I16:
+            linear_tiles_avx2<false>(packed, act_scale, image_data, batch, words, out, t0,
+                                     t1);
+            return;
 #endif
 #if CQ_SIMD_SSE2_BASELINE
-      case Kernel::kSse2I16:
-        linear_tiles_sse2_i16(packed, acts, acts16, batch, pairs, out, t0, t1);
-        return;
+          case Kernel::kSse2I16:
+            linear_tiles_sse2(packed, act_scale, image_data, batch, words, out, t0, t1);
+            return;
 #endif
-      case Kernel::kGeneric:
-        linear_tiles_generic(packed, acts, batch, features, out, t0, t1);
-        return;
-      default:  // kScalar (refused above) and kernels this build lacks
-        return;
-    }
-  });
+          case Kernel::kGeneric:
+            linear_tiles_generic(packed, act_scale, image_data, batch, words, out, t0, t1);
+            return;
+          default:  // kScalar (refused by check_runnable) and kernels this build lacks
+            return;
+        }
+      });
 }
 
 }  // namespace simd
 
 void SimdBackend::prepare(const ExecutionPlan& plan) {
   // Each integer layer is packed once, for the widest activation grid
-  // among the ops that read it (one op per layer in compiled plans);
-  // layers no op reads keep an empty kScalar pack.
+  // among the ops that read it (one op per layer in compiled plans) and
+  // that op's kernel size; layers no op reads keep an empty kScalar
+  // pack.
   const std::vector<IntegerLayer>& layers = plan.integer_layers();
   std::vector<int> act_bits(layers.size(), 0);
+  std::vector<int> kernels(layers.size(), 1);
   for (const PlanOp& op : plan.ops()) {
     if (op.kind != OpKind::IntConv && op.kind != OpKind::IntLinear) continue;
     if (op.layer < 0 || static_cast<std::size_t>(op.layer) >= layers.size()) continue;
-    int& bits = act_bits[static_cast<std::size_t>(op.layer)];
-    bits = std::max(bits, op.act_bits);
+    const auto layer = static_cast<std::size_t>(op.layer);
+    act_bits[layer] = std::max(act_bits[layer], op.act_bits);
+    if (op.kind == OpKind::IntConv) kernels[layer] = op.kernel;
   }
   packed_.clear();
   packed_.resize(layers.size());
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    if (act_bits[i] > 0) packed_[i] = simd::pack_simd(layers[i], tier_, act_bits[i]);
+    if (act_bits[i] > 0) {
+      packed_[i] = simd::pack_simd(layers[i], tier_, act_bits[i], kernels[i]);
+    }
   }
   prepared_for_ = &plan;
 }
@@ -921,30 +976,16 @@ void SimdBackend::run(const PlanOp& op, const ExecutionPlan& plan,
     }
     const simd::PackedSimd& packed = packed_[static_cast<std::size_t>(op.layer)];
     if (packed.kernel != simd::Kernel::kScalar) {
-      const std::size_t in_count =
-          op.kind == OpKind::IntConv
-              ? plan.slots()[static_cast<std::size_t>(op.in0)].numel *
-                    static_cast<std::size_t>(io.batch)
-              : static_cast<std::size_t>(op.in_features) *
-                    static_cast<std::size_t>(io.batch);
-      // Same input adoption as the scalar reference: cast pre-encoded
-      // grid codes, encode raw activations.
-      if (op.in_codes) {
-        cast_codes_into(io.in0, in_count, op.act_hi, op.act_bits, scratch.codes,
-                        exec);
-      } else {
-        encode_activations_into(io.in0, in_count, op.act_hi, op.act_bits,
-                                scratch.codes, exec);
-      }
+      // The scalar reference's input adoption (encode raw activations,
+      // cast pre-encoded grid codes), fused into the code image build.
+      const simd::ActGrid grid{op.act_hi, op.act_bits, op.in_codes};
       if (op.kind == OpKind::IntConv) {
-        simd::conv_forward_into(packed, scratch.codes, io.batch, op.in_c, op.in_h,
+        simd::conv_forward_into(packed, io.in0, grid, io.batch, op.in_c, op.in_h,
                                 op.in_w, op.kernel, op.stride, op.pad, io.out,
-                                scratch.int_cols, scratch.simd_cols16,
-                                scratch.simd_cols8, exec);
+                                scratch.code_image, exec);
       } else {
-        simd::linear_forward_into(packed, scratch.codes, io.batch, op.in_features,
-                                  io.out, scratch.simd_cols16, scratch.simd_cols8,
-                                  exec);
+        simd::linear_forward_into(packed, io.in0, grid, io.batch, op.in_features,
+                                  io.out, scratch.code_image, exec);
       }
       // The shared epilogue keeps fused tails byte-identical to the
       // scalar reference (and to the unfused plan).

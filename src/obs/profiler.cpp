@@ -53,14 +53,21 @@ std::vector<ProfileAggregate> aggregate(const std::vector<OpProfileRow>& rows,
 
 }  // namespace
 
+double OpProfileRow::gmacs() const {
+  if (total_ms <= 0.0) return 0.0;
+  return static_cast<double>(macs) * static_cast<double>(samples) / (total_ms * 1e6);
+}
+
 PlanProfiler::PlanProfiler(const deploy::ExecutionPlan& plan,
                            const deploy::Backend* backend)
     : plan_(plan), cells_(plan.ops().size()) {
   dispatch_.reserve(plan.ops().size());
   op_bytes_.reserve(plan.ops().size());
+  op_macs_.reserve(plan.ops().size());
   for (const deploy::PlanOp& op : plan.ops()) {
     dispatch_.emplace_back(backend != nullptr ? backend->dispatch(op) : "-");
     op_bytes_.push_back(deploy::op_arena_bytes(op, plan));
+    op_macs_.push_back(deploy::op_macs(op));
   }
 }
 
@@ -90,6 +97,7 @@ ProfileReport PlanProfiler::report() const {
     row.mean_us =
         row.calls == 0 ? 0.0 : static_cast<double>(ns) / 1e3 / static_cast<double>(row.calls);
     row.bytes = op_bytes_[i] * row.samples;
+    row.macs = op_macs_[i];
     report.total_ms += row.total_ms;
     report.ops.push_back(std::move(row));
   }
@@ -124,6 +132,7 @@ std::string ProfileReport::to_json() const {
        << "\", \"calls\": " << r.calls << ", \"samples\": " << r.samples
        << ", \"total_ms\": " << format_ms(r.total_ms)
        << ", \"mean_us\": " << format_ms(r.mean_us) << ", \"bytes\": " << r.bytes
+       << ", \"macs\": " << r.macs << ", \"gmacs\": " << format_ms(r.gmacs())
        << ", \"share\": " << format_ms(r.share) << "}";
   }
   os << "], \"by_kind\": [";

@@ -22,7 +22,12 @@ struct OpProfileRow {
   double total_ms = 0.0;
   double mean_us = 0.0;       ///< per call
   std::uint64_t bytes = 0;    ///< arena bytes touched across all calls
+  std::uint64_t macs = 0;     ///< multiply-accumulates per sample (deploy::op_macs)
   double share = 0.0;         ///< total_ms / report total
+
+  /// Multiply-accumulate throughput over the recorded calls, in
+  /// GMAC/s (macs * samples / time); 0 for ops without MACs.
+  double gmacs() const;
 };
 
 /// Aggregated row (per op kind, or per originating layer label).
@@ -76,6 +81,7 @@ class PlanProfiler : public TraceSink {
   std::vector<Cell> cells_;              ///< one per plan op
   std::vector<std::string> dispatch_;    ///< backend impl per op
   std::vector<std::uint64_t> op_bytes_;  ///< arena bytes per sample per op
+  std::vector<std::uint64_t> op_macs_;   ///< MACs per sample per op
 };
 
 }  // namespace cq::obs

@@ -13,11 +13,14 @@ int levels_for_bits(int bits) {
 namespace {
 
 // Shared kernel of Eq. (1)-(3) so the scalar and span entry points are
-// bit-identical: clip, normalize by `scale`, round, rescale.
+// bit-identical: clip, normalize by `scale`, round, rescale. A NaN input
+// clips to 0; xc - xc (+0 for every finite clip, NaN for NaN) carries it
+// into the result, the training semantics.
 inline float quantize_with_scales(float x, UniformRange r, float scale, float inv_scale) {
-  const float xc = std::clamp(x, r.lo, r.hi);          // Eq. (1)
-  const float q = std::round((xc - r.lo) * scale);     // Eq. (2)
-  return q * inv_scale + r.lo;                         // Eq. (3)
+  const float xc = std::min(std::max(x, r.lo), r.hi);  // NaN stays NaN
+  const float q =
+      static_cast<float>(round_code(clip_from_lo(x, r) * scale)) + (xc - xc);  // Eq. (2)
+  return q * inv_scale + r.lo;                                                // Eq. (3)
 }
 
 }  // namespace
@@ -57,8 +60,7 @@ UniformRange symmetric_range(std::span<const float> weights) {
 int encode(float x, UniformRange r, int bits) {
   const int n = levels_for_bits(bits);
   const float scale = static_cast<float>(n - 1) / (r.hi - r.lo);
-  const float xc = std::clamp(x, r.lo, r.hi);
-  return static_cast<int>(std::round((xc - r.lo) * scale));
+  return round_code(clip_from_lo(x, r) * scale);  // NaN -> code 0
 }
 
 float decode(int q, UniformRange r, int bits) {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 
 namespace cq::quant {
@@ -33,8 +35,36 @@ void quantize_span(std::span<const float> src, std::span<float> dst, UniformRang
 /// that layer as already pruned.
 UniformRange symmetric_range(std::span<const float> weights);
 
+/// std::round for a non-negative float below 2^31, without the libm
+/// call: t = (int)x rounds toward zero, and the fraction x - t is exact
+/// (Sterbenz: t <= x < t + 1), so comparing it with 0.5 rounds halves
+/// away from zero exactly as std::round does. Branch-free and
+/// vectorizable; every site that rounds a clamped value to a grid code
+/// goes through it, so the backends cannot round differently.
+inline std::int32_t round_code(float x) {
+  const auto t = static_cast<std::int32_t>(x);
+  return t + (x - static_cast<float>(t) >= 0.5f ? 1 : 0);
+}
+
+/// Eq. (1) measured from lo: for every non-NaN x, d > 0 ? min(d, hi -
+/// lo) : 0 with d = x - lo equals std::clamp(x, lo, hi) - lo exactly
+/// (rounding is monotone), so its scaled value is >= 0 and round_code
+/// rounds it as std::round would. NaN clips to 0: it never reaches a
+/// float-to-int conversion. Branch-free, so loops over it vectorize.
+inline float clip_from_lo(float x, UniformRange r) {
+  const float d = x - r.lo;
+  return d > 0.0f ? std::min(d, r.hi - r.lo) : 0.0f;
+}
+
+/// Grid code of activation v on the [0, hi] grid, to_code being
+/// (levels - 1) / hi: clip, scale, round_code. NaN and -inf encode to
+/// code 0, activation 0.0.
+inline std::int32_t activation_code(float v, float hi, float to_code) {
+  return round_code(clip_from_lo(v, UniformRange{0.0f, hi}) * to_code);
+}
+
 /// Integer code of x under the quantizer (0 .. levels-1); used by the
-/// integer inference engine. bits must be >= 1.
+/// integer inference engine. bits must be >= 1. NaN encodes to 0.
 int encode(float x, UniformRange r, int bits);
 
 /// Real value of integer code `q` (inverse of encode).

@@ -39,6 +39,16 @@ struct ExecContext {
 
   bool serial() const { return threads() <= 1; }
 
+  /// This context with at most `participants` threads (at least 1).
+  /// Kernels pass their work divided by a per-thread minimum, so an op
+  /// too small to repay a pool dispatch runs on the calling thread.
+  ExecContext capped(std::int64_t participants) const {
+    ExecContext limited = *this;
+    limited.max_threads =
+        static_cast<int>(std::clamp<std::int64_t>(participants, 1, threads()));
+    return limited;
+  }
+
   /// Runs body(lo, hi) over half-open chunks covering [begin, end),
   /// using at most threads() participants (chunks are sized so the
   /// participant cap holds even when the pool is larger). Serial

@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -35,20 +38,19 @@ namespace {
 
 using tensor::Tensor;
 
-/// Random IntegerLayer with a mixed bit pattern including pruned
-/// (0-bit) rows — the filter arrangement real CQ artifacts have.
+/// Random IntegerLayer whose filter k has filter_bits[k % size] bits
+/// (0 = pruned: an all-zero row), with random codes and biases.
 IntegerLayer random_integer_layer(int num_filters, std::int64_t per_filter,
-                                  util::Rng& rng) {
+                                  const std::vector<int>& bits, util::Rng& rng) {
   IntegerLayer layer;
   layer.num_filters = num_filters;
   layer.weights_per_filter = per_filter;
   layer.range_hi = 0.8f;
-  const int pattern[7] = {2, 3, 0, 1, 4, 2, 0};
   layer.filter_bits.resize(static_cast<std::size_t>(num_filters));
   layer.codes.assign(static_cast<std::size_t>(num_filters) * per_filter, 0);
   layer.bias.resize(static_cast<std::size_t>(num_filters));
   for (int k = 0; k < num_filters; ++k) {
-    const int b = pattern[k % 7];
+    const int b = bits[static_cast<std::size_t>(k) % bits.size()];
     layer.filter_bits[static_cast<std::size_t>(k)] = static_cast<std::uint8_t>(b);
     layer.bias[static_cast<std::size_t>(k)] =
         static_cast<float>(rng.uniform(-0.5, 0.5));
@@ -62,16 +64,55 @@ IntegerLayer random_integer_layer(int num_filters, std::int64_t per_filter,
   return layer;
 }
 
-ActCodes random_act_codes(std::size_t count, int bits, util::Rng& rng) {
-  ActCodes acts;
-  acts.bits = bits;
-  const int levels = 1 << bits;
-  acts.scale = 0.9f / static_cast<float>(levels - 1);
-  acts.codes.resize(count);
-  for (std::int32_t& c : acts.codes) {
-    c = static_cast<std::int32_t>(rng.uniform_int(0, levels - 1));
+/// The mixed pattern real CQ artifacts have, pruned rows included.
+IntegerLayer random_integer_layer(int num_filters, std::int64_t per_filter,
+                                  util::Rng& rng) {
+  return random_integer_layer(num_filters, per_filter, {2, 3, 0, 1, 4, 2, 0}, rng);
+}
+
+/// `count` random grid codes stored as floats — an in_codes input.
+std::vector<float> random_float_codes(std::size_t count, int bits, util::Rng& rng) {
+  std::vector<float> codes(count);
+  for (float& c : codes) c = static_cast<float>(rng.uniform_int(0, (1 << bits) - 1));
+  return codes;
+}
+
+/// `count` raw activations for the [0, hi] x bits grid that hit every
+/// edge of the encode on purpose: NaN, +-inf, -0.0, negatives, values
+/// above hi, exact half steps of the grid (exact when (levels-1)/hi is
+/// a power of two) and the floats just below them, and plain values.
+std::vector<float> random_raw_activations(std::size_t count, float hi, int bits,
+                                          util::Rng& rng) {
+  const float to_code = static_cast<float>((1 << bits) - 1) / hi;
+  std::vector<float> acts(count);
+  for (float& a : acts) {
+    const float half =
+        (static_cast<float>(rng.uniform_int(0, (1 << bits) - 2)) + 0.5f) / to_code;
+    switch (rng.uniform_int(0, 11)) {
+      case 0: a = std::numeric_limits<float>::quiet_NaN(); break;
+      case 1: a = std::numeric_limits<float>::infinity(); break;
+      case 2: a = -std::numeric_limits<float>::infinity(); break;
+      case 3: a = -0.0f; break;
+      case 4: a = static_cast<float>(rng.uniform(-2.0, 0.0)); break;
+      case 5: a = hi * static_cast<float>(rng.uniform(1.0, 3.0)); break;
+      case 6: a = half; break;
+      case 7: a = std::nextafter(half, 0.0f); break;
+      default: a = static_cast<float>(rng.uniform(0.0, 1.1)) * hi; break;
+    }
   }
   return acts;
+}
+
+/// The scalar reference's adoption of an op input (ScalarBackend's
+/// cast or encode) as ActCodes.
+ActCodes adopt_codes(const std::vector<float>& acts, const simd::ActGrid& grid) {
+  ActCodes codes;
+  if (grid.in_codes) {
+    cast_codes_into(acts.data(), acts.size(), grid.hi, grid.bits, codes);
+  } else {
+    encode_activations_into(acts.data(), acts.size(), grid.hi, grid.bits, codes);
+  }
+  return codes;
 }
 
 /// ExecContext with `threads` participants (pool of threads - 1).
@@ -213,103 +254,257 @@ TEST(BackendFactory, RunWithoutPrepareThrows) {
   FAIL() << "MLP plan has no IntLinear op";
 }
 
-// Filter counts straddling the kFilterTile = 8 panel boundary (odd,
-// exact multiple, one past) so tail tiles and full tiles both run, at
-// every reachable tier and at activation widths that land on
-// different kernels: 3-bit codes ride the int8 maddubs path on avx2
-// (the shared bound proves it exact for these layers), 9-bit codes
-// exceed the u8 eligibility and ride the int16 pair path, and 16-bit
-// codes exceed the int16 activation pairs and ride the generic
-// vector-extension kernel.
-TEST(BackendIdentity, SimdConvMatchesScalarAtEveryTier) {
-  struct Shape {
-    int in_c, hw, filters, kernel, stride, pad;
-  };
-  const Shape shapes[] = {
-      {3, 9, 5, 3, 1, 1},    // tiny, tail tile only
-      {8, 12, 16, 3, 1, 1},  // exact tile multiple
-      {6, 10, 17, 3, 2, 0},  // one past a tile boundary, strided, no pad
-      {4, 7, 13, 5, 1, 2},   // odd everything, large kernel
-  };
-  util::Rng rng(505);
-  for (const Shape& s : shapes) {
-    const std::int64_t per_filter =
-        static_cast<std::int64_t>(s.in_c) * s.kernel * s.kernel;
-    const IntegerLayer layer = random_integer_layer(s.filters, per_filter, rng);
-    for (const int act_bits : {3, 9, 16}) {
-      for (const int batch : {1, 3, 8}) {
-        const ActCodes acts = random_act_codes(
-            static_cast<std::size_t>(batch) * s.in_c * s.hw * s.hw, act_bits, rng);
-        const Tensor reference = integer_conv_forward(
-            layer, acts, batch, s.in_c, s.hw, s.hw, s.kernel, s.stride, s.pad);
-        for (const SimdTier tier : reachable_simd_tiers()) {
-          const simd::PackedSimd packed = simd::pack_simd(layer, tier, act_bits);
-          ASSERT_NE(simd::Kernel::kScalar, packed.kernel);
-          if (act_bits == 16) {
-            ASSERT_EQ(simd::Kernel::kGeneric, packed.kernel);
-          }
-          for (const int threads : {1, 2, 8}) {
-            ThreadedExec te(threads);
-            std::vector<float> out(reference.numel());
-            std::vector<std::int32_t> cols;
-            std::vector<std::int16_t> cols16;
-            std::vector<std::uint8_t> cols8;
-            simd::conv_forward_into(packed, acts, batch, s.in_c, s.hw, s.hw, s.kernel,
-                                    s.stride, s.pad, out.data(), cols, cols16, cols8,
-                                    te.exec);
-            expect_bytes_equal(out.data(), reference.data(), reference.numel(),
-                               std::string("simd conv ") +
-                                   simd::kernel_label(packed.kernel) +
-                                   " tier=" + simd_tier_name(tier) +
-                                   " act_bits=" + std::to_string(act_bits) +
-                                   " filters=" + std::to_string(s.filters) +
-                                   " batch=" + std::to_string(batch) +
-                                   " threads=" + std::to_string(threads));
-          }
-        }
-      }
+/// Activation widths that reach each conv/linear kernel: <= 8 bits ride
+/// the int8 maddubs kernel on avx2 when the weight bound allows it
+/// (int16 pairs otherwise), 9-15 bits the int16 pair kernels, 16 bits
+/// the generic kernel. Weights stay narrow enough at 16 bits that the
+/// int32 accumulator stays certified.
+struct KernelClass {
+  int min_act_bits, max_act_bits, max_weight_bits;
+};
+constexpr KernelClass kKernelClasses[] = {{1, 8, 8}, {9, 15, 8}, {16, 16, 3}};
+
+/// A 5-filter bit pattern for one random case: one pruned slot, the
+/// others 1..top bits with top itself drawn from 1..max_bits, so narrow
+/// layers (the int8 kernel's domain) come up as often as wide ones.
+std::vector<int> random_filter_bits(int max_bits, util::Rng& rng) {
+  const auto top = rng.uniform_int(1, max_bits);
+  std::vector<int> bits(5);
+  for (int& b : bits) b = static_cast<int>(rng.uniform_int(1, top));
+  bits[static_cast<std::size_t>(rng.uniform_int(0, 4))] = 0;
+  return bits;
+}
+
+/// Every explicit kernel a reachable tier can select.
+std::vector<simd::Kernel> reachable_kernels() {
+  std::vector<simd::Kernel> kernels = {simd::Kernel::kGeneric};
+  for (const SimdTier tier : reachable_simd_tiers()) {
+    if (tier == SimdTier::kAvx2) {
+      kernels.push_back(simd::Kernel::kAvx2I8);
+      kernels.push_back(simd::Kernel::kAvx2I16);
+    } else {
+      kernels.push_back(simd::Kernel::kSse2I16);
     }
+  }
+  return kernels;
+}
+
+/// Asserts the randomized sweep compared every reachable kernel often.
+void expect_kernels_covered(const std::map<simd::Kernel, int>& compared) {
+  for (const simd::Kernel kernel : reachable_kernels()) {
+    const auto it = compared.find(kernel);
+    EXPECT_GE(it == compared.end() ? 0 : it->second, 20)
+        << "kernel " << simd::kernel_label(kernel) << " #" << static_cast<int>(kernel)
+        << " barely exercised";
   }
 }
 
-TEST(BackendIdentity, SimdLinearMatchesScalarAtEveryTier) {
-  util::Rng rng(606);
-  for (const int filters : {1, 8, 13, 24, 33}) {
-    const int in_features = 50 + filters;
-    const IntegerLayer layer = random_integer_layer(filters, in_features, rng);
-    // u8-eligible / int16-pair / generic 16-bit path
-    for (const int act_bits : {4, 10, 16}) {
-      for (const int batch : {1, 3, 8}) {
-        const ActCodes acts = random_act_codes(
-            static_cast<std::size_t>(batch) * in_features, act_bits, rng);
-        const Tensor reference =
-            integer_linear_forward(layer, acts, batch, in_features);
-        for (const SimdTier tier : reachable_simd_tiers()) {
-          const simd::PackedSimd packed = simd::pack_simd(layer, tier, act_bits);
-          ASSERT_NE(simd::Kernel::kScalar, packed.kernel);
-          if (act_bits == 16) {
-            ASSERT_EQ(simd::Kernel::kGeneric, packed.kernel);
-          }
-          for (const int threads : {1, 2, 8}) {
-            ThreadedExec te(threads);
-            std::vector<float> out(reference.numel());
-            std::vector<std::int16_t> acts16;
-            std::vector<std::uint8_t> acts8;
-            simd::linear_forward_into(packed, acts, batch, in_features, out.data(),
-                                      acts16, acts8, te.exec);
-            expect_bytes_equal(out.data(), reference.data(), reference.numel(),
-                               std::string("simd linear ") +
-                                   simd::kernel_label(packed.kernel) +
-                                   " tier=" + simd_tier_name(tier) +
-                                   " act_bits=" + std::to_string(act_bits) +
-                                   " filters=" + std::to_string(filters) +
-                                   " batch=" + std::to_string(batch) +
-                                   " threads=" + std::to_string(threads));
-          }
+/// Randomized differential test of the SIMD conv kernels against the
+/// scalar reference (encode or cast, im2col, int64 MACs): 200 seeded
+/// cases over in_c 1-40, H and W 1-19 (output widths off the 8-position
+/// strip), kernel {1, 3, 5}, stride {1, 2, 3}, pad 0-2, 1-20 filters
+/// (off-tile counts), weight bits 0-8 with pruned filters, activation
+/// widths reaching every kernel, batch {1, 3} and threads {1, 3}, fed
+/// both raw floats with every encode edge value and in_codes codes —
+/// byte for byte at every reachable tier. Three more cases are large
+/// enough (tens of millions of MACs, >= 2 x 128K activations) that the
+/// kernel and the encoder really spread over the 3-thread context.
+TEST(BackendIdentity, SimdConvMatchesScalarAtEveryTier) {
+  util::Rng rng(505);
+  ThreadedExec threaded(3);
+  std::map<simd::Kernel, int> compared;
+  constexpr int kCases = 200, kLargeCases = 3;
+  for (int c = 0; c < kCases + kLargeCases; ++c) {
+    const bool large = c >= kCases;
+    const int kernel = large ? 3 : static_cast<int>(1 + 2 * rng.uniform_int(0, 2));
+    const int stride = large ? 1 + c % 2 : static_cast<int>(rng.uniform_int(1, 3));
+    const int pad = large ? 1 : static_cast<int>(rng.uniform_int(0, 2));
+    const int min_hw = large ? 36 : std::max(1, kernel - 2 * pad);
+    const int max_hw = large ? 44 : 19;
+    const int height = static_cast<int>(rng.uniform_int(min_hw, max_hw));
+    const int width = static_cast<int>(rng.uniform_int(min_hw, max_hw));
+    const int in_c = static_cast<int>(large ? rng.uniform_int(48, 64) : rng.uniform_int(1, 40));
+    const int filters =
+        static_cast<int>(large ? rng.uniform_int(17, 24) : rng.uniform_int(1, 20));
+    const int batch = large || rng.uniform_int(0, 1) == 1 ? 3 : 1;
+    const KernelClass& kc = kKernelClasses[c % 3];
+    const int act_bits = static_cast<int>(rng.uniform_int(kc.min_act_bits, kc.max_act_bits));
+    const float hi = act_bits == 16 ? 65535.0f
+                     : c % 2 == 0   ? static_cast<float>((1 << act_bits) - 1) * 0.5f
+                                    : static_cast<float>(rng.uniform(0.5, 4.0));
+    const IntegerLayer layer = random_integer_layer(
+        filters, static_cast<std::int64_t>(in_c) * kernel * kernel,
+        random_filter_bits(kc.max_weight_bits, rng), rng);
+    const std::size_t count = static_cast<std::size_t>(batch) * in_c * height * width;
+    const int oh = (height + 2 * pad - kernel) / stride + 1;
+    const int ow = (width + 2 * pad - kernel) / stride + 1;
+    const std::string shape =
+        "case " + std::to_string(c) + ": in_c=" + std::to_string(in_c) + " hw=" +
+        std::to_string(height) + "x" + std::to_string(width) + " k=" +
+        std::to_string(kernel) + " s=" + std::to_string(stride) + " p=" +
+        std::to_string(pad) + " filters=" + std::to_string(filters) + " batch=" +
+        std::to_string(batch) + " act_bits=" + std::to_string(act_bits) +
+        " hi=" + std::to_string(hi);
+    for (const bool in_codes : {false, true}) {
+      const simd::ActGrid grid{hi, act_bits, in_codes};
+      const std::vector<float> acts = in_codes
+                                          ? random_float_codes(count, act_bits, rng)
+                                          : random_raw_activations(count, hi, act_bits, rng);
+      const Tensor reference = integer_conv_forward(layer, adopt_codes(acts, grid), batch,
+                                                    in_c, height, width, kernel, stride, pad);
+      ASSERT_EQ(reference.numel(), static_cast<std::size_t>(batch) * filters * oh * ow);
+      for (const SimdTier tier : reachable_simd_tiers()) {
+        const simd::PackedSimd packed = simd::pack_simd(layer, tier, act_bits, kernel);
+        if (packed.kernel == simd::Kernel::kScalar) continue;  // int64-only reduction
+        if (act_bits == 16) {
+          ASSERT_EQ(simd::Kernel::kGeneric, packed.kernel) << shape;
+        }
+        for (const util::ExecContext& exec : {util::ExecContext{}, threaded.exec}) {
+          std::vector<float> out(reference.numel(), -7.0f);
+          std::vector<std::uint32_t> image;
+          simd::conv_forward_into(packed, acts.data(), grid, batch, in_c, height, width,
+                                  kernel, stride, pad, out.data(), image, exec);
+          expect_bytes_equal(out.data(), reference.data(), reference.numel(),
+                             shape + (in_codes ? " in_codes" : " raw") + " kernel=" +
+                                 simd::kernel_label(packed.kernel) + " tier=" +
+                                 simd_tier_name(tier) +
+                                 " threads=" + std::to_string(exec.threads()));
+          ++compared[packed.kernel];
         }
       }
     }
   }
+  expect_kernels_covered(compared);
+}
+
+/// The linear twin: raw floats go through the row encoder, codes
+/// through the cast, across feature counts off the word boundary; the
+/// last three cases are large enough to spread over threads.
+TEST(BackendIdentity, SimdLinearMatchesScalarAtEveryTier) {
+  util::Rng rng(606);
+  ThreadedExec threaded(3);
+  std::map<simd::Kernel, int> compared;
+  constexpr int kCases = 120, kLargeCases = 3;
+  for (int c = 0; c < kCases + kLargeCases; ++c) {
+    const bool large = c >= kCases;
+    const int in_features =
+        static_cast<int>(large ? rng.uniform_int(1200, 1500) : rng.uniform_int(1, 300));
+    const int filters =
+        static_cast<int>(large ? rng.uniform_int(500, 520) : rng.uniform_int(1, 40));
+    const int batch = static_cast<int>(large ? 9 : rng.uniform_int(1, 9));
+    const KernelClass& kc = kKernelClasses[c % 3];
+    const int act_bits = static_cast<int>(rng.uniform_int(kc.min_act_bits, kc.max_act_bits));
+    const float hi = c % 2 == 0 ? static_cast<float>((1 << act_bits) - 1)
+                                : static_cast<float>(rng.uniform(0.5, 4.0));
+    const IntegerLayer layer = random_integer_layer(
+        filters, in_features, random_filter_bits(kc.max_weight_bits, rng), rng);
+    const std::string shape = "case " + std::to_string(c) + ": in=" +
+                              std::to_string(in_features) + " filters=" +
+                              std::to_string(filters) + " batch=" + std::to_string(batch) +
+                              " act_bits=" + std::to_string(act_bits);
+    for (const bool in_codes : {false, true}) {
+      const simd::ActGrid grid{hi, act_bits, in_codes};
+      const std::size_t count = static_cast<std::size_t>(batch) * in_features;
+      const std::vector<float> acts = in_codes
+                                          ? random_float_codes(count, act_bits, rng)
+                                          : random_raw_activations(count, hi, act_bits, rng);
+      const Tensor reference =
+          integer_linear_forward(layer, adopt_codes(acts, grid), batch, in_features);
+      for (const SimdTier tier : reachable_simd_tiers()) {
+        const simd::PackedSimd packed = simd::pack_simd(layer, tier, act_bits);
+        if (packed.kernel == simd::Kernel::kScalar) continue;
+        if (act_bits == 16) {
+          ASSERT_EQ(simd::Kernel::kGeneric, packed.kernel) << shape;
+        }
+        for (const util::ExecContext& exec : {util::ExecContext{}, threaded.exec}) {
+          std::vector<float> out(reference.numel(), -7.0f);
+          std::vector<std::uint32_t> image;
+          simd::linear_forward_into(packed, acts.data(), grid, batch, in_features,
+                                    out.data(), image, exec);
+          expect_bytes_equal(out.data(), reference.data(), reference.numel(),
+                             shape + (in_codes ? " in_codes" : " raw") + " kernel=" +
+                                 simd::kernel_label(packed.kernel) + " tier=" +
+                                 simd_tier_name(tier) +
+                                 " threads=" + std::to_string(exec.threads()));
+          ++compared[packed.kernel];
+        }
+      }
+    }
+  }
+  expect_kernels_covered(compared);
+}
+
+/// A NaN reaching an integer op encodes to code 0 (activation 0.0) on
+/// every path: the scalar encode, the fused ep_encode epilogue, and the
+/// SIMD image encoder — so one NaN pixel cannot split the backends.
+TEST(BackendIdentity, NanActivationsEncodeToZero) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> acts = {0.4f, nan, 0.9f, -inf, inf, -0.0f};
+  ActCodes codes;
+  encode_activations_into(acts.data(), acts.size(), 0.9f, 2, codes);
+  EXPECT_EQ((std::vector<std::int32_t>{1, 0, 3, 0, 3, 0}), codes.codes);
+
+  PlanOp op;
+  op.kind = OpKind::IntLinear;
+  op.ep_encode = true;
+  op.out_hi = 0.9f;
+  op.out_bits = 2;
+  std::vector<float> out = acts;
+  BackendIo io;
+  io.out = out.data();
+  apply_epilogue(op, io, out.size());
+  EXPECT_EQ((std::vector<float>{1.0f, 0.0f, 3.0f, 0.0f, 3.0f, 0.0f}), out);
+
+  // One NaN pixel in a conv input: every tier matches the scalar bytes.
+  util::Rng rng(404);
+  const IntegerLayer layer = random_integer_layer(8, 4 * 3 * 3, rng);
+  std::vector<float> image = random_float_codes(4 * 6 * 6, 2, rng);
+  for (float& v : image) v /= 3.0f;  // raw activations on the [0, 1] grid
+  image[40] = nan;
+  const simd::ActGrid grid{1.0f, 2, false};
+  const Tensor reference =
+      integer_conv_forward(layer, adopt_codes(image, grid), 1, 4, 6, 6, 3, 1, 1);
+  for (const SimdTier tier : reachable_simd_tiers()) {
+    const simd::PackedSimd packed = simd::pack_simd(layer, tier, 2, 3);
+    std::vector<float> simd_out(reference.numel());
+    std::vector<std::uint32_t> scratch;
+    simd::conv_forward_into(packed, image.data(), grid, 1, 4, 6, 6, 3, 1, 1,
+                            simd_out.data(), scratch);
+    expect_bytes_equal(simd_out.data(), reference.data(), reference.numel(),
+                       std::string("NaN pixel tier=") + simd_tier_name(tier));
+  }
+}
+
+/// The fused epilogue spreads over threads only past its element grain;
+/// chunked or not, the elementwise pass writes the same bytes.
+TEST(BackendIdentity, ThreadedEpilogueMatchesSerial) {
+  util::Rng rng(202);
+  PlanOp op;
+  op.kind = OpKind::IntConv;
+  op.out_c = 16;
+  op.out_h = op.out_w = 48;
+  op.ep_bn = op.ep_add = op.ep_relu = op.ep_encode = true;
+  op.out_hi = 1.5f;
+  op.out_bits = 3;
+  for (auto* v : {&op.bn_mean, &op.bn_inv_std, &op.bn_gamma, &op.bn_beta}) {
+    for (int c = 0; c < op.out_c; ++c) v->push_back(static_cast<float>(rng.uniform(0.2, 1.2)));
+  }
+  const std::size_t per_sample = static_cast<std::size_t>(op.out_c) * 48 * 48;
+  const int batch = 8;  // 295K elements: past the grain at 3 threads
+  std::vector<float> in(per_sample * batch), residual(per_sample * batch);
+  for (float& v : in) v = static_cast<float>(rng.uniform(-1.0, 2.0));
+  for (float& v : residual) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  std::vector<float> serial = in, threaded = in;
+  BackendIo io;
+  io.in1 = residual.data();
+  io.batch = batch;
+  io.out = serial.data();
+  apply_epilogue(op, io, per_sample);
+  ThreadedExec te(3);
+  io.out = threaded.data();
+  apply_epilogue(op, io, per_sample, te.exec);
+  expect_bytes_equal(threaded.data(), serial.data(), serial.size(), "threaded epilogue");
 }
 
 // Every filter pruned: outputs must be exactly +0.0f (not bias),
@@ -322,15 +517,13 @@ TEST(BackendIdentity, PrunedRowsAreHardZero) {
   std::fill(layer.filter_bits.begin(), layer.filter_bits.end(), std::uint8_t{0});
   std::fill(layer.codes.begin(), layer.codes.end(), 0);
   for (const int act_bits : {3, 9, 16}) {
-    const ActCodes acts = random_act_codes(2 * 4 * 6 * 6, act_bits, rng);
+    const std::vector<float> acts = random_float_codes(2 * 4 * 6 * 6, act_bits, rng);
     for (const SimdTier tier : reachable_simd_tiers()) {
-      const simd::PackedSimd packed = simd::pack_simd(layer, tier, act_bits);
+      const simd::PackedSimd packed = simd::pack_simd(layer, tier, act_bits, 3);
       std::vector<float> out(2 * 9 * 6 * 6, -1.0f);
-      std::vector<std::int32_t> cols;
-      std::vector<std::int16_t> cols16;
-      std::vector<std::uint8_t> cols8;
-      simd::conv_forward_into(packed, acts, 2, 4, 6, 6, 3, 1, 1, out.data(), cols,
-                              cols16, cols8);
+      std::vector<std::uint32_t> image;
+      simd::conv_forward_into(packed, acts.data(), {1.0f, act_bits, true}, 2, 4, 6, 6, 3,
+                              1, 1, out.data(), image);
       for (const float v : out) {
         EXPECT_EQ(0.0f, v) << simd::kernel_label(packed.kernel);
         EXPECT_FALSE(std::signbit(v));  // hard +0.0f, byte-identical to std::fill(0.0f)
@@ -344,13 +537,13 @@ TEST(BackendIdentity, SimdPrunedRowsAreHardZero) {
   IntegerLayer layer = random_integer_layer(9, 18, rng);
   std::fill(layer.filter_bits.begin(), layer.filter_bits.end(), std::uint8_t{0});
   std::fill(layer.codes.begin(), layer.codes.end(), 0);
-  const ActCodes acts = random_act_codes(3 * 18, 4, rng);
+  const std::vector<float> acts = random_float_codes(3 * 18, 4, rng);
   for (const SimdTier tier : reachable_simd_tiers()) {
-    const simd::PackedSimd packed = simd::pack_simd(layer, tier, acts.bits);
+    const simd::PackedSimd packed = simd::pack_simd(layer, tier, 4);
     std::vector<float> out(3 * 9, -1.0f);
-    std::vector<std::int16_t> acts16;
-    std::vector<std::uint8_t> acts8;
-    simd::linear_forward_into(packed, acts, 3, 18, out.data(), acts16, acts8);
+    std::vector<std::uint32_t> image;
+    simd::linear_forward_into(packed, acts.data(), {1.0f, 4, true}, 3, 18, out.data(),
+                              image);
     for (const float v : out) {
       EXPECT_EQ(0.0f, v);
       EXPECT_FALSE(std::signbit(v));  // hard +0.0f, matching the scalar kernels
@@ -359,15 +552,15 @@ TEST(BackendIdentity, SimdPrunedRowsAreHardZero) {
 }
 
 /// A pack without panels holds nothing and every kernel refuses it.
-void expect_unpacked(const simd::PackedSimd& packed, const ActCodes& acts) {
+void expect_unpacked(const simd::PackedSimd& packed) {
   EXPECT_EQ(simd::Kernel::kScalar, packed.kernel);
   EXPECT_EQ(0u, packed.bytes());
+  const std::vector<float> acts(static_cast<std::size_t>(packed.weights_per_filter), 1.0f);
   std::vector<float> out(static_cast<std::size_t>(packed.num_filters));
-  std::vector<std::int16_t> acts16;
-  std::vector<std::uint8_t> acts8;
-  EXPECT_THROW(simd::linear_forward_into(packed, acts, 1,
+  std::vector<std::uint32_t> image;
+  EXPECT_THROW(simd::linear_forward_into(packed, acts.data(), {1.0f, 4, true}, 1,
                                          static_cast<int>(packed.weights_per_filter),
-                                         out.data(), acts16, acts8),
+                                         out.data(), image),
                std::logic_error);
 }
 
@@ -375,9 +568,8 @@ TEST(BackendIdentity, SimdHighBitLayersAreNotPackable) {
   util::Rng rng(808);
   IntegerLayer layer = random_integer_layer(4, 10, rng);
   layer.filter_bits[2] = 16;  // centered codes would overflow int16
-  const ActCodes acts = random_act_codes(10, 4, rng);
   for (const SimdTier tier : reachable_simd_tiers()) {
-    expect_unpacked(simd::pack_simd(layer, tier, acts.bits), acts);
+    expect_unpacked(simd::pack_simd(layer, tier, 4));
   }
 }
 
@@ -418,17 +610,26 @@ TEST(BackendIdentity, HighBitLayersFallBackToScalar) {
 TEST(BackendIdentity, SimdKernelsRefuseScalarTier) {
   util::Rng rng(909);
   const IntegerLayer layer = random_integer_layer(4, 10, rng);
-  const ActCodes acts = random_act_codes(10, 4, rng);
-  expect_unpacked(simd::pack_simd(layer, SimdTier::kScalar, acts.bits), acts);
+  expect_unpacked(simd::pack_simd(layer, SimdTier::kScalar, 4));
   // A layer packed for a narrower activation grid refuses wider codes:
   // the kernel choice was only certified for the packed width.
   const simd::PackedSimd narrow = simd::pack_simd(layer, SimdTier::kPortable, 2);
   ASSERT_NE(simd::Kernel::kScalar, narrow.kernel);
+  const std::vector<float> acts = random_float_codes(10, 4, rng);
   std::vector<float> out(4);
-  std::vector<std::int16_t> acts16;
-  std::vector<std::uint8_t> acts8;
-  EXPECT_THROW(simd::linear_forward_into(narrow, acts, 1, 10, out.data(), acts16, acts8),
+  std::vector<std::uint32_t> image;
+  EXPECT_THROW(simd::linear_forward_into(narrow, acts.data(), {1.0f, 4, true}, 1, 10,
+                                         out.data(), image),
                std::logic_error);
+  // A conv pack's taps must match the call's kernel size.
+  const IntegerLayer conv = random_integer_layer(4, 2 * 3 * 3, rng);
+  EXPECT_THROW(simd::pack_simd(conv, SimdTier::kPortable, 2, 2), std::invalid_argument);
+  const simd::PackedSimd taps = simd::pack_simd(conv, SimdTier::kPortable, 2, 3);
+  const std::vector<float> pixels = random_float_codes(2 * 5 * 5, 2, rng);
+  std::vector<float> conv_out(4 * 5 * 5);
+  EXPECT_THROW(simd::conv_forward_into(taps, pixels.data(), {1.0f, 2, true}, 1, 18, 5, 5,
+                                       1, 1, 0, conv_out.data(), image),
+               std::invalid_argument);
 }
 
 /// The zoo acceptance gate extended to the simd backend: byte-identical
@@ -594,10 +795,10 @@ TEST(CpuFeatures, JsonNamesArchAndTier) {
       << json;
 }
 
-/// prepared_bytes() is exactly one layout per integer op, by the layout
-/// arithmetic: int8 quad panels for avx2-i8 ops, int16 pair panels
-/// otherwise, each over whole 8-filter tiles, plus a float scale and
-/// bias per filter.
+/// prepared_bytes() is exactly one panel set per integer op, by the
+/// layout arithmetic: whole 8-filter tiles x taps x channel groups of
+/// 32-bit words (4 codes per word for avx2-i8 ops, 2 otherwise), plus a
+/// float scale and bias per filter.
 TEST(BackendFactory, SimdPreparedBytesAreOneLayoutPerOp) {
   const ExecutionPlan plan = compile_plan(serve::tiny_vgg_artifact());
   for (const SimdTier tier : reachable_simd_tiers()) {
@@ -610,11 +811,12 @@ TEST(BackendFactory, SimdPreparedBytesAreOneLayoutPerOp) {
       const IntegerLayer& layer =
           plan.integer_layers()[static_cast<std::size_t>(op.layer)];
       const auto filters = static_cast<std::size_t>(layer.num_filters);
-      const auto terms = static_cast<std::size_t>(layer.weights_per_filter);
+      const bool conv = op.kind == OpKind::IntConv;
+      const auto taps = static_cast<std::size_t>(conv ? op.kernel * op.kernel : 1);
+      const auto channels = static_cast<std::size_t>(conv ? op.in_c : op.in_features);
+      const std::size_t g = std::string(backend->dispatch(op)) == "simd/avx2-i8" ? 4 : 2;
       const std::size_t lanes = (filters + 7) / 8 * 8;
-      const bool quads = std::string(backend->dispatch(op)) == "simd/avx2-i8";
-      expected += quads ? lanes * ((terms + 3) / 4) * 4
-                        : lanes * ((terms + 1) / 2) * 2 * sizeof(std::int16_t);
+      expected += lanes * taps * ((channels + g - 1) / g) * sizeof(std::uint32_t);
       expected += filters * 2 * sizeof(float);
     }
     EXPECT_EQ(expected, backend->prepared_bytes()) << simd_tier_name(tier);

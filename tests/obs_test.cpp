@@ -229,6 +229,59 @@ TEST(PlanProfiler, AttributesEveryOpOfAProfiledSession) {
   EXPECT_EQ(profiler.report().total_ms, 0.0);
 }
 
+/// deploy::op_macs counts what perfbench's self-check counts by hand on
+/// the paper-scale ResNet20 (base width 16, 32x32): 16*32*32 outputs x
+/// 16*3*3 terms for a stage-1 conv, 64*10 for the float head, nothing
+/// for glue ops. Profile rows carry the count and derive GMAC/s from it.
+TEST(PlanProfiler, ReportsMacsPerOp) {
+  nn::ResNet20Config cfg;
+  cfg.base_width = 16;
+  cfg.image_size = 32;
+  nn::ResNet20 model(cfg);
+  const deploy::ExecutionPlan plan = deploy::compile_plan(
+      serve::fabricate_artifact(model, {cfg.in_channels, 32, 32}, 2, 7));
+  bool conv_seen = false, head_seen = false;
+  for (const deploy::PlanOp& op : plan.ops()) {
+    const std::uint64_t macs = deploy::op_macs(op);
+    if (op.kind == deploy::OpKind::IntConv && op.in_c == 16 && op.out_c == 16 &&
+        op.kernel == 3 && op.stride == 1 && op.out_h == 32 && op.out_w == 32) {
+      EXPECT_EQ(2359296u, macs);
+      conv_seen = true;
+    } else if (op.kind == deploy::OpKind::FloatLinear && op.in_features == 64 &&
+               op.out_features == 10) {
+      EXPECT_EQ(640u, macs);
+      head_seen = true;
+    } else if (!deploy::is_compute_op(op.kind)) {
+      EXPECT_EQ(0u, macs) << deploy::op_kind_name(op.kind);
+    }
+  }
+  EXPECT_TRUE(conv_seen);
+  EXPECT_TRUE(head_seen);
+
+  serve::EngineSession session(serve::tiny_mlp_artifact(), 1);
+  PlanProfiler profiler(session.plan(), &session.backend());
+  session.set_trace_sink(&profiler);
+  session.run(serve::random_batch(session.sample_shape(), 4, 41));
+  session.set_trace_sink(nullptr);
+  const ProfileReport report = profiler.report();
+  bool linear_seen = false;
+  for (const OpProfileRow& row : report.ops) {
+    const deploy::PlanOp& op = session.plan().ops()[static_cast<std::size_t>(row.op)];
+    EXPECT_EQ(deploy::op_macs(op), row.macs);
+    if (op.kind == deploy::OpKind::IntLinear) {
+      linear_seen = true;
+      EXPECT_EQ(static_cast<std::uint64_t>(op.in_features) * op.out_features, row.macs);
+      EXPECT_GT(row.gmacs(), 0.0);
+    }
+    if (row.macs == 0) {
+      EXPECT_EQ(0.0, row.gmacs());
+    }
+  }
+  EXPECT_TRUE(linear_seen);
+  EXPECT_NE(report.to_json().find("\"macs\": "), std::string::npos);
+  EXPECT_NE(report.to_json().find("\"gmacs\": "), std::string::npos);
+}
+
 TEST(PlanProfiler, IgnoresEventsOutsideThePlan) {
   const deploy::QuantizedArtifact artifact = serve::tiny_mlp_artifact();
   serve::EngineSession session(artifact, 1);

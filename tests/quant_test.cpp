@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "quant/bitwidth.h"
 #include "quant/integer_gemm.h"
@@ -118,6 +121,43 @@ TEST(Uniform, EncodeMatchesQuantize) {
     const float via_codes = decode(encode(x, r, 3), r, 3);
     EXPECT_NEAR(via_codes, quantize_one(x, r, 3), 1e-5f);
   }
+}
+
+// round_code is the one rounding helper every encode site shares; it
+// must equal std::round at the values where rounding turns: integers,
+// exact half steps up to 2^16, and the largest float below each half
+// step (which must round down).
+TEST(Uniform, RoundCodeMatchesStdRound) {
+  std::vector<float> probes = {0.0f, 0.5f, 1.5f, 2.5f, 65535.0f, 65534.5f, 1e-30f};
+  for (int k = 1; k <= 16; ++k) probes.push_back(std::ldexp(1.0f, k) - 0.5f);
+  for (int k = 0; k < 65535; k += 997) probes.push_back(static_cast<float>(k) + 0.5f);
+  const std::size_t halves = probes.size();
+  for (std::size_t i = 0; i < halves; ++i) {
+    probes.push_back(std::nextafter(probes[i], 0.0f));
+    probes.push_back(std::nextafter(probes[i], 65536.0f));
+  }
+  for (const float x : probes) {
+    EXPECT_EQ(static_cast<std::int32_t>(std::round(x)), round_code(x)) << x;
+  }
+}
+
+// NaN takes the clamp, never the float-to-int conversion: activation
+// encodes map it to code 0 (activation 0.0), quant::encode to the low
+// end of the range, while quantize_one keeps propagating it (training).
+TEST(Uniform, NanEncodesToCodeZero) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(0, activation_code(nan, 0.9f, 3.0f / 0.9f));
+  EXPECT_EQ(0, activation_code(-inf, 0.9f, 3.0f / 0.9f));
+  EXPECT_EQ(0, activation_code(-0.0f, 0.9f, 3.0f / 0.9f));
+  EXPECT_EQ(3, activation_code(inf, 0.9f, 3.0f / 0.9f));
+  const UniformRange r{-1.0f, 1.0f};
+  EXPECT_EQ(0, encode(nan, r, 4));
+  EXPECT_EQ(15, encode(inf, r, 4));
+  EXPECT_TRUE(std::isnan(quantize_one(nan, r, 4)));
+  float out = 0.0f;
+  quantize_span({&nan, 1}, {&out, 1}, UniformRange{0.0f, 1.0f}, 2);
+  EXPECT_TRUE(std::isnan(out));
 }
 
 TEST(BitArrangement, AverageBitsWeighted) {

@@ -22,8 +22,9 @@
 //   --profile  compile the plan, run `runs` random batches of `batch`
 //              samples through a profiled serving session
 //              (obs::PlanProfiler) and print where the wall time goes:
-//              per op, per op kind, per layer, plus the fraction of
-//              end-to-end time the profiler attributes to ops
+//              per op (with its MACs and GMAC/s), per op kind, per
+//              layer, plus the fraction of end-to-end time the
+//              profiler attributes to ops
 //   --backend  backend --plan's dispatch column reflects and --profile
 //              executes on: scalar | simd (default scalar)
 //   --runs     profiled runs for --profile (default 16)
@@ -246,7 +247,7 @@ int main(int argc, char** argv) {
       const obs::ProfileReport report = profiler.report();
 
       util::Table ops({"#", "op", "layer", "dispatch", "calls", "total ms",
-                       "mean us", "KB/call", "share"});
+                       "mean us", "KB/call", "MACs", "GMAC/s", "share"});
       for (const obs::OpProfileRow& row : report.ops) {
         const double kb_per_call =
             row.calls > 0 ? static_cast<double>(row.bytes) / 1024.0 /
@@ -256,6 +257,8 @@ int main(int argc, char** argv) {
                      std::to_string(row.calls), util::Table::num(row.total_ms, 3),
                      util::Table::num(row.mean_us, 1),
                      util::Table::num(kb_per_call, 1),
+                     row.macs > 0 ? std::to_string(row.macs) : "-",
+                     row.macs > 0 ? util::Table::num(row.gmacs(), 2) : "-",
                      util::Table::num(100.0 * row.share, 1) + "%"});
       }
       std::printf("\nper-op profile (backend %s, %d runs x batch %d)\n%s\n",
