@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "deploy/backend.h"
+#include "deploy/bitstream.h"
 #include "deploy/int_engine.h"
 #include "tensor/ops.h"
 #include "util/cli.h"
@@ -72,7 +73,8 @@ struct Case {
 };
 
 /// Synthetic IntegerLayer with a mixed bit pattern (pruned filters
-/// included) and dense random codes — the shape CQ deployments have.
+/// included) and random codes — the shape CQ deployments have — written
+/// through BitWriter in pack_layer's layout.
 deploy::IntegerLayer fabricate_integer_layer(int num_filters, std::int64_t per_filter,
                                              util::Rng& rng) {
   deploy::IntegerLayer layer;
@@ -81,8 +83,8 @@ deploy::IntegerLayer fabricate_integer_layer(int num_filters, std::int64_t per_f
   layer.range_hi = 0.9f;
   const int pattern[8] = {2, 3, 2, 1, 4, 2, 0, 2};
   layer.filter_bits.resize(static_cast<std::size_t>(num_filters));
-  layer.codes.assign(static_cast<std::size_t>(num_filters) * per_filter, 0);
   layer.bias.resize(static_cast<std::size_t>(num_filters));
+  deploy::BitWriter writer;
   for (int k = 0; k < num_filters; ++k) {
     const int b = pattern[k % 8];
     layer.filter_bits[static_cast<std::size_t>(k)] = static_cast<std::uint8_t>(b);
@@ -90,11 +92,12 @@ deploy::IntegerLayer fabricate_integer_layer(int num_filters, std::int64_t per_f
         static_cast<float>(rng.uniform(-0.5, 0.5));
     if (b == 0) continue;
     const int levels = 1 << b;
-    std::int32_t* row = layer.codes.data() + static_cast<std::size_t>(k) * per_filter;
     for (std::int64_t j = 0; j < per_filter; ++j) {
-      row[j] = static_cast<std::int32_t>(rng.uniform_int(0, levels - 1));
+      writer.append(static_cast<std::uint32_t>(rng.uniform_int(0, levels - 1)), b);
     }
   }
+  writer.align_to_byte();
+  layer.codes = std::move(writer).take();
   return layer;
 }
 

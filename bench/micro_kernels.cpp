@@ -129,8 +129,7 @@ void BM_IntegerLinearForward(benchmark::State& state) {
   nn::Linear fc(512, 256, rng);
   fc.set_filter_bits(std::vector<int>(256, bits));
   const deploy::PackedLayer packed = deploy::pack_layer(fc, "fc");
-  const deploy::IntegerLayer integer =
-      deploy::build_integer_layer(packed, std::vector<float>(256, 0.0f));
+  const deploy::IntegerLayer integer{packed, std::vector<float>(256, 0.0f)};
   const tensor::Tensor x = tensor::Tensor::rand_uniform({32, 512}, rng, 0.0f, 1.0f);
   const deploy::ActCodes codes = deploy::encode_activations(x, 1.0f, 4);
   for (auto _ : state) {
@@ -189,8 +188,7 @@ void BM_IntegerConvForwardThreaded(benchmark::State& state) {
   nn::Conv2d conv(16, 32, 3, 1, 1, rng);
   conv.set_filter_bits(std::vector<int>(32, 3));
   const deploy::PackedLayer packed = deploy::pack_layer(conv, "conv");
-  const deploy::IntegerLayer integer =
-      deploy::build_integer_layer(packed, std::vector<float>(32, 0.0f));
+  const deploy::IntegerLayer integer{packed, std::vector<float>(32, 0.0f)};
   const tensor::Tensor x = tensor::Tensor::rand_uniform({4, 16, 16, 16}, rng, 0.0f, 1.0f);
   const deploy::ActCodes codes = deploy::encode_activations(x, 1.0f, 3);
   for (auto _ : state) {
@@ -210,8 +208,7 @@ void BM_IntegerLinearForwardThreaded(benchmark::State& state) {
   nn::Linear fc(512, 256, rng);
   fc.set_filter_bits(std::vector<int>(256, 4));
   const deploy::PackedLayer packed = deploy::pack_layer(fc, "fc");
-  const deploy::IntegerLayer integer =
-      deploy::build_integer_layer(packed, std::vector<float>(256, 0.0f));
+  const deploy::IntegerLayer integer{packed, std::vector<float>(256, 0.0f)};
   const tensor::Tensor x = tensor::Tensor::rand_uniform({32, 512}, rng, 0.0f, 1.0f);
   const deploy::ActCodes codes = deploy::encode_activations(x, 1.0f, 4);
   for (auto _ : state) {
@@ -243,8 +240,7 @@ void BM_SimdConvForwardThreaded(benchmark::State& state) {
   nn::Conv2d conv(16, 32, 3, 1, 1, rng);
   conv.set_filter_bits(std::vector<int>(32, 3));
   const deploy::PackedLayer packed = deploy::pack_layer(conv, "conv");
-  const deploy::IntegerLayer integer =
-      deploy::build_integer_layer(packed, std::vector<float>(32, 0.0f));
+  const deploy::IntegerLayer integer{packed, std::vector<float>(32, 0.0f)};
   const deploy::simd::PackedSimd panels = deploy::simd::pack_simd(integer, tier, 3, 3);
   const tensor::Tensor x = tensor::Tensor::rand_uniform({4, 16, 16, 16}, rng, 0.0f, 1.0f);
   std::vector<float> out(static_cast<std::size_t>(4) * 32 * 16 * 16);
@@ -271,8 +267,7 @@ void BM_SimdLinearForwardThreaded(benchmark::State& state) {
   nn::Linear fc(512, 256, rng);
   fc.set_filter_bits(std::vector<int>(256, 4));
   const deploy::PackedLayer packed = deploy::pack_layer(fc, "fc");
-  const deploy::IntegerLayer integer =
-      deploy::build_integer_layer(packed, std::vector<float>(256, 0.0f));
+  const deploy::IntegerLayer integer{packed, std::vector<float>(256, 0.0f)};
   const deploy::simd::PackedSimd panels = deploy::simd::pack_simd(integer, tier, 4);
   const tensor::Tensor x = tensor::Tensor::rand_uniform({32, 512}, rng, 0.0f, 1.0f);
   std::vector<float> out(static_cast<std::size_t>(32) * 256);

@@ -1,9 +1,9 @@
 // plan_compile — measures deploy::compile_plan cost, deploy::verify_plan
 // cost, deploy::optimize_plan cost, and the plan footprint at both opt
 // settings (as compiled and after the optimizer pass pipeline) for the
-// three zoo models, so plan-compile regressions (time or arena bytes),
-// verifier slowdowns, and optimizer coverage losses (op-count deltas)
-// are visible in the perf-smoke CI lane's JSON artifact alongside
+// three zoo models, so plan-compile regressions (time, arena bytes or
+// the weight bytes a plan keeps resident), verifier slowdowns, and
+// optimizer coverage losses (op-count deltas) are visible in the perf-smoke CI lane's JSON artifact alongside
 // kernel_scaling. Any verifier finding on a zoo plan — at either opt
 // setting — fails the bench.
 //
@@ -21,6 +21,7 @@
 #include "deploy/passes/passes.h"
 #include "deploy/plan.h"
 #include "deploy/verify.h"
+#include "serve/model_registry.h"
 #include "serve/zoo.h"
 #include "util/cli.h"
 #include "util/table.h"
@@ -40,6 +41,7 @@ struct Result {
   std::size_t arena_bytes = 0;
   std::size_t no_reuse_bytes = 0;  ///< one fresh buffer per op output
   std::size_t integer_layers = 0;
+  std::size_t plan_bytes = 0;  ///< serve::plan_resident_bytes
   /// Optimizer pass pipeline: best-of optimize_plan cost over a fresh
   /// compile each iteration, and the optimized plan's footprint.
   double optimize_ms = 0.0;
@@ -47,6 +49,7 @@ struct Result {
   std::size_t opt_ops = 0;
   int opt_slots = 0;
   std::size_t opt_arena_bytes = 0;
+  std::size_t opt_plan_bytes = 0;
 };
 
 Result measure(const std::string& name, const deploy::QuantizedArtifact& artifact,
@@ -72,6 +75,7 @@ Result measure(const std::string& name, const deploy::QuantizedArtifact& artifac
   r.slots = plan.slot_count();
   r.arena_bytes = plan.arena_bytes();
   r.integer_layers = plan.integer_layers().size();
+  r.plan_bytes = serve::plan_resident_bytes(plan);
   for (const deploy::PlanOp& op : plan.ops()) {
     r.no_reuse_bytes +=
         plan.slots()[static_cast<std::size_t>(op.out)].numel * sizeof(float);
@@ -89,6 +93,7 @@ Result measure(const std::string& name, const deploy::QuantizedArtifact& artifac
       r.opt_ops = fresh.ops().size();
       r.opt_slots = fresh.slot_count();
       r.opt_arena_bytes = fresh.arena_bytes();
+      r.opt_plan_bytes = serve::plan_resident_bytes(fresh);
     }
   }
   return r;
@@ -109,21 +114,21 @@ int main(int argc, char** argv) {
   }
 
   util::Table table({"model", "compile ms", "verify ms", "verify", "ops", "slots",
-                     "arena B/sample", "no-reuse B", "int layers"});
+                     "arena B/sample", "no-reuse B", "int layers", "weight B"});
   bool all_clean = true;
   for (const Result& r : results) {
     table.add_row({r.name, util::Table::num(r.best_ms, 3),
                    util::Table::num(r.verify_ms, 3), r.verify_clean ? "clean" : "FAIL",
                    std::to_string(r.ops), std::to_string(r.slots),
                    std::to_string(r.arena_bytes), std::to_string(r.no_reuse_bytes),
-                   std::to_string(r.integer_layers)});
+                   std::to_string(r.integer_layers), std::to_string(r.plan_bytes)});
     all_clean = all_clean && r.verify_clean;
   }
   std::printf("compile_plan/verify_plan cost and plan footprint (best of %d)\n%s\n",
               repeat, table.render().c_str());
 
   util::Table opt({"model", "optimize ms", "ops", "ops removed", "arena B/sample",
-                   "verify"});
+                   "weight B", "verify"});
   for (const Result& r : results) {
     const double removed_pct =
         r.ops > 0 ? 100.0 * static_cast<double>(r.ops - r.opt_ops) /
@@ -135,6 +140,7 @@ int main(int argc, char** argv) {
                      util::Table::num(removed_pct, 1) + "%)",
                  std::to_string(r.arena_bytes) + " -> " +
                      std::to_string(r.opt_arena_bytes),
+                 std::to_string(r.plan_bytes) + " -> " + std::to_string(r.opt_plan_bytes),
                  r.opt_verify_clean ? "clean" : "FAIL"});
     all_clean = all_clean && r.opt_verify_clean;
   }
@@ -159,11 +165,14 @@ int main(int argc, char** argv) {
                    "\"verify_ms\": %.4f, \"ops\": %zu, "
                    "\"slots\": %d, \"arena_bytes\": %zu, "
                    "\"no_reuse_bytes\": %zu, \"integer_layers\": %zu, "
+                   "\"plan_bytes\": %zu, "
                    "\"optimize_ms\": %.4f, \"opt_ops\": %zu, "
-                   "\"opt_slots\": %d, \"opt_arena_bytes\": %zu}%s\n",
+                   "\"opt_slots\": %d, \"opt_arena_bytes\": %zu, "
+                   "\"opt_plan_bytes\": %zu}%s\n",
                    r.name.c_str(), r.best_ms, r.verify_ms, r.ops, r.slots,
-                   r.arena_bytes, r.no_reuse_bytes, r.integer_layers, r.optimize_ms,
-                   r.opt_ops, r.opt_slots, r.opt_arena_bytes,
+                   r.arena_bytes, r.no_reuse_bytes, r.integer_layers, r.plan_bytes,
+                   r.optimize_ms, r.opt_ops, r.opt_slots, r.opt_arena_bytes,
+                   r.opt_plan_bytes,
                    i + 1 == results.size() ? "" : ",");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -443,8 +443,10 @@ QuantizedArtifact load_artifact(const std::string& path) {
     layer.range_hi = r.f32();
     layer.filter_bits = r.bytes();
     layer.codes = r.bytes();
-    if (layer.num_filters < 0 || layer.weights_per_filter < 0) {
-      throw ArtifactError("load_artifact: negative layer geometry");
+    // The loader is the boundary that keeps every later row read in
+    // range: the payload must be exactly what the stored widths need.
+    if (const std::string why = layer.payload_error(); !why.empty()) {
+      throw ArtifactError("load_artifact: packed layer '" + layer.name + "': " + why);
     }
     artifact.packed_layers.push_back(std::move(layer));
   }

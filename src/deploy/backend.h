@@ -49,9 +49,9 @@ struct BackendScratch {
 ///
 /// Contract:
 ///  - prepare(plan) is called exactly once before any run() against
-///    that plan. Backends build plan-derived state there (packed
-///    weight layouts, retiled code matrices); it is the only place a
-///    backend may mutate itself.
+///    that plan. Backends build plan-derived state there (weight
+///    layouts decoded from the plan's bitstreams); it is the only
+///    place a backend may mutate itself.
 ///  - run() is const and must be safe to call concurrently from any
 ///    number of interpreter contexts (prepare()-built state is
 ///    read-only at run time; per-call mutable state lives in the

@@ -172,15 +172,17 @@ void pack_panels(const IntegerLayer& layer, std::size_t taps, std::size_t channe
   const std::size_t tile_bytes = taps * tap_stride;
   auto* const bytes = reinterpret_cast<unsigned char*>(panels);
   const auto filters = static_cast<std::size_t>(layer.num_filters);
+  FilterRows rows(layer);
+  std::vector<std::int32_t> row(taps * channels);
   for (std::size_t k = 0; k < filters; ++k) {
+    rows.read(row);
     const int b = layer.filter_bits[k];
     if (b == 0) continue;
     const std::int32_t offset = static_cast<std::int32_t>(quant::levels_for_bits(b)) - 1;
-    const std::int32_t* row = layer.codes.data() + k * taps * channels;
     unsigned char* const lane =
         bytes + k / kFilterTile * tile_bytes + k % kFilterTile * kWordBytes;
     // Reduction index j = c * taps + tap: the im2col row order of the
-    // scalar kernel and of IntegerLayer::codes.
+    // scalar kernel and of every decoded filter row.
     for (std::size_t t = 0; t < taps; ++t) {
       unsigned char* const tap_lane = lane + t * tap_stride;
       for (std::size_t c = 0; c < channels; ++c) {

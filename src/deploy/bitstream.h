@@ -37,23 +37,30 @@ class BitWriter {
   std::size_t bit_count_ = 0;  ///< bits appended (bytes_ holds ceil/8)
 };
 
-/// Sequential reader of codes written by BitWriter.
+/// Reader of codes written by BitWriter, from any bit offset. A row of
+/// same-width codes is one call: one bounds check for the whole row,
+/// then each code is cut from a 64-bit window refilled a byte at a
+/// time, never past the stream's last byte.
 class BitReader {
  public:
-  explicit BitReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+  explicit BitReader(std::span<const std::uint8_t> bytes, std::size_t bit_offset = 0)
+      : bytes_(bytes), pos_(bit_offset) {}
 
-  /// Reads the next `bits`-bit code; returns 0 for bits == 0 without
-  /// consuming anything. Throws std::out_of_range past the end.
+  /// Reads codes.size() consecutive `bits`-bit codes. bits == 0 writes
+  /// zeros without consuming anything. Throws std::invalid_argument
+  /// unless 0 <= bits <= 32, and std::out_of_range (consuming nothing)
+  /// when the row runs past the end. A 32-bit code lands as its
+  /// two's-complement int32 bit pattern.
+  void read(int bits, std::span<std::int32_t> codes);
+
+  /// Reads one `bits`-bit code: a row of one.
   std::uint32_t read(int bits);
 
   /// Skips to the next byte boundary (inverse of align_to_byte).
   void align_to_byte();
 
-  /// Bits consumed so far.
+  /// Bit cursor: the start offset plus the bits consumed since.
   std::size_t position() const { return pos_; }
-
-  /// True when fewer than `bits` bits remain.
-  bool exhausted(int bits = 1) const { return pos_ + static_cast<std::size_t>(bits) > bytes_.size() * 8; }
 
  private:
   std::span<const std::uint8_t> bytes_;

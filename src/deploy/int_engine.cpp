@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "deploy/bitstream.h"
 #include "quant/uniform.h"
 #include "tensor/ops.h"
 
@@ -11,46 +10,8 @@ namespace cq::deploy {
 
 float IntegerLayer::weight_scale(int k) const {
   const int b = filter_bits[static_cast<std::size_t>(k)];
-  if (b <= 0) return 0.0f;
-  // One step of the symmetric quantizer, halved because execution
-  // doubles the codes to keep the centering offset integral.
+  if (b <= 0 || !(range_hi > 0.0f)) return 0.0f;
   return range_hi / static_cast<float>(quant::levels_for_bits(b) - 1);
-}
-
-float IntegerLayer::weight_zero(int k) const {
-  const int b = filter_bits[static_cast<std::size_t>(k)];
-  if (b <= 0) return 0.0f;
-  return static_cast<float>(quant::levels_for_bits(b) - 1) / 2.0f;
-}
-
-IntegerLayer build_integer_layer(const PackedLayer& packed, std::vector<float> bias) {
-  if (bias.size() != static_cast<std::size_t>(packed.num_filters)) {
-    throw std::invalid_argument("build_integer_layer: bias size mismatch");
-  }
-  if (packed.filter_bits.size() != static_cast<std::size_t>(packed.num_filters)) {
-    throw std::invalid_argument("build_integer_layer: filter_bits size mismatch");
-  }
-  IntegerLayer layer;
-  layer.num_filters = packed.num_filters;
-  layer.weights_per_filter = packed.weights_per_filter;
-  layer.range_hi = packed.range_hi;
-  layer.filter_bits = packed.filter_bits;
-  layer.bias = std::move(bias);
-  layer.codes.assign(static_cast<std::size_t>(packed.num_filters) *
-                         static_cast<std::size_t>(packed.weights_per_filter),
-                     0);
-
-  BitReader reader(packed.codes);
-  for (int k = 0; k < packed.num_filters; ++k) {
-    const int b = packed.filter_bits[static_cast<std::size_t>(k)];
-    if (b == 0) continue;  // pruned: row stays zero and is skipped anyway
-    std::int32_t* row =
-        layer.codes.data() + static_cast<std::size_t>(k) * packed.weights_per_filter;
-    for (std::int64_t j = 0; j < packed.weights_per_filter; ++j) {
-      row[j] = static_cast<std::int32_t>(reader.read(b));
-    }
-  }
-  return layer;
 }
 
 ActCodes encode_activations(const tensor::Tensor& activations, float hi, int bits) {
@@ -127,10 +88,14 @@ void integer_linear_forward_into(const IntegerLayer& layer, const ActCodes& acts
   }
   const std::size_t filters = static_cast<std::size_t>(layer.num_filters);
   const std::int32_t* codes = acts.codes.data();
-  // Chunked over output filters: each thread owns whole weight rows,
-  // so every output element keeps its fixed ascending-j reduction.
+  // Chunked over output filters: each thread decodes and owns whole
+  // weight rows, so every output element keeps its fixed ascending-j
+  // reduction.
   exec.parallel_for(0, layer.num_filters, [&](std::int64_t k0, std::int64_t k1) {
+    FilterRows rows(layer, static_cast<std::int32_t>(k0));
+    std::vector<std::int32_t> w(static_cast<std::size_t>(in_features));
     for (std::int64_t k = k0; k < k1; ++k) {
+      rows.read(w);
       const int b = layer.filter_bits[static_cast<std::size_t>(k)];
       if (b == 0) {
         // Pruned filter: output (and bias) are hard zero, matching the
@@ -142,8 +107,6 @@ void integer_linear_forward_into(const IntegerLayer& layer, const ActCodes& acts
       }
       const std::int32_t offset =
           static_cast<std::int32_t>(quant::levels_for_bits(b)) - 1;
-      const std::int32_t* w =
-          layer.codes.data() + static_cast<std::size_t>(k) * in_features;
       const float scale = layer.weight_scale(static_cast<int>(k)) * acts.scale;
       const float bias = layer.bias[static_cast<std::size_t>(k)];
       for (int n = 0; n < batch; ++n) {
@@ -221,7 +184,10 @@ void integer_conv_forward_into(const IntegerLayer& layer, const ActCodes& acts,
     // centered-zero skip) cannot change a single bit of the result.
     exec.parallel_for(0, layer.num_filters, [&, out_n](std::int64_t k0, std::int64_t k1) {
       std::vector<std::int64_t> acc(spatial);
+      FilterRows rows(layer, static_cast<std::int32_t>(k0));
+      std::vector<std::int32_t> w(patch);
       for (std::int64_t k = k0; k < k1; ++k) {
+        rows.read(w);
         float* plane = out_n + static_cast<std::size_t>(k) * spatial;
         const int b = layer.filter_bits[static_cast<std::size_t>(k)];
         if (b == 0) {
@@ -231,7 +197,6 @@ void integer_conv_forward_into(const IntegerLayer& layer, const ActCodes& acts,
         }
         const std::int32_t offset =
             static_cast<std::int32_t>(quant::levels_for_bits(b)) - 1;
-        const std::int32_t* w = layer.codes.data() + static_cast<std::size_t>(k) * patch;
         std::fill(acc.begin(), acc.end(), std::int64_t{0});
         for (std::size_t j = 0; j < patch; ++j) {
           const std::int64_t wv = 2 * static_cast<std::int64_t>(w[j]) - offset;

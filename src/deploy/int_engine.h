@@ -9,7 +9,7 @@
 
 namespace cq::deploy {
 
-/// One packed layer prepared for integer-arithmetic execution.
+/// One packed layer as the plan executes it.
 ///
 /// The paper's motivation for *uniform* quantization is that it "can
 /// be implemented on existing neural network processors directly":
@@ -17,31 +17,19 @@ namespace cq::deploy {
 /// range, every MAC becomes an integer multiply-accumulate
 ///     y = s_w * s_a * sum_j (q_w[j] - z_w) * q_a[j]
 /// where q are the integer codes, z_w = (2^bits - 1) / 2 recentres the
-/// weight codes and the two scales are applied once per output. This
-/// struct holds the unpacked integer codes; build_integer_layer()
-/// produces it straight from a PackedLayer without ever materializing
-/// float weights.
-struct IntegerLayer {
-  std::int32_t num_filters = 0;
-  std::int64_t weights_per_filter = 0;
-  float range_hi = 0.0f;
-  std::vector<std::uint8_t> filter_bits;
-  /// Dense [num_filters, weights_per_filter] code matrix; rows of
-  /// pruned (0-bit) filters are all zero and skipped at execution.
-  std::vector<std::int32_t> codes;
+/// weight codes and the two scales are applied once per output. The
+/// layer is the artifact's PackedLayer — per-filter widths plus the
+/// bit-packed codes, the only stored form of integer weights — and its
+/// float bias; the kernels decode filter rows through FilterRows.
+struct IntegerLayer : PackedLayer {
   std::vector<float> bias;  ///< per-filter float bias (not quantized)
 
-  /// Weight scale of filter k: one quantization step at its bit-width.
+  /// Weight scale of filter k: one step of the symmetric quantizer,
+  /// halved because execution doubles the codes to keep the centering
+  /// offset integral. 0 for a pruned filter and for a degenerate clip
+  /// range, whose unpruned filters then output exactly their bias.
   float weight_scale(int k) const;
-  /// Centering offset of filter k's codes ((levels - 1) / 2 as float;
-  /// integer execution doubles the codes to keep it integral).
-  float weight_zero(int k) const;
 };
-
-/// Expands a PackedLayer's bitstream into the integer code matrix.
-/// `bias` must hold one entry per filter (pass zeros when the layer
-/// has none). Throws std::invalid_argument on size mismatch.
-IntegerLayer build_integer_layer(const PackedLayer& packed, std::vector<float> bias);
 
 /// Quantizes a float activation tensor to integer codes under the
 /// calibrated [0, hi] range with `bits` levels (the ActQuant setting),
@@ -81,10 +69,11 @@ void cast_codes_into(const float* codes, std::size_t count, float hi, int bits,
 /// + bias[k] over a [N, weights_per_filter] activation-code matrix
 /// with pure integer accumulation (std::int64_t, no wrap). This is the
 /// arithmetic an integer NPU would run; the float fake-quant forward
-/// is its reference semantics.
+/// is its reference semantics. Each filter's codes are decoded from the
+/// bitstream on every call.
 ///
 /// Intra-op parallelism: output filters chunk over `exec` (each thread
-/// owns whole rows of the weight-code matrix). Integer accumulation is
+/// decodes and owns whole weight rows). Integer accumulation is
 /// exact and the one float rescale per output is unchanged, so results
 /// are byte-identical at every thread count.
 tensor::Tensor integer_linear_forward(const IntegerLayer& layer, const ActCodes& acts,

@@ -3,8 +3,10 @@
 // The integer-path accumulator overflow bound, in one place.
 //
 // The simd backend's kernel choice and the plan verifier's overflow
-// certification must make the *same* decision from the same numbers: a reduction over `terms` products of centered doubled
-// weight codes (|w| <= max_abs_weight) and activation codes
+// certification must make the *same* decision from the same numbers,
+// both decoded from the layer's one stored bitstream: a reduction over
+// `terms` products of centered doubled weight codes
+// (|w| <= max_abs_weight) and activation codes
 // (0 <= a <= levels(act_bits) - 1) is bounded by
 //
 //     max|acc| <= max_abs_weight * act_max * terms
@@ -14,8 +16,10 @@
 // deploy::verify_plan — makes it impossible for the backend and the
 // verifier to disagree about when the narrow accumulator is licensed.
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "deploy/int_engine.h"
 #include "quant/uniform.h"
@@ -25,21 +29,27 @@ namespace cq::deploy {
 /// Largest |centered doubled code| (2q - (levels-1), the value the
 /// integer MAC loops actually multiply by) over every unpruned filter
 /// of the layer. Pruned (0-bit) rows contribute nothing, matching the
-/// kernels, which skip them. This scans the *actual* codes rather than
-/// trusting filter_bits, so a code inflated past its declared
-/// bit-width widens the bound instead of silently invalidating it.
+/// kernels, which skip them. This decodes the *actual* codes rather
+/// than assuming each filter's widest one, so the bound stays as tight
+/// as the data allows; the layer must pass PackedLayer::payload_error().
 inline std::int32_t max_abs_centered_code(const IntegerLayer& layer) {
   std::int32_t max_abs = 0;
-  const std::int64_t per_filter = layer.weights_per_filter;
+  FilterRows rows(layer);
+  std::vector<std::int32_t> row(static_cast<std::size_t>(layer.weights_per_filter));
   for (std::int32_t k = 0; k < layer.num_filters; ++k) {
     const int bits = layer.filter_bits[static_cast<std::size_t>(k)];
-    if (bits == 0) continue;
+    // |2q - offset| <= offset for every b-bit code q, so a row whose
+    // offset the max already reaches cannot raise it (pruned rows have
+    // offset 0): skipping it leaves the result exact.
     const std::int32_t offset =
         static_cast<std::int32_t>(quant::levels_for_bits(bits)) - 1;
-    const std::int32_t* row =
-        layer.codes.data() + static_cast<std::size_t>(k) * static_cast<std::size_t>(per_filter);
-    for (std::int64_t j = 0; j < per_filter; ++j) {
-      const std::int32_t centered = 2 * row[j] - offset;
+    if (offset <= max_abs) {
+      rows.skip();
+      continue;
+    }
+    rows.read(row);
+    for (const std::int32_t code : row) {
+      const std::int32_t centered = 2 * code - offset;
       max_abs = std::max(max_abs, centered < 0 ? -centered : centered);
     }
   }

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "deploy/bitstream.h"
 #include "quant/bitwidth.h"
 
 namespace cq::deploy {
@@ -28,6 +30,44 @@ struct PackedLayer {
   /// denominator — the artifact-level analogue of the paper's average
   /// bit-width statistic.
   double bits_per_weight() const;
+
+  /// Why `codes` cannot be this layer's payload, or "" when it can: one
+  /// width per filter, every width <= 16 (pack_layer's limit), and
+  /// exactly the bytes the stored widths need — none at all when the
+  /// clip range is degenerate (range_hi <= 0: an all-zero layer, whose
+  /// codes all read as 0). Never overflows, for any field values, so
+  /// load_artifact and verify_plan's code-range rule run it before any
+  /// row is read.
+  std::string payload_error() const;
+};
+
+/// Decodes a PackedLayer's filter rows in order, from filter `first`
+/// (0 <= first <= num_filters) on. This and pack_layer are the only code that knows the payload
+/// layout (filters in order, each unpruned filter's weights at its own
+/// width): the scalar reference kernels, the SIMD panel packer, the
+/// overflow bound and unpack_layer all read weights through it. The
+/// layer must outlive the reader and pass payload_error(); a row
+/// running past the payload throws std::out_of_range.
+class FilterRows {
+ public:
+  explicit FilterRows(const PackedLayer& layer, std::int32_t first = 0);
+
+  /// Decodes the next filter's weights_per_filter codes into `row`
+  /// (all 0 for a pruned filter or a degenerate range) and advances.
+  /// Throws std::invalid_argument when row has another length.
+  void read(std::span<std::int32_t> row);
+
+  /// Advances past the next filter without decoding it.
+  void skip();
+
+ private:
+  /// Moves to the next filter, returning the bits each of its codes
+  /// occupies; throws std::invalid_argument past the last filter.
+  int advance();
+
+  const PackedLayer& layer_;
+  std::int32_t next_ = 0;
+  BitReader reader_;
 };
 
 /// Snapshots `layer` (which must have per-filter bits assigned) into a

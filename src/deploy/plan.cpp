@@ -51,8 +51,9 @@ std::string epilogue_suffix(const PlanOp& op) {
 
 namespace {
 
-/// Bias vector of a quantizable layer (fed to build_integer_layer; the
-/// kernels add it per output and suppress it for pruned filters).
+/// Bias vector of a quantizable layer (kept beside its packed codes in
+/// the IntegerLayer; the kernels add it per output and suppress it for
+/// pruned filters).
 std::vector<float> bias_of(quant::QuantizableLayer& layer) {
   nn::Parameter* bias = nullptr;
   if (auto* conv = dynamic_cast<nn::Conv2d*>(&layer)) {
@@ -122,8 +123,7 @@ class PlanCompiler {
     std::size_t next = 0;
     for (const nn::ScoredLayerRef& ref : model_->scored_layers()) {
       for (quant::QuantizableLayer* layer : ref.layers) {
-        plan_.integer_layers_.push_back(
-            build_integer_layer(artifact_.packed_layers[next], bias_of(*layer)));
+        plan_.integer_layers_.push_back({artifact_.packed_layers[next], bias_of(*layer)});
         integer_index_.emplace(as_module(layer), static_cast<int>(next));
         ++next;
       }

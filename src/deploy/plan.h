@@ -115,8 +115,8 @@ class PlanCompiler;
 /// compile_plan() walks the training-side module tree exactly once,
 /// ahead of time: it performs shape inference, decides per layer
 /// whether the integer or the float path runs (the activation grid is
-/// a compile-time constant), expands packed layers into integer code
-/// matrices, snapshots the float-path weights, and lays out a
+/// a compile-time constant), keeps each packed layer's bitstream with
+/// its bias, snapshots the float-path weights, and lays out a
 /// slot-lifetime-planned arena. The result is immutable and shared
 /// read-only by any number of interpreter contexts; executing it never
 /// touches an nn::Module, so new backends dispatch on op records
@@ -134,7 +134,8 @@ class ExecutionPlan {
   /// Arena footprint in floats per sample.
   std::size_t arena_floats() const { return arena_floats_; }
 
-  /// Expanded integer code matrices, indexed by PlanOp::layer.
+  /// The artifact's packed integer layers (bit-packed codes + bias),
+  /// indexed by PlanOp::layer.
   const std::vector<IntegerLayer>& integer_layers() const { return integer_layers_; }
 
   int input_slot() const { return input_slot_; }

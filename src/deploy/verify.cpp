@@ -20,7 +20,6 @@
 
 #include "deploy/arena.h"
 #include "deploy/overflow.h"
-#include "quant/uniform.h"
 
 namespace cq::deploy {
 
@@ -457,9 +456,10 @@ class Verifier {
   }
 
   /// Rule 4: integer-path certification. Layer references and geometry
-  /// must match the op records; every code must respect its declared
-  /// bit-width (the premise of the overflow bound); and the
-  /// accumulator bound — recomputed from the actual codes through
+  /// must match the op records; the payload must be exactly what the
+  /// declared widths (each <= 16) need, so every code is readable at
+  /// its width (the premise of the overflow bound); and the
+  /// accumulator bound — recomputed from the decoded codes through
   /// deploy/overflow.h, the helpers simd::pack_simd chooses kernels
   /// with — must certify int64 safety. The certificate also records
   /// whether the SIMD kernels may run the op (int32) and whether the
@@ -504,42 +504,20 @@ class Verifier {
                 "] does not match the op record [" + std::to_string(want_filters) +
                 " x " + std::to_string(want_terms) + "]");
       }
-      const auto filters = static_cast<std::size_t>(layer.num_filters);
-      if (layer.filter_bits.size() != filters || layer.bias.size() != filters ||
-          layer.num_filters < 0 || layer.weights_per_filter < 0 ||
-          layer.codes.size() !=
-              filters * static_cast<std::size_t>(layer.weights_per_filter)) {
+      if (layer.num_filters < 0 || layer.weights_per_filter < 0 ||
+          layer.filter_bits.size() != static_cast<std::size_t>(layer.num_filters) ||
+          layer.bias.size() != layer.filter_bits.size()) {
         add(VerifyRule::IntLayer, i, -1,
-            "layer metadata sizes (filter_bits/codes/bias) are inconsistent");
-        continue;  // the code scan below cannot run safely
+            "layer metadata sizes (filter_bits/bias) are inconsistent");
+        continue;  // nothing below can index the layer safely
       }
-
-      bool scannable = true;
-      for (std::size_t k = 0; k < filters; ++k) {
-        const int bits = layer.filter_bits[k];
-        if (bits > 16) {
-          add(VerifyRule::CodeRange, i, -1,
-              "filter " + std::to_string(k) + " declares " + std::to_string(bits) +
-                  " bits, outside the representable [0, 16]");
-          scannable = false;
-          continue;
-        }
-        const std::int32_t levels = quant::levels_for_bits(bits);
-        const std::int32_t* row =
-            layer.codes.data() + k * static_cast<std::size_t>(layer.weights_per_filter);
-        for (std::int64_t j = 0; j < layer.weights_per_filter; ++j) {
-          const bool in_range =
-              bits == 0 ? row[j] == 0 : row[j] >= 0 && row[j] < levels;
-          if (!in_range) {
-            add(VerifyRule::CodeRange, i, -1,
-                "filter " + std::to_string(k) + " code " + std::to_string(row[j]) +
-                    " exceeds its " + std::to_string(bits) +
-                    "-bit range — the overflow bound no longer holds");
-            break;  // one finding per filter is enough to name the rule
-          }
-        }
+      // A b-bit field cannot hold a larger code, so a payload of exactly
+      // the bytes the declared widths need is the whole range proof.
+      if (const std::string why = layer.payload_error(); !why.empty()) {
+        add(VerifyRule::CodeRange, i, -1,
+            why + " — the codes cannot be read at their declared widths");
+        continue;  // the certificate below decodes every row
       }
-      if (!scannable) continue;
 
       IntOpCertificate cert;
       cert.op = i;

@@ -27,8 +27,9 @@ enum class VerifyRule {
                      ///  and only over an in0 that dies at the op
   IntLayer,          ///< integer ops reference a real IntegerLayer whose
                      ///  geometry and metadata match the op record
-  CodeRange,         ///< weight codes respect their declared bit-width
-                     ///  (the premise of the overflow bound); pruned rows zero
+  CodeRange,         ///< the packed payload is exactly the bytes the declared
+                     ///  widths (each <= 16) need, so every code is read at
+                     ///  its width (the premise of the overflow bound)
   Overflow,          ///< the recomputed accumulator bound certifies int64
                      ///  safety (and fixes the int32 fast-path decision)
   Epilogue,          ///< fused epilogue flags only on compute ops, with legal
@@ -56,9 +57,10 @@ struct PlanDiagnostic {
 };
 
 /// Overflow certificate of one integer op: the bound recomputed from
-/// the actual packed codes via deploy/overflow.h — the same helpers
-/// simd::pack_simd chooses kernels with, so the fast-path flags
-/// recorded here are by construction the decisions the backend takes.
+/// the codes decoded out of the layer's bitstream via
+/// deploy/overflow.h — the same helpers simd::pack_simd chooses
+/// kernels with, so the fast-path flags recorded here are by
+/// construction the decisions the backend takes.
 struct IntOpCertificate {
   int op = -1;
   int layer = -1;                  ///< PlanOp::layer

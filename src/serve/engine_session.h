@@ -54,7 +54,7 @@ enum class PlanOpt { kO0, kO1 };
 /// plus reused code/im2col scratch, so steady-state serving allocates
 /// nothing per request beyond the returned tensor); callers beyond the
 /// context count block until one frees up. The plan — op records,
-/// integer code matrices, float weights — is shared read-only.
+/// packed integer codes, float weights — is shared read-only.
 ///
 /// Batching invariant: every op treats batch samples independently
 /// with a fixed per-sample reduction order, so outputs are bit-exact
@@ -90,7 +90,7 @@ class EngineSession {
                          PlanCheck check = PlanCheck::kNone);
 
   /// Shares one immutable compiled plan across any number of sessions
-  /// without copying its weights/code matrices. Throws
+  /// without copying its weights or packed codes. Throws
   /// std::invalid_argument on a null plan, deploy::ArtifactError when
   /// PlanCheck::kStrict finds invariant violations.
   explicit EngineSession(std::shared_ptr<const deploy::ExecutionPlan> plan,

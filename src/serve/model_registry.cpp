@@ -35,7 +35,7 @@ std::size_t plan_resident_bytes(const deploy::ExecutionPlan& plan) {
              sizeof(float);
   }
   for (const deploy::IntegerLayer& layer : plan.integer_layers()) {
-    bytes += layer.codes.size() * sizeof(std::int32_t);
+    bytes += layer.codes.size();
     bytes += layer.filter_bits.size();
     bytes += layer.bias.size() * sizeof(float);
   }

@@ -32,7 +32,7 @@ class RegistryError : public std::runtime_error {
 struct ModelConfig {
   ServerConfig server;
   /// Hard cap on the model's resident bytes (compiled plan weights and
-  /// code matrices + per-context arenas + backend-prepared packed
+  /// packed codes + per-context arenas + backend-prepared packed
   /// state), enforced at load/swap time: a version that would exceed
   /// it is refused with RegistryError and — on swap — the previous
   /// version keeps serving. 0 = unlimited.
@@ -60,8 +60,8 @@ struct ModelInfo {
 };
 
 /// Bytes an ExecutionPlan keeps resident per se: float weights, bias
-/// and BN vectors inline in the ops, plus the expanded integer code
-/// matrices. Arena and backend-prepared bytes are charged separately
+/// and BN vectors inline in the ops, plus each integer layer's packed
+/// codes, widths and bias. Arena and backend-prepared bytes are charged separately
 /// (they scale with contexts / backend choice).
 std::size_t plan_resident_bytes(const deploy::ExecutionPlan& plan);
 

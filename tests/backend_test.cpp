@@ -21,11 +21,15 @@
 #include <thread>
 #include <vector>
 
+#include "deploy/artifact.h"
 #include "deploy/backend.h"
 #include "deploy/cpu_features.h"
 #include "deploy/int_engine.h"
 #include "deploy/plan.h"
 #include "deploy/verify.h"
+#include "layer_fixtures.h"
+#include "nn/linear.h"
+#include "nn/models/mlp.h"
 #include "serve/engine_session.h"
 #include "serve_fixtures.h"
 #include "tensor/tensor.h"
@@ -38,30 +42,26 @@ namespace {
 
 using tensor::Tensor;
 
-/// Random IntegerLayer whose filter k has filter_bits[k % size] bits
-/// (0 = pruned: an all-zero row), with random codes and biases.
+/// Random IntegerLayer whose filter k has bits[k % size] bits (0 =
+/// pruned: no stored row), with random codes and biases.
 IntegerLayer random_integer_layer(int num_filters, std::int64_t per_filter,
                                   const std::vector<int>& bits, util::Rng& rng) {
-  IntegerLayer layer;
-  layer.num_filters = num_filters;
-  layer.weights_per_filter = per_filter;
-  layer.range_hi = 0.8f;
-  layer.filter_bits.resize(static_cast<std::size_t>(num_filters));
-  layer.codes.assign(static_cast<std::size_t>(num_filters) * per_filter, 0);
-  layer.bias.resize(static_cast<std::size_t>(num_filters));
+  std::vector<std::uint8_t> widths(static_cast<std::size_t>(num_filters));
+  std::vector<std::int32_t> codes(static_cast<std::size_t>(num_filters) * per_filter, 0);
+  std::vector<float> bias(static_cast<std::size_t>(num_filters));
   for (int k = 0; k < num_filters; ++k) {
     const int b = bits[static_cast<std::size_t>(k) % bits.size()];
-    layer.filter_bits[static_cast<std::size_t>(k)] = static_cast<std::uint8_t>(b);
-    layer.bias[static_cast<std::size_t>(k)] =
-        static_cast<float>(rng.uniform(-0.5, 0.5));
+    widths[static_cast<std::size_t>(k)] = static_cast<std::uint8_t>(b);
+    bias[static_cast<std::size_t>(k)] = static_cast<float>(rng.uniform(-0.5, 0.5));
     if (b == 0) continue;
     const int levels = 1 << b;
-    std::int32_t* row = layer.codes.data() + static_cast<std::size_t>(k) * per_filter;
+    std::int32_t* row = codes.data() + static_cast<std::size_t>(k) * per_filter;
     for (std::int64_t j = 0; j < per_filter; ++j) {
       row[j] = static_cast<std::int32_t>(rng.uniform_int(0, levels - 1));
     }
   }
-  return layer;
+  return integer_layer_from_codes(std::move(widths), per_filter, 0.8f, codes,
+                                  std::move(bias));
 }
 
 /// The mixed pattern real CQ artifacts have, pruned rows included.
@@ -513,9 +513,7 @@ TEST(BackendIdentity, ThreadedEpilogueMatchesSerial) {
 // kernels, 16-bit: generic); the linear twin follows.
 TEST(BackendIdentity, PrunedRowsAreHardZero) {
   util::Rng rng(303);
-  IntegerLayer layer = random_integer_layer(9, 4 * 3 * 3, rng);
-  std::fill(layer.filter_bits.begin(), layer.filter_bits.end(), std::uint8_t{0});
-  std::fill(layer.codes.begin(), layer.codes.end(), 0);
+  const IntegerLayer layer = random_integer_layer(9, 4 * 3 * 3, {0}, rng);
   for (const int act_bits : {3, 9, 16}) {
     const std::vector<float> acts = random_float_codes(2 * 4 * 6 * 6, act_bits, rng);
     for (const SimdTier tier : reachable_simd_tiers()) {
@@ -534,9 +532,7 @@ TEST(BackendIdentity, PrunedRowsAreHardZero) {
 
 TEST(BackendIdentity, SimdPrunedRowsAreHardZero) {
   util::Rng rng(707);
-  IntegerLayer layer = random_integer_layer(9, 18, rng);
-  std::fill(layer.filter_bits.begin(), layer.filter_bits.end(), std::uint8_t{0});
-  std::fill(layer.codes.begin(), layer.codes.end(), 0);
+  const IntegerLayer layer = random_integer_layer(9, 18, {0}, rng);
   const std::vector<float> acts = random_float_codes(3 * 18, 4, rng);
   for (const SimdTier tier : reachable_simd_tiers()) {
     const simd::PackedSimd packed = simd::pack_simd(layer, tier, 4);
@@ -566,8 +562,8 @@ void expect_unpacked(const simd::PackedSimd& packed) {
 
 TEST(BackendIdentity, SimdHighBitLayersAreNotPackable) {
   util::Rng rng(808);
-  IntegerLayer layer = random_integer_layer(4, 10, rng);
-  layer.filter_bits[2] = 16;  // centered codes would overflow int16
+  // Filter 2's centered 16-bit codes would overflow int16.
+  const IntegerLayer layer = random_integer_layer(4, 10, {2, 3, 16, 1}, rng);
   for (const SimdTier tier : reachable_simd_tiers()) {
     expect_unpacked(simd::pack_simd(layer, tier, 4));
   }
@@ -579,7 +575,12 @@ TEST(BackendIdentity, SimdHighBitLayersAreNotPackable) {
 /// output stays byte-identical.
 TEST(BackendIdentity, HighBitLayersFallBackToScalar) {
   ExecutionPlan compiled = compile_plan(serve::tiny_mlp_artifact());
-  PlanRewriter(compiled).integer_layers()[0].filter_bits[0] = 16;
+  // Filter 0 of layer 0 re-stored at 16 bits: same code values.
+  IntegerLayer& widened = PlanRewriter(compiled).integer_layers()[0];
+  std::vector<std::uint8_t> bits = widened.filter_bits;
+  bits[0] = 16;
+  widened = integer_layer_from_codes(std::move(bits), widened.weights_per_filter,
+                                     widened.range_hi, decode_rows(widened), widened.bias);
   ASSERT_TRUE(verify_plan(compiled).clean());
   const auto plan = std::make_shared<const ExecutionPlan>(std::move(compiled));
   serve::EngineSession scalar(plan, 1);
@@ -604,6 +605,56 @@ TEST(BackendIdentity, HighBitLayersFallBackToScalar) {
     const Tensor out = session.run(input);
     expect_bytes_equal(out.data(), expected.data(), expected.numel(),
                        std::string("16-bit layer tier=") + simd_tier_name(tier));
+  }
+}
+
+/// A quantized layer whose weights are all zero has a degenerate clip
+/// range (range_hi 0): pack_layer stores no payload for it, and its
+/// rows read as code 0 at weight scale 0, so each unpruned filter
+/// outputs exactly its bias, as in the fake-quant forward. The model
+/// must compile and serve byte-identically on both backends.
+TEST(BackendIdentity, AllZeroLayerServesItsBias) {
+  nn::MlpConfig config;
+  config.in_features = 6;
+  config.hidden = {8, 8};
+  config.num_classes = 8;
+  nn::Mlp mlp(config);
+  const Tensor calib = serve::random_batch({6}, 16, 61);
+  mlp.calibrate_activations(calib, 16);
+  mlp.set_activation_bits(3);
+  for (const nn::ScoredLayerRef& ref : mlp.scored_layers()) {
+    for (quant::QuantizableLayer* layer : ref.layers) {
+      for (int k = 0; k < layer->num_filters(); ++k) {
+        for (float& w : layer->mutable_filter_weights(k)) w = 0.0f;
+      }
+      layer->set_filter_bits(
+          std::vector<int>(static_cast<std::size_t>(layer->num_filters()), 3));
+    }
+  }
+  auto& fc1 = dynamic_cast<nn::Linear&>(*mlp.scored_layers()[0].layers[0]);
+  for (std::size_t k = 0; k < 8; ++k) fc1.bias().value[k] = 0.125f * static_cast<float>(k);
+  const QuantizedArtifact artifact = export_model(mlp);
+  ASSERT_EQ(1u, artifact.packed_layers.size());
+  EXPECT_EQ(0.0f, artifact.packed_layers[0].range_hi);
+  EXPECT_TRUE(artifact.packed_layers[0].codes.empty());
+
+  const Tensor input = serve::random_batch({6}, 5, 62);
+  const Tensor expected = instantiate(artifact)->forward(input);
+  const auto plan = std::make_shared<const ExecutionPlan>(compile_plan(artifact));
+  ASSERT_TRUE(verify_plan(*plan).clean()) << format_diagnostics(verify_plan(*plan));
+  ASSERT_EQ(1, std::count_if(plan->ops().begin(), plan->ops().end(), [](const PlanOp& op) {
+              return op.kind == OpKind::IntLinear;
+            }));
+  serve::EngineSession scalar(plan, 1);
+  const Tensor out = scalar.run(input);
+  ASSERT_EQ(expected.shape(), out.shape());
+  for (std::size_t i = 0; i < out.numel(); ++i) EXPECT_EQ(expected[i], out[i]) << i;
+  for (const SimdTier tier : reachable_simd_tiers()) {
+    ForcedTier forced(tier);
+    serve::EngineSession simd(plan, 1, {}, make_backend(BackendKind::Simd));
+    const Tensor simd_out = simd.run(input);
+    expect_bytes_equal(simd_out.data(), out.data(), out.numel(),
+                       std::string("all-zero layer tier=") + simd_tier_name(tier));
   }
 }
 

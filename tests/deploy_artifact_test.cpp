@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -329,6 +330,60 @@ TEST(Artifact, LoadRejectsTrailingGarbage) {
   std::ofstream(path, std::ios::binary | std::ios::app) << "EXTRA";
   EXPECT_THROW(load_artifact(path), ArtifactError);
   std::remove(path.c_str());
+}
+
+/// Saves the MLP fixture's artifact with `mutate` applied to its one
+/// packed layer (fc1: 8 filters x 8 weights at the 4,3,2,1,0 widths,
+/// 19 payload bytes) and expects load_artifact to refuse it.
+/// save_artifact writes a fresh CRC, so only the structural check can.
+void expect_packed_mutation_rejected(const std::string& name,
+                                     const std::function<void(PackedLayer&)>& mutate) {
+  nn::MlpConfig config;
+  config.in_features = 6;
+  config.hidden = {8, 8};
+  nn::Mlp mlp(config);
+  util::Rng rng(17);
+  quantize_for_test(mlp, Tensor::randn({4, 6}, rng));
+  QuantizedArtifact artifact = export_model(mlp);
+  ASSERT_EQ(1u, artifact.packed_layers.size());
+  const std::string path = temp_path(name + ".cqar");
+  save_artifact(path, artifact);
+  EXPECT_EQ(19u, load_artifact(path).packed_layers[0].codes.size());  // control
+  mutate(artifact.packed_layers[0]);
+  save_artifact(path, artifact);
+  EXPECT_THROW(load_artifact(path), ArtifactError) << name;
+  std::remove(path.c_str());
+}
+
+TEST(Artifact, LoadRejectsPayloadOneByteShort) {
+  expect_packed_mutation_rejected("short", [](PackedLayer& layer) { layer.codes.pop_back(); });
+}
+
+TEST(Artifact, LoadRejectsEmptyPayload) {
+  expect_packed_mutation_rejected("empty", [](PackedLayer& layer) { layer.codes.clear(); });
+}
+
+TEST(Artifact, LoadRejectsFilterWidenedPastSixteenBits) {
+  expect_packed_mutation_rejected("wide20",
+                                  [](PackedLayer& layer) { layer.filter_bits[0] = 20; });
+}
+
+TEST(Artifact, LoadRejectsFilterWidenedPastThirtyTwoBits) {
+  expect_packed_mutation_rejected("wide40",
+                                  [](PackedLayer& layer) { layer.filter_bits[0] = 40; });
+}
+
+TEST(Artifact, LoadRejectsPayloadSizeThatOverflows) {
+  // 19 stored bits per weight column times 2^61 weights wraps 64 bits:
+  // the size check must refuse it without computing the wrapped product.
+  expect_packed_mutation_rejected("overflow", [](PackedLayer& layer) {
+    layer.weights_per_filter = std::int64_t{1} << 61;
+  });
+}
+
+TEST(Artifact, LoadRejectsMissingFilterWidth) {
+  expect_packed_mutation_rejected("widths",
+                                  [](PackedLayer& layer) { layer.filter_bits.pop_back(); });
 }
 
 /// Writes a CRC-valid artifact whose payload is one dense tensor "p0"

@@ -82,6 +82,64 @@ TEST(BitReader, ThrowsPastEndOfStream) {
   EXPECT_THROW(r.read(1), std::out_of_range);
 }
 
+TEST(BitReader, RowPastEndThrowsAndConsumesNothing) {
+  BitWriter w;
+  for (int i = 0; i < 5; ++i) w.append(5, 3);  // 15 bits: 2 bytes
+  BitReader r(w.bytes(), 1);
+  std::vector<std::int32_t> row(6);  // 1 + 6 * 3 = 19 bits > 16
+  EXPECT_THROW(r.read(3, row), std::out_of_range);
+  EXPECT_EQ(r.position(), 1u);
+  EXPECT_THROW(BitReader(w.bytes(), 17).read(1), std::out_of_range);
+  row.resize(5);  // 1 + 15 = 16 bits: ends exactly on the last byte
+  r.read(3, row);
+  EXPECT_EQ(r.position(), 16u);
+}
+
+TEST(BitReader, RejectsBadWidth) {
+  BitWriter w;
+  w.append(0xFFFFFFFFu, 32);
+  BitReader r(w.bytes());
+  std::vector<std::int32_t> row(1);
+  EXPECT_THROW(r.read(-1, row), std::invalid_argument);
+  EXPECT_THROW(r.read(33, row), std::invalid_argument);
+  EXPECT_THROW(r.read(33), std::invalid_argument);
+  EXPECT_EQ(r.position(), 0u);
+}
+
+/// Row reads against BitWriter output at every width 0-16, every start
+/// offset within a byte (behind 0-2 whole bytes) and row lengths 0-70.
+/// Each stream is copied into an exactly sized buffer and the row is the
+/// last thing written, so it ends on the buffer's last byte: a window
+/// refill that read one byte too far would show under ASan.
+TEST(BitReader, SeededRowsRoundTripAtEveryOffset) {
+  util::Rng rng(4242);
+  for (int bits = 0; bits <= 16; ++bits) {
+    const std::uint32_t max_code = bits == 0 ? 0u : (1u << bits) - 1u;
+    for (int offset = 0; offset < 8; ++offset) {
+      for (int length = 0; length <= 70; ++length) {
+        const int lead_bytes = static_cast<int>(rng.uniform_int(0, 2));
+        const std::size_t start = static_cast<std::size_t>(8 * lead_bytes + offset);
+        BitWriter w;
+        for (std::size_t i = 0; i < start; ++i) {
+          w.append(static_cast<std::uint32_t>(rng.uniform_int(0, 1)), 1);
+        }
+        std::vector<std::int32_t> expected(static_cast<std::size_t>(length));
+        for (std::int32_t& code : expected) {
+          code = static_cast<std::int32_t>(rng.uniform_int(0, max_code));
+          w.append(static_cast<std::uint32_t>(code), bits);
+        }
+        const std::vector<std::uint8_t> exact(w.bytes().begin(), w.bytes().end());
+        BitReader r(exact, start);
+        std::vector<std::int32_t> row(expected.size(), -1);
+        r.read(bits, row);
+        ASSERT_EQ(row, expected) << "bits " << bits << " start " << start << " length "
+                                 << length;
+        ASSERT_EQ(r.position(), start + expected.size() * static_cast<std::size_t>(bits));
+      }
+    }
+  }
+}
+
 TEST(BitReader, AlignMirrorsWriter) {
   BitWriter w;
   w.append(0b11, 2);

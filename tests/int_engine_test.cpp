@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "deploy/int_engine.h"
+#include "layer_fixtures.h"
 #include "nn/act_quant.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -15,28 +16,19 @@ namespace {
 
 using tensor::Tensor;
 
-TEST(BuildIntegerLayer, RejectsBiasSizeMismatch) {
-  util::Rng rng(1);
-  nn::Linear layer(4, 3, rng);
-  layer.set_filter_bits({2, 2, 2});
-  const PackedLayer packed = pack_layer(layer, "fc");
-  EXPECT_THROW(build_integer_layer(packed, {0.0f, 0.0f}), std::invalid_argument);
-}
-
-TEST(BuildIntegerLayer, CodesMatchDirectEncoding) {
+TEST(FilterRows, CodesMatchDirectEncoding) {
   util::Rng rng(2);
   nn::Linear layer(8, 4, rng);
   layer.set_filter_bits({4, 3, 0, 2});
   const PackedLayer packed = pack_layer(layer, "fc");
-  const IntegerLayer integer =
-      build_integer_layer(packed, std::vector<float>(4, 0.0f));
+  const std::vector<std::int32_t> codes = decode_rows(packed);
 
   const quant::UniformRange range{-packed.range_hi, packed.range_hi};
   for (int k = 0; k < 4; ++k) {
     const int b = layer.filter_bits()[static_cast<std::size_t>(k)];
     const auto weights = layer.filter_weights(k);
     for (int j = 0; j < 8; ++j) {
-      const std::int32_t code = integer.codes[static_cast<std::size_t>(k) * 8 + j];
+      const std::int32_t code = codes[static_cast<std::size_t>(k) * 8 + j];
       if (b == 0) {
         EXPECT_EQ(code, 0);
       } else {
@@ -44,21 +36,56 @@ TEST(BuildIntegerLayer, CodesMatchDirectEncoding) {
       }
     }
   }
+  // A reader started at any filter sees that filter's row onward.
+  std::vector<std::int32_t> row(8);
+  for (std::int32_t first = 0; first < 4; ++first) {
+    FilterRows rows(packed, first);
+    for (std::int32_t k = first; k < 4; ++k) {
+      rows.read(row);
+      for (int j = 0; j < 8; ++j) {
+        EXPECT_EQ(row[static_cast<std::size_t>(j)],
+                  codes[static_cast<std::size_t>(k) * 8 + j])
+            << "first " << first << " filter " << k;
+      }
+    }
+    EXPECT_THROW(rows.read(row), std::invalid_argument);  // past the last filter
+  }
+  // Skipping a filter lands the reader on the next one's row.
+  FilterRows alternate(packed);
+  for (std::int32_t k = 0; k < 4; ++k) {
+    if (k % 2 == 0) {
+      alternate.skip();
+      continue;
+    }
+    alternate.read(row);
+    for (int j = 0; j < 8; ++j) {
+      EXPECT_EQ(row[static_cast<std::size_t>(j)], codes[static_cast<std::size_t>(k) * 8 + j]);
+    }
+  }
+  EXPECT_THROW(alternate.skip(), std::invalid_argument);
+  EXPECT_THROW(FilterRows(packed, 5), std::invalid_argument);
+  EXPECT_THROW(FilterRows(packed).read(std::span<std::int32_t>(row).first(7)),
+               std::invalid_argument);
 }
 
-TEST(BuildIntegerLayer, ReconstructedWeightsMatchDecode) {
+TEST(FilterRows, ReconstructedWeightsMatchDecode) {
   util::Rng rng(3);
-  nn::Linear layer(10, 3, rng);
-  layer.set_filter_bits({4, 2, 1});
-  const PackedLayer packed = pack_layer(layer, "fc");
-  const IntegerLayer integer =
-      build_integer_layer(packed, std::vector<float>(3, 0.0f));
+  nn::Linear layer(10, 5, rng);
+  layer.set_filter_bits({4, 0, 2, 1, 3});
+  const IntegerLayer integer{pack_layer(layer, "fc"), std::vector<float>(5, 0.0f)};
+  const std::vector<std::int32_t> codes = decode_rows(integer);
 
-  const quant::UniformRange range{-packed.range_hi, packed.range_hi};
-  for (int k = 0; k < 3; ++k) {
+  const quant::UniformRange range{-integer.range_hi, integer.range_hi};
+  for (int k = 0; k < 5; ++k) {
     const int b = integer.filter_bits[static_cast<std::size_t>(k)];
     for (int j = 0; j < 10; ++j) {
-      const std::int32_t q = integer.codes[static_cast<std::size_t>(k) * 10 + j];
+      const std::int32_t q = codes[static_cast<std::size_t>(k) * 10 + j];
+      if (b == 0) {
+        // Pruned: no stored row, and a zero scale.
+        EXPECT_EQ(q, 0);
+        EXPECT_EQ(integer.weight_scale(k), 0.0f);
+        continue;
+      }
       const float reconstructed =
           integer.weight_scale(k) *
           static_cast<float>(2 * q - (quant::levels_for_bits(b) - 1));
@@ -94,8 +121,7 @@ TEST(IntegerForward, RejectsGeometryMismatch) {
   util::Rng rng(5);
   nn::Linear layer(6, 2, rng);
   layer.set_filter_bits({2, 2});
-  const IntegerLayer integer =
-      build_integer_layer(pack_layer(layer, "fc"), {0.0f, 0.0f});
+  const IntegerLayer integer{pack_layer(layer, "fc"), {0.0f, 0.0f}};
   ActCodes acts;
   acts.codes.assign(12, 0);
   acts.scale = 0.1f;
@@ -107,8 +133,7 @@ TEST(IntegerForward, PrunedFiltersOutputHardZeroIgnoringBias) {
   util::Rng rng(6);
   nn::Linear layer(5, 2, rng);
   layer.set_filter_bits({0, 2});
-  const IntegerLayer integer =
-      build_integer_layer(pack_layer(layer, "fc"), {7.5f, 0.25f});
+  const IntegerLayer integer{pack_layer(layer, "fc"), {7.5f, 0.25f}};
   ActCodes acts;
   acts.codes.assign(5, 3);
   acts.scale = 0.2f;
@@ -153,7 +178,7 @@ TEST_P(IntegerEquivalence, MatchesFakeQuantLinearForward) {
   std::vector<float> bias(static_cast<std::size_t>(out_features));
   for (int k = 0; k < out_features; ++k) bias[static_cast<std::size_t>(k)] =
       layer.bias().value[static_cast<std::size_t>(k)];
-  const IntegerLayer integer = build_integer_layer(packed, std::move(bias));
+  const IntegerLayer integer{packed, std::move(bias)};
   const ActCodes codes = encode_activations(raw, 1.2f, act_bits);
   const Tensor result = integer_linear_forward(integer, codes, batch, in);
 
@@ -173,8 +198,7 @@ TEST(IntegerConv, RejectsGeometryMismatch) {
   util::Rng rng(31);
   nn::Conv2d conv(3, 4, 3, 1, 1, rng);
   conv.set_filter_bits({2, 2, 2, 2});
-  const IntegerLayer integer =
-      build_integer_layer(pack_layer(conv, "conv"), std::vector<float>(4, 0.0f));
+  const IntegerLayer integer{pack_layer(conv, "conv"), std::vector<float>(4, 0.0f)};
   ActCodes acts;
   acts.codes.assign(3 * 8 * 8, 1);
   acts.scale = 0.1f;
@@ -215,7 +239,7 @@ TEST_P(IntegerConvEquivalence, MatchesFakeQuantConvForward) {
   std::vector<float> bias(static_cast<std::size_t>(out_c));
   for (int k = 0; k < out_c; ++k) bias[static_cast<std::size_t>(k)] =
       conv.bias().value[static_cast<std::size_t>(k)];
-  const IntegerLayer integer = build_integer_layer(packed, std::move(bias));
+  const IntegerLayer integer{packed, std::move(bias)};
   const ActCodes codes = encode_activations(raw, 1.0f, 3);
   const Tensor result =
       integer_conv_forward(integer, codes, batch, in_c, h, w, kernel, stride, pad);
@@ -250,7 +274,7 @@ TEST(IntegerForward, MixedPerFilterBitsAlsoMatch) {
   std::vector<float> bias(6);
   for (int k = 0; k < 6; ++k) bias[static_cast<std::size_t>(k)] =
       layer.bias().value[static_cast<std::size_t>(k)];
-  const IntegerLayer integer = build_integer_layer(packed, std::move(bias));
+  const IntegerLayer integer{packed, std::move(bias)};
   const ActCodes codes = encode_activations(raw, 0.9f, 3);
   const Tensor result = integer_linear_forward(integer, codes, 3, in);
   for (std::size_t i = 0; i < result.numel(); ++i) {

@@ -15,6 +15,7 @@
 
 #include "deploy/artifact.h"
 #include "deploy/int_engine.h"
+#include "layer_fixtures.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "nn/models/vgg_small.h"
@@ -131,27 +132,25 @@ TEST(ParallelKernelsIm2col, ByteIdenticalAcrossGeometries) {
 }
 
 /// Random IntegerLayer: mixed per-filter bits including pruned (0-bit)
-/// filters, dense random codes, random bias.
+/// filters, random codes, random bias.
 deploy::IntegerLayer random_integer_layer(int num_filters, std::int64_t per_filter,
                                           util::Rng& rng) {
-  deploy::IntegerLayer layer;
-  layer.num_filters = num_filters;
-  layer.weights_per_filter = per_filter;
-  layer.range_hi = static_cast<float>(rng.uniform(0.2, 1.5));
-  layer.filter_bits.resize(static_cast<std::size_t>(num_filters));
-  layer.codes.assign(static_cast<std::size_t>(num_filters) * per_filter, 0);
-  layer.bias.resize(static_cast<std::size_t>(num_filters));
+  const auto range_hi = static_cast<float>(rng.uniform(0.2, 1.5));
+  std::vector<std::uint8_t> widths(static_cast<std::size_t>(num_filters));
+  std::vector<std::int32_t> codes(static_cast<std::size_t>(num_filters) * per_filter, 0);
+  std::vector<float> bias(static_cast<std::size_t>(num_filters));
   for (int k = 0; k < num_filters; ++k) {
     const int b = static_cast<int>(rng.uniform_int(0, 4));  // 0 = pruned
-    layer.filter_bits[static_cast<std::size_t>(k)] = static_cast<std::uint8_t>(b);
-    layer.bias[static_cast<std::size_t>(k)] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    widths[static_cast<std::size_t>(k)] = static_cast<std::uint8_t>(b);
+    bias[static_cast<std::size_t>(k)] = static_cast<float>(rng.uniform(-1.0, 1.0));
     if (b == 0) continue;
-    std::int32_t* row = layer.codes.data() + static_cast<std::size_t>(k) * per_filter;
+    std::int32_t* row = codes.data() + static_cast<std::size_t>(k) * per_filter;
     for (std::int64_t j = 0; j < per_filter; ++j) {
       row[j] = static_cast<std::int32_t>(rng.uniform_int(0, (1 << b) - 1));
     }
   }
-  return layer;
+  return deploy::integer_layer_from_codes(std::move(widths), per_filter, range_hi, codes,
+                                          std::move(bias));
 }
 
 deploy::ActCodes random_act_codes(std::size_t count, int bits, util::Rng& rng) {

@@ -42,8 +42,7 @@ class ModuleWalkReference {
     std::size_t next = 0;
     for (const nn::ScoredLayerRef& ref : model_->scored_layers()) {
       for (quant::QuantizableLayer* layer : ref.layers) {
-        layers_.push_back(
-            deploy::build_integer_layer(artifact.packed_layers[next], bias_of(*layer)));
+        layers_.push_back({artifact.packed_layers[next], bias_of(*layer)});
         integer_index_.emplace(dynamic_cast<const nn::Module*>(layer), next);
         ++next;
       }

@@ -2,8 +2,8 @@
 //
 // Two halves. (1) Mutation tests: take the model-zoo plans, apply one
 // targeted corruption per test — swapped slot ids, a shrunk arena,
-// an overlapping interval, an illegal in-place alias, a weight code
-// inflated past its bit-width — and assert verify_plan names exactly
+// an overlapping interval, an illegal in-place alias, a filter width
+// the payload does not hold — and assert verify_plan names exactly
 // the violated rule at the right op. A verifier that fails these
 // would pass broken optimizer-pass output straight to the kernels.
 // (2) Property tests pinning the shared overflow-bound helper
@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "deploy/passes/passes.h"
 #include "deploy/plan.h"
 #include "deploy/verify.h"
+#include "layer_fixtures.h"
 #include "quant/uniform.h"
 #include "serve/engine_session.h"
 #include "serve_fixtures.h"
@@ -188,20 +190,31 @@ TEST(PlanVerify, BadLayerIndexIsIntLayer) {
   EXPECT_TRUE(has_finding(verify_plan(plan), VerifyRule::IntLayer, linear));
 }
 
-TEST(PlanVerify, InflatedCodeMagnitudeIsCodeRange) {
+TEST(PlanVerify, BiasSizeMismatchIsIntLayer) {
+  ExecutionPlan plan = mlp_plan();
+  PlanRewriter rw(plan);
+  const int linear = find_op(plan, OpKind::IntLinear);
+  ASSERT_GE(linear, 0);
+  const int layer_index = plan.ops()[static_cast<std::size_t>(linear)].layer;
+  // One bias short: the kernels would read past it for the last filter.
+  rw.integer_layers()[static_cast<std::size_t>(layer_index)].bias.pop_back();
+  EXPECT_TRUE(has_finding(verify_plan(plan), VerifyRule::IntLayer, linear));
+}
+
+TEST(PlanVerify, WidenedFilterBitsIsCodeRange) {
   ExecutionPlan plan = vgg_plan();
   PlanRewriter rw(plan);
   const int conv = find_op(plan, OpKind::IntConv);
   ASSERT_GE(conv, 0);
   const int layer_index = plan.ops()[static_cast<std::size_t>(conv)].layer;
   IntegerLayer& layer = rw.integer_layers()[static_cast<std::size_t>(layer_index)];
-  // First unpruned filter: push its first code one past the largest
-  // value its declared bit-width can hold — the overflow bound that
-  // licenses the int32 fast path no longer covers this layer.
-  for (std::size_t k = 0; k < layer.filter_bits.size(); ++k) {
-    if (layer.filter_bits[k] == 0) continue;
-    layer.codes[k * static_cast<std::size_t>(layer.weights_per_filter)] =
-        quant::levels_for_bits(layer.filter_bits[k]);
+  // First unpruned filter: declare one more bit without growing the
+  // payload. Its rows (and every later filter's) would be read at the
+  // wrong offsets and widths, so the codes the overflow bound was
+  // computed from are not the ones stored.
+  for (std::uint8_t& bits : layer.filter_bits) {
+    if (bits == 0) continue;
+    ++bits;
     break;
   }
   EXPECT_TRUE(has_finding(verify_plan(plan), VerifyRule::CodeRange, conv));
@@ -309,28 +322,24 @@ TEST(PlanVerify, StrictSessionRefusesCorruptPlans) {
 /// Mixed-bit integer layer including pruned rows, codes drawn over the
 /// full range of each filter's bit-width.
 IntegerLayer random_layer(int filters, std::int64_t per_filter, util::Rng& rng) {
-  IntegerLayer layer;
-  layer.num_filters = filters;
-  layer.weights_per_filter = per_filter;
-  layer.range_hi = 1.0f;
   const int pattern[6] = {2, 4, 0, 3, 1, 2};
-  layer.filter_bits.resize(static_cast<std::size_t>(filters));
-  layer.codes.assign(static_cast<std::size_t>(filters) *
-                         static_cast<std::size_t>(per_filter),
-                     0);
-  layer.bias.assign(static_cast<std::size_t>(filters), 0.0f);
+  std::vector<std::uint8_t> widths(static_cast<std::size_t>(filters));
+  std::vector<std::int32_t> codes(static_cast<std::size_t>(filters) *
+                                      static_cast<std::size_t>(per_filter),
+                                  0);
   for (int k = 0; k < filters; ++k) {
     const int bits = pattern[k % 6];
-    layer.filter_bits[static_cast<std::size_t>(k)] = static_cast<std::uint8_t>(bits);
+    widths[static_cast<std::size_t>(k)] = static_cast<std::uint8_t>(bits);
     if (bits == 0) continue;
-    std::int32_t* row = layer.codes.data() +
+    std::int32_t* row = codes.data() +
                         static_cast<std::size_t>(k) * static_cast<std::size_t>(per_filter);
     for (std::int64_t j = 0; j < per_filter; ++j) {
       row[j] = static_cast<std::int32_t>(
           rng.uniform_int(0, quant::levels_for_bits(bits) - 1));
     }
   }
-  return layer;
+  return integer_layer_from_codes(std::move(widths), per_filter, 1.0f, codes,
+                                  std::vector<float>(static_cast<std::size_t>(filters), 0.0f));
 }
 
 TEST(OverflowBound, MatchesSimdPackingExactly) {
@@ -349,6 +358,29 @@ TEST(OverflowBound, MatchesSimdPackingExactly) {
     EXPECT_EQ(packed.kernel != simd::Kernel::kScalar,
               int_reduction_fits_int32(max_abs_centered_code(layer), act_bits,
                                        layer.weights_per_filter));
+  }
+}
+
+TEST(OverflowBound, MaxAbsMatchesAFullScanOfTheDecodedRows) {
+  // The helper skips rows that cannot raise the running max; a scan of
+  // every decoded code must find the same number. Short rows leave some
+  // layers below their widest filter's extreme, so both branches run.
+  util::Rng rng(31);
+  for (int trial = 0; trial < 40; ++trial) {
+    const IntegerLayer layer = random_layer(2 + trial % 11, 1 + trial % 6, rng);
+    const std::vector<std::int32_t> codes = decode_rows(layer);
+    std::int32_t want = 0;
+    for (std::int32_t k = 0; k < layer.num_filters; ++k) {
+      const int bits = layer.filter_bits[static_cast<std::size_t>(k)];
+      if (bits == 0) continue;
+      for (std::int64_t j = 0; j < layer.weights_per_filter; ++j) {
+        const std::int32_t centered =
+            2 * codes[static_cast<std::size_t>(k * layer.weights_per_filter + j)] -
+            (quant::levels_for_bits(bits) - 1);
+        want = std::max(want, centered < 0 ? -centered : centered);
+      }
+    }
+    EXPECT_EQ(want, max_abs_centered_code(layer)) << "trial " << trial;
   }
 }
 
