@@ -67,7 +67,7 @@ struct Case {
   std::string name;
   std::string desc;
   std::string backend = "scalar";
-  long long work_macs = 0;
+  long long work_macs = 0;  ///< multiply-accumulates per run, as deploy::op_macs counts
   std::function<std::vector<float>(const util::ExecContext&)> run;
   std::function<std::vector<float>()> ref;
 };
@@ -178,17 +178,9 @@ int main(int argc, char** argv) {
   const double assert_speedup = cli.get_double("assert-speedup", 0.0);
   const double assert_backend_speedup = cli.get_double("assert-backend-speedup", 0.0);
   const bool want_scalar = contains(backends, "scalar");
-  // The simd cases run at the tier this machine resolves (CPUID +
-  // CQ_SIMD); tier scalar means the explicit kernels are disabled, so
-  // the cases would only throw — skip them and say so.
+  const bool want_simd = contains(backends, "simd");
+  // The simd cases run at the tier this machine resolves (CPUID + CQ_SIMD).
   const deploy::SimdTier simd_tier = deploy::resolve_simd_tier();
-  const bool want_simd =
-      contains(backends, "simd") && simd_tier != deploy::SimdTier::kScalar;
-  if (contains(backends, "simd") && !want_simd) {
-    std::fprintf(stderr,
-                 "kernel_scaling: simd backend requested but the resolved tier "
-                 "is 'scalar' (CQ_SIMD=off?) — skipping @simd cases\n");
-  }
 
   util::Rng rng(42);
   std::vector<Case> cases;
@@ -229,7 +221,7 @@ int main(int argc, char** argv) {
     auto image = std::make_shared<std::vector<std::uint32_t>>();
     const std::size_t out_size = static_cast<std::size_t>(filters) * hw * hw;
     add_integer_case(
-        name, desc, 2LL * filters * per_filter * hw * hw,
+        name, desc, 1LL * filters * per_filter * hw * hw,
         [=](const util::ExecContext& exec) {
           std::vector<float> out(out_size);
           adopt(*in, *codes, exec);
@@ -274,7 +266,7 @@ int main(int argc, char** argv) {
     auto image = std::make_shared<std::vector<std::uint32_t>>();
     add_integer_case(
         "integer_linear_large", "integer linear 16x1024 -> 1024",
-        2LL * batch * in_features * filters,
+        1LL * batch * in_features * filters,
         [=](const util::ExecContext& exec) {
           std::vector<float> out(static_cast<std::size_t>(batch) * filters);
           adopt(*in, *codes, exec);
@@ -300,7 +292,7 @@ int main(int argc, char** argv) {
     auto b = std::make_shared<tensor::Tensor>(
         tensor::Tensor::randn({k, n}, gemm_rng));
     cases.push_back({"gemm_float_256", "tensor::gemm 256x256x256", "scalar",
-                     2LL * m * k * n,
+                     1LL * m * k * n,
                      [=](const util::ExecContext& exec) {
                        std::vector<float> c(static_cast<std::size_t>(m) * n);
                        tensor::gemm(a->data(), b->data(), c.data(), m, k, n,

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the numerical kernels that
 // dominate the experiment runtimes: GEMM, im2col, the uniform
-// quantizer, the integer wrap GEMM, and whole-layer forward/backward.
+// quantizer, and whole-layer forward/backward.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 #include "deploy/int_engine.h"
 #include "deploy/packing.h"
 #include "nn/linear.h"
-#include "quant/integer_gemm.h"
 #include "quant/uniform.h"
 #include "tensor/ops.h"
 #include "util/exec_context.h"
@@ -79,23 +78,6 @@ void BM_QuantizeSpan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (1LL << 16));
 }
 BENCHMARK(BM_QuantizeSpan)->Arg(1)->Arg(4)->Arg(8);
-
-void BM_IntegerGemmWrap(benchmark::State& state) {
-  const int n = 64;
-  const int acc_bits = static_cast<int>(state.range(0));
-  std::vector<std::int32_t> a(static_cast<std::size_t>(n) * n);
-  std::vector<std::int32_t> b(static_cast<std::size_t>(n) * n);
-  std::vector<std::int64_t> c(static_cast<std::size_t>(n) * n);
-  util::Rng rng(5);
-  for (auto& v : a) v = static_cast<std::int32_t>(rng.uniform_int(-7, 7));
-  for (auto& v : b) v = static_cast<std::int32_t>(rng.uniform_int(-7, 7));
-  for (auto _ : state) {
-    quant::integer_gemm(a.data(), b.data(), c.data(), n, n, n, acc_bits);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
-}
-BENCHMARK(BM_IntegerGemmWrap)->Arg(0)->Arg(8);
 
 void BM_Conv2dForward(benchmark::State& state) {
   const bool quantized = state.range(0) != 0;
@@ -224,15 +206,10 @@ BENCHMARK(BM_IntegerLinearForwardThreaded)->Arg(1)->Arg(2)->Arg(4);
 // scalar rows above) at the tier this machine resolves — avx2 where
 // CPUID allows, portable elsewhere. They read the float activations and
 // encode them inside the timed op, as serving does; the scalar rows
-// encode once, outside the loop. Skipped under CQ_SIMD=off, where the
-// tier would only throw.
+// encode once, outside the loop.
 
 void BM_SimdConvForwardThreaded(benchmark::State& state) {
   const deploy::SimdTier tier = deploy::resolve_simd_tier();
-  if (tier == deploy::SimdTier::kScalar) {
-    state.SkipWithError("resolved SIMD tier is 'scalar' (CQ_SIMD=off?)");
-    return;
-  }
   const int threads = static_cast<int>(state.range(0));
   const auto pool = pool_for(threads);
   const util::ExecContext exec{pool.get(), threads};
@@ -256,10 +233,6 @@ BENCHMARK(BM_SimdConvForwardThreaded)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_SimdLinearForwardThreaded(benchmark::State& state) {
   const deploy::SimdTier tier = deploy::resolve_simd_tier();
-  if (tier == deploy::SimdTier::kScalar) {
-    state.SkipWithError("resolved SIMD tier is 'scalar' (CQ_SIMD=off?)");
-    return;
-  }
   const int threads = static_cast<int>(state.range(0));
   const auto pool = pool_for(threads);
   const util::ExecContext exec{pool.get(), threads};

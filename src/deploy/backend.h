@@ -165,7 +165,10 @@ inline constexpr int kFilterTile = 8;
 /// The MAC kernel an integer layer runs on. pack_simd decides it once,
 /// from the tier, the layer's weights and the op's activation width,
 /// and packs only the layout that kernel reads; the kernels and the
-/// dispatch label both read this field, so they cannot disagree.
+/// dispatch label both read this field, so they cannot disagree. Every
+/// explicit kernel is the same conv and linear loop instantiated with
+/// a per-kernel MAC policy (vector type, load, broadcast, multiply-add,
+/// rescaling store), so kernels differ only in those instructions.
 enum class Kernel {
   kScalar,   ///< no panels: the op delegates to ScalarBackend
   kAvx2I8,   ///< _mm256_maddubs_epi16 over uint8 x int8 code quads
@@ -222,9 +225,9 @@ struct PackedSimd {
 /// Chooses the kernel for `layer` fed `act_bits`-bit activation codes
 /// at `tier`, and packs the panels it reads for a kernel x kernel
 /// convolution (1 for linear layers; prepare() time only). kScalar — no
-/// panels — when the tier is scalar, a filter has more than 15 bits
-/// (centered codes overflow int16), or the reduction is not certified
-/// for the int32 accumulator (deploy/overflow.h). Throws
+/// panels — when a filter has more than 15 bits (centered codes
+/// overflow int16) or the reduction is not certified for the int32
+/// accumulator (deploy/overflow.h). Throws
 /// std::invalid_argument when weights_per_filter is not a whole number
 /// of kernel x kernel taps.
 PackedSimd pack_simd(const IntegerLayer& layer, SimdTier tier, int act_bits,
@@ -277,10 +280,10 @@ void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid gr
 /// int8 quads when the shared overflow bound proves saturation
 /// impossible) on CPUs that have AVX2, portable kernels everywhere else
 /// (baseline-SSE2 pmaddwd on x86-64, GCC vector extensions otherwise),
-/// and delegate to the scalar reference when the int32 accumulator is
-/// not certified or explicit SIMD is disabled (CQ_SIMD=off). The tier
-/// is resolved by runtime CPUID at construction — one binary, every
-/// x86 — and every tier is byte-identical to ScalarBackend
+/// and delegate a layer to the scalar reference when its filters are
+/// wider than 15 bits or its int32 accumulator is not certified. The
+/// tier is resolved by runtime CPUID at construction — one binary,
+/// every x86 — and every tier is byte-identical to ScalarBackend
 /// (backend_test pins each reachable tier).
 class SimdBackend : public ScalarBackend {
  public:

@@ -5,14 +5,17 @@
 // into a zero-padded, channel-grouped code image whose 32-bit words
 // hold what the kernel multiplies: 4 uint8 codes for the AVX2 maddubs
 // kernel, 2 int16 codes for the madd_epi16 / SSE2 pmaddwd kernels, 1
-// int32 code for the GCC-vector-extension kernel. The conv kernels
-// then read each tap's strip of 8 output positions (4 on SSE2) from
+// int32 code for the GCC-vector-extension kernel. The conv kernel
+// then reads each tap's strip of 8 output positions (4 on SSE2) from
 // that image in place, against tap-major weight panels packed once in
 // prepare(), so no im2col matrix and no intermediate int32 code copy
 // exists on this path. Strided convs get one image plane per stride phase, which keeps
-// every tap's strip contiguous. Which tier runs is decided by runtime
-// CPUID (deploy/cpu_features.h), so one binary serves every x86; the
-// SSE2 kernels need no check (the x86-64 psABI mandates SSE2).
+// every tap's strip contiguous. Each kernel is one of two loops,
+// conv_rows and linear_tiles, instantiated with that kernel's MAC
+// policy, so the tiers differ only in the instructions a policy
+// supplies. Which tier runs is decided by runtime CPUID
+// (deploy/cpu_features.h), so one binary serves every x86; the SSE2
+// policy needs no check (the x86-64 psABI mandates SSE2).
 //
 // pack_simd picks each layer's kernel once, at prepare() time, and
 // packs only the panels that kernel reads: the kernels and the dispatch
@@ -103,7 +106,6 @@ namespace {
 /// certificate and the kernel that runs cannot disagree.
 Kernel select_kernel(const IntegerLayer& layer, SimdTier tier, int act_bits,
                      std::int32_t max_abs_weight) {
-  if (tier == SimdTier::kScalar) return Kernel::kScalar;
   for (const std::uint8_t b : layer.filter_bits) {
     // Centered doubled codes span [-(levels-1), levels-1]; above 15
     // bits they overflow the int16 panels (none in the paper's 0-8-bit
@@ -459,15 +461,157 @@ void encode_rows(const float* acts, ActGrid grid, int batch, int features, int g
 }
 
 // ---------------------------------------------------------------------------
-// Conv kernels. Each computes output rows [y0, y1) of one 8-filter tile
-// for one sample, strip by strip: for every tap and channel group it
-// loads the strip's 8 image words once and multiply-adds them against
-// the 8 filters' weight words of that panel row. Pruned and tail filters
-// have zero words and add exact zeros; multiplying them anyway keeps the
-// inner loop free of branches, which is faster than skipping them.
+// MAC kernels: one conv loop (conv_rows) and one linear loop
+// (linear_tiles), each a template over a MAC policy. A policy supplies
+// only what differs between tiers: its vector type, its int32 lane count
+// kLanes, and zero / load / splat / mac (multiply-add) / store (rescale
+// the first lanes into floats) / spill (copy out the int32 lanes).
+// Vectors pass by reference, never by value: a by-value AVX vector in a
+// baseline-ISA template instance would change the psABI (-Wpsabi).
 // ---------------------------------------------------------------------------
 
-/// What a conv kernel reads for one sample.
+/// Kernel::kGeneric: GNU C vector extensions at the build's baseline
+/// ISA over whole int32 codes, legal wherever the binary runs. On x86-64
+/// the portable tier runs Sse2PairMac instead; this remains the policy
+/// for non-x86 builds and for 16-bit activation codes, which don't fit
+/// int16 lanes.
+struct GenericMac {
+  typedef std::int32_t Vec __attribute__((vector_size(32), aligned(4)));
+  typedef float VecF __attribute__((vector_size(32), aligned(4)));
+  static constexpr int kLanes = 8;
+  static void zero(Vec& v) { v = Vec{}; }
+  static void load(Vec& v, const std::uint32_t* p) { std::memcpy(&v, p, sizeof(v)); }
+  static void splat(Vec& v, std::uint32_t word) { v = Vec{} + static_cast<std::int32_t>(word); }
+  static void mac(Vec& acc, const Vec& a, const Vec& w) { acc += a * w; }
+  static void store(float* dst, const Vec& acc, float scale, float bias, std::size_t lanes) {
+    const VecF o = __builtin_convertvector(acc, VecF) * scale + bias;
+    std::memcpy(dst, &o, lanes * sizeof(float));
+  }
+  static void spill(std::int32_t* dst, const Vec& acc) { std::memcpy(dst, &acc, sizeof(acc)); }
+};
+
+#if CQ_SIMD_SSE2_BASELINE
+
+/// Kernel::kSse2I16, the portable tier on x86-64: one pmaddwd per int16
+/// code-pair word, 4 lanes. pmaddwd is baseline (the x86-64 psABI
+/// mandates SSE2), so this runs on every CPU the binary runs on.
+struct Sse2PairMac {
+  using Vec = __m128i;
+  static constexpr int kLanes = 4;
+  static void zero(Vec& v) { v = _mm_setzero_si128(); }
+  static void load(Vec& v, const std::uint32_t* p) {
+    v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  }
+  static void splat(Vec& v, std::uint32_t word) {
+    v = _mm_set1_epi32(static_cast<std::int32_t>(word));
+  }
+  static void mac(Vec& acc, const Vec& a, const Vec& w) {
+    acc = _mm_add_epi32(acc, _mm_madd_epi16(a, w));
+  }
+  static void store(float* dst, const Vec& acc, float scale, float bias, std::size_t lanes) {
+    const __m128 o =
+        _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(acc), _mm_set1_ps(scale)), _mm_set1_ps(bias));
+    if (lanes == kLanes) {
+      _mm_storeu_ps(dst, o);
+    } else {
+      std::memcpy(dst, &o, lanes * sizeof(float));
+    }
+  }
+  static void spill(std::int32_t* dst, const Vec& acc) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), acc);
+  }
+};
+
+#endif  // CQ_SIMD_SSE2_BASELINE
+
+#if CQ_SIMD_X86
+
+// AVX2 tier: the policy members carry the `target` attribute, so the
+// translation unit builds at the baseline ISA, and they run only inside
+// run_avx2's frame after runtime CPUID proved AVX2
+// (deploy/cpu_features.h). No FMA anywhere on these paths: the rescale
+// is cvtepi32_ps, mul_ps, add_ps — bit-identical to the scalar
+// expression's two roundings.
+
+/// Kernel::kAvx2I16: one madd_epi16 per int16 code-pair word.
+struct Avx2PairMac {
+  using Vec = __m256i;
+  static constexpr int kLanes = 8;
+  __attribute__((target("avx2"))) static void zero(Vec& v) { v = _mm256_setzero_si256(); }
+  __attribute__((target("avx2"))) static void load(Vec& v, const std::uint32_t* p) {
+    v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  __attribute__((target("avx2"))) static void splat(Vec& v, std::uint32_t word) {
+    v = _mm256_set1_epi32(static_cast<std::int32_t>(word));
+  }
+  __attribute__((target("avx2"))) static void mac(Vec& acc, const Vec& a, const Vec& w) {
+    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a, w));
+  }
+  __attribute__((target("avx2"))) static void store(float* dst, const Vec& acc, float scale,
+                                                    float bias, std::size_t lanes) {
+    const __m256 o = _mm256_add_ps(
+        _mm256_mul_ps(_mm256_cvtepi32_ps(acc), _mm256_set1_ps(scale)), _mm256_set1_ps(bias));
+    if (lanes == kLanes) {
+      _mm256_storeu_ps(dst, o);
+    } else {
+      std::memcpy(dst, &o, lanes * sizeof(float));
+    }
+  }
+  __attribute__((target("avx2"))) static void spill(std::int32_t* dst, const Vec& acc) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), acc);
+  }
+};
+
+/// Kernel::kAvx2I8: maddubs_epi16 forms the two adjacent-pair sums of
+/// each uint8 x int8 code quad (proven below int16 saturation by
+/// int_reduction_fits_int8_madd, for any pairing), and madd_epi16
+/// against 1 widens and adds them. `a` (the activations) is the
+/// unsigned operand.
+struct Avx2QuadMac : Avx2PairMac {
+  __attribute__((target("avx2"))) static void mac(Vec& acc, const Vec& a, const Vec& w) {
+    acc = _mm256_add_epi32(
+        acc, _mm256_madd_epi16(_mm256_maddubs_epi16(a, w), _mm256_set1_epi16(1)));
+  }
+};
+
+/// The AVX2 frame: in optimized builds flatten inlines the kernel
+/// template and every policy member into this one target("avx2")
+/// function, so the frame makes no calls. Unoptimized builds keep the
+/// calls, which stay legal: only the policy members execute AVX2.
+template <typename Mac, typename Body>
+__attribute__((target("avx2"), flatten)) void run_avx2(Body& body) {
+  body(Mac{});
+}
+
+#endif  // CQ_SIMD_X86
+
+/// Runs body(Mac{}) with the MAC policy of `kernel`: the one switch from
+/// a pack's kernel choice to the code that runs it, for both op shapes.
+template <typename Body>
+void with_mac(Kernel kernel, Body&& body) {
+  switch (kernel) {
+#if CQ_SIMD_X86
+    case Kernel::kAvx2I8:
+      run_avx2<Avx2QuadMac>(body);
+      return;
+    case Kernel::kAvx2I16:
+      run_avx2<Avx2PairMac>(body);
+      return;
+#endif
+#if CQ_SIMD_SSE2_BASELINE
+    case Kernel::kSse2I16:
+      body(Sse2PairMac{});
+      return;
+#endif
+    case Kernel::kGeneric:
+      body(GenericMac{});
+      return;
+    default:  // kScalar (refused by check_runnable) and kernels this build lacks
+      return;
+  }
+}
+
+/// What the conv kernel reads for one sample.
 struct ConvView {
   const std::uint32_t* image = nullptr;  ///< the sample's code image
   const std::size_t* tap_offset = nullptr;  ///< [taps] image offset per tap
@@ -485,203 +629,60 @@ int tile_filters(const PackedSimd& packed, std::size_t tile) {
       kFilterTile, static_cast<std::size_t>(packed.num_filters) - tile * kFilterTile));
 }
 
-// Portable tier, generic flavor (Kernel::kGeneric): GNU C vector
-// extensions at the build's baseline ISA, so the kernels are legal
-// wherever the binary runs. On x86-64 the portable tier uses the
-// baseline-SSE2 pmaddwd kernels further down instead; these remain the
-// implementation for non-x86 builds and for 16-bit activation codes,
-// which don't fit int16 lanes. Image and panel words are whole int32s.
-
-typedef std::int32_t Vec8i __attribute__((vector_size(32), aligned(4)));
-typedef float Vec8f __attribute__((vector_size(32), aligned(4)));
-
-void conv_rows_generic(const PackedSimd& packed, const ConvView& v, float* out_n,
-                       std::size_t tile, int y0, int y1) {
-  const std::size_t k0 = tile * kFilterTile;
-  const int kt = tile_filters(packed, tile);
-  const std::size_t spatial = static_cast<std::size_t>(v.oh) * v.ow;
-  const std::uint32_t* panel =
-      packed.panels.data() + tile * static_cast<std::size_t>(v.taps) * v.groups * kFilterTile;
-  for (int oy = y0; oy < y1; ++oy) {
-    for (int ox = 0; ox < v.ow; ox += 8) {
-      Vec8i acc[kFilterTile] = {};
-      const std::uint32_t* origin = v.image + static_cast<std::size_t>(oy) * v.cols + ox;
-      const std::uint32_t* w = panel;
-      for (int t = 0; t < v.taps; ++t) {
-        const std::uint32_t* strip = origin + v.tap_offset[t];
-        for (std::size_t g = 0; g < v.groups; ++g, strip += v.plane, w += kFilterTile) {
-          Vec8i a;
-          std::memcpy(&a, strip, sizeof(a));
-          for (int f = 0; f < kFilterTile; ++f) acc[f] += a * static_cast<std::int32_t>(w[f]);
-        }
-      }
-      const auto lanes = static_cast<std::size_t>(std::min(8, v.ow - ox));
-      float* dst = out_n + static_cast<std::size_t>(oy) * v.ow + ox;
-      for (int f = 0; f < kt; ++f) {
-        const std::size_t k = k0 + static_cast<std::size_t>(f);
-        const float scale = packed.weight_scales[k] * v.act_scale;
-        const Vec8f o = __builtin_convertvector(acc[f], Vec8f) * scale + packed.out_bias[k];
-        std::memcpy(dst + k * spatial, &o, lanes * sizeof(float));
-      }
-    }
-  }
-}
-
-#if CQ_SIMD_X86
-
-// AVX2 tier: intrinsic kernels compiled with the `target` attribute so
-// the translation unit builds at the baseline ISA; they are only called
-// after runtime CPUID proved AVX2 (deploy/cpu_features.h). No FMA
-// anywhere on these paths: the rescale is cvtepi32_ps, mul_ps, add_ps —
-// bit-identical to the scalar expression's two roundings.
-
-/// Rescales one strip's 8 accumulators (one per filter of the tile) and
-/// stores the first `lanes` positions of each filter's output row.
-__attribute__((target("avx2"))) void store_strip_avx2(
-    const PackedSimd& packed, const __m256i* acc, float act_scale, std::size_t k0,
-    int kt, std::size_t spatial, float* dst, std::size_t lanes) {
-  for (int f = 0; f < kt; ++f) {
-    const std::size_t k = k0 + static_cast<std::size_t>(f);
-    const float scale = packed.weight_scales[k] * act_scale;
-    const __m256 o =
-        _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(acc[f]), _mm256_set1_ps(scale)),
-                      _mm256_set1_ps(packed.out_bias[k]));
-    if (lanes == 8) {
-      _mm256_storeu_ps(dst + k * spatial, o);
-    } else {
-      alignas(32) float tmp[8];
-      _mm256_store_ps(tmp, o);
-      std::memcpy(dst + k * spatial, tmp, lanes * sizeof(float));
-    }
-  }
-}
-
-/// kQuads: maddubs_epi16 forms the two adjacent-pair sums of each
-/// uint8 x int8 quad (proven below int16 saturation by
-/// int_reduction_fits_int8_madd, for any pairing), madd_epi16 against 1
-/// widens and adds them. Otherwise one madd_epi16 per int16 pair word.
-template <bool kQuads>
-__attribute__((target("avx2"))) void conv_rows_avx2(const PackedSimd& packed,
-                                                    const ConvView& v, float* out_n,
-                                                    std::size_t tile, int y0, int y1) {
-  const std::size_t k0 = tile * kFilterTile;
-  const int kt = tile_filters(packed, tile);
-  const std::size_t spatial = static_cast<std::size_t>(v.oh) * v.ow;
-  const std::uint32_t* panel =
-      packed.panels.data() + tile * static_cast<std::size_t>(v.taps) * v.groups * kFilterTile;
-  const __m256i ones = _mm256_set1_epi16(1);
-  for (int oy = y0; oy < y1; ++oy) {
-    for (int ox = 0; ox < v.ow; ox += 8) {
-      __m256i acc[kFilterTile];
-      for (auto& a : acc) a = _mm256_setzero_si256();
-      const std::uint32_t* origin = v.image + static_cast<std::size_t>(oy) * v.cols + ox;
-      const std::uint32_t* w = panel;
-      for (int t = 0; t < v.taps; ++t) {
-        const std::uint32_t* strip = origin + v.tap_offset[t];
-        for (std::size_t g = 0; g < v.groups; ++g, strip += v.plane, w += kFilterTile) {
-          const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(strip));
-          for (int f = 0; f < kFilterTile; ++f) {
-            const __m256i wv = _mm256_set1_epi32(static_cast<std::int32_t>(w[f]));
-            if constexpr (kQuads) {
-              acc[f] = _mm256_add_epi32(
-                  acc[f], _mm256_madd_epi16(_mm256_maddubs_epi16(a, wv), ones));
-            } else {
-              acc[f] = _mm256_add_epi32(acc[f], _mm256_madd_epi16(a, wv));
-            }
-          }
-        }
-      }
-      store_strip_avx2(packed, acc, v.act_scale, k0, kt, spatial,
-                       out_n + static_cast<std::size_t>(oy) * v.ow + ox,
-                       static_cast<std::size_t>(std::min(8, v.ow - ox)));
-    }
-  }
-}
-
-#if CQ_SIMD_SSE2_BASELINE
-
-/// Portable-tier conv on x86-64: the avx2 pair kernel at xmm width, 4
-/// output positions per strip. pmaddwd is baseline (the x86-64 psABI
-/// mandates SSE2), so this runs on every CPU the binary runs on.
-void conv_rows_sse2(const PackedSimd& packed, const ConvView& v, float* out_n,
-                    std::size_t tile, int y0, int y1) {
-  const std::size_t k0 = tile * kFilterTile;
-  const int kt = tile_filters(packed, tile);
-  const std::size_t spatial = static_cast<std::size_t>(v.oh) * v.ow;
-  const std::uint32_t* panel =
-      packed.panels.data() + tile * static_cast<std::size_t>(v.taps) * v.groups * kFilterTile;
-  for (int oy = y0; oy < y1; ++oy) {
-    for (int ox = 0; ox < v.ow; ox += 4) {
-      __m128i acc[kFilterTile];
-      for (auto& a : acc) a = _mm_setzero_si128();
-      const std::uint32_t* origin = v.image + static_cast<std::size_t>(oy) * v.cols + ox;
-      const std::uint32_t* w = panel;
-      for (int t = 0; t < v.taps; ++t) {
-        const std::uint32_t* strip = origin + v.tap_offset[t];
-        for (std::size_t g = 0; g < v.groups; ++g, strip += v.plane, w += kFilterTile) {
-          const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(strip));
-          for (int f = 0; f < kFilterTile; ++f) {
-            const __m128i wv = _mm_set1_epi32(static_cast<std::int32_t>(w[f]));
-            acc[f] = _mm_add_epi32(acc[f], _mm_madd_epi16(a, wv));
-          }
-        }
-      }
-      const auto lanes = static_cast<std::size_t>(std::min(4, v.ow - ox));
-      float* dst = out_n + static_cast<std::size_t>(oy) * v.ow + ox;
-      for (int f = 0; f < kt; ++f) {
-        const std::size_t k = k0 + static_cast<std::size_t>(f);
-        const float scale = packed.weight_scales[k] * v.act_scale;
-        const __m128 o = _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(acc[f]), _mm_set1_ps(scale)),
-                                    _mm_set1_ps(packed.out_bias[k]));
-        if (lanes == 4) {
-          _mm_storeu_ps(dst + k * spatial, o);
-        } else {
-          alignas(16) float tmp[4];
-          _mm_store_ps(tmp, o);
-          std::memcpy(dst + k * spatial, tmp, lanes * sizeof(float));
-        }
-      }
-    }
-  }
-}
-
-#endif  // CQ_SIMD_SSE2_BASELINE
-#endif  // CQ_SIMD_X86
-
+/// Output rows [y0, y1) of one 8-filter tile for one sample, strip by
+/// strip of kLanes output positions: for every tap and channel group the
+/// strip's image words are loaded once and multiply-added against the 8
+/// filters' weight words of that panel row. Pruned and tail filters have
+/// zero words and add exact zeros; multiplying them anyway keeps the
+/// inner loop free of branches, which is faster than skipping them.
+template <typename Mac>
 void conv_rows(const PackedSimd& packed, const ConvView& v, float* out_n, std::size_t tile,
                int y0, int y1) {
-  switch (packed.kernel) {
-#if CQ_SIMD_X86
-    case Kernel::kAvx2I8:
-      conv_rows_avx2<true>(packed, v, out_n, tile, y0, y1);
-      return;
-    case Kernel::kAvx2I16:
-      conv_rows_avx2<false>(packed, v, out_n, tile, y0, y1);
-      return;
-#endif
-#if CQ_SIMD_SSE2_BASELINE
-    case Kernel::kSse2I16:
-      conv_rows_sse2(packed, v, out_n, tile, y0, y1);
-      return;
-#endif
-    case Kernel::kGeneric:
-      conv_rows_generic(packed, v, out_n, tile, y0, y1);
-      return;
-    default:  // kScalar (refused by check_runnable) and kernels this build lacks
-      return;
+  using Vec = typename Mac::Vec;
+  const std::size_t k0 = tile * kFilterTile;
+  const int kt = tile_filters(packed, tile);
+  const std::size_t spatial = static_cast<std::size_t>(v.oh) * v.ow;
+  const std::uint32_t* panel =
+      packed.panels.data() + tile * static_cast<std::size_t>(v.taps) * v.groups * kFilterTile;
+  for (int oy = y0; oy < y1; ++oy) {
+    for (int ox = 0; ox < v.ow; ox += Mac::kLanes) {
+      Vec acc[kFilterTile];
+      for (Vec& a : acc) Mac::zero(a);
+      const std::uint32_t* origin = v.image + static_cast<std::size_t>(oy) * v.cols + ox;
+      const std::uint32_t* w = panel;
+      for (int t = 0; t < v.taps; ++t) {
+        const std::uint32_t* strip = origin + v.tap_offset[t];
+        for (std::size_t g = 0; g < v.groups; ++g, strip += v.plane, w += kFilterTile) {
+          Vec a;
+          Mac::load(a, strip);
+          for (int f = 0; f < kFilterTile; ++f) {
+            Vec wv;
+            Mac::splat(wv, w[f]);
+            Mac::mac(acc[f], a, wv);
+          }
+        }
+      }
+      const auto lanes = static_cast<std::size_t>(std::min(Mac::kLanes, v.ow - ox));
+      float* dst = out_n + static_cast<std::size_t>(oy) * v.ow + ox;
+      for (int f = 0; f < kt; ++f) {
+        const std::size_t k = k0 + static_cast<std::size_t>(f);
+        Mac::store(dst + k * spatial, acc[f], packed.weight_scales[k] * v.act_scale,
+                   packed.out_bias[k], lanes);
+      }
+    }
   }
 }
 
-// ---------------------------------------------------------------------------
-// Linear kernels, filter tiles [t0, t1): per image word, one 8-filter
-// panel row is multiplied against each sample's broadcast word. Zero
-// words (ReLU zeros, padding) multiply through too: a data-dependent
-// skip mispredicts more than it saves.
-// ---------------------------------------------------------------------------
-
-void linear_tiles_generic(const PackedSimd& packed, float act_scale,
-                          const std::uint32_t* image, int batch, std::size_t words,
-                          float* out, std::int64_t t0, std::int64_t t1) {
+/// Filter tiles [t0, t1) of a linear op: per image word, the 8-filter
+/// panel row (kFilterTile / kLanes vectors) is multiplied against each
+/// sample's broadcast word. Zero words (ReLU zeros, padding) multiply
+/// through too: a data-dependent skip mispredicts more than it saves.
+/// The rescale is the scalar kernel's expression, filter by filter.
+template <typename Mac>
+void linear_tiles(const PackedSimd& packed, float act_scale, const std::uint32_t* image,
+                  int batch, std::size_t words, float* out, std::int64_t t0, std::int64_t t1) {
+  using Vec = typename Mac::Vec;
+  constexpr int kParts = kFilterTile / Mac::kLanes;
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
   for (std::int64_t t = t0; t < t1; ++t) {
     const auto tile = static_cast<std::size_t>(t);
@@ -690,141 +691,34 @@ void linear_tiles_generic(const PackedSimd& packed, float act_scale,
     const int kt = tile_filters(packed, tile);
     for (int n0 = 0; n0 < batch; n0 += kBatchBlock) {
       const int nb = std::min(kBatchBlock, batch - n0);
-      Vec8i acc[kBatchBlock] = {};
+      Vec acc[kBatchBlock][kParts];
+      for (auto& sample : acc) {
+        for (Vec& part : sample) Mac::zero(part);
+      }
       for (std::size_t q = 0; q < words; ++q) {
-        Vec8i w;
-        std::memcpy(&w, panel + q * kFilterTile, sizeof(w));
+        Vec w[kParts];
+        for (int p = 0; p < kParts; ++p) {
+          Mac::load(w[p], panel + q * kFilterTile + p * Mac::kLanes);
+        }
         for (int b = 0; b < nb; ++b) {
-          const auto av =
-              static_cast<std::int32_t>(image[static_cast<std::size_t>(n0 + b) * words + q]);
-          acc[b] += w * av;
+          Vec a;
+          Mac::splat(a, image[static_cast<std::size_t>(n0 + b) * words + q]);
+          for (int p = 0; p < kParts; ++p) Mac::mac(acc[b][p], a, w[p]);
         }
       }
       for (int b = 0; b < nb; ++b) {
+        std::int32_t sums[kFilterTile];
+        for (int p = 0; p < kParts; ++p) Mac::spill(sums + p * Mac::kLanes, acc[b][p]);
         float* row = out + static_cast<std::size_t>(n0 + b) * filters;
         for (int f = 0; f < kt; ++f) {
           const std::size_t k = k0 + static_cast<std::size_t>(f);
           const float scale = packed.weight_scales[k] * act_scale;
-          row[k] = scale * static_cast<float>(acc[b][f]) + packed.out_bias[k];
+          row[k] = scale * static_cast<float>(sums[f]) + packed.out_bias[k];
         }
       }
     }
   }
 }
-
-#if CQ_SIMD_X86
-
-template <bool kQuads>
-__attribute__((target("avx2"))) void linear_tiles_avx2(
-    const PackedSimd& packed, float act_scale, const std::uint32_t* image, int batch,
-    std::size_t words, float* out, std::int64_t t0, std::int64_t t1) {
-  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  const __m256i ones = _mm256_set1_epi16(1);
-  for (std::int64_t t = t0; t < t1; ++t) {
-    const auto tile = static_cast<std::size_t>(t);
-    const std::uint32_t* panel = packed.panels.data() + tile * words * kFilterTile;
-    const std::size_t k0 = tile * kFilterTile;
-    const int kt = tile_filters(packed, tile);
-    for (int n0 = 0; n0 < batch; n0 += kBatchBlock) {
-      const int nb = std::min(kBatchBlock, batch - n0);
-      __m256i acc[kBatchBlock];
-      for (auto& v : acc) v = _mm256_setzero_si256();
-      for (std::size_t q = 0; q < words; ++q) {
-        const __m256i w =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(panel + q * kFilterTile));
-        for (int b = 0; b < nb; ++b) {
-          const std::uint32_t word = image[static_cast<std::size_t>(n0 + b) * words + q];
-          const __m256i av = _mm256_set1_epi32(static_cast<std::int32_t>(word));
-          if constexpr (kQuads) {
-            // u8 activations x s8 weights
-            acc[b] = _mm256_add_epi32(acc[b],
-                                      _mm256_madd_epi16(_mm256_maddubs_epi16(av, w), ones));
-          } else {
-            acc[b] = _mm256_add_epi32(acc[b], _mm256_madd_epi16(av, w));
-          }
-        }
-      }
-      for (int b = 0; b < nb; ++b) {
-        float* row = out + static_cast<std::size_t>(n0 + b) * filters;
-        if (kt == kFilterTile) {
-          const __m256 vscale = _mm256_mul_ps(_mm256_loadu_ps(packed.weight_scales.data() + k0),
-                                              _mm256_set1_ps(act_scale));
-          const __m256 o = _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(acc[b]), vscale),
-                                         _mm256_loadu_ps(packed.out_bias.data() + k0));
-          _mm256_storeu_ps(row + k0, o);
-        } else {
-          alignas(32) std::int32_t tmp[kFilterTile];
-          _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), acc[b]);
-          for (int f = 0; f < kt; ++f) {
-            const std::size_t k = k0 + static_cast<std::size_t>(f);
-            const float scale = packed.weight_scales[k] * act_scale;
-            row[k] = scale * static_cast<float>(tmp[f]) + packed.out_bias[k];
-          }
-        }
-      }
-    }
-  }
-}
-
-#if CQ_SIMD_SSE2_BASELINE
-
-/// Portable-tier linear MAC on x86-64: per word, the 8-filter panel row
-/// is two xmm loads; each sample's broadcast pair feeds both halves'
-/// accumulators through pmaddwd.
-void linear_tiles_sse2(const PackedSimd& packed, float act_scale,
-                       const std::uint32_t* image, int batch, std::size_t words,
-                       float* out, std::int64_t t0, std::int64_t t1) {
-  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  for (std::int64_t t = t0; t < t1; ++t) {
-    const auto tile = static_cast<std::size_t>(t);
-    const std::uint32_t* panel = packed.panels.data() + tile * words * kFilterTile;
-    const std::size_t k0 = tile * kFilterTile;
-    const int kt = tile_filters(packed, tile);
-    for (int n0 = 0; n0 < batch; n0 += kBatchBlock) {
-      const int nb = std::min(kBatchBlock, batch - n0);
-      __m128i acc[kBatchBlock][2];
-      for (auto& halves : acc) {
-        for (auto& v : halves) v = _mm_setzero_si128();
-      }
-      for (std::size_t q = 0; q < words; ++q) {
-        const std::uint32_t* w = panel + q * kFilterTile;
-        const __m128i w_lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w));
-        const __m128i w_hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + 4));
-        for (int b = 0; b < nb; ++b) {
-          const std::uint32_t word = image[static_cast<std::size_t>(n0 + b) * words + q];
-          const __m128i av = _mm_set1_epi32(static_cast<std::int32_t>(word));
-          acc[b][0] = _mm_add_epi32(acc[b][0], _mm_madd_epi16(av, w_lo));
-          acc[b][1] = _mm_add_epi32(acc[b][1], _mm_madd_epi16(av, w_hi));
-        }
-      }
-      for (int b = 0; b < nb; ++b) {
-        float* row = out + static_cast<std::size_t>(n0 + b) * filters;
-        if (kt == kFilterTile) {
-          for (int h = 0; h < 2; ++h) {
-            const std::size_t kh = k0 + static_cast<std::size_t>(h) * 4;
-            const __m128 vscale = _mm_mul_ps(_mm_loadu_ps(packed.weight_scales.data() + kh),
-                                             _mm_set1_ps(act_scale));
-            const __m128 o = _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(acc[b][h]), vscale),
-                                        _mm_loadu_ps(packed.out_bias.data() + kh));
-            _mm_storeu_ps(row + kh, o);
-          }
-        } else {
-          alignas(16) std::int32_t tmp[kFilterTile];
-          _mm_store_si128(reinterpret_cast<__m128i*>(tmp), acc[b][0]);
-          _mm_store_si128(reinterpret_cast<__m128i*>(tmp + 4), acc[b][1]);
-          for (int f = 0; f < kt; ++f) {
-            const std::size_t k = k0 + static_cast<std::size_t>(f);
-            const float scale = packed.weight_scales[k] * act_scale;
-            row[k] = scale * static_cast<float>(tmp[f]) + packed.out_bias[k];
-          }
-        }
-      }
-    }
-  }
-}
-
-#endif  // CQ_SIMD_SSE2_BASELINE
-#endif  // CQ_SIMD_X86
 
 }  // namespace
 
@@ -894,8 +788,11 @@ void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid
           const auto n = static_cast<std::size_t>(task / row_blocks / tiles);
           v.image = image_data + n * img.sample_words;
           const int y0 = static_cast<int>(block) * rows_per_task;
-          conv_rows(packed, v, out + n * filters * spatial, static_cast<std::size_t>(tile),
-                    y0, std::min(oh, y0 + rows_per_task));
+          with_mac(packed.kernel, [&](auto mac) {
+            conv_rows<decltype(mac)>(packed, v, out + n * filters * spatial,
+                                     static_cast<std::size_t>(tile), y0,
+                                     std::min(oh, y0 + rows_per_task));
+          });
         }
       });
 }
@@ -918,27 +815,10 @@ void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid gr
   const std::uint32_t* const image_data = image.data();
   exec.capped(static_cast<std::int64_t>(filters) * in_features * batch / kMinMacsPerThread)
       .parallel_for(0, tiles, [&](std::int64_t t0, std::int64_t t1) {
-        switch (packed.kernel) {
-#if CQ_SIMD_X86
-          case Kernel::kAvx2I8:
-            linear_tiles_avx2<true>(packed, act_scale, image_data, batch, words, out, t0, t1);
-            return;
-          case Kernel::kAvx2I16:
-            linear_tiles_avx2<false>(packed, act_scale, image_data, batch, words, out, t0,
-                                     t1);
-            return;
-#endif
-#if CQ_SIMD_SSE2_BASELINE
-          case Kernel::kSse2I16:
-            linear_tiles_sse2(packed, act_scale, image_data, batch, words, out, t0, t1);
-            return;
-#endif
-          case Kernel::kGeneric:
-            linear_tiles_generic(packed, act_scale, image_data, batch, words, out, t0, t1);
-            return;
-          default:  // kScalar (refused by check_runnable) and kernels this build lacks
-            return;
-        }
+        with_mac(packed.kernel, [&](auto mac) {
+          linear_tiles<decltype(mac)>(packed, act_scale, image_data, batch, words, out, t0,
+                                      t1);
+        });
       });
 }
 

@@ -33,9 +33,8 @@ SimdTier env_requested_tier() {
   const char* env = std::getenv("CQ_SIMD");
   if (env == nullptr) return SimdTier::kAvx2;
   const std::string v(env);
-  if (v == "off" || v == "scalar") return SimdTier::kScalar;
   if (v == "portable") return SimdTier::kPortable;
-  return SimdTier::kAvx2;  // "avx2", "auto", or a typo: fastest correct tier
+  return SimdTier::kAvx2;  // "avx2", "auto", or a typo ("off" too): fastest tier
 }
 
 }  // namespace
@@ -47,8 +46,6 @@ const CpuFeatures& cpu_features() {
 
 const char* simd_tier_name(SimdTier tier) {
   switch (tier) {
-    case SimdTier::kScalar:
-      return "scalar";
     case SimdTier::kPortable:
       return "portable";
     case SimdTier::kAvx2:

@@ -6,8 +6,8 @@
 // the GCC/clang `target` attribute) may only be *called* after this
 // module has proven at runtime that the CPU executes them; everything
 // below AVX2 lands on the portable kernels (baseline-SSE2 pmaddwd on
-// x86-64, GCC vector extensions elsewhere), and CQ_SIMD=off retires
-// the explicit kernels entirely.
+// x86-64, GCC vector extensions elsewhere). Running without explicit
+// SIMD is a backend choice (--backend=scalar), not a tier.
 
 #include <string>
 
@@ -29,14 +29,13 @@ struct CpuFeatures {
 const CpuFeatures& cpu_features();
 
 /// Execution tiers of the explicit-SIMD backend, ordered by
-/// capability. Scalar = explicit SIMD off (delegate to the scalar
-/// reference); Portable = kernels legal on every CPU the binary
-/// runs on without a runtime check (baseline-SSE2 pmaddwd on x86-64,
-/// GCC vector extensions elsewhere); Avx2 = hand-scheduled AVX2
-/// intrinsic kernels, legal only when cpu_features().avx2.
-enum class SimdTier { kScalar = 0, kPortable = 1, kAvx2 = 2 };
+/// capability. Portable = kernels legal on every CPU the binary runs
+/// on without a runtime check (baseline-SSE2 pmaddwd on x86-64, GCC
+/// vector extensions elsewhere); Avx2 = hand-scheduled AVX2 intrinsic
+/// kernels, legal only when cpu_features().avx2.
+enum class SimdTier { kPortable = 0, kAvx2 = 1 };
 
-/// Stable lowercase tier name: "scalar", "portable", "avx2".
+/// Stable lowercase tier name: "portable", "avx2".
 const char* simd_tier_name(SimdTier tier);
 
 /// Highest tier this CPU can execute (never consults overrides):
@@ -48,9 +47,9 @@ SimdTier max_supported_simd_tier();
 /// The tier SimdBackend instances constructed *now* will use:
 /// min(max_supported, requested), where requested comes from the
 /// forced override (tests) if set, else the CQ_SIMD environment
-/// variable ("off"/"scalar", "portable", "avx2", "auto"/unset), else
-/// the maximum. Unrecognized CQ_SIMD values fall back to "auto" so a
-/// typo degrades to the fastest correct tier instead of crashing.
+/// variable ("portable", "avx2", "auto"/unset), else the maximum.
+/// Unrecognized CQ_SIMD values ("off" included) fall back to "auto" so
+/// a typo degrades to the fastest correct tier instead of crashing.
 SimdTier resolve_simd_tier();
 
 /// Test hook: pin resolve_simd_tier() to `tier` (clamped to what the

@@ -25,6 +25,7 @@
 #include "deploy/backend.h"
 #include "deploy/cpu_features.h"
 #include "deploy/int_engine.h"
+#include "deploy/overflow.h"
 #include "deploy/plan.h"
 #include "deploy/verify.h"
 #include "layer_fixtures.h"
@@ -198,7 +199,7 @@ TEST(BackendFactory, UnknownKindErrorNamesValidKinds) {
 // --- SIMD backend ----------------------------------------------------
 
 /// Explicit-kernel tiers executable on this machine: portable always,
-/// avx2 when CPUID licenses it. Never kScalar, which packs no panels.
+/// avx2 when CPUID licenses it.
 std::vector<SimdTier> reachable_simd_tiers() {
   std::vector<SimdTier> tiers = {SimdTier::kPortable};
   if (max_supported_simd_tier() == SimdTier::kAvx2) {
@@ -434,6 +435,96 @@ TEST(BackendIdentity, SimdLinearMatchesScalarAtEveryTier) {
   expect_kernels_covered(compared);
 }
 
+/// Random codes never drive every lane to its worst case, so this pins
+/// each MAC instruction at the edge of the certificate that selected it:
+/// filters alternate all-max and all-zero codes (centered +-max|w|)
+/// against activations at the top code, so each filter's products share
+/// one sign and its sum reaches the bound. Each edge runs through the
+/// linear kernel and a 1x1 conv over a 3x3 image (one tail strip), raw
+/// and in_codes, batch 3, at every reachable tier, byte for byte against
+/// scalar. One more term past an int32 edge delegates to scalar.
+TEST(BackendIdentity, SimdKernelsExactAtCertifiedEdge) {
+  struct Edge {
+    int weight_bits, act_bits;
+    std::int64_t terms;
+    std::int64_t bound;           // max|w| * act_max * terms
+    simd::Kernel avx2, portable;  // the kernel each tier must select
+  };
+  constexpr std::int64_t kInt32Edge = std::numeric_limits<std::int32_t>::max() - 98'302;
+  const Edge edges[] = {
+      // maddubs pair sums of +-2 * 127 * 127 = 32,258: the most
+      // int_reduction_fits_int8_madd admits.
+      {7, 7, 131, 127LL * 127 * 131, simd::Kernel::kAvx2I8, simd::Kernel::kSse2I16},
+      // |acc| = 255 * 32,767 * 257 on the int16 pair kernels.
+      {8, 15, 257, kInt32Edge, simd::Kernel::kAvx2I16, simd::Kernel::kSse2I16},
+      // The same |acc| = 7 * 65,535 * 4,681 on the generic kernel.
+      {3, 16, 4681, kInt32Edge, simd::Kernel::kGeneric, simd::Kernel::kGeneric},
+  };
+  constexpr int kBatch = 3, kFilters = 10, kPixels = 3 * 3;
+  for (const Edge& e : edges) {
+    const auto alternating_layer = [&](std::int64_t terms) {
+      const auto per_filter = static_cast<std::size_t>(terms);
+      std::vector<std::int32_t> codes(kFilters * per_filter);
+      std::vector<float> bias(kFilters);
+      for (std::size_t k = 0; k < kFilters; ++k) {
+        std::fill_n(codes.begin() + static_cast<std::ptrdiff_t>(k * per_filter), per_filter,
+                    k % 2 == 0 ? (1 << e.weight_bits) - 1 : 0);
+        bias[k] = 0.125f * static_cast<float>(k) - 0.5f;
+      }
+      return integer_layer_from_codes(
+          std::vector<std::uint8_t>(kFilters, static_cast<std::uint8_t>(e.weight_bits)), terms,
+          0.8f, codes, std::move(bias));
+    };
+    const IntegerLayer layer = alternating_layer(e.terms);
+    const std::string edge = std::to_string(e.weight_bits) + "-bit weights x " +
+                             std::to_string(e.act_bits) + "-bit activations x " +
+                             std::to_string(e.terms) + " terms";
+    ASSERT_EQ(e.bound, int_reduction_bound(max_abs_centered_code(layer), e.act_bits, e.terms))
+        << edge;
+    const auto in_features = static_cast<int>(e.terms);
+    const auto count = static_cast<std::size_t>(kBatch) * in_features;
+    for (const bool in_codes : {false, true}) {
+      const simd::ActGrid grid{1.0f, e.act_bits, in_codes};
+      // Top-code activations: the code itself, or raw values at and
+      // past the clip at hi = 1.
+      const float top_code = static_cast<float>((1 << e.act_bits) - 1);
+      std::vector<float> acts(count * kPixels);
+      for (std::size_t i = 0; i < acts.size(); ++i) {
+        const float raw = i % 2 == 0 ? 1.0f : 3.0f;
+        acts[i] = in_codes ? top_code : raw;
+      }
+      const std::vector<float> linear_acts(acts.begin(),
+                                           acts.begin() + static_cast<std::ptrdiff_t>(count));
+      const Tensor linear_ref =
+          integer_linear_forward(layer, adopt_codes(linear_acts, grid), kBatch, in_features);
+      const Tensor conv_ref = integer_conv_forward(layer, adopt_codes(acts, grid), kBatch,
+                                                   in_features, 3, 3, 1, 1, 0);
+      for (const SimdTier tier : reachable_simd_tiers()) {
+        const std::string what = edge + (in_codes ? " in_codes" : " raw") + " tier=" +
+                                 simd_tier_name(tier);
+        const simd::PackedSimd packed = simd::pack_simd(layer, tier, e.act_bits);
+        ASSERT_EQ(tier == SimdTier::kAvx2 ? e.avx2 : e.portable, packed.kernel) << what;
+        std::vector<std::uint32_t> image;
+        std::vector<float> out(linear_ref.numel(), -7.0f);
+        simd::linear_forward_into(packed, linear_acts.data(), grid, kBatch, in_features,
+                                  out.data(), image);
+        expect_bytes_equal(out.data(), linear_ref.data(), out.size(), what + " linear");
+        out.assign(conv_ref.numel(), -7.0f);
+        simd::conv_forward_into(packed, acts.data(), grid, kBatch, in_features, 3, 3, 1, 1, 0,
+                                out.data(), image);
+        expect_bytes_equal(out.data(), conv_ref.data(), out.size(), what + " conv");
+      }
+    }
+    if (e.bound == kInt32Edge) {
+      const IntegerLayer past = alternating_layer(e.terms + 1);
+      for (const SimdTier tier : reachable_simd_tiers()) {
+        EXPECT_EQ(simd::Kernel::kScalar, simd::pack_simd(past, tier, e.act_bits).kernel)
+            << edge << " + 1 term, tier=" << simd_tier_name(tier);
+      }
+    }
+  }
+}
+
 /// A NaN reaching an integer op encodes to code 0 (activation 0.0) on
 /// every path: the scalar encode, the fused ep_encode epilogue, and the
 /// SIMD image encoder — so one NaN pixel cannot split the backends.
@@ -658,10 +749,9 @@ TEST(BackendIdentity, AllZeroLayerServesItsBias) {
   }
 }
 
-TEST(BackendIdentity, SimdKernelsRefuseScalarTier) {
+TEST(BackendIdentity, SimdKernelsRefuseWiderGridOrGeometry) {
   util::Rng rng(909);
   const IntegerLayer layer = random_integer_layer(4, 10, rng);
-  expect_unpacked(simd::pack_simd(layer, SimdTier::kScalar, 4));
   // A layer packed for a narrower activation grid refuses wider codes:
   // the kernel choice was only certified for the packed width.
   const simd::PackedSimd narrow = simd::pack_simd(layer, SimdTier::kPortable, 2);
@@ -783,45 +873,20 @@ TEST(BackendFactory, SimdDispatchNamesResolvedIsa) {
   }
 }
 
-/// CQ_SIMD=off / force_simd_tier(kScalar) retires the explicit kernels:
-/// the backend constructs at tier scalar, packs nothing, every integer
-/// op delegates to the scalar reference (the dispatch label says so),
-/// and outputs stay byte-identical.
-TEST(BackendFactory, SimdForcedFallbackDelegates) {
-  ForcedTier forced(SimdTier::kScalar);
-  const auto plan = std::make_shared<const ExecutionPlan>(
-      compile_plan(serve::tiny_vgg_artifact()));
-  const auto backend = make_backend(BackendKind::Simd);
-  backend->prepare(*plan);
-  for (const PlanOp& op : plan->ops()) {
-    EXPECT_STREQ("scalar", backend->dispatch(op));
-  }
-  EXPECT_EQ(0u, backend->prepared_bytes());
-  serve::EngineSession scalar(plan, 1);
-  serve::EngineSession fallback(plan, 1, {}, make_backend(BackendKind::Simd));
-  const Tensor input = serve::random_batch(plan->sample_shape(), 3, 42);
-  const Tensor a = scalar.run(input);
-  const Tensor b = fallback.run(input);
-  expect_bytes_equal(a.data(), b.data(), a.numel(), "forced scalar-tier fallback");
-}
-
 TEST(CpuFeatures, EnvAndForceResolveTiers) {
   const char* prev = std::getenv("CQ_SIMD");
   const std::string saved = prev != nullptr ? prev : "";
   const bool had = prev != nullptr;
 
-  ::setenv("CQ_SIMD", "off", 1);
-  EXPECT_EQ(SimdTier::kScalar, resolve_simd_tier());
-  ::setenv("CQ_SIMD", "scalar", 1);
-  EXPECT_EQ(SimdTier::kScalar, resolve_simd_tier());
   ::setenv("CQ_SIMD", "portable", 1);
   EXPECT_EQ(SimdTier::kPortable, resolve_simd_tier());
   // "avx2", "auto", and typos all resolve to the fastest tier the CPU
-  // supports — a misspelled override degrades, never crashes.
-  ::setenv("CQ_SIMD", "avx2", 1);
-  EXPECT_EQ(max_supported_simd_tier(), resolve_simd_tier());
-  ::setenv("CQ_SIMD", "definitely-a-typo", 1);
-  EXPECT_EQ(max_supported_simd_tier(), resolve_simd_tier());
+  // supports — a misspelled override degrades, never crashes. "off" is
+  // one more unrecognized value: no explicit SIMD is --backend=scalar.
+  for (const char* value : {"avx2", "auto", "definitely-a-typo", "off"}) {
+    ::setenv("CQ_SIMD", value, 1);
+    EXPECT_EQ(max_supported_simd_tier(), resolve_simd_tier()) << value;
+  }
   // The forced override outranks the environment.
   force_simd_tier(SimdTier::kPortable);
   EXPECT_EQ(SimdTier::kPortable, resolve_simd_tier());

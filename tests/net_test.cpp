@@ -513,9 +513,18 @@ TEST(FrontEndLifecycle, StopDrainsInFlightRequests) {
   }
   raw.send_all(wire.data(), wire.size());
 
-  // Give the loop a moment to admit, then drain while they are queued
-  // inside the 20 ms batch window.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Wait until the loop has taken every request to the registry, then
+  // drain while they are queued inside the 20 ms batch window. A fixed
+  // sleep raced the loop thread on a loaded host: a connection still in
+  // the listen backlog at stop() is never accepted, and the read below
+  // then waits for an EOF that only the destructor sends.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    const serve::ModelInfo info = registry.info("m");
+    if (info.requests_admitted + info.requests_shed >= kInFlight) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "requests never reached the registry";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   front->stop();
 
   // Every admitted request's reply must have been flushed before stop

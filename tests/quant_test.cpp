@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "quant/bitwidth.h"
-#include "quant/integer_gemm.h"
 #include "quant/uniform.h"
 
 namespace cq::quant {
@@ -186,45 +185,6 @@ TEST(BitArrangement, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(arr.average_bits(), 0.0);
   EXPECT_EQ(arr.total_weights(), 0u);
   EXPECT_EQ(arr.max_bits(), 0);
-}
-
-TEST(WrapAccumulator, NoWrapWhenDisabled) {
-  EXPECT_EQ(wrap_accumulator(123456789, 0), 123456789);
-  EXPECT_EQ(wrap_accumulator(-5, 64), -5);
-}
-
-TEST(WrapAccumulator, WrapsLikeTwosComplement) {
-  // 8-bit accumulator: range [-128, 127].
-  EXPECT_EQ(wrap_accumulator(127, 8), 127);
-  EXPECT_EQ(wrap_accumulator(128, 8), -128);
-  EXPECT_EQ(wrap_accumulator(255, 8), -1);
-  EXPECT_EQ(wrap_accumulator(256, 8), 0);
-  EXPECT_EQ(wrap_accumulator(-129, 8), 127);
-}
-
-TEST(WrapAccumulator, IdentityInsideRange) {
-  for (int v = -128; v <= 127; ++v) EXPECT_EQ(wrap_accumulator(v, 8), v);
-}
-
-TEST(IntegerGemm, MatchesFloatGemmWhenWide) {
-  const std::int32_t a[] = {1, 2, 3, 4};
-  const std::int32_t b[] = {5, 6, 7, 8};
-  std::int64_t c[4];
-  integer_gemm(a, b, c, 2, 2, 2, /*acc_bits=*/32);
-  EXPECT_EQ(c[0], 19);
-  EXPECT_EQ(c[1], 22);
-  EXPECT_EQ(c[2], 43);
-  EXPECT_EQ(c[3], 50);
-}
-
-TEST(IntegerGemm, NarrowAccumulatorWraps) {
-  // 1x1 gemm computing 100*2 = 200, wrapped in 8 bits -> -56.
-  const std::int32_t a[] = {100};
-  const std::int32_t b[] = {2};
-  std::int64_t c[1];
-  integer_gemm(a, b, c, 1, 1, 1, 8);
-  EXPECT_EQ(c[0], wrap_accumulator(200, 8));
-  EXPECT_EQ(c[0], -56);
 }
 
 class QuantBitsSweep : public testing::TestWithParam<int> {};

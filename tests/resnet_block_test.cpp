@@ -2,7 +2,6 @@
 
 #include "gradcheck.h"
 #include "nn/models/resnet20.h"
-#include "quant/integer_gemm.h"
 #include "quant/uniform.h"
 
 namespace cq::nn {
