@@ -1,10 +1,10 @@
 // plan_optimize — end-to-end A/B of the deploy::optimize_plan pass
 // pipeline: for each integer zoo model, serve the same batches through
-// two EngineSessions built from the same artifact — one at PlanOpt::kO0
-// (plan as compiled) and one at PlanOpt::kO1 (epilogue fusion +
-// quantized-domain propagation + arena re-planning) — verify the
-// outputs are byte-identical (the passes' exactness contract), and
-// time both.
+// two EngineSessions built from the same artifact — one over the plan
+// as deploy::compile_plan emits it (O0), one over the artifact's
+// serving plan (O1: epilogue fusion + quantized-domain propagation +
+// arena re-planning) — verify the outputs are byte-identical (the
+// passes' exactness contract), and time both.
 //
 // This is the perf-smoke CI lane's optimizer gate, in the
 // kernel_scaling mold: the dev container is single-core, so CI runs
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "deploy/backend.h"
+#include "deploy/plan.h"
 #include "serve/engine_session.h"
 #include "serve/zoo.h"
 #include "util/cli.h"
@@ -80,10 +81,9 @@ int main(int argc, char** argv) {
   // layer shapes.
   std::vector<Result> results;
   for (const serve::ZooModel& m : serve::default_zoo()) {
-    serve::EngineSession o0(m.artifact, 1, exec, deploy::make_backend(backend_kind),
-                            serve::PlanCheck::kNone, serve::PlanOpt::kO0);
-    serve::EngineSession o1(m.artifact, 1, exec, deploy::make_backend(backend_kind),
-                            serve::PlanCheck::kNone, serve::PlanOpt::kO1);
+    serve::EngineSession o0(deploy::compile_plan(m.artifact), 1, exec,
+                            deploy::make_backend(backend_kind));
+    serve::EngineSession o1(m.artifact, 1, exec, deploy::make_backend(backend_kind));
     const tensor::Tensor input = serve::random_batch(o0.sample_shape(), batch, 23);
 
     // Warm both sessions (arena growth stays out of the timed window)

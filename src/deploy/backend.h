@@ -26,7 +26,8 @@ struct BackendIo {
 /// requests so steady-state serving allocates nothing per op: the
 /// activation-code buffer, the integer im2col patch matrix, and the
 /// float im2col patch matrix. One BackendScratch per interpreter
-/// context; sized once from the plan's compile-time maxima.
+/// context; it starts empty, and each kernel grows the buffers it
+/// uses to the op's need, so a default-constructed scratch is valid.
 struct BackendScratch {
   ActCodes codes;
   std::vector<std::int32_t> int_cols;

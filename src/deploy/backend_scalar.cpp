@@ -123,6 +123,8 @@ void ScalarBackend::run(const PlanOp& op, const ExecutionPlan& plan,
       // One image per gemm: spread it only over threads it keeps busy.
       const util::ExecContext per_image =
           exec.capped(static_cast<std::int64_t>(op_macs(op)) / kMinMacsPerThread);
+      const std::size_t cols = static_cast<std::size_t>(g.patch_size()) * spatial;
+      if (scratch.float_cols.size() < cols) scratch.float_cols.resize(cols);
       for (int n = 0; n < batch; ++n) {
         tensor::im2col(in0 + static_cast<std::size_t>(n) * in_stride, g,
                        scratch.float_cols.data(), per_image);

@@ -50,18 +50,11 @@ void run_pass(ExecutionPlan& plan, OptimizeReport& report, const char* name,
 
 }  // namespace
 
-OptimizeReport optimize_plan(ExecutionPlan& plan,
-                             const OptimizeOptions& options) {
+OptimizeReport optimize_plan(ExecutionPlan& plan) {
   OptimizeReport report;
-  if (options.fuse_epilogue) {
-    run_pass(plan, report, "fuse-epilogue", pass_fuse_epilogue);
-  }
-  if (options.propagate_codes) {
-    run_pass(plan, report, "propagate-codes", pass_propagate_codes);
-  }
-  if (options.replan_arena) {
-    run_pass(plan, report, "replan-arena", pass_replan_arena);
-  }
+  run_pass(plan, report, "fuse-epilogue", pass_fuse_epilogue);
+  run_pass(plan, report, "propagate-codes", pass_propagate_codes);
+  run_pass(plan, report, "replan-arena", pass_replan_arena);
   return report;
 }
 

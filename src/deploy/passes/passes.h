@@ -8,15 +8,6 @@
 
 namespace cq::deploy {
 
-/// Which passes optimize_plan runs. All default on; the flags exist so
-/// tests can exercise passes in isolation and so callers can bisect a
-/// suspect optimization without rebuilding.
-struct OptimizeOptions {
-  bool fuse_epilogue = true;    ///< fold BN/Add/Relu into compute epilogues
-  bool propagate_codes = true;  ///< stay in the quantized domain between layers
-  bool replan_arena = true;     ///< final compact + first-fit re-plan
-};
-
 /// Structured pass log: what one pass did to the plan. `changes` counts
 /// the pass's own unit of work (fusions, deleted round-trips, dropped
 /// slots); ops/arena record the plan totals around the pass so effects
@@ -40,14 +31,14 @@ struct OptimizeReport {
   std::string summary() const;
 };
 
-/// The pass pipeline over a compiled plan. Every pass mutates through
-/// PlanRewriter, runs to a fixpoint, and leaves the plan
+/// The pass pipeline over a compiled plan: fuse-epilogue,
+/// propagate-codes, replan-arena, in that order. Every pass mutates
+/// through PlanRewriter, runs to a fixpoint, and leaves the plan
 /// verify_plan-clean — optimize_plan re-verifies after each pass and
 /// throws ArtifactError naming the offending pass on any finding, so a
 /// broken rewrite can never reach a backend. All passes are bit-exact:
 /// an optimized plan produces byte-identical inference results.
-OptimizeReport optimize_plan(ExecutionPlan& plan,
-                             const OptimizeOptions& options = {});
+OptimizeReport optimize_plan(ExecutionPlan& plan);
 
 // Individual passes, exposed for targeted tests. Each returns its
 // `changes` count and (when it changed anything) finishes with the

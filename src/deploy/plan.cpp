@@ -288,24 +288,18 @@ class PlanCompiler {
     op.label = conv.name();
     op.out = new_value({op.out_c, op.out_h, op.out_w});
 
-    const std::size_t patch = static_cast<std::size_t>(op.in_c) * op.kernel * op.kernel;
-    const std::size_t spatial = static_cast<std::size_t>(op.out_h) * op.out_w;
     const auto it = integer_index_.find(&conv);
     if (it != integer_index_.end() && grid.valid) {
       op.kind = OpKind::IntConv;
       op.layer = it->second;
       op.act_hi = grid.hi;
       op.act_bits = grid.bits;
-      plan_.max_int_cols_ = std::max(plan_.max_int_cols_, patch * spatial);
-      plan_.max_encode_floats_ =
-          std::max(plan_.max_encode_floats_, tensor::shape_numel(in));
     } else {
       // Unquantized layer (stem), or activations are not on an integer
       // grid: the float im2col+GEMM path with the layer's effective
       // weights, decided once here instead of per request.
       op.kind = OpKind::FloatConv;
       snapshot_effective_params(conv, op);
-      plan_.max_float_cols_ = std::max(plan_.max_float_cols_, patch * spatial);
     }
     return emit(std::move(op));
   }
@@ -327,8 +321,6 @@ class PlanCompiler {
       op.layer = it->second;
       op.act_hi = grid.hi;
       op.act_bits = grid.bits;
-      plan_.max_encode_floats_ =
-          std::max(plan_.max_encode_floats_, static_cast<std::size_t>(op.in_features));
     } else {
       op.kind = OpKind::FloatLinear;
       snapshot_effective_params(fc, op);

@@ -143,14 +143,6 @@ class ExecutionPlan {
   const tensor::Shape& sample_shape() const { return sample_shape_; }
   int num_classes() const { return num_classes_; }
 
-  /// Compile-time maxima of the per-context scratch buffers (so the
-  /// interpreter sizes them once): im2col patch matrices of the float
-  /// and integer conv ops, and the largest tensor an EncodeAct/Int op
-  /// encodes (all per sample; code counts scale by batch).
-  std::size_t max_float_cols() const { return max_float_cols_; }
-  std::size_t max_int_cols() const { return max_int_cols_; }
-  std::size_t max_encode_floats() const { return max_encode_floats_; }
-
  private:
   friend class PlanCompiler;  ///< the compile_plan implementation
   friend class PlanRewriter;  ///< the sanctioned mutation seam below
@@ -163,9 +155,6 @@ class ExecutionPlan {
   int output_slot_ = -1;
   tensor::Shape sample_shape_;
   int num_classes_ = 0;
-  std::size_t max_float_cols_ = 0;
-  std::size_t max_int_cols_ = 0;
-  std::size_t max_encode_floats_ = 0;
 };
 
 /// Mutable access to a compiled plan's internals — the one sanctioned

@@ -98,6 +98,9 @@ void FrontEnd::stop() {
   flush_exit_.store(true, std::memory_order_release);
   wake();  // the loop flushes every outbox, closes, exits
   loop_thread_.join();
+  // The loop no longer polls the listener; closing it refuses new
+  // clients instead of parking them in the backlog until destruction.
+  listener_.close();
 }
 
 FrontEndStats FrontEnd::stats() const {

@@ -26,7 +26,7 @@ struct FrontEndConfig {
   int max_connections = 64;
   /// Global cap on admitted-but-unanswered requests across all
   /// connections and models — the front end's own overload valve,
-  /// above the per-model queue-depth admission in the registry.
+  /// above each model's bounded queue in the registry.
   /// Exceeding it answers kBusy, never blocks the event loop.
   std::size_t max_inflight = 1024;
   /// Threads that wait on admitted futures and encode replies. The
@@ -67,8 +67,9 @@ struct FrontEndStats {
 ///
 /// stop() is the graceful drain (the daemon's SIGTERM path): stop
 /// accepting and reading, let every admitted request finish on the
-/// plan it started on, flush all outboxes, then join. Idempotent; the
-/// destructor calls it.
+/// plan it started on, flush all outboxes, join, then close the
+/// listener so later connects are refused. Idempotent; the destructor
+/// calls it.
 class FrontEnd {
  public:
   explicit FrontEnd(serve::ModelRegistry& registry, FrontEndConfig config = {});

@@ -72,6 +72,9 @@ class Listener {
 
   void set_nonblocking(bool enabled) { socket_.set_nonblocking(enabled); }
 
+  /// Stops listening: later connects are refused. Idempotent.
+  void close() { socket_.close(); }
+
  private:
   Socket socket_;
   std::uint16_t port_ = 0;

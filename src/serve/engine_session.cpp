@@ -14,8 +14,8 @@ namespace cq::serve {
 /// One concurrent execution lane: the slot arena (every tensor of the
 /// plan, laid out by the compile-time buffer planner and scaled by the
 /// batch size) plus the backend scratch (reused activation-code and
-/// im2col buffers). The arena grows to the largest batch seen, then
-/// serving is allocation-free per request.
+/// im2col buffers, which the backend grows on demand). Both grow to
+/// the largest batch seen, then serving is allocation-free per request.
 struct EngineSession::Context {
   std::vector<float> arena;
   deploy::BackendScratch scratch;
@@ -32,64 +32,46 @@ int required_contexts(int contexts) {
   return contexts;
 }
 
-/// Compile, then (at kO1) run the optimizer pass pipeline. Every pass
-/// is byte-exact and re-verified, so the session's outputs are
-/// independent of the opt level.
-deploy::ExecutionPlan compile_session_plan(const deploy::QuantizedArtifact& artifact,
-                                           PlanOpt opt) {
-  deploy::ExecutionPlan plan = deploy::compile_plan(artifact);
-  if (opt == PlanOpt::kO1) deploy::optimize_plan(plan);
+}  // namespace
+
+std::shared_ptr<const deploy::ExecutionPlan> serving_plan(
+    const deploy::QuantizedArtifact& artifact) {
+  auto plan = std::make_shared<deploy::ExecutionPlan>(deploy::compile_plan(artifact));
+  deploy::optimize_plan(*plan);
   return plan;
 }
 
-}  // namespace
-
 EngineSession::EngineSession(const deploy::QuantizedArtifact& artifact, int contexts,
                              util::ExecContext exec,
-                             std::unique_ptr<deploy::Backend> backend,
-                             PlanCheck check, PlanOpt opt)
-    : EngineSession((required_contexts(contexts),
-                     std::make_shared<const deploy::ExecutionPlan>(
-                         compile_session_plan(artifact, opt))),
-                    contexts, exec, std::move(backend), check) {}
+                             std::unique_ptr<deploy::Backend> backend)
+    : EngineSession((required_contexts(contexts), serving_plan(artifact)), contexts,
+                    exec, std::move(backend)) {}
 
 EngineSession::EngineSession(deploy::ExecutionPlan plan, int contexts,
                              util::ExecContext exec,
-                             std::unique_ptr<deploy::Backend> backend,
-                             PlanCheck check)
+                             std::unique_ptr<deploy::Backend> backend)
     : EngineSession(std::make_shared<const deploy::ExecutionPlan>(std::move(plan)),
-                    contexts, exec, std::move(backend), check) {}
+                    contexts, exec, std::move(backend)) {}
 
 EngineSession::EngineSession(std::shared_ptr<const deploy::ExecutionPlan> plan,
                              int contexts, util::ExecContext exec,
-                             std::unique_ptr<deploy::Backend> backend,
-                             PlanCheck check)
+                             std::unique_ptr<deploy::Backend> backend)
     : exec_(exec), plan_(std::move(plan)), backend_(std::move(backend)) {
   if (plan_ == nullptr) {
     throw std::invalid_argument("EngineSession: plan must not be null");
   }
   required_contexts(contexts);
-  if (check == PlanCheck::kStrict) {
-    // The interpreter and backends below assume every IR invariant the
-    // verifier proves (slot lifetimes, aliasing legality, overflow
-    // bounds); strict sessions refuse to serve a plan that breaks one.
-    const deploy::VerifyReport report = deploy::verify_plan(*plan_);
-    if (!report.clean()) {
-      throw deploy::ArtifactError("EngineSession: plan fails verification:\n" +
-                                  deploy::format_diagnostics(report));
-    }
+  const deploy::VerifyReport report = deploy::verify_plan(*plan_);
+  if (!report.clean()) {
+    throw deploy::ArtifactError("EngineSession: plan fails verification:\n" +
+                                deploy::format_diagnostics(report));
   }
   if (backend_ == nullptr) backend_ = deploy::make_backend(deploy::BackendKind::Scalar);
   // The one-time hook: backends build packed/retiled weight layouts
   // here, before any context can run an op.
   backend_->prepare(*plan_);
   for (int i = 0; i < contexts; ++i) {
-    auto ctx = std::make_unique<Context>();
-    // im2col scratch is per image, so its compile-time maximum is
-    // batch-independent; sizing it here keeps the hot path clean.
-    ctx->scratch.float_cols.resize(plan_->max_float_cols());
-    ctx->scratch.int_cols.reserve(plan_->max_int_cols());
-    contexts_.push_back(std::move(ctx));
+    contexts_.push_back(std::make_unique<Context>());
     free_contexts_.push_back(contexts_.back().get());
   }
 }
@@ -151,8 +133,6 @@ tensor::Tensor EngineSession::run(const tensor::Tensor& batch) {
 
   const std::size_t arena_floats = plan_->arena_floats() * static_cast<std::size_t>(n);
   if (ctx.arena.size() < arena_floats) ctx.arena.resize(arena_floats);
-  ctx.scratch.codes.codes.reserve(plan_->max_encode_floats() *
-                                  static_cast<std::size_t>(n));
 
   std::memcpy(slot_data(ctx, plan_->input_slot(), n), batch.data(),
               batch.numel() * sizeof(float));

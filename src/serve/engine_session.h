@@ -16,30 +16,19 @@
 
 namespace cq::serve {
 
-/// Opt-in static verification of the plan a session is built over.
-/// kStrict runs deploy::verify_plan at construction and refuses —
-/// deploy::ArtifactError listing every finding — to serve a plan that
-/// breaks an IR invariant. The artifact constructor compiles its own
-/// plan (already debug-verified inside compile_plan); strict mode is
-/// the production-build guard for plans that arrive pre-compiled or
-/// pass through rewriting stages.
-enum class PlanCheck { kNone, kStrict };
-
-/// Whether the artifact constructor runs deploy::optimize_plan over
-/// the freshly compiled plan before serving it. kO1 (the default)
-/// applies the full pass pipeline — epilogue fusion, quantized-domain
-/// propagation, arena re-planning — which is byte-exact, so outputs
-/// are identical either way. kO0 serves the plan exactly as
-/// deploy::compile_plan emitted it: the escape hatch, and the baseline
-/// side of A/B perf comparisons. The pre-compiled-plan constructors
-/// never optimize — a handed-over plan's shape belongs to the caller.
-enum class PlanOpt { kO0, kO1 };
+/// The plan every artifact is served as: deploy::compile_plan, then
+/// the deploy::optimize_plan pass pipeline (byte-exact, and verified
+/// after each pass). The artifact constructors of EngineSession and
+/// Server, and ModelRegistry's load/swap path, all serve this plan.
+/// Throws deploy::ArtifactError on malformed artifacts.
+std::shared_ptr<const deploy::ExecutionPlan> serving_plan(
+    const deploy::QuantizedArtifact& artifact);
 
 /// Inference session interpreting a compiled deploy::ExecutionPlan.
 ///
 /// An EngineSession is the servable unit of the deployment story. The
 /// artifact constructor compiles the architecture to a flat op program
-/// once (deploy::compile_plan); run(batch) is then a loop over typed
+/// once (serving_plan); run(batch) is then a loop over typed
 /// op records with residual routing and the float-vs-integer path
 /// choice fixed at compile time. No nn::Module is instantiated or
 /// walked at serving time — and no kernel is called directly either:
@@ -69,34 +58,30 @@ enum class PlanOpt { kO0, kO1 };
 /// to serial execution at any thread count.
 class EngineSession {
  public:
-  /// Compiles the artifact internally — and, at the default PlanOpt::kO1,
-  /// runs the deploy::optimize_plan pass pipeline over the result — and
-  /// builds the session with `contexts` concurrent execution contexts
-  /// (>= 1), an intra-op execution context (default: serial kernels),
-  /// and a kernel backend (default: the scalar reference). Throws
-  /// deploy::ArtifactError on malformed artifacts.
+  /// Serves the artifact's serving_plan() with `contexts` concurrent
+  /// execution contexts (>= 1), an intra-op execution context
+  /// (default: serial kernels), and a kernel backend (default: the
+  /// scalar reference). Throws deploy::ArtifactError on malformed
+  /// artifacts.
   explicit EngineSession(const deploy::QuantizedArtifact& artifact, int contexts = 1,
                          util::ExecContext exec = {},
-                         std::unique_ptr<deploy::Backend> backend = nullptr,
-                         PlanCheck check = PlanCheck::kNone,
-                         PlanOpt opt = PlanOpt::kO1);
+                         std::unique_ptr<deploy::Backend> backend = nullptr);
 
-  /// Interprets a pre-compiled plan (compile once, build sessions
-  /// cheaply — e.g. one per shard of a fleet). PlanCheck::kStrict
-  /// re-verifies the handed-over plan before serving it.
+  /// Interprets a pre-compiled plan as given (compile once, build
+  /// sessions cheaply — e.g. one per shard of a fleet).
   explicit EngineSession(deploy::ExecutionPlan plan, int contexts = 1,
                          util::ExecContext exec = {},
-                         std::unique_ptr<deploy::Backend> backend = nullptr,
-                         PlanCheck check = PlanCheck::kNone);
+                         std::unique_ptr<deploy::Backend> backend = nullptr);
 
   /// Shares one immutable compiled plan across any number of sessions
-  /// without copying its weights or packed codes. Throws
-  /// std::invalid_argument on a null plan, deploy::ArtifactError when
-  /// PlanCheck::kStrict finds invariant violations.
+  /// without copying its weights or packed codes. Every constructor
+  /// ends here, and this one runs deploy::verify_plan: the interpreter
+  /// and backends assume every IR invariant it proves, so a plan that
+  /// breaks one is refused with deploy::ArtifactError listing the
+  /// findings. Throws std::invalid_argument on a null plan.
   explicit EngineSession(std::shared_ptr<const deploy::ExecutionPlan> plan,
                          int contexts = 1, util::ExecContext exec = {},
-                         std::unique_ptr<deploy::Backend> backend = nullptr,
-                         PlanCheck check = PlanCheck::kNone);
+                         std::unique_ptr<deploy::Backend> backend = nullptr);
   ~EngineSession();
 
   EngineSession(const EngineSession&) = delete;

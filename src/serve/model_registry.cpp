@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "deploy/passes/passes.h"
-#include "deploy/verify.h"
 #include "util/logging.h"
 
 namespace cq::serve {
@@ -69,18 +67,7 @@ std::shared_ptr<ModelRegistry::Version> ModelRegistry::current_version(
 std::shared_ptr<ModelRegistry::Version> ModelRegistry::build_version(
     const std::string& name, const deploy::QuantizedArtifact& artifact,
     const ModelConfig& config, int number) const {
-  auto plan = std::make_shared<deploy::ExecutionPlan>(deploy::compile_plan(artifact));
-  if (config.server.opt == PlanOpt::kO1) {
-    deploy::optimize_plan(*plan);
-  }
-  // The registry is the IR boundary for plans it builds itself: verify
-  // before serving, exactly like a strict session would, but with the
-  // registry naming the model in the refusal.
-  const deploy::VerifyReport report = deploy::verify_plan(*plan);
-  if (!report.clean()) {
-    throw RegistryError("ModelRegistry: model '" + name + "' failed plan verify: " +
-                        report.diagnostics.front().message);
-  }
+  std::shared_ptr<const deploy::ExecutionPlan> plan = serving_plan(artifact);
 
   auto version = std::make_shared<Version>();
   version->number = number;
@@ -101,7 +88,13 @@ std::shared_ptr<ModelRegistry::Version> ModelRegistry::build_version(
                         bytes_human(config.memory_budget_bytes) + " budget");
   }
 
-  version->server = std::make_unique<Server>(plan, config.server);
+  try {
+    version->server = std::make_unique<Server>(plan, config.server);
+  } catch (const deploy::ArtifactError& e) {
+    // The server's session refuses a plan that fails verify_plan; the
+    // registry names the model in the refusal.
+    throw RegistryError("ModelRegistry: model '" + name + "' refused: " + e.what());
+  }
 
   // Second gate, same load: backend-prepared packed state only exists
   // after prepare() ran. Enforcing it here keeps the budget honest for
@@ -238,20 +231,6 @@ ModelRegistry::Admission ModelRegistry::submit(const std::string& name,
       return admission;
     }
 
-    // Admission control keyed on queue depth: shed before the bounded
-    // queue is full when the operator configured a tighter threshold.
-    const std::size_t cap = entry->config.admit_queue_depth != 0
-                                ? entry->config.admit_queue_depth
-                                : entry->config.server.queue_capacity;
-    const std::size_t depth = version->server->queue_depth();
-    if (depth >= cap) {
-      entry->shed->inc();
-      admission.outcome = Outcome::kShed;
-      admission.reason = "model '" + name + "' over capacity (queue depth " +
-                         std::to_string(depth) + " >= " + std::to_string(cap) + ")";
-      return admission;
-    }
-
     std::future<tensor::Tensor> future;
     switch (version->server->try_submit(sample, future)) {
       case Server::SubmitResult::kAdmitted:
@@ -262,7 +241,8 @@ ModelRegistry::Admission ModelRegistry::submit(const std::string& name,
       case Server::SubmitResult::kShed:
         entry->shed->inc();
         admission.outcome = Outcome::kShed;
-        admission.reason = "model '" + name + "' queue is full";
+        admission.reason = "model '" + name + "' queue is full (capacity " +
+                           std::to_string(entry->config.server.queue_capacity) + ")";
         return admission;
       case Server::SubmitResult::kClosed:
         continue;  // raced a swap; retry on the successor version

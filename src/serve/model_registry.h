@@ -27,8 +27,9 @@ class RegistryError : public std::runtime_error {
 
 /// Per-model serving configuration. The ServerConfig shapes the
 /// model's worker pool / batching / backend exactly as for a
-/// standalone Server; the two registry-level knobs bound what the
-/// model may cost:
+/// standalone Server — its queue_capacity is also the model's
+/// admission threshold (submit() sheds once the queue is full); the
+/// registry-level budget bounds what the model may cost:
 struct ModelConfig {
   ServerConfig server;
   /// Hard cap on the model's resident bytes (compiled plan weights and
@@ -37,11 +38,6 @@ struct ModelConfig {
   /// it is refused with RegistryError and — on swap — the previous
   /// version keeps serving. 0 = unlimited.
   std::size_t memory_budget_bytes = 0;
-  /// Admission threshold on the scheduler queue depth: submit() sheds
-  /// (kShed, never a silent drop) once the model's queue holds this
-  /// many requests. 0 = the server's queue_capacity (shed only when
-  /// the bounded queue is actually full).
-  std::size_t admit_queue_depth = 0;
 };
 
 /// One registered model's public facts.
@@ -65,10 +61,10 @@ struct ModelInfo {
 /// (they scale with contexts / backend choice).
 std::size_t plan_resident_bytes(const deploy::ExecutionPlan& plan);
 
-/// Multi-model serving host: many named .cqar artifacts, each compiled
-/// once (plan shared read-only by the model's server contexts),
-/// optimized, verified and served by its own serve::Server with its
-/// own obs metrics.
+/// Multi-model serving host: many named .cqar artifacts, each turned
+/// into its serving_plan() once (shared read-only by the model's
+/// server contexts), verified and served by its own serve::Server with
+/// its own obs metrics.
 ///
 /// Hot swap (swap()): the replacement version is fully built — compile,
 /// optimize, verify, budget-check — while the old one keeps serving;
@@ -79,11 +75,11 @@ std::size_t plan_resident_bytes(const deploy::ExecutionPlan& plan);
 ///
 /// Admission: submit() never blocks and never silently drops. A
 /// request is either admitted (future returned), shed with a reason
-/// (model over its queue-depth threshold / queue full / draining), or
-/// unknown (no such model). Per-model admitted/shed counters live in
-/// the model's registry-level obs::Registry (metrics(name)), which
-/// survives hot-swaps; the per-version Server keeps its own serving
-/// histograms (stats(name) / server_metrics_json(name)).
+/// (queue full / draining), or unknown (no such model). Per-model
+/// admitted/shed counters live in the model's registry-level
+/// obs::Registry (metrics(name)), which survives hot-swaps; the
+/// per-version Server keeps its own serving histograms (stats(name) /
+/// server_metrics_json(name)).
 ///
 /// All methods are thread-safe; submit() takes one mutex acquisition
 /// to resolve the name, then runs on the version's lock-free path.
@@ -95,9 +91,9 @@ class ModelRegistry {
   ModelRegistry(const ModelRegistry&) = delete;
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
-  /// Compiles, optimizes (per config.server.opt), verifies and serves
-  /// `artifact` under `name` as version 1. Throws RegistryError on a
-  /// duplicate name or when the version exceeds its memory budget,
+  /// Compiles, optimizes, verifies and serves `artifact` under `name`
+  /// as version 1. Throws RegistryError on a duplicate name, a plan
+  /// that fails verification, or a version over its memory budget;
   /// deploy::ArtifactError on malformed artifacts.
   void load(const std::string& name, const deploy::QuantizedArtifact& artifact,
             ModelConfig config = {});
@@ -169,7 +165,8 @@ class ModelRegistry {
   std::shared_ptr<Entry> find(const std::string& name) const;
   std::shared_ptr<Entry> require(const std::string& name) const;
   std::shared_ptr<Version> current_version(Entry& entry) const;
-  /// Compile + optimize + verify + budget-check one artifact version.
+  /// serving_plan + budget-check + verify (in the Server's session)
+  /// one artifact version.
   std::shared_ptr<Version> build_version(const std::string& name,
                                          const deploy::QuantizedArtifact& artifact,
                                          const ModelConfig& config, int number) const;

@@ -26,32 +26,7 @@ ServerConfig normalized(ServerConfig config) {
 }  // namespace
 
 Server::Server(const deploy::QuantizedArtifact& artifact, ServerConfig config)
-    : config_(normalized(config)),
-      intra_pool_(config_.intra_threads > 1
-                      ? std::make_unique<util::ThreadPool>(config_.intra_threads - 1)
-                      : nullptr),
-      session_(artifact, config_.workers,
-               util::ExecContext{intra_pool_.get(), config_.intra_threads},
-               deploy::make_backend(config_.backend), PlanCheck::kNone, config_.opt),
-      scheduler_(scheduler_config(config_)),
-      pool_(config_.workers),
-      submitted_(metrics_.counter("requests_submitted", "requests accepted by submit()")),
-      failed_(metrics_.counter("requests_failed",
-                               "requests answered with an exception")),
-      shed_(metrics_.counter("requests_shed",
-                             "requests refused by try_submit (queue at capacity)")),
-      latency_us_(metrics_.histogram("latency_us",
-                                     "submit to promise fulfillment, microseconds")),
-      queue_wait_us_(metrics_.histogram(
-          "queue_wait_us", "submit to leaving the scheduler queue, microseconds")),
-      execute_us_(metrics_.histogram("execute_us",
-                                     "EngineSession::run wall time per batch, "
-                                     "microseconds")),
-      batch_size_(metrics_.histogram("batch_size", "coalesced micro-batch sizes")),
-      queue_depth_(metrics_.gauge("queue_depth", "requests waiting in the scheduler")),
-      started_(std::chrono::steady_clock::now()) {
-  start_workers();
-}
+    : Server(serving_plan(artifact), config) {}
 
 Server::Server(std::shared_ptr<const deploy::ExecutionPlan> plan, ServerConfig config)
     : config_(normalized(config)),
@@ -60,7 +35,7 @@ Server::Server(std::shared_ptr<const deploy::ExecutionPlan> plan, ServerConfig c
                       : nullptr),
       session_(std::move(plan), config_.workers,
                util::ExecContext{intra_pool_.get(), config_.intra_threads},
-               deploy::make_backend(config_.backend), PlanCheck::kNone),
+               deploy::make_backend(config_.backend)),
       scheduler_(scheduler_config(config_)),
       pool_(config_.workers),
       submitted_(metrics_.counter("requests_submitted", "requests accepted by submit()")),
@@ -78,10 +53,6 @@ Server::Server(std::shared_ptr<const deploy::ExecutionPlan> plan, ServerConfig c
       batch_size_(metrics_.histogram("batch_size", "coalesced micro-batch sizes")),
       queue_depth_(metrics_.gauge("queue_depth", "requests waiting in the scheduler")),
       started_(std::chrono::steady_clock::now()) {
-  start_workers();
-}
-
-void Server::start_workers() {
   metrics_.gauge("backend_prepared_bytes",
                  "bytes of backend-owned packed state built by prepare()")
       .set(static_cast<double>(session_.backend().prepared_bytes()));
@@ -132,8 +103,6 @@ Server::SubmitResult Server::try_submit(tensor::Tensor& sample,
   }
   return SubmitResult::kClosed;  // unreachable
 }
-
-std::size_t Server::queue_depth() const { return scheduler_.depth(); }
 
 void Server::shutdown() {
   {

@@ -33,11 +33,6 @@ struct ServerConfig {
   /// explicit-SIMD integer backend. Both are byte-identical, so this
   /// only trades execution speed.
   deploy::BackendKind backend = deploy::BackendKind::Scalar;
-  /// Plan optimization level for the compiled artifact: PlanOpt::kO1
-  /// (default) runs the deploy::optimize_plan pipeline — byte-exact, so
-  /// it only trades execution speed; PlanOpt::kO0 serves the plan as
-  /// compiled (escape hatch / A-B baseline).
-  PlanOpt opt = PlanOpt::kO1;
   int max_batch = 16;           ///< micro-batch flush size
   long max_wait_us = 200;       ///< micro-batch flush age
   std::size_t queue_capacity = 1024;  ///< bounded request queue depth
@@ -101,15 +96,15 @@ struct ServerStats {
 /// are inert until opted into.
 class Server {
  public:
+  /// Serves the artifact's serving_plan().
   explicit Server(const deploy::QuantizedArtifact& artifact, ServerConfig config = {});
 
-  /// Serves a pre-compiled (and pre-optimized, if the caller ran the
-  /// pass pipeline) plan shared read-only with any number of other
-  /// servers/sessions — serve::ModelRegistry compiles each artifact
-  /// version once and builds the server on the shared plan, so a
-  /// hot-swap never recompiles what the registry already has.
-  /// ServerConfig::opt does not apply here: a handed-over plan's shape
-  /// belongs to the caller. Throws std::invalid_argument on null.
+  /// Serves a pre-compiled plan as given, shared read-only with any
+  /// number of other servers/sessions — serve::ModelRegistry builds
+  /// each artifact version's plan once and the server on it, so a
+  /// hot-swap never recompiles what the registry already has. The
+  /// plan is verified like every EngineSession plan (deploy::ArtifactError
+  /// on a finding). Throws std::invalid_argument on null.
   Server(std::shared_ptr<const deploy::ExecutionPlan> plan, ServerConfig config = {});
 
   /// Shuts down (drains queued requests) and joins the workers.
@@ -136,10 +131,6 @@ class Server {
   /// is reported to the caller, which owes the client an explicit BUSY.
   enum class SubmitResult { kAdmitted, kShed, kClosed };
   SubmitResult try_submit(tensor::Tensor& sample, std::future<tensor::Tensor>& out);
-
-  /// Requests currently waiting in the scheduler queue — the signal
-  /// admission control keys on.
-  std::size_t queue_depth() const;
 
   /// Stops accepting requests, drains the queue and joins the workers.
   /// Idempotent; the destructor calls it.
@@ -177,7 +168,6 @@ class Server {
   const ServerConfig& config() const { return config_; }
 
  private:
-  void start_workers();
   void worker_loop(int worker);
 
   ServerConfig config_;

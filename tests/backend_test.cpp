@@ -164,6 +164,41 @@ TEST(BackendIdentity, ZooPlansByteIdenticalAcrossBackends) {
   }
 }
 
+/// Scratch sizes itself: with a default-constructed BackendScratch per
+/// op (no interpreter pre-sizing), every op of the tiny VGG and ResNet
+/// plans — as compiled (float stem conv, standalone BN/Relu/Add) and as
+/// served (fused epilogues, propagated codes) — runs through
+/// ScalarBackend::run to logits byte-identical to EngineSession's.
+TEST(BackendIdentity, ScalarRunsWithFreshScratch) {
+  constexpr int kBatch = 3;
+  for (const deploy::QuantizedArtifact& artifact :
+       {serve::tiny_vgg_artifact(), serve::tiny_resnet_artifact()}) {
+    for (const auto& plan : {std::make_shared<const ExecutionPlan>(compile_plan(artifact)),
+                             serve::serving_plan(artifact)}) {
+      ScalarBackend backend;
+      backend.prepare(*plan);
+      std::vector<float> arena(plan->arena_floats() * kBatch);
+      const auto slot = [&](int s) {
+        return arena.data() + plan->slots()[static_cast<std::size_t>(s)].offset * kBatch;
+      };
+      const Tensor input = serve::random_batch(plan->sample_shape(), kBatch, 41);
+      std::memcpy(slot(plan->input_slot()), input.data(), input.numel() * sizeof(float));
+      for (const PlanOp& op : plan->ops()) {
+        BackendIo io;
+        io.in0 = slot(op.in0);
+        io.in1 = op.in1 >= 0 ? slot(op.in1) : nullptr;
+        io.out = slot(op.out);
+        io.batch = kBatch;
+        BackendScratch scratch;
+        backend.run(op, *plan, io, scratch, util::ExecContext{});
+      }
+      const Tensor expected = serve::EngineSession(plan).run(input);
+      expect_bytes_equal(slot(plan->output_slot()), expected.data(), expected.numel(),
+                         artifact.arch.kind + " ops=" + std::to_string(plan->ops().size()));
+    }
+  }
+}
+
 TEST(BackendFactory, NamesParseAndConstruct) {
   for (const BackendKind kind : all_backend_kinds()) {
     EXPECT_EQ(kind, parse_backend_kind(backend_kind_name(kind)));

@@ -444,7 +444,6 @@ TEST(FrontEndOverload, PipelinedBurstShedsExplicitly) {
   config.server.max_batch = 64;
   config.server.max_wait_us = 50000;  // hold the batch window open
   config.server.queue_capacity = 2;
-  config.admit_queue_depth = 2;
   registry.load("m", artifact, config);
   net::FrontEndConfig net_config;
   net_config.port = 0;
@@ -516,8 +515,8 @@ TEST(FrontEndLifecycle, StopDrainsInFlightRequests) {
   // Wait until the loop has taken every request to the registry, then
   // drain while they are queued inside the 20 ms batch window. A fixed
   // sleep raced the loop thread on a loaded host: a connection still in
-  // the listen backlog at stop() is never accepted, and the read below
-  // then waits for an EOF that only the destructor sends.
+  // the listen backlog at stop() is never accepted, so the read below
+  // would get none of its replies.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   for (;;) {
     const serve::ModelInfo info = registry.info("m");
@@ -538,6 +537,19 @@ TEST(FrontEndLifecycle, StopDrainsInFlightRequests) {
     ++answered;
   }
   EXPECT_EQ(answered, kInFlight);
+}
+
+// A stopped front end refuses new clients outright; it must not let them
+// complete the handshake into a backlog nobody accepts from, where they
+// would wait forever for a byte or an EOF.
+TEST(FrontEndLifecycle, StopClosesTheListener) {
+  serve::ModelRegistry registry;
+  net::FrontEndConfig net_config;
+  net_config.port = 0;
+  net::FrontEnd front(registry, net_config);
+  const std::uint16_t port = front.port();
+  front.stop();
+  EXPECT_THROW(net::tcp_connect("localhost", port), net::NetError);
 }
 
 }  // namespace

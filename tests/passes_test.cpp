@@ -98,10 +98,8 @@ TEST(PlanOptimize, ByteIdenticalAcrossZooBatchThreadsBackends) {
         std::unique_ptr<util::ThreadPool> pool;
         if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads - 1);
         const util::ExecContext exec{pool.get(), threads};
-        serve::EngineSession o0(entry.artifact, 1, exec, make_backend(kind),
-                                serve::PlanCheck::kNone, serve::PlanOpt::kO0);
-        serve::EngineSession o1(entry.artifact, 1, exec, make_backend(kind),
-                                serve::PlanCheck::kNone, serve::PlanOpt::kO1);
+        serve::EngineSession o0(compile_plan(entry.artifact), 1, exec, make_backend(kind));
+        serve::EngineSession o1(entry.artifact, 1, exec, make_backend(kind));
         for (const int batch : {1, 3, 8}) {
           const tensor::Tensor input = serve::random_batch(entry.sample, batch, 29);
           const tensor::Tensor ref = o0.run(input);
@@ -206,9 +204,8 @@ TEST(PlanOptimize, InexactCompositionKeepsEncodeAct) {
   EXPECT_TRUE(kept) << "grid-mismatched EncodeAct was deleted";
 
   // Byte-equivalence holds on the mutated semantics too.
-  serve::EngineSession o0(plan, 1, {}, nullptr, serve::PlanCheck::kStrict);
-  serve::EngineSession o1(std::move(optimized), 1, {}, nullptr,
-                          serve::PlanCheck::kStrict);
+  serve::EngineSession o0(plan);
+  serve::EngineSession o1(std::move(optimized));
   const tensor::Tensor input = serve::random_batch({12}, 5, 31);
   const tensor::Tensor ref = o0.run(input);
   const tensor::Tensor opt = o1.run(input);
@@ -233,7 +230,7 @@ TEST(PlanOptimize, SingleLayerPlanPassesThrough) {
   EXPECT_EQ(report.ops_removed(), 0u);
   EXPECT_TRUE(verifies_clean(plan));
 
-  serve::EngineSession session(plan, 1, {}, nullptr, serve::PlanCheck::kStrict);
+  serve::EngineSession session(plan);
   const tensor::Tensor out = session.run(serve::random_batch({6}, 2, 37));
   EXPECT_EQ(out.shape(), (tensor::Shape{2, 3}));
 }
@@ -252,26 +249,6 @@ TEST(PlanOptimize, SecondRunIsNoOp) {
   EXPECT_EQ(plan.ops().size(), ops);
   EXPECT_EQ(plan.arena_floats(), arena);
   EXPECT_TRUE(verifies_clean(plan));
-}
-
-// OptimizeOptions gates every pass: all-off runs nothing and touches
-// nothing.
-TEST(PlanOptimize, AllOptionsOffLeavesPlanUntouched) {
-  ExecutionPlan plan = compile_plan(serve::tiny_vgg_artifact());
-  const std::size_t ops = plan.ops().size();
-  const std::size_t arena = plan.arena_floats();
-  OptimizeOptions off;
-  off.fuse_epilogue = false;
-  off.propagate_codes = false;
-  off.replan_arena = false;
-  const OptimizeReport report = optimize_plan(plan, off);
-  EXPECT_TRUE(report.passes.empty());
-  EXPECT_EQ(report.ops_removed(), 0u);
-  EXPECT_EQ(plan.ops().size(), ops);
-  EXPECT_EQ(plan.arena_floats(), arena);
-  for (const PlanOp& op : plan.ops()) {
-    EXPECT_FALSE(op.ep_bn || op.ep_add || op.ep_relu || op.ep_encode || op.in_codes);
-  }
 }
 
 }  // namespace

@@ -174,38 +174,6 @@ TEST(ModelRegistry, ShedsWhenQueueIsFull) {
   EXPECT_EQ(info.requests_shed, shed);
 }
 
-// A tighter admit_queue_depth must shed before the bounded queue is
-// full (depth gate, not queue-full).
-TEST(ModelRegistry, AdmitDepthGatesBeforeQueueCapacity) {
-  serve::ModelRegistry registry;
-  serve::ModelConfig config;
-  config.server.workers = 1;
-  config.server.max_batch = 64;
-  config.server.max_wait_us = 100000;
-  config.server.queue_capacity = 64;  // plenty of queue...
-  config.admit_queue_depth = 2;       // ...but a tight admission gate
-  registry.load("m", serve::tiny_mlp_artifact(), config);
-
-  std::size_t shed = 0;
-  std::vector<serve::ModelRegistry::Admission> admitted;
-  for (int i = 0; i < 12; ++i) {
-    auto admission = registry.submit("m", sample_of({12}, 20 + i));
-    if (admission.outcome == serve::ModelRegistry::Outcome::kShed) {
-      EXPECT_NE(admission.reason.find("over capacity"), std::string::npos)
-          << admission.reason;
-      ++shed;
-    } else {
-      ASSERT_EQ(admission.outcome, serve::ModelRegistry::Outcome::kAdmitted);
-      admitted.push_back(std::move(admission));
-    }
-  }
-  EXPECT_GT(shed, 0u);
-  // Far fewer than queue_capacity requests were admitted: the depth
-  // gate fired long before the queue filled.
-  EXPECT_LE(admitted.size(), 12u);
-  for (auto& a : admitted) a.result.get();
-}
-
 // The acceptance-critical property: hot-swapping under concurrent
 // traffic never produces a wrong answer. Every admitted request —
 // whether it rode the old version, the new one, or raced the cutover —

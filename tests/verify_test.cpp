@@ -300,21 +300,18 @@ TEST(PlanVerify, CodeTypedSlotConsumedRawIsCodeDomain) {
   EXPECT_TRUE(has_finding(verify_plan(plan), VerifyRule::CodeDomain, consumer));
 }
 
-TEST(PlanVerify, StrictSessionServesCleanPlans) {
-  serve::EngineSession session(resnet_plan(), 1, {}, nullptr,
-                               serve::PlanCheck::kStrict);
+TEST(PlanVerify, SessionServesCleanPlans) {
+  serve::EngineSession session(resnet_plan());
   const tensor::Tensor batch = serve::random_batch(session.sample_shape(), 2, 99);
   const tensor::Tensor out = session.run(batch);
   EXPECT_EQ(out.shape(), (tensor::Shape{2, session.num_classes()}));
 }
 
-TEST(PlanVerify, StrictSessionRefusesCorruptPlans) {
+TEST(PlanVerify, SessionRefusesCorruptPlans) {
   ExecutionPlan plan = vgg_plan();
   PlanRewriter rw(plan);
   rw.ops()[0].in0 = rw.ops().back().out;
-  EXPECT_THROW(serve::EngineSession(std::move(plan), 1, {}, nullptr,
-                                    serve::PlanCheck::kStrict),
-               ArtifactError);
+  EXPECT_THROW(serve::EngineSession{std::move(plan)}, ArtifactError);
 }
 
 // ---- the shared overflow-bound helper (deploy/overflow.h) ----

@@ -5,18 +5,18 @@
 // checked at load) behind the cq::net socket front end: a poll()
 // event loop speaking the length-prefixed CQN1 protocol on localhost
 // (or all interfaces with --all_interfaces). Overload never blocks
-// and never silently drops: a request past the per-model queue-depth
-// threshold or the global in-flight cap is answered kBusy.
+// and never silently drops: a request past a model's full queue or the
+// global in-flight cap is answered kBusy.
 //
 // Models come from a manifest (--manifest=serve.txt), lines of
 //
 //   <name> <artifact.cqar> [key=value ...]   # per-model overrides
 //
 // with keys workers, intra_threads, backend (scalar|simd),
-// max_batch, max_wait_us, queue_capacity, admit_depth, budget_mb,
-// opt (0|1); '#' starts a comment. Positional name=path arguments
-// load additional models with the flag-level defaults, and --zoo
-// fabricates the three default-size zoo models (vgg_small, mlp,
+// max_batch, max_wait_us, queue_capacity, budget_mb; '#' starts a
+// comment, and any other key fails the load. Positional name=path
+// arguments load additional models with the flag-level defaults, and
+// --zoo fabricates the three default-size zoo models (vgg_small, mlp,
 // resnet20) in process — no artifact files needed, handy for load
 // tests and CI.
 //
@@ -31,9 +31,8 @@
 // Usage: cq_serve [--manifest=FILE] [name=path...] [--zoo] [--port=N]
 //                 [--workers=N] [--intra_threads=N] [--backend=scalar|simd]
 //                 [--max_batch=N] [--max_wait_us=N] [--queue_capacity=N]
-//                 [--admit_depth=N] [--budget_mb=N] [--opt=0|1]
-//                 [--max_inflight=N] [--responders=N] [--max_connections=N]
-//                 [--all_interfaces] [--smoke]
+//                 [--budget_mb=N] [--max_inflight=N] [--responders=N]
+//                 [--max_connections=N] [--all_interfaces] [--smoke]
 
 #include <unistd.h>
 
@@ -84,8 +83,6 @@ serve::ModelConfig config_from_flags(const util::Cli& cli) {
   config.server.max_wait_us = cli.get_int("max_wait_us", 200);
   config.server.queue_capacity =
       static_cast<std::size_t>(cli.get_int("queue_capacity", 256));
-  config.server.opt = cli.get_int("opt", 1) == 0 ? serve::PlanOpt::kO0 : serve::PlanOpt::kO1;
-  config.admit_queue_depth = static_cast<std::size_t>(cli.get_int("admit_depth", 0));
   config.memory_budget_bytes =
       static_cast<std::size_t>(cli.get_int("budget_mb", 0)) << 20;
   return config;
@@ -107,12 +104,8 @@ bool apply_override(serve::ModelConfig& config, const std::string& key,
     config.server.max_wait_us = n;
   } else if (key == "queue_capacity") {
     config.server.queue_capacity = static_cast<std::size_t>(n);
-  } else if (key == "admit_depth") {
-    config.admit_queue_depth = static_cast<std::size_t>(n);
   } else if (key == "budget_mb") {
     config.memory_budget_bytes = static_cast<std::size_t>(n) << 20;
-  } else if (key == "opt") {
-    config.server.opt = n == 0 ? serve::PlanOpt::kO0 : serve::PlanOpt::kO1;
   } else {
     return false;
   }
@@ -189,8 +182,7 @@ bool run_smoke(std::uint16_t port, serve::ModelRegistry& registry,
 
       // The remote answer must be byte-identical to running the same
       // artifact in process (same compile + optimize pipeline).
-      serve::EngineSession session(model.artifact, 1, {}, nullptr,
-                                   serve::PlanCheck::kNone, model.config.server.opt);
+      serve::EngineSession session(model.artifact);
       tensor::Shape batch_shape;
       batch_shape.push_back(1);
       batch_shape.insert(batch_shape.end(), info.sample_shape.begin(),

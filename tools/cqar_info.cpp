@@ -4,21 +4,18 @@
 // deployment-side counterpart of examples/export_and_deploy.
 //
 // Usage: cqar_info <model.cqar> [--verify] [--plan] [--profile]
-//                               [--optimize=0|1] [--backend=NAME]
-//                               [--runs=N] [--batch=N]
+//                               [--backend=NAME] [--runs=N] [--batch=N]
 //   --verify   additionally instantiate the model (full structural
 //              check), compile the ExecutionPlan, and run the static
 //              plan verifier (deploy/verify.h) over both the compiled
 //              and the optimized plan — any invariant finding prints
 //              as a diagnostic table and fails the run
-//   --plan     compile the deployment ExecutionPlan and print its op
-//              listing (kind, shapes, bits, slots, arena offsets,
-//              fused epilogue stages, and which kernel implementation
-//              the selected backend dispatches each op to) plus the
-//              planned arena size. With --optimize (the default) the
-//              deploy::optimize_plan pass pipeline runs first and the
-//              per-pass log + op-count/arena deltas print after the
-//              listing; --optimize=0 shows the plan as compiled
+//   --plan     compile and optimize the deployment ExecutionPlan (the
+//              plan serving runs) and print its op listing (kind,
+//              shapes, bits, slots, arena offsets, fused epilogue
+//              stages, and which kernel implementation the selected
+//              backend dispatches each op to), the per-pass log with
+//              op-count/arena deltas, and the planned arena size
 //   --profile  compile the plan, run `runs` random batches of `batch`
 //              samples through a profiled serving session
 //              (obs::PlanProfiler) and print where the wall time goes:
@@ -88,8 +85,7 @@ int main(int argc, char** argv) {
   if (argc < 2 || argv[1][0] == '-') {
     std::fprintf(stderr,
                  "usage: cqar_info <model.cqar> [--verify] [--plan] [--profile] "
-                 "[--optimize=0|1] [--backend=scalar|simd] [--runs=16] "
-                 "[--batch=8]\n");
+                 "[--backend=scalar|simd] [--runs=16] [--batch=8]\n");
     return 2;
   }
   const std::string path = argv[1];
@@ -155,15 +151,12 @@ int main(int argc, char** argv) {
     return 2;  // usage error, not a corrupted artifact
   }
 
-  const bool optimize = cli.get_bool("optimize", true);
-
   if (cli.get_bool("plan", false)) {
     try {
       deploy::ExecutionPlan plan = deploy::compile_plan(artifact);
       const std::size_t ops_compiled = plan.ops().size();
       const std::size_t arena_compiled = plan.arena_bytes();
-      deploy::OptimizeReport opt;
-      if (optimize) opt = deploy::optimize_plan(plan);
+      const deploy::OptimizeReport opt = deploy::optimize_plan(plan);
       const auto backend = deploy::make_backend(backend_kind);
       backend->prepare(plan);
       util::Table ops({"#", "op", "layer", "slots", "out shape", "bits",
@@ -188,24 +181,22 @@ int main(int argc, char** argv) {
                      fused.empty() ? "-" : fused, std::to_string(out.offset),
                      backend->dispatch(op)});
       }
-      std::printf("\nexecution plan (backend %s, %s)\n%s\n", backend->name(),
-                  optimize ? "optimized" : "as compiled", ops.render().c_str());
-      if (optimize) {
-        util::Table passes({"pass", "ops", "arena floats/sample", "changes"});
-        for (const deploy::PassResult& p : opt.passes) {
-          passes.add_row({p.name,
-                          std::to_string(p.ops_before) + " -> " +
-                              std::to_string(p.ops_after),
-                          std::to_string(p.arena_before) + " -> " +
-                              std::to_string(p.arena_after),
-                          std::to_string(p.changes)});
-        }
-        std::printf("optimizer passes\n%s\n", passes.render().c_str());
-        std::printf("optimizer    : %zu -> %zu ops (%zu removed), arena "
-                    "%zu -> %zu B/sample\n",
-                    ops_compiled, plan.ops().size(), opt.ops_removed(),
-                    arena_compiled, plan.arena_bytes());
+      std::printf("\nexecution plan (backend %s, optimized)\n%s\n", backend->name(),
+                  ops.render().c_str());
+      util::Table passes({"pass", "ops", "arena floats/sample", "changes"});
+      for (const deploy::PassResult& p : opt.passes) {
+        passes.add_row({p.name,
+                        std::to_string(p.ops_before) + " -> " +
+                            std::to_string(p.ops_after),
+                        std::to_string(p.arena_before) + " -> " +
+                            std::to_string(p.arena_after),
+                        std::to_string(p.changes)});
       }
+      std::printf("optimizer passes\n%s\n", passes.render().c_str());
+      std::printf("optimizer    : %zu -> %zu ops (%zu removed), arena "
+                  "%zu -> %zu B/sample\n",
+                  ops_compiled, plan.ops().size(), opt.ops_removed(),
+                  arena_compiled, plan.arena_bytes());
       std::printf("plan         : %zu ops, %d slots, %zu integer layers, "
                   "arena %zu B/sample\n",
                   plan.ops().size(), plan.slot_count(), plan.integer_layers().size(),
@@ -302,7 +293,7 @@ int main(int argc, char** argv) {
     // Static plan verification: compile the IR and prove the invariant
     // catalog (dataflow, shapes, arena lifetimes, overflow bounds) —
     // over the plan as compiled and again after the optimizer pass
-    // pipeline, since serving defaults to the optimized plan.
+    // pipeline, since serving runs the optimized plan.
     try {
       deploy::ExecutionPlan plan = deploy::compile_plan(artifact);
       const auto verify_one = [](const char* which,

@@ -1,14 +1,16 @@
 // cqar_verify — static plan verification as a CI gate.
 //
 // Compiles each artifact's deployment ExecutionPlan and proves the IR
-// invariant catalog over it (deploy/verify.h): dataflow
+// invariant catalog over it (deploy/verify.h), both as compiled and
+// after the deploy::optimize_plan pass pipeline (shown as
+// "<name> +opt", the plan serving runs): dataflow
 // well-formedness, shape consistency, arena lifetime safety at every
 // batch size, and the integer-path overflow certification the simd
 // backend's int32 kernels rest on. Any finding is printed as a
 // diagnostic table and turns the exit status nonzero, so CI can gate
 // the model zoo on "plans verify clean" the same way it gates tests.
 //
-// Usage: cqar_verify [--zoo] [--certs] [--optimize] [<model.cqar>...]
+// Usage: cqar_verify [--zoo] [--certs] [<model.cqar>...]
 //   --zoo       also verify the three default-size zoo models
 //               (vgg_small, mlp, resnet20 — fabricated in process by
 //               serve::default_zoo, the models `cq_serve --zoo` serves)
@@ -16,10 +18,6 @@
 //               narrowest certified accumulator: int8 = the SIMD
 //               backend's maddubs path, int32 = its other kernels,
 //               int64 = delegated to the scalar reference)
-//   --optimize  additionally run the deploy::optimize_plan pass
-//               pipeline over each plan and verify the optimized plan
-//               too (shown as "<name> +opt") — the shape serving
-//               actually defaults to
 //
 // Exit status: 0 when every plan verifies clean, 1 on any finding or
 // unloadable/uncompilable artifact, 2 for usage errors.
@@ -85,15 +83,13 @@ bool verify_one(const std::string& name, const deploy::ExecutionPlan& plan,
   return report.clean();
 }
 
-/// Verifies the compiled plan and, when `optimize` is set, runs the
-/// optimizer pass pipeline on it and verifies the result as
-/// "<name> +opt". Returns true only when every verified shape is
-/// clean; an optimizer throw (a pass left the plan failing
+/// Verifies the compiled plan, runs the optimizer pass pipeline on it
+/// and verifies the result as "<name> +opt". Returns true only when
+/// both are clean; an optimizer throw (a pass left the plan failing
 /// verification) counts as a failure, not a crash.
 bool verify_plan_shapes(const std::string& name, deploy::ExecutionPlan plan,
-                        bool print_certs, bool optimize) {
-  bool clean = verify_one(name, plan, print_certs);
-  if (!optimize) return clean;
+                        bool print_certs) {
+  const bool clean = verify_one(name, plan, print_certs);
   try {
     deploy::optimize_plan(plan);
   } catch (const std::exception& e) {
@@ -104,7 +100,7 @@ bool verify_plan_shapes(const std::string& name, deploy::ExecutionPlan plan,
   return verify_one(name + " +opt", plan, print_certs) && clean;
 }
 
-bool verify_artifact(const std::string& path, bool print_certs, bool optimize) {
+bool verify_artifact(const std::string& path, bool print_certs) {
   deploy::QuantizedArtifact artifact;
   try {
     artifact = deploy::load_artifact(path);
@@ -113,8 +109,7 @@ bool verify_artifact(const std::string& path, bool print_certs, bool optimize) {
     return false;
   }
   try {
-    return verify_plan_shapes(path, deploy::compile_plan(artifact), print_certs,
-                              optimize);
+    return verify_plan_shapes(path, deploy::compile_plan(artifact), print_certs);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cqar_verify: %s: plan compilation failed — %s\n",
                  path.c_str(), e.what());
@@ -128,7 +123,6 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bool zoo = cli.get_bool("zoo", false);
   const bool certs = cli.get_bool("certs", false);
-  const bool optimize = cli.get_bool("optimize", false);
 
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
@@ -138,14 +132,13 @@ int main(int argc, char** argv) {
   }
   if (paths.empty() && !zoo) {
     std::fprintf(stderr,
-                 "usage: cqar_verify [--zoo] [--certs] [--optimize] "
-                 "[<model.cqar>...]\n");
+                 "usage: cqar_verify [--zoo] [--certs] [<model.cqar>...]\n");
     return 2;
   }
 
   bool all_clean = true;
   for (const std::string& path : paths) {
-    all_clean = verify_artifact(path, certs, optimize) && all_clean;
+    all_clean = verify_artifact(path, certs) && all_clean;
   }
   if (zoo) {
     // The fabricated zoo cq_serve serves; a compiler change that breaks
@@ -153,8 +146,7 @@ int main(int argc, char** argv) {
     // without needing artifact files.
     for (const serve::ZooModel& model : serve::default_zoo()) {
       all_clean = verify_plan_shapes("zoo:" + model.name,
-                                     deploy::compile_plan(model.artifact), certs,
-                                     optimize) &&
+                                     deploy::compile_plan(model.artifact), certs) &&
                   all_clean;
     }
   }

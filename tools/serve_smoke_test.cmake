@@ -1,7 +1,7 @@
 # End-to-end daemon smoke: writes a two-entry manifest over the
 # exported smoke artifact (same model under two names, one with a
-# tight admission threshold), launches cq_serve on an ephemeral port
-# with --smoke — which round-trips every model over localhost, byte
+# tight queue), launches cq_serve on an ephemeral port with --smoke —
+# which round-trips every model over localhost, byte
 # compares the remote logits against a fresh in-process EngineSession,
 # hot-swaps each model to the identical artifact mid-traffic, then
 # drains through the SIGTERM path — and requires a zero exit.
@@ -16,7 +16,7 @@ endforeach()
 
 file(WRITE "${MANIFEST}" "# cq_serve smoke manifest
 smoke      ${ARTIFACT} workers=2 max_batch=8
-smoke_tight ${ARTIFACT} workers=1 queue_capacity=64 admit_depth=32
+smoke_tight ${ARTIFACT} workers=1 queue_capacity=32
 ")
 
 execute_process(
