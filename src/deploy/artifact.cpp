@@ -222,7 +222,7 @@ std::unique_ptr<nn::Model> instantiate_model(const ArchDescriptor& arch) {
     c.f2 = arch.int_param("f2");
     c.f3 = arch.int_param("f3");
     c.seed = static_cast<std::uint64_t>(arch.param("seed"));
-    return std::make_unique<nn::VggSmall>(c);
+    return std::make_unique<nn::VggSmall>(c, nn::StructureOnly{});
   }
   if (arch.kind == "ResNet20") {
     nn::ResNet20Config c;
@@ -232,7 +232,7 @@ std::unique_ptr<nn::Model> instantiate_model(const ArchDescriptor& arch) {
     c.base_width = arch.int_param("base_width");
     c.expand = arch.int_param("expand");
     c.seed = static_cast<std::uint64_t>(arch.param("seed"));
-    return std::make_unique<nn::ResNet20>(c);
+    return std::make_unique<nn::ResNet20>(c, nn::StructureOnly{});
   }
   if (arch.kind == "Mlp") {
     nn::MlpConfig c;
@@ -244,7 +244,7 @@ std::unique_ptr<nn::Model> instantiate_model(const ArchDescriptor& arch) {
     for (int i = 0; i < hidden_count; ++i) {
       c.hidden.push_back(arch.int_param("hidden" + std::to_string(i)));
     }
-    return std::make_unique<nn::Mlp>(c);
+    return std::make_unique<nn::Mlp>(c, nn::StructureOnly{});
   }
   throw ArtifactError("instantiate_model: unknown architecture kind '" + arch.kind + "'");
 }
@@ -281,7 +281,29 @@ QuantizedArtifact export_model(nn::Model& model) {
   return artifact;
 }
 
-std::unique_ptr<nn::Model> instantiate(const QuantizedArtifact& artifact) {
+namespace {
+
+/// Refuses a packed layer that cannot fill `layer`: another filter
+/// count or row length than the architecture's, or a payload its
+/// widths do not describe (so every later row read stays in range).
+void check_packed_layer(const PackedLayer& packed, const quant::QuantizableLayer& layer) {
+  if (packed.num_filters != layer.num_filters() ||
+      packed.weights_per_filter != static_cast<std::int64_t>(layer.weights_per_filter())) {
+    throw ArtifactError("artifact packed layer '" + packed.name + "' holds " +
+                        std::to_string(packed.num_filters) + " filters of " +
+                        std::to_string(packed.weights_per_filter) +
+                        " weights; the architecture has " +
+                        std::to_string(layer.num_filters()) + " of " +
+                        std::to_string(layer.weights_per_filter()));
+  }
+  if (const std::string why = packed.payload_error(); !why.empty()) {
+    throw ArtifactError("artifact packed layer '" + packed.name + "': " + why);
+  }
+}
+
+}  // namespace
+
+std::unique_ptr<nn::Model> instantiate_unpacked(const QuantizedArtifact& artifact) {
   std::unique_ptr<nn::Model> model = instantiate_model(artifact.arch);
 
   // Dense state first (skipping the weight tensors that arrive packed;
@@ -314,14 +336,14 @@ std::unique_ptr<nn::Model> instantiate(const QuantizedArtifact& artifact) {
     *buffers[i] = it->second;
   }
 
-  // Packed weights.
+  // Packed layers: checked, not unpacked.
   std::size_t next = 0;
   for (const nn::ScoredLayerRef& ref : model->scored_layers()) {
-    for (quant::QuantizableLayer* layer : ref.layers) {
+    for (const quant::QuantizableLayer* layer : ref.layers) {
       if (next >= artifact.packed_layers.size()) {
         throw ArtifactError("artifact has fewer packed layers than the architecture");
       }
-      unpack_layer(artifact.packed_layers[next], *layer);
+      check_packed_layer(artifact.packed_layers[next], *layer);
       ++next;
     }
   }
@@ -341,6 +363,17 @@ std::unique_ptr<nn::Model> instantiate(const QuantizedArtifact& artifact) {
   }
 
   model->set_training(false);
+  return model;
+}
+
+std::unique_ptr<nn::Model> instantiate(const QuantizedArtifact& artifact) {
+  std::unique_ptr<nn::Model> model = instantiate_unpacked(artifact);
+  std::size_t next = 0;
+  for (const nn::ScoredLayerRef& ref : model->scored_layers()) {
+    for (quant::QuantizableLayer* layer : ref.layers) {
+      unpack_layer(artifact.packed_layers[next++], *layer);
+    }
+  }
   return model;
 }
 

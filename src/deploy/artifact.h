@@ -75,7 +75,9 @@ struct SizeReport {
 /// (VggSmall, ResNet20, Mlp). Throws ArtifactError for unknown kinds.
 ArchDescriptor describe_model(nn::Model& model);
 
-/// Re-creates a freshly initialized model from a descriptor.
+/// Re-creates the architecture a descriptor names, structure only
+/// (nn::StructureOnly): every weight is zero until a caller restores
+/// it, and no initial weights are drawn.
 std::unique_ptr<nn::Model> instantiate_model(const ArchDescriptor& arch);
 
 /// Exports a quantized model (every scored layer must carry a
@@ -85,8 +87,17 @@ QuantizedArtifact export_model(nn::Model& model);
 /// Re-instantiates the architecture, restores dense state, unpacks the
 /// quantized layers and applies the activation calibration. The result
 /// is in eval mode and produces bit-identical outputs to the exported
-/// model's fake-quant forward.
+/// model's fake-quant forward. Throws ArtifactError when the artifact
+/// does not fit the architecture, checked before any layer is unpacked.
 std::unique_ptr<nn::Model> instantiate(const QuantizedArtifact& artifact);
+
+/// instantiate() without the unpacking: every packed layer is checked
+/// against its architecture layer (one per quantizable layer, same
+/// filter count and weights per filter, a payload its widths describe)
+/// but the quantizable layers keep zero weights until unpack_layer
+/// fills them. compile_plan unpacks only the layers it lowers to float
+/// ops.
+std::unique_ptr<nn::Model> instantiate_unpacked(const QuantizedArtifact& artifact);
 
 /// Binary serialization with CRC-32 integrity protection. save throws
 /// on I/O failure; load throws ArtifactError on bad magic, version,

@@ -172,6 +172,7 @@ inline constexpr int kFilterTile = 8;
 /// rescaling store), so kernels differ only in those instructions.
 enum class Kernel {
   kScalar,   ///< no panels: the op delegates to ScalarBackend
+  kVnniI8,   ///< _mm256_dpbusd_avx_epi32 over uint8 x int8 code quads
   kAvx2I8,   ///< _mm256_maddubs_epi16 over uint8 x int8 code quads
   kAvx2I16,  ///< _mm256_madd_epi16 over int16 code pairs
   kSse2I16,  ///< baseline-SSE2 pmaddwd over int16 code pairs (x86-64)
@@ -179,15 +180,15 @@ enum class Kernel {
              ///  and 16-bit activation codes everywhere)
 };
 
-/// Dispatch label of a kernel: "simd/avx2-i8", "simd/avx2",
-/// "simd/portable" (SSE2 and generic), or "scalar".
+/// Dispatch label of a kernel: "simd/vnni", "simd/avx2-i8",
+/// "simd/avx2", "simd/portable" (SSE2 and generic), or "scalar".
 const char* kernel_label(Kernel kernel);
 
 /// Codes one 32-bit word holds for `kernel`, in its activation code
 /// image and its weight panels alike: 4 (uint8 activations, int8
-/// weights) for kAvx2I8, 2 int16 for the pair kernels, 1 int32 for
-/// kGeneric, 0 for kScalar. The word is what one multiply-add lane of
-/// the kernel consumes.
+/// weights) for the quad kernels kVnniI8 and kAvx2I8, 2 int16 for the
+/// pair kernels, 1 int32 for kGeneric, 0 for kScalar. The word is what
+/// one multiply-add lane of the kernel consumes.
 int codes_per_word(Kernel kernel);
 
 /// Backend-owned packed weights of one IntegerLayer: centered doubled
@@ -279,7 +280,9 @@ void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid gr
 /// Explicit-SIMD integer backend: IntConv/IntLinear run hand-scheduled
 /// AVX2 kernels (_mm256_madd_epi16 int16 pairs; _mm256_maddubs_epi16
 /// int8 quads when the shared overflow bound proves saturation
-/// impossible) on CPUs that have AVX2, portable kernels everywhere else
+/// impossible; on AVX-VNNI CPUs _mm256_dpbusd_avx_epi32 int8 quads
+/// wherever the int32 bound holds) on CPUs that have AVX2, portable
+/// kernels everywhere else
 /// (baseline-SSE2 pmaddwd on x86-64, GCC vector extensions otherwise),
 /// and delegate a layer to the scalar reference when its filters are
 /// wider than 15 bits or its int32 accumulator is not certified. The
@@ -296,8 +299,8 @@ class SimdBackend : public ScalarBackend {
   void prepare(const ExecutionPlan& plan) override;
   void run(const PlanOp& op, const ExecutionPlan& plan, const BackendIo& io,
            BackendScratch& scratch, const util::ExecContext& exec) const override;
-  /// The op's simd::kernel_label ("simd/avx2-i8", "simd/avx2",
-  /// "simd/portable") or "scalar" for delegated ops — the resolved ISA
+  /// The op's simd::kernel_label ("simd/vnni", "simd/avx2-i8",
+  /// "simd/avx2", "simd/portable") or "scalar" for delegated ops — the resolved ISA
   /// cqar_info's dispatch column and the plan profiler rows show.
   const char* dispatch(const PlanOp& op) const override;
   /// One packed layout per integer layer.

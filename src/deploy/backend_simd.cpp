@@ -3,19 +3,20 @@
 // Each integer op adopts its float input in one pass — clamp and exact
 // rounding for raw activations, a cast for in_codes inputs — straight
 // into a zero-padded, channel-grouped code image whose 32-bit words
-// hold what the kernel multiplies: 4 uint8 codes for the AVX2 maddubs
-// kernel, 2 int16 codes for the madd_epi16 / SSE2 pmaddwd kernels, 1
-// int32 code for the GCC-vector-extension kernel. The conv kernel
-// then reads each tap's strip of 8 output positions (4 on SSE2) from
-// that image in place, against tap-major weight panels packed once in
-// prepare(), so no im2col matrix and no intermediate int32 code copy
-// exists on this path. Strided convs get one image plane per stride phase, which keeps
-// every tap's strip contiguous. Each kernel is one of two loops,
-// conv_rows and linear_tiles, instantiated with that kernel's MAC
-// policy, so the tiers differ only in the instructions a policy
-// supplies. Which tier runs is decided by runtime CPUID
-// (deploy/cpu_features.h), so one binary serves every x86; the SSE2
-// policy needs no check (the x86-64 psABI mandates SSE2).
+// hold what the kernel multiplies: 4 uint8 codes for the AVX-VNNI
+// dpbusd and AVX2 maddubs kernels, 2 int16 codes for the madd_epi16 /
+// SSE2 pmaddwd kernels, 1 int32 code for the GCC-vector-extension
+// kernel. The conv kernel then reads each tap's strip of 8 output
+// positions (4 on SSE2) from that image in place, against tap-major
+// weight panels packed once in prepare(), so no im2col matrix and no
+// intermediate int32 code copy exists on this path. Strided convs get
+// one image plane per stride phase, which keeps every tap's strip
+// contiguous. Each kernel is one of two loops, conv_rows and
+// linear_tiles, instantiated with that kernel's MAC policy, so the
+// tiers differ only in the instructions a policy supplies. Which tier
+// runs is decided by runtime CPUID (deploy/cpu_features.h), so one
+// binary serves every x86; the SSE2 policy needs no check (the x86-64
+// psABI mandates SSE2).
 //
 // pack_simd picks each layer's kernel once, at prepare() time, and
 // packs only the panels that kernel reads: the kernels and the dispatch
@@ -23,9 +24,10 @@
 // identity is inherited, not re-argued: encoding uses the scalar
 // reference's helper (quant::activation_code), integer accumulation
 // below the proven bound is exact in any width and any order (so the
-// tap-major reduction order is free), the maddubs pair bound holds for
-// any pairing of codes, the final rescale uses the scalar kernel's
-// exact float expressions (multiply then add — never FMA, which rounds
+// tap-major reduction order is free; dpbusd sums its four products
+// exactly into int32), the maddubs pair bound holds for any pairing of
+// codes, the final rescale uses the scalar kernel's exact float
+// expressions (multiply then add — never FMA, which rounds
 // differently), and the fused tail goes through the shared
 // apply_epilogue. Anything the layouts cannot hold exactly delegates to
 // the scalar reference.
@@ -66,6 +68,8 @@ static_assert(kFilterTile == 8,
 
 const char* kernel_label(Kernel kernel) {
   switch (kernel) {
+    case Kernel::kVnniI8:
+      return "simd/vnni";
     case Kernel::kAvx2I8:
       return "simd/avx2-i8";
     case Kernel::kAvx2I16:
@@ -81,6 +85,7 @@ const char* kernel_label(Kernel kernel) {
 
 int codes_per_word(Kernel kernel) {
   switch (kernel) {
+    case Kernel::kVnniI8:
     case Kernel::kAvx2I8:
       return 4;
     case Kernel::kAvx2I16:
@@ -121,11 +126,13 @@ Kernel select_kernel(const IntegerLayer& layer, SimdTier tier, int act_bits,
   // generic kernels read whole int32 codes.
   if (act_bits > 15) return Kernel::kGeneric;
 #if CQ_SIMD_X86
-  if (tier == SimdTier::kAvx2) {
-    return int_reduction_fits_int8_madd(max_abs_weight, act_bits,
-                                        layer.weights_per_filter)
-               ? Kernel::kAvx2I8
-               : Kernel::kAvx2I16;
+  const std::int64_t terms = layer.weights_per_filter;
+  if (tier == SimdTier::kVnni && int_reduction_fits_int8_dot(max_abs_weight, act_bits, terms)) {
+    return Kernel::kVnniI8;
+  }
+  if (tier >= SimdTier::kAvx2) {
+    return int_reduction_fits_int8_madd(max_abs_weight, act_bits, terms) ? Kernel::kAvx2I8
+                                                                         : Kernel::kAvx2I16;
   }
 #endif
 #if CQ_SIMD_SSE2_BASELINE
@@ -243,8 +250,10 @@ namespace {
 
 /// Samples per weight-panel sweep of the linear kernels: each panel
 /// row is loaded once and multiplied into this many samples'
-/// accumulators, amortizing the weight traffic over the batch.
+/// accumulators, amortizing the weight traffic over the batch. Smaller
+/// blocks use the spare accumulators as extra chains (linear_block).
 inline constexpr int kBatchBlock = 4;
+static_assert(kBatchBlock == 4, "linear_tiles dispatches blocks of 1 to 4 samples");
 
 /// Words past the last sample's image that a strip load may touch: a
 /// tail strip's lanes beyond the output width read (and discard) up to
@@ -526,12 +535,12 @@ struct Sse2PairMac {
 
 #if CQ_SIMD_X86
 
-// AVX2 tier: the policy members carry the `target` attribute, so the
-// translation unit builds at the baseline ISA, and they run only inside
-// run_avx2's frame after runtime CPUID proved AVX2
-// (deploy/cpu_features.h). No FMA anywhere on these paths: the rescale
-// is cvtepi32_ps, mul_ps, add_ps — bit-identical to the scalar
-// expression's two roundings.
+// AVX2 and VNNI tiers: the policy members carry the `target`
+// attribute, so the translation unit builds at the baseline ISA, and
+// they run only inside run_avx2's or run_vnni's frame after runtime
+// CPUID proved the ISA (deploy/cpu_features.h). No FMA anywhere on
+// these paths: the rescale is cvtepi32_ps, mul_ps, add_ps —
+// bit-identical to the scalar expression's two roundings.
 
 /// Kernel::kAvx2I16: one madd_epi16 per int16 code-pair word.
 struct Avx2PairMac {
@@ -574,12 +583,29 @@ struct Avx2QuadMac : Avx2PairMac {
   }
 };
 
+/// Kernel::kVnniI8: one vpdpbusd per uint8 x int8 code quad, the four
+/// products summed straight into the int32 lane (exact wherever
+/// int_reduction_fits_int8_dot holds: no saturating step). Legal only
+/// after CPUID proved AVX-VNNI, and run only inside run_vnni.
+struct VnniQuadMac : Avx2PairMac {
+  __attribute__((target("avx2,avxvnni"))) static void mac(Vec& acc, const Vec& a,
+                                                          const Vec& w) {
+    acc = _mm256_dpbusd_avx_epi32(acc, a, w);
+  }
+};
+
 /// The AVX2 frame: in optimized builds flatten inlines the kernel
 /// template and every policy member into this one target("avx2")
 /// function, so the frame makes no calls. Unoptimized builds keep the
 /// calls, which stay legal: only the policy members execute AVX2.
 template <typename Mac, typename Body>
 __attribute__((target("avx2"), flatten)) void run_avx2(Body& body) {
+  body(Mac{});
+}
+
+/// The AVX-VNNI frame, run_avx2's twin for VnniQuadMac.
+template <typename Mac, typename Body>
+__attribute__((target("avx2,avxvnni"), flatten)) void run_vnni(Body& body) {
   body(Mac{});
 }
 
@@ -591,6 +617,9 @@ template <typename Body>
 void with_mac(Kernel kernel, Body&& body) {
   switch (kernel) {
 #if CQ_SIMD_X86
+    case Kernel::kVnniI8:
+      run_vnni<VnniQuadMac>(body);
+      return;
     case Kernel::kAvx2I8:
       run_avx2<Avx2QuadMac>(body);
       return;
@@ -673,48 +702,91 @@ void conv_rows(const PackedSimd& packed, const ConvView& v, float* out_n, std::s
   }
 }
 
-/// Filter tiles [t0, t1) of a linear op: per image word, the 8-filter
-/// panel row (kFilterTile / kLanes vectors) is multiplied against each
-/// sample's broadcast word. Zero words (ReLU zeros, padding) multiply
-/// through too: a data-dependent skip mispredicts more than it saves.
-/// The rescale is the scalar kernel's expression, filter by filter.
+/// One filter tile of a linear op for kSamples samples (image rows and
+/// output rows start at the block's first sample): per image word, the
+/// 8-filter panel row (kFilterTile / kLanes vectors) is multiplied
+/// against each sample's broadcast word. Zero words (ReLU zeros,
+/// padding) multiply through too: a data-dependent skip mispredicts more
+/// than it saves. The kBatchBlock / kSamples accumulator rows a small
+/// block leaves free split each sample's reduction into that many
+/// chains over consecutive words, so a batch-1 sweep keeps several
+/// multiply-adds in flight instead of waiting out vpdpbusd's latency
+/// word by word; integer sums are exact in any grouping. The rescale is
+/// the scalar kernel's expression, filter by filter.
+template <typename Mac, int kSamples>
+void linear_block(const PackedSimd& packed, float act_scale, const std::uint32_t* image,
+                  std::size_t words, std::size_t tile, float* out) {
+  using Vec = typename Mac::Vec;
+  constexpr int kParts = kFilterTile / Mac::kLanes;
+  constexpr int kChains = kBatchBlock / kSamples;
+  const std::uint32_t* panel = packed.panels.data() + tile * words * kFilterTile;
+  Vec acc[kSamples][kChains][kParts];
+  for (auto& sample : acc) {
+    for (auto& chain : sample) {
+      for (Vec& part : chain) Mac::zero(part);
+    }
+  }
+  const auto step = [&](std::size_t q, int c) {
+    Vec w[kParts];
+    for (int p = 0; p < kParts; ++p) {
+      Mac::load(w[p], panel + q * kFilterTile + p * Mac::kLanes);
+    }
+    for (int b = 0; b < kSamples; ++b) {
+      Vec a;
+      Mac::splat(a, image[static_cast<std::size_t>(b) * words + q]);
+      for (int p = 0; p < kParts; ++p) Mac::mac(acc[b][c][p], a, w[p]);
+    }
+  };
+  std::size_t q = 0;
+  for (; q + kChains <= words; q += kChains) {
+    for (int c = 0; c < kChains; ++c) step(q + static_cast<std::size_t>(c), c);
+  }
+  for (; q < words; ++q) step(q, 0);
+
+  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
+  const std::size_t k0 = tile * kFilterTile;
+  const int kt = tile_filters(packed, tile);
+  for (int b = 0; b < kSamples; ++b) {
+    std::int32_t sums[kFilterTile] = {};
+    for (const auto& chain : acc[b]) {
+      std::int32_t lanes[kFilterTile];
+      for (int p = 0; p < kParts; ++p) Mac::spill(lanes + p * Mac::kLanes, chain[p]);
+      for (int f = 0; f < kFilterTile; ++f) sums[f] += lanes[f];
+    }
+    float* row = out + static_cast<std::size_t>(b) * filters;
+    for (int f = 0; f < kt; ++f) {
+      const std::size_t k = k0 + static_cast<std::size_t>(f);
+      const float scale = packed.weight_scales[k] * act_scale;
+      row[k] = scale * static_cast<float>(sums[f]) + packed.out_bias[k];
+    }
+  }
+}
+
+/// Filter tiles [t0, t1) of a linear op, kBatchBlock samples at a time:
+/// each panel row is loaded once per block and multiplied into all of
+/// its samples' accumulators, amortizing the weight traffic.
 template <typename Mac>
 void linear_tiles(const PackedSimd& packed, float act_scale, const std::uint32_t* image,
                   int batch, std::size_t words, float* out, std::int64_t t0, std::int64_t t1) {
-  using Vec = typename Mac::Vec;
-  constexpr int kParts = kFilterTile / Mac::kLanes;
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
   for (std::int64_t t = t0; t < t1; ++t) {
     const auto tile = static_cast<std::size_t>(t);
-    const std::uint32_t* panel = packed.panels.data() + tile * words * kFilterTile;
-    const std::size_t k0 = tile * kFilterTile;
-    const int kt = tile_filters(packed, tile);
     for (int n0 = 0; n0 < batch; n0 += kBatchBlock) {
-      const int nb = std::min(kBatchBlock, batch - n0);
-      Vec acc[kBatchBlock][kParts];
-      for (auto& sample : acc) {
-        for (Vec& part : sample) Mac::zero(part);
-      }
-      for (std::size_t q = 0; q < words; ++q) {
-        Vec w[kParts];
-        for (int p = 0; p < kParts; ++p) {
-          Mac::load(w[p], panel + q * kFilterTile + p * Mac::kLanes);
-        }
-        for (int b = 0; b < nb; ++b) {
-          Vec a;
-          Mac::splat(a, image[static_cast<std::size_t>(n0 + b) * words + q]);
-          for (int p = 0; p < kParts; ++p) Mac::mac(acc[b][p], a, w[p]);
-        }
-      }
-      for (int b = 0; b < nb; ++b) {
-        std::int32_t sums[kFilterTile];
-        for (int p = 0; p < kParts; ++p) Mac::spill(sums + p * Mac::kLanes, acc[b][p]);
-        float* row = out + static_cast<std::size_t>(n0 + b) * filters;
-        for (int f = 0; f < kt; ++f) {
-          const std::size_t k = k0 + static_cast<std::size_t>(f);
-          const float scale = packed.weight_scales[k] * act_scale;
-          row[k] = scale * static_cast<float>(sums[f]) + packed.out_bias[k];
-        }
+      const std::uint32_t* rows = image + static_cast<std::size_t>(n0) * words;
+      float* out_rows = out + static_cast<std::size_t>(n0) * filters;
+      switch (std::min(kBatchBlock, batch - n0)) {
+        case 1:
+          linear_block<Mac, 1>(packed, act_scale, rows, words, tile, out_rows);
+          break;
+        case 2:
+          linear_block<Mac, 2>(packed, act_scale, rows, words, tile, out_rows);
+          break;
+        case 3:
+          linear_block<Mac, 3>(packed, act_scale, rows, words, tile, out_rows);
+          break;
+        default:
+          linear_block<Mac, kBatchBlock>(packed, act_scale, rows, words, tile, out_rows);
+          break;
       }
     }
   }

@@ -17,6 +17,7 @@ CpuFeatures probe() {
   f.sse42 = __builtin_cpu_supports("sse4.2") != 0;
   f.avx = __builtin_cpu_supports("avx") != 0;
   f.avx2 = __builtin_cpu_supports("avx2") != 0;
+  f.avxvnni = __builtin_cpu_supports("avxvnni") != 0;
   f.fma = __builtin_cpu_supports("fma") != 0;
   f.avx512bw = __builtin_cpu_supports("avx512bw") != 0;
 #endif
@@ -27,14 +28,15 @@ CpuFeatures probe() {
 std::atomic<int> g_forced_tier{-1};
 
 /// The CQ_SIMD request, read fresh per resolve (construction-time
-/// only, never on a serving hot path): kAvx2 doubles as "auto" and is
+/// only, never on a serving hot path): kVnni doubles as "auto" and is
 /// clamped by max_supported_simd_tier() below.
 SimdTier env_requested_tier() {
   const char* env = std::getenv("CQ_SIMD");
-  if (env == nullptr) return SimdTier::kAvx2;
+  if (env == nullptr) return SimdTier::kVnni;
   const std::string v(env);
   if (v == "portable") return SimdTier::kPortable;
-  return SimdTier::kAvx2;  // "avx2", "auto", or a typo ("off" too): fastest tier
+  if (v == "avx2") return SimdTier::kAvx2;
+  return SimdTier::kVnni;  // "vnni", "auto", or a typo ("off" too): fastest tier
 }
 
 }  // namespace
@@ -50,6 +52,8 @@ const char* simd_tier_name(SimdTier tier) {
       return "portable";
     case SimdTier::kAvx2:
       return "avx2";
+    case SimdTier::kVnni:
+      return "vnni";
   }
   return "?";
 }
@@ -58,7 +62,9 @@ SimdTier max_supported_simd_tier() {
   // The portable kernels are plain GNU-C vector code compiled for the
   // build's baseline arch, so they run wherever the binary does; only
   // the intrinsic tiers need a CPUID license.
-  return cpu_features().avx2 ? SimdTier::kAvx2 : SimdTier::kPortable;
+  const CpuFeatures& f = cpu_features();
+  if (!f.avx2) return SimdTier::kPortable;
+  return f.avxvnni ? SimdTier::kVnni : SimdTier::kAvx2;
 }
 
 SimdTier resolve_simd_tier() {
@@ -88,6 +94,8 @@ std::string cpu_features_json() {
   json += b(f.avx);
   json += ", \"avx2\": ";
   json += b(f.avx2);
+  json += ", \"avxvnni\": ";
+  json += b(f.avxvnni);
   json += ", \"avx512bw\": ";
   json += b(f.avx512bw);
   json += ", \"tier\": \"";

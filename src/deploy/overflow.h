@@ -85,29 +85,39 @@ inline bool int_reduction_fits_int32(std::int32_t max_abs_weight, int act_bits,
          std::numeric_limits<std::int32_t>::max();
 }
 
-/// True when the SIMD backend's int8 multiply path
-/// (_mm256_maddubs_epi16-style: unsigned-8-bit activations x signed
-/// 8-bit weights, adjacent pairs summed into a *saturating* int16,
-/// then widened into the int32 accumulator) is provably exact:
+/// True when the SIMD backend's int8 dot-product path
+/// (_mm256_dpbusd_avx_epi32: each group of four unsigned-8-bit
+/// activations x signed-8-bit weights summed straight into an int32
+/// lane, no saturating step) is provably exact:
 ///   - every activation code fits u8 (act_bits <= 8),
-///   - every centered weight code fits s8 (max|w| <= 127),
-///   - the adjacent-pair sum 2 * max|w| * act_max cannot reach the
-///     int16 saturation boundary (the one lossy step of the
-///     instruction), and
-///   - the whole reduction fits the int32 accumulator.
+///   - every centered weight code fits s8 (max|w| <= 127), and
+///   - the whole reduction fits the int32 accumulator (four products
+///     sum to at most 4 * 255 * 127 = 129,540, and every partial sum is
+///     bounded by the whole reduction's bound).
+/// simd::pack_simd's kernel choice and verify_plan's `int8_dot_path`
+/// record both call this helper.
+inline bool int_reduction_fits_int8_dot(std::int32_t max_abs_weight, int act_bits,
+                                        std::int64_t terms) {
+  if (act_bits < 1 || act_bits > 8) return false;
+  if (max_abs_weight < 0 || max_abs_weight > 127) return false;
+  return int_reduction_fits_int32(max_abs_weight, act_bits, terms);
+}
+
+/// True when the SIMD backend's int8 multiply path
+/// (_mm256_maddubs_epi16-style: adjacent pairs of the dot path's
+/// products summed into a *saturating* int16, then widened into the
+/// int32 accumulator) is provably exact: the dot path's conditions, and
+/// the adjacent-pair sum 2 * max|w| * act_max cannot reach the int16
+/// saturation boundary (the one lossy step of the instruction).
 /// simd::pack_simd's kernel choice and verify_plan's certificate both
 /// call this helper, so the backend's kernel choice and the verifier's
 /// `int8_fast_path` record agree structurally.
 inline bool int_reduction_fits_int8_madd(std::int32_t max_abs_weight, int act_bits,
                                          std::int64_t terms) {
-  if (act_bits < 1 || act_bits > 8) return false;
-  if (max_abs_weight < 0 || max_abs_weight > 127) return false;
+  if (!int_reduction_fits_int8_dot(max_abs_weight, act_bits, terms)) return false;
   const std::int64_t act_max = quant::levels_for_bits(act_bits) - 1;
-  if (2 * static_cast<std::int64_t>(max_abs_weight) * act_max >
-      std::numeric_limits<std::int16_t>::max()) {
-    return false;
-  }
-  return int_reduction_fits_int32(max_abs_weight, act_bits, terms);
+  return 2 * static_cast<std::int64_t>(max_abs_weight) * act_max <=
+         std::numeric_limits<std::int16_t>::max();
 }
 
 /// True when the bound fits the int64 accumulator the scalar reference

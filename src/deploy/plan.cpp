@@ -118,8 +118,10 @@ class PlanCompiler {
     }
 
     // One instantiation, compile-time only: restores dense state and
-    // packed weights, and gives us the module chain to lower.
-    model_ = instantiate(artifact_);
+    // calibration and gives us the module chain to lower. Integer ops
+    // keep the packed codes as stored, so a packed layer is unpacked
+    // only when it is lowered to a float op (unpack_for_float).
+    model_ = instantiate_unpacked(artifact_);
     std::size_t next = 0;
     for (const nn::ScoredLayerRef& ref : model_->scored_layers()) {
       for (quant::QuantizableLayer* layer : ref.layers) {
@@ -299,6 +301,7 @@ class PlanCompiler {
       // grid: the float im2col+GEMM path with the layer's effective
       // weights, decided once here instead of per request.
       op.kind = OpKind::FloatConv;
+      unpack_for_float(conv);
       snapshot_effective_params(conv, op);
     }
     return emit(std::move(op));
@@ -323,9 +326,20 @@ class PlanCompiler {
       op.act_bits = grid.bits;
     } else {
       op.kind = OpKind::FloatLinear;
+      unpack_for_float(fc);
       snapshot_effective_params(fc, op);
     }
     return emit(std::move(op));
+  }
+
+  /// Unpacks a quantized layer lowered to a float op into its module,
+  /// whose fake-quant weights the float op snapshots; an unquantized
+  /// layer already holds its dense weights.
+  void unpack_for_float(quant::QuantizableLayer& layer) {
+    const auto it = integer_index_.find(as_module(&layer));
+    if (it != integer_index_.end()) {
+      unpack_layer(artifact_.packed_layers[static_cast<std::size_t>(it->second)], layer);
+    }
   }
 
   int lower_batchnorm(nn::BatchNorm2d& bn, int v) {

@@ -533,8 +533,11 @@ class Verifier {
       cert.int32_fast_path =
           packable &&
           int_reduction_fits_int32(cert.max_abs_weight, op.act_bits, cert.terms);
-      // Same helper simd::pack_simd calls, so this record is by
-      // construction the backend's maddubs-eligibility decision.
+      // Same helpers simd::pack_simd calls, so these records are by
+      // construction the backend's int8-kernel eligibility decisions.
+      cert.int8_dot_path =
+          packable &&
+          int_reduction_fits_int8_dot(cert.max_abs_weight, op.act_bits, cert.terms);
       cert.int8_fast_path =
           packable &&
           int_reduction_fits_int8_madd(cert.max_abs_weight, op.act_bits, cert.terms);

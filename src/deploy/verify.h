@@ -71,9 +71,13 @@ struct IntOpCertificate {
   /// The SIMD kernels' int32 accumulator is exact for this op; when
   /// false, SimdBackend delegates it to the scalar int64 reference.
   bool int32_fast_path = false;
+  /// SimdBackend's vpdpbusd int8 path (the vnni tier) is proven exact
+  /// for this op (int_reduction_fits_int8_dot — u8 activations, s8
+  /// weights, the int32 bound); implies int32_fast_path.
+  bool int8_dot_path = false;
   /// SimdBackend's maddubs int8 path is proven exact for this op
   /// (int_reduction_fits_int8_madd — the saturating pair sum cannot be
-  /// reached); implies int32_fast_path.
+  /// reached); implies int8_dot_path.
   bool int8_fast_path = false;
 };
 

@@ -6,7 +6,7 @@
 namespace cq::nn {
 
 Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride, int pad,
-               util::Rng& rng, std::string name)
+               util::Rng* rng, std::string name)
     : in_channels_(in_channels),
       out_channels_(out_channels),
       kernel_(kernel),
@@ -16,7 +16,9 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride, int pa
   const int fan_in = in_channels * kernel * kernel;
   const float bound = std::sqrt(6.0f / static_cast<float>(fan_in));
   weight_ = Parameter(name_ + ".weight",
-                      Tensor::rand_uniform({out_channels, fan_in}, rng, -bound, bound));
+                      rng != nullptr
+                          ? Tensor::rand_uniform({out_channels, fan_in}, *rng, -bound, bound)
+                          : Tensor::zeros({out_channels, fan_in}));
   bias_ = Parameter(name_ + ".bias", Tensor::zeros({out_channels}));
 }
 

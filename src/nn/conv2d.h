@@ -25,7 +25,12 @@ namespace cq::nn {
 class Conv2d : public Module, public quant::QuantizableLayer {
  public:
   Conv2d(int in_channels, int out_channels, int kernel, int stride, int pad,
-         util::Rng& rng, std::string name = "conv");
+         util::Rng& rng, std::string name = "conv")
+      : Conv2d(in_channels, out_channels, kernel, stride, pad, &rng, std::move(name)) {}
+  /// A null `rng` draws nothing and leaves the weights zero (a model
+  /// built by nn::StructureOnly).
+  Conv2d(int in_channels, int out_channels, int kernel, int stride, int pad,
+         util::Rng* rng, std::string name = "conv");
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;

@@ -7,11 +7,13 @@
 
 namespace cq::nn {
 
-Linear::Linear(int in_features, int out_features, util::Rng& rng, std::string name)
+Linear::Linear(int in_features, int out_features, util::Rng* rng, std::string name)
     : in_features_(in_features), out_features_(out_features), name_(std::move(name)) {
   const float bound = std::sqrt(6.0f / static_cast<float>(in_features));
   weight_ = Parameter(name_ + ".weight",
-                      Tensor::rand_uniform({out_features, in_features}, rng, -bound, bound));
+                      rng != nullptr
+                          ? Tensor::rand_uniform({out_features, in_features}, *rng, -bound, bound)
+                          : Tensor::zeros({out_features, in_features}));
   bias_ = Parameter(name_ + ".bias", Tensor::zeros({out_features}));
 }
 

@@ -22,7 +22,11 @@ namespace cq::nn {
 class Linear : public Module, public quant::QuantizableLayer {
  public:
   /// Kaiming-uniform initialized layer of shape [out_features, in_features].
-  Linear(int in_features, int out_features, util::Rng& rng, std::string name = "linear");
+  Linear(int in_features, int out_features, util::Rng& rng, std::string name = "linear")
+      : Linear(in_features, out_features, &rng, std::move(name)) {}
+  /// A null `rng` draws nothing and leaves the weights zero (a model
+  /// built by nn::StructureOnly).
+  Linear(int in_features, int out_features, util::Rng* rng, std::string name = "linear");
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;

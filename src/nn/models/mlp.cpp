@@ -4,6 +4,12 @@ namespace cq::nn {
 
 Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
   util::Rng rng(config_.seed);
+  build(&rng);
+}
+
+Mlp::Mlp(MlpConfig config, StructureOnly) : config_(std::move(config)) { build(nullptr); }
+
+void Mlp::build(util::Rng* rng) {
   int in = config_.in_features;
   for (std::size_t h = 0; h < config_.hidden.size(); ++h) {
     const int out = config_.hidden[h];

@@ -22,6 +22,7 @@ struct MlpConfig {
 class Mlp : public Model {
  public:
   explicit Mlp(MlpConfig config);
+  Mlp(MlpConfig config, StructureOnly);
 
   Tensor forward(const Tensor& input) override { return body_.forward(input); }
   Tensor backward(const Tensor& grad_output) override { return body_.backward(grad_output); }
@@ -41,6 +42,9 @@ class Mlp : public Model {
   Sequential& body() { return body_; }
 
  private:
+  /// Adds every layer, drawing initial weights from `rng` (null: none).
+  void build(util::Rng* rng);
+
   MlpConfig config_;
   Sequential body_;
   std::vector<ScoredLayerRef> scored_;

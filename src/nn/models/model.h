@@ -30,6 +30,12 @@ struct ScoredLayerRef {
   ActQuant* act_quant = nullptr;
 };
 
+/// Constructor tag of the model-zoo networks: builds the layers with
+/// zero weights and draws no initial ones. For callers that overwrite
+/// or ignore every weight (deploy::instantiate_model); the seeded
+/// constructors draw exactly what they always drew.
+struct StructureOnly {};
+
 /// Base class for the networks of the paper's evaluation. On top of
 /// Module it exposes the quantization surface: the scored layers the
 /// CQ search assigns bits to (everything except the first and output

@@ -2,7 +2,7 @@
 
 namespace cq::nn {
 
-BasicBlock::BasicBlock(int in_channels, int out_channels, int stride, util::Rng& rng,
+BasicBlock::BasicBlock(int in_channels, int out_channels, int stride, util::Rng* rng,
                        std::string name)
     : name_(std::move(name)) {
   conv1_ = std::make_unique<Conv2d>(in_channels, out_channels, 3, stride, 1, rng,
@@ -80,6 +80,14 @@ void BasicBlock::set_exec_context(const util::ExecContext& exec) {
 
 ResNet20::ResNet20(ResNet20Config config) : config_(std::move(config)) {
   util::Rng rng(config_.seed);
+  build(&rng);
+}
+
+ResNet20::ResNet20(ResNet20Config config, StructureOnly) : config_(std::move(config)) {
+  build(nullptr);
+}
+
+void ResNet20::build(util::Rng* rng) {
   const int w1 = config_.base_width * config_.expand;
   const int w2 = 2 * w1;
   const int w3 = 4 * w1;

@@ -18,6 +18,10 @@ namespace cq::nn {
 class BasicBlock : public Module {
  public:
   BasicBlock(int in_channels, int out_channels, int stride, util::Rng& rng,
+             std::string name)
+      : BasicBlock(in_channels, out_channels, stride, &rng, std::move(name)) {}
+  /// A null `rng` draws nothing and leaves the weights zero.
+  BasicBlock(int in_channels, int out_channels, int stride, util::Rng* rng,
              std::string name);
 
   Tensor forward(const Tensor& input) override;
@@ -73,6 +77,7 @@ struct ResNet20Config {
 class ResNet20 : public Model {
  public:
   explicit ResNet20(ResNet20Config config);
+  ResNet20(ResNet20Config config, StructureOnly);
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
@@ -90,6 +95,9 @@ class ResNet20 : public Model {
   Sequential& body() { return body_; }
 
  private:
+  /// Adds every layer, drawing initial weights from `rng` (null: none).
+  void build(util::Rng* rng);
+
   ResNet20Config config_;
   Sequential body_;  ///< stem + blocks + pool + fc, in order
   std::vector<ScoredLayerRef> scored_;

@@ -5,7 +5,7 @@
 namespace cq::nn {
 
 Conv2d* VggSmall::add_conv_block(int in_c, int out_c, const std::string& name,
-                                 util::Rng& rng, Probe** probe_out) {
+                                 util::Rng* rng, Probe** probe_out) {
   Conv2d* conv = body_.emplace<Conv2d>(in_c, out_c, 3, 1, 1, rng, name);
   body_.emplace<BatchNorm2d>(out_c, 0.1f, 1e-5f, name + ".bn");
   body_.emplace<ReLU>();
@@ -15,10 +15,18 @@ Conv2d* VggSmall::add_conv_block(int in_c, int out_c, const std::string& name,
 }
 
 VggSmall::VggSmall(VggSmallConfig config) : config_(std::move(config)) {
+  util::Rng rng(config_.seed);
+  build(&rng);
+}
+
+VggSmall::VggSmall(VggSmallConfig config, StructureOnly) : config_(std::move(config)) {
+  build(nullptr);
+}
+
+void VggSmall::build(util::Rng* rng) {
   if (config_.image_size % 8 != 0) {
     throw std::invalid_argument("VggSmall: image_size must be divisible by 8");
   }
-  util::Rng rng(config_.seed);
   Probe* probe = nullptr;
 
   // Layer-0: first conv, never quantized (Section IV).

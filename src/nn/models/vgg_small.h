@@ -34,6 +34,7 @@ struct VggSmallConfig {
 class VggSmall : public Model {
  public:
   explicit VggSmall(VggSmallConfig config);
+  VggSmall(VggSmallConfig config, StructureOnly);
 
   Tensor forward(const Tensor& input) override { return body_.forward(input); }
   Tensor backward(const Tensor& grad_output) override { return body_.backward(grad_output); }
@@ -53,8 +54,10 @@ class VggSmall : public Model {
   Sequential& body() { return body_; }
 
  private:
+  /// Adds every layer, drawing initial weights from `rng` (null: none).
+  void build(util::Rng* rng);
   /// Adds conv-BN-ReLU-probe-actquant; returns the conv for scoring.
-  Conv2d* add_conv_block(int in_c, int out_c, const std::string& name, util::Rng& rng,
+  Conv2d* add_conv_block(int in_c, int out_c, const std::string& name, util::Rng* rng,
                          Probe** probe_out);
 
   VggSmallConfig config_;

@@ -234,11 +234,11 @@ TEST(BackendFactory, UnknownKindErrorNamesValidKinds) {
 // --- SIMD backend ----------------------------------------------------
 
 /// Explicit-kernel tiers executable on this machine: portable always,
-/// avx2 when CPUID licenses it.
+/// avx2 and vnni when CPUID licenses them.
 std::vector<SimdTier> reachable_simd_tiers() {
   std::vector<SimdTier> tiers = {SimdTier::kPortable};
-  if (max_supported_simd_tier() == SimdTier::kAvx2) {
-    tiers.push_back(SimdTier::kAvx2);
+  for (const SimdTier tier : {SimdTier::kAvx2, SimdTier::kVnni}) {
+    if (tier <= max_supported_simd_tier()) tiers.push_back(tier);
   }
   return tiers;
 }
@@ -291,10 +291,10 @@ TEST(BackendFactory, RunWithoutPrepareThrows) {
 }
 
 /// Activation widths that reach each conv/linear kernel: <= 8 bits ride
-/// the int8 maddubs kernel on avx2 when the weight bound allows it
-/// (int16 pairs otherwise), 9-15 bits the int16 pair kernels, 16 bits
-/// the generic kernel. Weights stay narrow enough at 16 bits that the
-/// int32 accumulator stays certified.
+/// the int8 dpbusd kernel on vnni and the int8 maddubs kernel on avx2
+/// when the weight bound allows it (int16 pairs otherwise), 9-15 bits
+/// the int16 pair kernels, 16 bits the generic kernel. Weights stay
+/// narrow enough at 16 bits that the int32 accumulator stays certified.
 struct KernelClass {
   int min_act_bits, max_act_bits, max_weight_bits;
 };
@@ -315,7 +315,9 @@ std::vector<int> random_filter_bits(int max_bits, util::Rng& rng) {
 std::vector<simd::Kernel> reachable_kernels() {
   std::vector<simd::Kernel> kernels = {simd::Kernel::kGeneric};
   for (const SimdTier tier : reachable_simd_tiers()) {
-    if (tier == SimdTier::kAvx2) {
+    if (tier == SimdTier::kVnni) {
+      kernels.push_back(simd::Kernel::kVnniI8);
+    } else if (tier == SimdTier::kAvx2) {
       kernels.push_back(simd::Kernel::kAvx2I8);
       kernels.push_back(simd::Kernel::kAvx2I16);
     } else {
@@ -482,18 +484,29 @@ TEST(BackendIdentity, SimdKernelsExactAtCertifiedEdge) {
   struct Edge {
     int weight_bits, act_bits;
     std::int64_t terms;
-    std::int64_t bound;           // max|w| * act_max * terms
-    simd::Kernel avx2, portable;  // the kernel each tier must select
+    std::int64_t bound;                 // max|w| * act_max * terms
+    simd::Kernel vnni, avx2, portable;  // the kernel each tier must select
   };
-  constexpr std::int64_t kInt32Edge = std::numeric_limits<std::int32_t>::max() - 98'302;
+  constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int64_t kInt32Edge = kInt32Max - 98'302;
   const Edge edges[] = {
       // maddubs pair sums of +-2 * 127 * 127 = 32,258: the most
       // int_reduction_fits_int8_madd admits.
-      {7, 7, 131, 127LL * 127 * 131, simd::Kernel::kAvx2I8, simd::Kernel::kSse2I16},
+      {7, 7, 131, 127LL * 127 * 131, simd::Kernel::kVnniI8, simd::Kernel::kAvx2I8,
+       simd::Kernel::kSse2I16},
+      // Dot-only: pair sums of +-2 * 127 * 255 = 64,770 would saturate
+      // maddubs, while dpbusd sums its quads of +-4 * 127 * 255 exactly.
+      {7, 8, 131, 127LL * 255 * 131, simd::Kernel::kVnniI8, simd::Kernel::kAvx2I16,
+       simd::Kernel::kSse2I16},
+      // The dot-only layer at its int32 edge, |acc| = 127 * 255 * 66,311.
+      {7, 8, 66'311, 127LL * 255 * 66'311, simd::Kernel::kVnniI8, simd::Kernel::kAvx2I16,
+       simd::Kernel::kSse2I16},
       // |acc| = 255 * 32,767 * 257 on the int16 pair kernels.
-      {8, 15, 257, kInt32Edge, simd::Kernel::kAvx2I16, simd::Kernel::kSse2I16},
+      {8, 15, 257, kInt32Edge, simd::Kernel::kAvx2I16, simd::Kernel::kAvx2I16,
+       simd::Kernel::kSse2I16},
       // The same |acc| = 7 * 65,535 * 4,681 on the generic kernel.
-      {3, 16, 4681, kInt32Edge, simd::Kernel::kGeneric, simd::Kernel::kGeneric},
+      {3, 16, 4681, kInt32Edge, simd::Kernel::kGeneric, simd::Kernel::kGeneric,
+       simd::Kernel::kGeneric},
   };
   constexpr int kBatch = 3, kFilters = 10, kPixels = 3 * 3;
   for (const Edge& e : edges) {
@@ -538,7 +551,10 @@ TEST(BackendIdentity, SimdKernelsExactAtCertifiedEdge) {
         const std::string what = edge + (in_codes ? " in_codes" : " raw") + " tier=" +
                                  simd_tier_name(tier);
         const simd::PackedSimd packed = simd::pack_simd(layer, tier, e.act_bits);
-        ASSERT_EQ(tier == SimdTier::kAvx2 ? e.avx2 : e.portable, packed.kernel) << what;
+        const simd::Kernel want = tier == SimdTier::kVnni   ? e.vnni
+                                  : tier == SimdTier::kAvx2 ? e.avx2
+                                                            : e.portable;
+        ASSERT_EQ(want, packed.kernel) << what;
         std::vector<std::uint32_t> image;
         std::vector<float> out(linear_ref.numel(), -7.0f);
         simd::linear_forward_into(packed, linear_acts.data(), grid, kBatch, in_features,
@@ -550,7 +566,8 @@ TEST(BackendIdentity, SimdKernelsExactAtCertifiedEdge) {
         expect_bytes_equal(out.data(), conv_ref.data(), out.size(), what + " conv");
       }
     }
-    if (e.bound == kInt32Edge) {
+    if (int_reduction_bound(max_abs_centered_code(layer), e.act_bits, e.terms + 1) >
+        kInt32Max) {
       const IntegerLayer past = alternating_layer(e.terms + 1);
       for (const SimdTier tier : reachable_simd_tiers()) {
         EXPECT_EQ(simd::Kernel::kScalar, simd::pack_simd(past, tier, e.act_bits).kernel)
@@ -897,8 +914,11 @@ TEST(BackendFactory, SimdDispatchNamesResolvedIsa) {
         saw_integer = true;
         if (tier == SimdTier::kPortable) {
           EXPECT_EQ("simd/portable", label);
-        } else {
+        } else if (tier == SimdTier::kAvx2) {
           EXPECT_TRUE(label == "simd/avx2" || label == "simd/avx2-i8") << label;
+        } else {
+          // Every layer that misses the dot bound misses maddubs too.
+          EXPECT_TRUE(label == "simd/avx2" || label == "simd/vnni") << label;
         }
       } else {
         EXPECT_EQ("scalar", label);
@@ -913,18 +933,27 @@ TEST(CpuFeatures, EnvAndForceResolveTiers) {
   const std::string saved = prev != nullptr ? prev : "";
   const bool had = prev != nullptr;
 
-  ::setenv("CQ_SIMD", "portable", 1);
-  EXPECT_EQ(SimdTier::kPortable, resolve_simd_tier());
-  // "avx2", "auto", and typos all resolve to the fastest tier the CPU
-  // supports — a misspelled override degrades, never crashes. "off" is
-  // one more unrecognized value: no explicit SIMD is --backend=scalar.
-  for (const char* value : {"avx2", "auto", "definitely-a-typo", "off"}) {
-    ::setenv("CQ_SIMD", value, 1);
-    EXPECT_EQ(max_supported_simd_tier(), resolve_simd_tier()) << value;
+  // Each named tier resolves to min(request, what CPUID supports).
+  const SimdTier supported = max_supported_simd_tier();
+  const auto clamped = [&](SimdTier tier) { return std::min(tier, supported); };
+  for (const SimdTier tier : {SimdTier::kPortable, SimdTier::kAvx2, SimdTier::kVnni}) {
+    ::setenv("CQ_SIMD", simd_tier_name(tier), 1);
+    EXPECT_EQ(clamped(tier), resolve_simd_tier()) << simd_tier_name(tier);
   }
-  // The forced override outranks the environment.
-  force_simd_tier(SimdTier::kPortable);
-  EXPECT_EQ(SimdTier::kPortable, resolve_simd_tier());
+  // "auto" and typos resolve to the fastest tier the CPU supports — a
+  // misspelled override degrades, never crashes. "off" is one more
+  // unrecognized value: no explicit SIMD is --backend=scalar.
+  for (const char* value : {"auto", "definitely-a-typo", "off"}) {
+    ::setenv("CQ_SIMD", value, 1);
+    EXPECT_EQ(supported, resolve_simd_tier()) << value;
+  }
+  // The forced override outranks the environment, and is clamped the
+  // same way: a forced vnni on a CPU without AVX-VNNI runs a lower tier.
+  ::setenv("CQ_SIMD", "portable", 1);
+  for (const SimdTier tier : {SimdTier::kPortable, SimdTier::kAvx2, SimdTier::kVnni}) {
+    force_simd_tier(tier);
+    EXPECT_EQ(clamped(tier), resolve_simd_tier()) << simd_tier_name(tier);
+  }
   clear_forced_simd_tier();
 
   if (had) {
@@ -933,7 +962,8 @@ TEST(CpuFeatures, EnvAndForceResolveTiers) {
     ::unsetenv("CQ_SIMD");
   }
   // The supported ceiling is exactly what CPUID reported.
-  EXPECT_EQ(cpu_features().avx2 ? SimdTier::kAvx2 : SimdTier::kPortable,
+  const CpuFeatures& f = cpu_features();
+  EXPECT_EQ(!f.avx2 ? SimdTier::kPortable : f.avxvnni ? SimdTier::kVnni : SimdTier::kAvx2,
             max_supported_simd_tier());
 }
 
@@ -941,6 +971,7 @@ TEST(CpuFeatures, JsonNamesArchAndTier) {
   const std::string json = cpu_features_json();
   EXPECT_NE(json.find("\"arch\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"avx2\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"avxvnni\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"tier\""), std::string::npos) << json;
   EXPECT_NE(json.find(simd_tier_name(resolve_simd_tier())), std::string::npos)
       << json;
@@ -948,8 +979,8 @@ TEST(CpuFeatures, JsonNamesArchAndTier) {
 
 /// prepared_bytes() is exactly one panel set per integer op, by the
 /// layout arithmetic: whole 8-filter tiles x taps x channel groups of
-/// 32-bit words (4 codes per word for avx2-i8 ops, 2 otherwise), plus a
-/// float scale and bias per filter.
+/// 32-bit words (4 codes per word for avx2-i8 and vnni ops, 2
+/// otherwise), plus a float scale and bias per filter.
 TEST(BackendFactory, SimdPreparedBytesAreOneLayoutPerOp) {
   const ExecutionPlan plan = compile_plan(serve::tiny_vgg_artifact());
   for (const SimdTier tier : reachable_simd_tiers()) {
@@ -965,7 +996,8 @@ TEST(BackendFactory, SimdPreparedBytesAreOneLayoutPerOp) {
       const bool conv = op.kind == OpKind::IntConv;
       const auto taps = static_cast<std::size_t>(conv ? op.kernel * op.kernel : 1);
       const auto channels = static_cast<std::size_t>(conv ? op.in_c : op.in_features);
-      const std::size_t g = std::string(backend->dispatch(op)) == "simd/avx2-i8" ? 4 : 2;
+      const std::string label = backend->dispatch(op);
+      const std::size_t g = label == "simd/avx2-i8" || label == "simd/vnni" ? 4 : 2;
       const std::size_t lanes = (filters + 7) / 8 * 8;
       expected += lanes * taps * ((channels + g - 1) / g) * sizeof(std::uint32_t);
       expected += filters * 2 * sizeof(float);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "deploy/artifact.h"
+#include "deploy/plan.h"
 #include "nn/models/mlp.h"
 #include "nn/models/resnet20.h"
 #include "nn/models/vgg_small.h"
@@ -453,6 +454,57 @@ TEST(Artifact, InstantiateRejectsWrongArchitecture) {
   QuantizedArtifact artifact = export_model(mlp);
   artifact.arch.params["hidden0"] = 16;  // wrong width
   EXPECT_THROW(instantiate(artifact), ArtifactError);
+}
+
+/// Applies `mutate` to the MLP fixture's one packed layer (fc1, 8
+/// filters x 8 weights), keeping its payload exactly what its widths
+/// need, so the file round trip accepts it. Only a check against the
+/// architecture can refuse it, and compile_plan and instantiate must
+/// both do so with an ArtifactError naming the layer.
+void expect_packed_shape_rejected(const std::string& name,
+                                  const std::function<void(PackedLayer&)>& mutate) {
+  nn::MlpConfig config;
+  config.in_features = 6;
+  config.hidden = {8, 8};
+  nn::Mlp mlp(config);
+  util::Rng rng(18);
+  quantize_for_test(mlp, Tensor::randn({4, 6}, rng));
+  QuantizedArtifact artifact = export_model(mlp);
+  ASSERT_EQ(1u, artifact.packed_layers.size());
+  mutate(artifact.packed_layers[0]);
+  const std::string path = temp_path(name + ".cqar");
+  save_artifact(path, artifact);
+  const QuantizedArtifact loaded = load_artifact(path);
+  std::remove(path.c_str());
+  const std::string layer = artifact.packed_layers[0].name;
+  const auto expect_refused = [&](const char* what, const std::function<void()>& call) {
+    try {
+      call();
+      ADD_FAILURE() << name << ": " << what << " accepted the artifact";
+    } catch (const ArtifactError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + layer + "'"), std::string::npos)
+          << name << ": " << what << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << name << ": " << what << " threw a non-ArtifactError: " << e.what();
+    }
+  };
+  expect_refused("compile_plan", [&] { compile_plan(loaded); });
+  expect_refused("instantiate", [&] { instantiate(loaded); });
+}
+
+TEST(Artifact, PackedLayerWithExtraFilterIsArtifactError) {
+  // A 0-bit filter needs no payload, so the file stays well-formed.
+  expect_packed_shape_rejected("extra_filter", [](PackedLayer& layer) {
+    ++layer.num_filters;
+    layer.filter_bits.push_back(0);
+  });
+}
+
+TEST(Artifact, PackedLayerWithLongerRowsIsArtifactError) {
+  expect_packed_shape_rejected("longer_rows", [](PackedLayer& layer) {
+    ++layer.weights_per_filter;
+    layer.codes.resize((layer.payload_bits() + 7) / 8, 0);
+  });
 }
 
 TEST(Artifact, SizeReportShowsCompression) {

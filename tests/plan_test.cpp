@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <map>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "deploy/artifact.h"
+#include "deploy/backend.h"
 #include "deploy/int_engine.h"
 #include "deploy/plan.h"
 #include "nn/act_quant.h"
@@ -216,6 +218,56 @@ TEST_P(PlanVsModule, ByteIdenticalAcrossBatchSizesAndThreadCounts) {
             << "model " << GetParam() << " batch " << batch_size << " threads "
             << threads << " output " << i;
       }
+    }
+  }
+}
+
+/// Scored layers lowered to float ops: the zoo artifacts calibrate
+/// every activation quantizer, so their only float compute ops are the
+/// unscored first and last layers. Here the quantizer in front of a
+/// scored conv (VGG, ResNet) and a scored linear (VGG, MLP) is switched
+/// off (0 bits), so compile_plan lowers those layers to float ops over
+/// their unpacked fake-quant weights — served compiled and optimized,
+/// on both backends, byte for byte against the module walk.
+TEST_P(PlanVsModule, ScoredLayersLoweredToFloatStayByteIdentical) {
+  struct FloatCase {
+    std::vector<std::size_t> silenced;  ///< act_quants switched to 0 bits
+    std::vector<std::string> float_conv, float_linear;  ///< scored layers lowered
+  };
+  const FloatCase cases[] = {
+      {{1, 5}, {"conv2"}, {"fc6"}},    // VGG: conv1.aq feeds conv2, fc5.aq fc6
+      {{0}, {}, {"fc1"}},              // MLP: fc0.aq feeds fc1
+      {{1}, {"s1b1.conv2"}, {}},       // ResNet: s1b1.aq1 feeds s1b1.conv2
+  };
+  const FloatCase& c = cases[GetParam()];
+  deploy::QuantizedArtifact artifact = artifact_for(GetParam());
+  for (const std::size_t i : c.silenced) artifact.act_quants[i].bits = 0;
+  ModuleWalkReference module_walk(artifact);
+
+  const auto compiled =
+      std::make_shared<const deploy::ExecutionPlan>(deploy::compile_plan(artifact));
+  for (const auto& plan : {compiled, serving_plan(artifact)}) {
+    std::vector<std::string> float_conv, float_linear;
+    for (const deploy::PlanOp& op : plan->ops()) {
+      if (op.kind == deploy::OpKind::FloatConv) float_conv.push_back(op.label);
+      if (op.kind == deploy::OpKind::FloatLinear) float_linear.push_back(op.label);
+    }
+    for (const std::string& label : c.float_conv) {
+      EXPECT_NE(std::find(float_conv.begin(), float_conv.end(), label), float_conv.end())
+          << label << " is not a float_conv op";
+    }
+    for (const std::string& label : c.float_linear) {
+      EXPECT_NE(std::find(float_linear.begin(), float_linear.end(), label),
+                float_linear.end())
+          << label << " is not a float_linear op";
+    }
+    const Tensor batch = random_batch(plan->sample_shape(), 3, 950);
+    const Tensor want = module_walk.run(batch);
+    for (const deploy::BackendKind kind : deploy::all_backend_kinds()) {
+      EngineSession session(plan, 1, {}, deploy::make_backend(kind));
+      EXPECT_TRUE(byte_equal(session.run(batch), want))
+          << "model " << GetParam() << " backend " << deploy::backend_kind_name(kind)
+          << " with " << plan->ops().size() << " ops diverges from the module walk";
     }
   }
 }

@@ -87,6 +87,20 @@ TEST(ModelRegistry, MemoryBudgetRefusesLoadAndRollsBack) {
   EXPECT_EQ(registry.info("m").version, 1);
 }
 
+TEST(ModelRegistry, PackedLayerShapeMismatchIsArtifactError) {
+  // One more 0-bit filter than the architecture's first packed layer
+  // has: the payload stays well-formed, the shape does not fit.
+  deploy::QuantizedArtifact artifact = serve::tiny_resnet_artifact();
+  deploy::PackedLayer& layer = artifact.packed_layers[0];
+  ++layer.num_filters;
+  layer.filter_bits.push_back(0);
+  ASSERT_EQ("", layer.payload_error());
+  serve::ModelRegistry registry;
+  EXPECT_THROW(registry.load("m", artifact), deploy::ArtifactError);
+  EXPECT_FALSE(registry.has("m"));
+  EXPECT_TRUE(registry.names().empty());
+}
+
 TEST(ModelRegistry, BudgetAdmitsWhenLargeEnough) {
   serve::ModelRegistry registry;
   serve::ModelConfig config;

@@ -76,13 +76,19 @@ TEST(PlanVerify, ZooPlansVerifyClean) {
     for (const IntOpCertificate& cert : report.certificates) {
       EXPECT_TRUE(cert.fits_int64);
       EXPECT_GT(cert.bound, 0);
-      // The int8 claim must be exactly the shared helper SimdBackend's
-      // resolve_path evaluates, and can never outrank the int32 one.
+      // The int8 claims must be exactly the shared helpers pack_simd's
+      // kernel choice evaluates, and can never outrank the int32 one:
+      // maddubs implies dpbusd implies int32.
       const PlanOp& op = plan.ops()[static_cast<std::size_t>(cert.op)];
       EXPECT_EQ(cert.int8_fast_path,
                 int_reduction_fits_int8_madd(cert.max_abs_weight, op.act_bits,
                                              cert.terms));
+      EXPECT_EQ(cert.int8_dot_path,
+                int_reduction_fits_int8_dot(cert.max_abs_weight, op.act_bits, cert.terms));
       if (cert.int8_fast_path) {
+        EXPECT_TRUE(cert.int8_dot_path);
+      }
+      if (cert.int8_dot_path) {
         EXPECT_TRUE(cert.int32_fast_path);
       }
     }
@@ -435,6 +441,20 @@ TEST(OverflowBound, Int8MaddEligibilityPinsEveryEdge) {
   EXPECT_FALSE(int_reduction_fits_int8_madd(15, 0, 8));
   // The int32 accumulator bound still applies to the full reduction.
   EXPECT_FALSE(int_reduction_fits_int8_madd(127, 7, std::int64_t{1} << 40));
+}
+
+TEST(OverflowBound, Int8DotEligibilityPinsEveryEdge) {
+  // No int16 pair step: 127-weights under 8-bit acts, which maddubs
+  // refuses, are exact for dpbusd...
+  EXPECT_TRUE(int_reduction_fits_int8_dot(127, 8, 8));
+  // ...up to the int32 bound: 127 * 255 * 66,311 <= 2^31 - 1 < one
+  // term more.
+  EXPECT_TRUE(int_reduction_fits_int8_dot(127, 8, 66'311));
+  EXPECT_FALSE(int_reduction_fits_int8_dot(127, 8, 66'312));
+  // The operands still must fit s8 weights and u8 activations.
+  EXPECT_FALSE(int_reduction_fits_int8_dot(128, 3, 8));
+  EXPECT_FALSE(int_reduction_fits_int8_dot(15, 9, 8));
+  EXPECT_FALSE(int_reduction_fits_int8_dot(15, 0, 8));
 }
 
 TEST(OverflowBound, SaturatesInsteadOfWrapping) {

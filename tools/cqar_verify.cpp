@@ -17,7 +17,9 @@
 //   --certs     print the per-integer-op overflow certificates (bound,
 //               narrowest certified accumulator: int8 = the SIMD
 //               backend's maddubs path, int32 = its other kernels,
-//               int64 = delegated to the scalar reference)
+//               int64 = delegated to the scalar reference; and the int8
+//               kernels the op is certified for: dpbusd on the vnni
+//               tier, maddubs on avx2)
 //
 // Exit status: 0 when every plan verifies clean, 1 on any finding or
 // unloadable/uncompilable artifact, 2 for usage errors.
@@ -65,7 +67,7 @@ bool verify_one(const std::string& name, const deploy::ExecutionPlan& plan,
     std::printf("%s\n", findings.render().c_str());
   }
   if (print_certs && !report.certificates.empty()) {
-    util::Table certs({"op", "layer", "max|w|", "terms", "bound", "acc"});
+    util::Table certs({"op", "layer", "max|w|", "terms", "bound", "acc", "int8 path"});
     for (const deploy::IntOpCertificate& cert : report.certificates) {
       // Narrowest certified accumulator: int8 is the SIMD backend's
       // maddubs path (implies int32), int32 its other kernels, int64
@@ -73,10 +75,15 @@ bool verify_one(const std::string& name, const deploy::ExecutionPlan& plan,
       const char* acc = cert.int8_fast_path    ? "int8"
                         : cert.int32_fast_path ? "int32"
                                                : "int64";
+      // The maddubs path also needs the int16 pair bound, so it
+      // implies the dpbusd one.
+      const char* int8 = cert.int8_fast_path  ? "dpbusd+maddubs"
+                         : cert.int8_dot_path ? "dpbusd"
+                                              : "-";
       certs.add_row({std::to_string(cert.op), std::to_string(cert.layer),
                      std::to_string(cert.max_abs_weight),
                      std::to_string(cert.terms), std::to_string(cert.bound),
-                     acc});
+                     acc, int8});
     }
     std::printf("%s\n", certs.render().c_str());
   }
