@@ -215,7 +215,8 @@ int main(int argc, char** argv) {
         fabricate_integer_layer(filters, per_filter, rng));
     auto in = std::make_shared<const IntegerInput>(std::move(input));
     auto spacked = std::make_shared<deploy::simd::PackedSimd>(
-        deploy::simd::pack_simd(*layer, simd_tier, in->grid.bits, kernel));
+        deploy::simd::pack_simd(*layer, simd_tier, in->grid.bits,
+                                deploy::simd::OpShape::conv(kernel)));
     auto codes = std::make_shared<deploy::ActCodes>();
     auto cols = std::make_shared<std::vector<std::int32_t>>();
     auto image = std::make_shared<std::vector<std::uint32_t>>();
@@ -261,7 +262,8 @@ int main(int argc, char** argv) {
     auto in = std::make_shared<const IntegerInput>(
         fabricate_codes(static_cast<std::size_t>(batch) * in_features, 4, rng));
     auto spacked = std::make_shared<deploy::simd::PackedSimd>(
-        deploy::simd::pack_simd(*layer, simd_tier, in->grid.bits));
+        deploy::simd::pack_simd(*layer, simd_tier, in->grid.bits,
+                                deploy::simd::OpShape::linear()));
     auto codes = std::make_shared<deploy::ActCodes>();
     auto image = std::make_shared<std::vector<std::uint32_t>>();
     add_integer_case(

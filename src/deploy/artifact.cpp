@@ -8,6 +8,7 @@
 #include "nn/models/mlp.h"
 #include "nn/models/resnet20.h"
 #include "nn/models/vgg_small.h"
+#include "quant/uniform.h"
 #include "util/crc32.h"
 
 namespace cq::deploy {
@@ -465,6 +466,19 @@ QuantizedArtifact load_artifact(const std::string& path) {
     ActQuantState aq;
     aq.bits = r.i32();
     aq.max_activation = r.f32();
+    // A quantizer compile_plan encodes with (bits >= 1 and a clip that
+    // is not <= 0, NaN included) must be a usable grid; any other is a
+    // pass-through whose bits must still lie in [0, 16].
+    std::string why;
+    if (aq.bits < 0 || aq.bits > 16) {
+      why = "bits " + std::to_string(aq.bits) + " outside [0, 16]";
+    } else if (aq.bits >= 1 && !(aq.max_activation <= 0.0f)) {
+      why = quant::activation_grid_error(aq.bits, aq.max_activation);
+    }
+    if (!why.empty()) {
+      throw ArtifactError("load_artifact: activation quantizer #" + std::to_string(i) + ": " +
+                          why);
+    }
     artifact.act_quants.push_back(aq);
   }
   const std::uint32_t npacked = r.u32();

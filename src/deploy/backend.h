@@ -32,7 +32,8 @@ struct BackendScratch {
   ActCodes codes;
   std::vector<std::int32_t> int_cols;
   std::vector<float> float_cols;
-  /// SimdBackend's padded code image (simd::conv_forward_into), which
+  /// SimdBackend's padded code image (simd::conv_forward_into: channel
+  /// grouped, or position-major bytes for the amx kernel), which
   /// replaces both `codes` and `int_cols` on its path; capacity is
   /// retained across ops.
   std::vector<std::uint32_t> code_image;
@@ -172,6 +173,8 @@ inline constexpr int kFilterTile = 8;
 /// rescaling store), so kernels differ only in those instructions.
 enum class Kernel {
   kScalar,   ///< no panels: the op delegates to ScalarBackend
+  kAmxI8,    ///< AMX tdpbusd 16x16 int32 tiles over uint8 x int8 codes
+             ///  (convolutions only)
   kVnniI8,   ///< _mm256_dpbusd_avx_epi32 over uint8 x int8 code quads
   kAvx2I8,   ///< _mm256_maddubs_epi16 over uint8 x int8 code quads
   kAvx2I16,  ///< _mm256_madd_epi16 over int16 code pairs
@@ -180,13 +183,13 @@ enum class Kernel {
              ///  and 16-bit activation codes everywhere)
 };
 
-/// Dispatch label of a kernel: "simd/vnni", "simd/avx2-i8",
+/// Dispatch label of a kernel: "simd/amx", "simd/vnni", "simd/avx2-i8",
 /// "simd/avx2", "simd/portable" (SSE2 and generic), or "scalar".
 const char* kernel_label(Kernel kernel);
 
 /// Codes one 32-bit word holds for `kernel`, in its activation code
 /// image and its weight panels alike: 4 (uint8 activations, int8
-/// weights) for the quad kernels kVnniI8 and kAvx2I8, 2 int16 for the
+/// weights) for kAmxI8 and the quad kernels kVnniI8 and kAvx2I8, 2 int16 for the
 /// pair kernels, 1 int32 for kGeneric, 0 for kScalar. The word is what
 /// one multiply-add lane of the kernel consumes.
 int codes_per_word(Kernel kernel);
@@ -206,6 +209,18 @@ int codes_per_word(Kernel kernel);
 /// cost no branch in the hot loop; pruned filters also get scale =
 /// bias = 0. A linear layer is the 1x1 case: one tap, one channel per
 /// input feature.
+///
+/// kAmxI8 packs B tiles instead, in the VNNI order tdpbusd reads:
+///
+///   panels[block][ky][row][f] = the word holding bytes 4 row .. 4 row + 3
+///   of kernel row ky's run for filter block * 16 + f,
+///
+/// where a kernel row's run is its kernel x pixel bytes, byte
+/// kx * pixel + c, with pixel = channels rounded up to a multiple of 4 —
+/// the bytes one output position reads from the position-major code
+/// image. The run splits into ceil(run / 64) equal K-chunks of at most
+/// 64 bytes (a multiple of 4: one A-tile row); rows past the run and
+/// channels past `channels` hold zero weights.
 struct PackedSimd {
   Kernel kernel = Kernel::kScalar;
   /// Widest activation code the kernel is certified for; the kernels
@@ -217,6 +232,7 @@ struct PackedSimd {
   int channels = 0;  ///< weights_per_filter / taps
   std::int32_t max_abs_weight = 0;  ///< shared overflow-bound input
   std::vector<std::uint32_t> panels;  ///< [tiles][taps][groups][tile] words
+                                      ///  (kAmxI8: [blocks][ky][rows][16])
   std::vector<float> weight_scales;   ///< per-filter; 0 if pruned
   std::vector<float> out_bias;        ///< per-filter; forced 0 if pruned
 
@@ -224,16 +240,25 @@ struct PackedSimd {
   std::size_t bytes() const;
 };
 
+/// The op a layer is packed for: a kernel x kernel convolution or a
+/// linear layer. A 1x1 conv and a linear layer read the same channel
+/// panels on every tier but amx, whose tile kernel runs convolutions
+/// only.
+struct OpShape {
+  static OpShape conv(int kernel) { return OpShape{true, kernel}; }
+  static OpShape linear() { return OpShape{false, 1}; }
+  bool is_conv = false;
+  int kernel = 1;
+};
+
 /// Chooses the kernel for `layer` fed `act_bits`-bit activation codes
-/// at `tier`, and packs the panels it reads for a kernel x kernel
-/// convolution (1 for linear layers; prepare() time only). kScalar — no
-/// panels — when a filter has more than 15 bits (centered codes
-/// overflow int16) or the reduction is not certified for the int32
-/// accumulator (deploy/overflow.h). Throws
+/// at `tier` for an op of `shape`, and packs the panels it reads
+/// (prepare() time only). kScalar — no panels — when a filter has more
+/// than 15 bits (centered codes overflow int16) or the reduction is not
+/// certified for the int32 accumulator (deploy/overflow.h). Throws
 /// std::invalid_argument when weights_per_filter is not a whole number
 /// of kernel x kernel taps.
-PackedSimd pack_simd(const IntegerLayer& layer, SimdTier tier, int act_bits,
-                     int kernel = 1);
+PackedSimd pack_simd(const IntegerLayer& layer, SimdTier tier, int act_bits, OpShape shape);
 
 /// The float activations an integer op reads and the [0, hi] x bits
 /// grid they are adopted onto: raw activations are clamped and rounded
@@ -253,8 +278,13 @@ struct ActGrid {
 /// each — and the kernel then reads every tap's strip of 8 output
 /// positions (4 on SSE2) from it in place: no im2col, no intermediate
 /// int32 codes.
-/// Phase planes keep strided taps contiguous. Throws std::logic_error
-/// for a kScalar pack or a grid wider than packed.act_bits. Integer
+/// Phase planes keep strided taps contiguous. kAmxI8 instead adopts
+/// into a position-major byte image, [height + 2 pad][width + 2 pad]
+/// [pixel] per sample, and loads each A tile — 16 output positions of
+/// one output row, one K-chunk each — from it in place at a stride of
+/// stride x pixel bytes. Throws std::logic_error
+/// for a kScalar pack, a kAmxI8 pack on a CPU without the amx tier, or
+/// a grid wider than packed.act_bits. Integer
 /// sums are exact and the rescale is the scalar kernel's, so outputs
 /// are byte-identical to encode/cast + integer_conv_forward_into at
 /// every tier and thread count. Chunks over (sample, filter tile,
@@ -269,11 +299,25 @@ void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid
 /// Explicit-SIMD fully-connected kernel over float activations
 /// [batch][in_features]: the same adoption writes each sample's codes
 /// as one zero-padded row of words. Same requirements and byte-identity
-/// contract as conv_forward_into.
+/// contract as conv_forward_into; a pack made for a convolution on the
+/// amx tier is refused (std::invalid_argument).
 void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid,
                          int batch, int in_features, float* out,
                          std::vector<std::uint32_t>& image,
                          const util::ExecContext& exec = {});
+
+/// Where the amx conv's tile loads land, for a conv of this geometry
+/// over `batch` samples: the bytes conv_forward_into allocates for the
+/// position-major image (the samples plus zeroed slack) and one past
+/// the last byte its A-tile addressing reads. AddressSanitizer does not
+/// instrument tileloadd, so backend_test proves read_end <= image_bytes
+/// over the conv sweep's geometries instead.
+struct TileImageBounds {
+  std::size_t image_bytes = 0;
+  std::size_t read_end = 0;
+};
+TileImageBounds tile_image_bounds(int batch, int in_c, int height, int width, int kernel,
+                                  int stride, int pad);
 
 }  // namespace simd
 
@@ -281,7 +325,8 @@ void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid gr
 /// AVX2 kernels (_mm256_madd_epi16 int16 pairs; _mm256_maddubs_epi16
 /// int8 quads when the shared overflow bound proves saturation
 /// impossible; on AVX-VNNI CPUs _mm256_dpbusd_avx_epi32 int8 quads
-/// wherever the int32 bound holds) on CPUs that have AVX2, portable
+/// wherever the int32 bound holds, and on AMX-INT8 CPUs tdpbusd tiles
+/// for those convolutions) on CPUs that have AVX2, portable
 /// kernels everywhere else
 /// (baseline-SSE2 pmaddwd on x86-64, GCC vector extensions otherwise),
 /// and delegate a layer to the scalar reference when its filters are
@@ -294,12 +339,12 @@ class SimdBackend : public ScalarBackend {
   SimdBackend() : tier_(resolve_simd_tier()) {}
 
   const char* name() const override { return "simd"; }
-  /// Packs each integer layer once, for the activation width of the
-  /// op that reads it.
+  /// Packs each integer layer once, for the activation width and the
+  /// shape of the op that reads it.
   void prepare(const ExecutionPlan& plan) override;
   void run(const PlanOp& op, const ExecutionPlan& plan, const BackendIo& io,
            BackendScratch& scratch, const util::ExecContext& exec) const override;
-  /// The op's simd::kernel_label ("simd/vnni", "simd/avx2-i8",
+  /// The op's simd::kernel_label ("simd/amx", "simd/vnni", "simd/avx2-i8",
   /// "simd/avx2", "simd/portable") or "scalar" for delegated ops — the resolved ISA
   /// cqar_info's dispatch column and the plan profiler rows show.
   const char* dispatch(const PlanOp& op) const override;

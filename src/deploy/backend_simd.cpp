@@ -18,6 +18,17 @@
 // binary serves every x86; the SSE2 policy needs no check (the x86-64
 // psABI mandates SSE2).
 //
+// The amx tier adds a third loop for convolutions: AMX tdpbusd tiles,
+// each one 16 output positions x 16 filters x 64 code bytes. Its image
+// is position-major bytes, [rows][cols][channels], so the k pixels one
+// kernel row covers are one contiguous run and a tile of 16 positions
+// loads in place at a stride of stride x pixel bytes; the B tiles are
+// packed once in prepare() in VNNI order, and the int32 C tiles are
+// transposed in ymm registers into the plan's filter-major output and
+// rescaled with the scalar expression. tdpbusd sums its u8 x s8
+// products exactly into int32, so the certificate that licenses
+// vpdpbusd licenses it too.
+//
 // pack_simd picks each layer's kernel once, at prepare() time, and
 // packs only the panels that kernel reads: the kernels and the dispatch
 // label switch on the stored choice instead of re-deriving it. Byte
@@ -68,6 +79,8 @@ static_assert(kFilterTile == 8,
 
 const char* kernel_label(Kernel kernel) {
   switch (kernel) {
+    case Kernel::kAmxI8:
+      return "simd/amx";
     case Kernel::kVnniI8:
       return "simd/vnni";
     case Kernel::kAvx2I8:
@@ -85,6 +98,7 @@ const char* kernel_label(Kernel kernel) {
 
 int codes_per_word(Kernel kernel) {
   switch (kernel) {
+    case Kernel::kAmxI8:
     case Kernel::kVnniI8:
     case Kernel::kAvx2I8:
       return 4;
@@ -109,7 +123,7 @@ namespace {
 /// The kernel choice, made in this one place. Each predicate is a
 /// deploy/overflow.h helper verify_plan also calls, so the verifier's
 /// certificate and the kernel that runs cannot disagree.
-Kernel select_kernel(const IntegerLayer& layer, SimdTier tier, int act_bits,
+Kernel select_kernel(const IntegerLayer& layer, SimdTier tier, int act_bits, OpShape shape,
                      std::int32_t max_abs_weight) {
   for (const std::uint8_t b : layer.filter_bits) {
     // Centered doubled codes span [-(levels-1), levels-1]; above 15
@@ -127,8 +141,8 @@ Kernel select_kernel(const IntegerLayer& layer, SimdTier tier, int act_bits,
   if (act_bits > 15) return Kernel::kGeneric;
 #if CQ_SIMD_X86
   const std::int64_t terms = layer.weights_per_filter;
-  if (tier == SimdTier::kVnni && int_reduction_fits_int8_dot(max_abs_weight, act_bits, terms)) {
-    return Kernel::kVnniI8;
+  if (tier >= SimdTier::kVnni && int_reduction_fits_int8_dot(max_abs_weight, act_bits, terms)) {
+    return tier == SimdTier::kAmx && shape.is_conv ? Kernel::kAmxI8 : Kernel::kVnniI8;
   }
   if (tier >= SimdTier::kAvx2) {
     return int_reduction_fits_int8_madd(max_abs_weight, act_bits, terms) ? Kernel::kAvx2I8
@@ -203,9 +217,67 @@ void pack_panels(const IntegerLayer& layer, std::size_t taps, std::size_t channe
   }
 }
 
+/// Filters per B tile (16 int32 columns of a C tile), output positions
+/// per A tile (16 rows), and the bytes of one tile row.
+inline constexpr int kTileFilters = 16;
+inline constexpr int kTileRows = 16;
+inline constexpr int kTileRowBytes = 64;
+
+/// One kernel row of the amx layout: `pixel` bytes per image pixel (the
+/// channels rounded up to whole words, so every pixel is word aligned),
+/// and the run of kernel x pixel bytes one output position reads per
+/// kernel row, split into `chunks` equal K-chunks of `chunk` bytes, a
+/// multiple of 4 and at most 64. Runs of 48, 96 and 192 bytes (the
+/// paper's 3x3 convs over 16, 32 and 64 channels) split without padding.
+struct TileRun {
+  TileRun(int channels, int kernel)
+      : pixel((static_cast<std::size_t>(channels) + 3) / 4 * 4),
+        chunks((static_cast<std::size_t>(kernel) * pixel + kTileRowBytes - 1) /
+               kTileRowBytes),
+        chunk(((static_cast<std::size_t>(kernel) * pixel + chunks - 1) / chunks + 3) / 4 * 4) {}
+  std::size_t bytes() const { return chunks * chunk; }  ///< panel bytes per kernel row
+
+  std::size_t pixel, chunks, chunk;
+};
+
+/// Writes the layer's centered doubled codes as int8 into zeroed amx
+/// panels, [16-filter block][ky][run / 4 rows][16 filters][4 bytes]:
+/// run byte o = kx * pixel + c is byte o % 4 of its filter's word in row
+/// o / 4. One pass per decoded row, stepping through (kx, c) in order.
+void pack_tile_panels(const IntegerLayer& layer, int kernel, std::size_t channels,
+                      const TileRun& run, std::uint32_t* panels) {
+  const std::size_t ky_stride = run.bytes() * kTileFilters;
+  const std::size_t block_stride = static_cast<std::size_t>(kernel) * ky_stride;
+  const auto taps = static_cast<std::size_t>(kernel) * static_cast<std::size_t>(kernel);
+  auto* const bytes = reinterpret_cast<unsigned char*>(panels);
+  FilterRows rows(layer);
+  std::vector<std::int32_t> row(static_cast<std::size_t>(layer.weights_per_filter));
+  for (std::size_t k = 0; k < static_cast<std::size_t>(layer.num_filters); ++k) {
+    rows.read(row);
+    const int b = layer.filter_bits[k];
+    if (b == 0) continue;
+    const std::int32_t offset = static_cast<std::int32_t>(quant::levels_for_bits(b)) - 1;
+    unsigned char* const filter =
+        bytes + k / kTileFilters * block_stride + k % kTileFilters * sizeof(std::uint32_t);
+    // Decoded rows index weight (c, ky, kx) at c * taps + ky * kernel + kx.
+    for (int ky = 0; ky < kernel; ++ky) {
+      unsigned char* const dst = filter + static_cast<std::size_t>(ky) * ky_stride;
+      for (int kx = 0; kx < kernel; ++kx) {
+        const std::int32_t* src = row.data() + ky * kernel + kx;
+        for (std::size_t c = 0, o = static_cast<std::size_t>(kx) * run.pixel; c < channels;
+             ++c, ++o, src += taps) {
+          dst[o / 4 * kTileRowBytes + o % 4] =
+              static_cast<unsigned char>(static_cast<std::int8_t>(2 * *src - offset));
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
-PackedSimd pack_simd(const IntegerLayer& layer, SimdTier tier, int act_bits, int kernel) {
+PackedSimd pack_simd(const IntegerLayer& layer, SimdTier tier, int act_bits, OpShape shape) {
+  const int kernel = shape.kernel;
   const std::int64_t taps = static_cast<std::int64_t>(kernel) * kernel;
   if (kernel < 1 || layer.weights_per_filter % taps != 0) {
     throw std::invalid_argument("simd::pack_simd: " +
@@ -224,19 +296,27 @@ PackedSimd pack_simd(const IntegerLayer& layer, SimdTier tier, int act_bits, int
   // hold, so the kernel choice and verify_plan's certificate start
   // from the same number.
   packed.max_abs_weight = max_abs_centered_code(layer);
-  packed.kernel = select_kernel(layer, tier, act_bits, packed.max_abs_weight);
+  packed.kernel = select_kernel(layer, tier, act_bits, shape, packed.max_abs_weight);
   if (packed.kernel == Kernel::kScalar) return packed;
 
   const int g = codes_per_word(packed.kernel);
   const auto tap_count = static_cast<std::size_t>(taps);
   const auto channels = static_cast<std::size_t>(packed.channels);
   const auto filters = static_cast<std::size_t>(layer.num_filters);
-  packed.panels.assign((filters + kFilterTile - 1) / kFilterTile * tap_count *
-                           groups_of(packed.channels, g) * kFilterTile,
-                       0u);
-  with_codes_per_word(g, [&](auto group) {
-    pack_panels<decltype(group)::value>(layer, tap_count, channels, packed.panels.data());
-  });
+  if (packed.kernel == Kernel::kAmxI8) {
+    const TileRun run(packed.channels, kernel);
+    packed.panels.assign((filters + kTileFilters - 1) / kTileFilters *
+                             static_cast<std::size_t>(kernel) * run.bytes() / 4 * kTileFilters,
+                         0u);
+    pack_tile_panels(layer, kernel, channels, run, packed.panels.data());
+  } else {
+    packed.panels.assign((filters + kFilterTile - 1) / kFilterTile * tap_count *
+                             groups_of(packed.channels, g) * kFilterTile,
+                         0u);
+    with_codes_per_word(g, [&](auto group) {
+      pack_panels<decltype(group)::value>(layer, tap_count, channels, packed.panels.data());
+    });
+  }
   packed.weight_scales.resize(filters);
   packed.out_bias.resize(filters);
   for (std::size_t k = 0; k < filters; ++k) {
@@ -298,6 +378,20 @@ struct EncodeRaw {
   std::uint32_t operator()(float v) const {
     return static_cast<std::uint32_t>(quant::activation_code(v, hi, to_code));
   }
+#if CQ_HAVE_AMX
+  /// The same clip, scale and round_code on 8 lanes, in the same float
+  /// operations: cvttps2dq is round_code's truncating cast, and a lane
+  /// whose fraction reaches 0.5 subtracts its all-ones compare mask.
+  __attribute__((target("avx2"))) __m256i operator()(const __m256& v) const {
+    const __m256 clipped = _mm256_and_ps(_mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ),
+                                         _mm256_min_ps(v, _mm256_set1_ps(hi)));
+    const __m256 x = _mm256_mul_ps(clipped, _mm256_set1_ps(to_code));
+    const __m256i t = _mm256_cvttps_epi32(x);
+    const __m256 frac = _mm256_sub_ps(x, _mm256_cvtepi32_ps(t));
+    return _mm256_sub_epi32(
+        t, _mm256_castps_si256(_mm256_cmp_ps(frac, _mm256_set1_ps(0.5f), _CMP_GE_OQ)));
+  }
+#endif
 };
 
 /// Codes of in_codes activations, which already are grid codes stored
@@ -306,6 +400,11 @@ struct CastCodes {
   std::uint32_t operator()(float v) const {
     return static_cast<std::uint32_t>(static_cast<std::int32_t>(v));
   }
+#if CQ_HAVE_AMX
+  __attribute__((target("avx2"))) __m256i operator()(const __m256& v) const {
+    return _mm256_cvttps_epi32(v);
+  }
+#endif
 };
 
 /// Writes `count` words; word i packs the codes of channels c < channels
@@ -792,6 +891,314 @@ void linear_tiles(const PackedSimd& packed, float act_scale, const std::uint32_t
   }
 }
 
+// ---------------------------------------------------------------------------
+// The amx conv: tdpbusd tiles over a position-major code image.
+// ---------------------------------------------------------------------------
+
+/// The amx conv's image and A-tile addressing. Each sample's image is
+/// [height + 2 pad][width + 2 pad][pixel] bytes with zero borders. The
+/// A tile of the m output positions ox0 .. ox0 + m - 1 of output row oy
+/// reads, for kernel row ky and K-chunk j, `chunk` bytes per row from
+/// a_tile(oy, ox0, ky, j) on, its rows a_stride() bytes apart. The last
+/// K-chunk of a run may read up to 63 bytes past it (into the next
+/// pixels, against zero weights), so kSlack zero bytes follow the last
+/// sample.
+struct TileGeometry {
+  TileGeometry(int in_c, int height, int width, int kernel, int stride, int pad)
+      : run(in_c, kernel),
+        kernel(kernel),
+        stride(stride),
+        oh((height + 2 * pad - kernel) / stride + 1),
+        ow((width + 2 * pad - kernel) / stride + 1),
+        m(std::min(kTileRows, ow)),
+        row(static_cast<std::size_t>(width + 2 * pad) * run.pixel),
+        sample(static_cast<std::size_t>(height + 2 * pad) * row) {}
+
+  static constexpr std::size_t kSlack = kTileRowBytes;
+
+  std::size_t a_stride() const { return static_cast<std::size_t>(stride) * run.pixel; }
+  /// Segments of m positions that cover one output row.
+  int segments_per_row() const { return (ow + m - 1) / m; }
+  std::size_t a_tile(int oy, int ox0, int ky, std::size_t j) const {
+    return static_cast<std::size_t>(oy * stride + ky) * row +
+           static_cast<std::size_t>(ox0) * a_stride() + j * run.chunk;
+  }
+  std::size_t image_bytes(int batch) const {
+    return static_cast<std::size_t>(batch) * sample + kSlack;
+  }
+
+  TileRun run;
+  int kernel, stride, oh, ow, m;
+  std::size_t row, sample;
+};
+
+#if CQ_HAVE_AMX
+
+/// The first n epi32 lanes set.
+__attribute__((target("avx2"))) __m256i first_lanes(int n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(n), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// Transposes the 8x8 words v[row] lane by lane, in place.
+__attribute__((target("avx2"))) void transpose8(__m256i (&v)[8]) {
+  __m256i t[8], u[8];
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_epi32(v[i], v[i + 1]);
+    t[i + 1] = _mm256_unpackhi_epi32(v[i], v[i + 1]);
+  }
+  for (int i = 0; i < 8; i += 4) {
+    u[i] = _mm256_unpacklo_epi64(t[i], t[i + 2]);
+    u[i + 1] = _mm256_unpackhi_epi64(t[i], t[i + 2]);
+    u[i + 2] = _mm256_unpacklo_epi64(t[i + 1], t[i + 3]);
+    u[i + 3] = _mm256_unpackhi_epi64(t[i + 1], t[i + 3]);
+  }
+  for (int i = 0; i < 4; ++i) {
+    v[i] = _mm256_permute2x128_si256(u[i], u[i + 4], 0x20);
+    v[i + 4] = _mm256_permute2x128_si256(u[i], u[i + 4], 0x31);
+  }
+}
+
+/// Adopts one sample's [channels][height][width] activations into its
+/// amx image in one AVX2 pass: zero it, then per input row and 8 pixels
+/// at a time build each word from 4 channels' codes (channel c in byte
+/// c % 4 of word c / 4, pack_words's order) and transpose 8 words x 8
+/// pixels so each pixel's words are stored together.
+template <typename Code>
+__attribute__((target("avx2"))) void encode_tile_sample(const float* src, int channels,
+                                                        int height, int width, int pad,
+                                                        const TileGeometry& geo,
+                                                        unsigned char* image, Code code) {
+  std::memset(image, 0, geo.sample);
+  const auto hw = static_cast<std::size_t>(height) * static_cast<std::size_t>(width);
+  const int words = static_cast<int>(geo.run.pixel / 4);
+  for (int y = 0; y < height; ++y) {
+    unsigned char* const row = image + static_cast<std::size_t>(y + pad) * geo.row +
+                               static_cast<std::size_t>(pad) * geo.run.pixel;
+    for (int x = 0; x < width; x += 8) {
+      const int n = std::min(8, width - x);
+      const __m256i pixels = first_lanes(n);
+      const float* const at = src + static_cast<std::size_t>(y) * width + x;
+      for (int w0 = 0; w0 < words; w0 += 8) {
+        __m256i v[8];
+        for (int w = 0; w < 8; ++w) {
+          v[w] = _mm256_setzero_si256();
+          for (int i = 0, c = (w0 + w) * 4; i < 4 && c < channels; ++i, ++c) {
+            const float* const p = at + static_cast<std::size_t>(c) * hw;
+            const __m256 a = n == 8 ? _mm256_loadu_ps(p) : _mm256_maskload_ps(p, pixels);
+            v[w] = _mm256_or_si256(v[w], _mm256_slli_epi32(code(a), 8 * i));
+          }
+        }
+        transpose8(v);
+        const __m256i keep = first_lanes(words - w0);
+        for (int p = 0; p < n; ++p) {
+          _mm256_maskstore_epi32(
+              reinterpret_cast<int*>(row + static_cast<std::size_t>(x + p) * geo.run.pixel) + w0,
+              keep, v[p]);
+        }
+      }
+    }
+  }
+}
+
+/// Palette-1 tile configuration: C tiles 0-3 (m rows x 16 int32), A
+/// tiles 4-5 (m rows x chunk bytes), B tiles 6-7 (chunk / 4 rows x 64
+/// bytes). Built outside the frame: _tile_loadconfig's asm names only
+/// the first 8 bytes as its input.
+struct alignas(64) TileConfig {
+  explicit TileConfig(const TileGeometry& geo) {
+    for (int t = 0; t < 8; ++t) {
+      const bool b_tile = t >= 6;
+      rows[t] = static_cast<std::uint8_t>(b_tile ? geo.run.chunk / 4 : geo.m);
+      colsb[t] = static_cast<std::uint16_t>(t >= 4 && !b_tile ? geo.run.chunk : kTileRowBytes);
+    }
+  }
+  std::uint8_t palette = 1;
+  std::uint8_t start_row = 0;
+  std::uint8_t reserved[14] = {};
+  std::uint16_t colsb[16] = {};
+  std::uint8_t rows[16] = {};
+};
+static_assert(sizeof(TileConfig) == 64, "ldtilecfg reads 64 bytes");
+
+/// Sums C tiles 0 = A0 x B0, 1 = A0 x B1, 2 = A1 x B0 and 3 = A1 x B1
+/// over every kernel row and K-chunk and stores them to c[0..3]; kB1 says
+/// whether the second B tile exists (tile numbers must be literals).
+/// seg[i] = {oy, ox0} of A tile i.
+template <bool kB1>
+__attribute__((target("amx-tile,amx-int8"))) void tile_sums(
+    const TileGeometry& geo, const unsigned char* image, const int (&seg)[2][2],
+    const unsigned char* b0, const unsigned char* b1,
+    std::int32_t (&c)[4][kTileRows * kTileFilters]) {
+  _tile_zero(0);
+  if constexpr (kB1) _tile_zero(1);
+  _tile_zero(2);
+  if constexpr (kB1) _tile_zero(3);
+  const auto a_stride = static_cast<long>(geo.a_stride());
+  const std::size_t ky_stride = geo.run.bytes() * kTileFilters;
+  for (int ky = 0; ky < geo.kernel; ++ky) {
+    for (std::size_t j = 0; j < geo.run.chunks; ++j) {
+      const std::size_t b = static_cast<std::size_t>(ky) * ky_stride + j * geo.run.chunk * kTileFilters;
+      _tile_loadd(4, image + geo.a_tile(seg[0][0], seg[0][1], ky, j), a_stride);
+      _tile_loadd(5, image + geo.a_tile(seg[1][0], seg[1][1], ky, j), a_stride);
+      _tile_loadd(6, b0 + b, kTileRowBytes);
+      if constexpr (kB1) _tile_loadd(7, b1 + b, kTileRowBytes);
+      _tile_dpbusd(0, 4, 6);
+      if constexpr (kB1) _tile_dpbusd(1, 4, 7);
+      _tile_dpbusd(2, 5, 6);
+      if constexpr (kB1) _tile_dpbusd(3, 5, 7);
+    }
+  }
+  _tile_stored(0, c[0], kTileRowBytes);
+  if constexpr (kB1) _tile_stored(1, c[1], kTileRowBytes);
+  _tile_stored(2, c[2], kTileRowBytes);
+  if constexpr (kB1) _tile_stored(3, c[3], kTileRowBytes);
+}
+
+/// Rescales C tile `acc` ([m positions][16 filters] int32; rows past m
+/// are never read) with the scalar kernel's expression, (ws * act_scale) *
+/// float(acc) + bias — multiply, then add — and writes its first
+/// `filters` filters' m positions to dst + f * spatial: 8x8 transposes
+/// turn position rows into the plan's filter-major rows.
+__attribute__((target("avx2"))) void store_tile(const std::int32_t* acc, const float* scale,
+                                                const float* bias, int filters, int m,
+                                                float* dst, std::size_t spatial) {
+  const int halves = (m + 7) / 8;
+  const __m256i tail = first_lanes(m - 8 * (halves - 1));
+  for (int f0 = 0; f0 < filters; f0 += 8) {
+    const __m256 sc = _mm256_loadu_ps(scale + f0);
+    const __m256 bi = _mm256_loadu_ps(bias + f0);
+    __m256i v[2][8];
+    for (int h = 0; h < halves; ++h) {
+      for (int r = 0; r < 8; ++r) {
+        const int p = 8 * h + r;
+        const __m256i sums = p < m ? _mm256_load_si256(reinterpret_cast<const __m256i*>(
+                                         acc + p * kTileFilters + f0))
+                                   : _mm256_setzero_si256();
+        v[h][r] = _mm256_castps_si256(
+            _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(sums), sc), bi));
+      }
+      transpose8(v[h]);
+    }
+    // Each filter's m positions are stored back to back: on a 32x32
+    // plane the 16 filters' rows are 4 KB apart, one L1 set, so writing
+    // a line in two visits would fetch it twice.
+    for (int f = 0; f < std::min(8, filters - f0); ++f) {
+      float* const d = dst + static_cast<std::size_t>(f0 + f) * spatial;
+      for (int h = 0; h < halves; ++h) {
+        const __m256 o = _mm256_castsi256_ps(v[h][f]);
+        if (h + 1 < halves || m % 8 == 0) {
+          _mm256_storeu_ps(d + 8 * h, o);
+        } else {
+          _mm256_maskstore_ps(d + 8 * h, tail, o);
+        }
+      }
+    }
+  }
+}
+
+/// The AMX frame: output rows [y0, y1) of one sample, every filter.
+/// Each row is covered by segments of m positions, the last one shifted
+/// back to end at ow (it rewrites identical values); segment pairs fill
+/// the two A tiles (an odd last segment fills both and is written twice)
+/// and 16-filter block pairs the two B tiles, so each K-chunk is 4
+/// tdpbusd over 4 tile loads. In optimized builds flatten inlines every
+/// helper, so the frame makes no calls.
+__attribute__((target("amx-tile,amx-int8,avx2"), flatten)) void conv_tiles(
+    const PackedSimd& packed, const TileGeometry& geo, const TileConfig& config,
+    const unsigned char* image, float act_scale, float* out_n, int y0, int y1) {
+  _tile_loadconfig(&config);
+  alignas(64) std::int32_t c[4][kTileRows * kTileFilters];  // written by tile_sums
+  const int per_row = geo.segments_per_row();
+  const int segments = (y1 - y0) * per_row;
+  const std::size_t spatial = static_cast<std::size_t>(geo.oh) * static_cast<std::size_t>(geo.ow);
+  const std::size_t block_bytes =
+      static_cast<std::size_t>(geo.kernel) * geo.run.bytes() * kTileFilters;
+  const auto* const panels = reinterpret_cast<const unsigned char*>(packed.panels.data());
+  const int blocks = (packed.num_filters + kTileFilters - 1) / kTileFilters;
+  for (int b = 0; b < blocks; b += 2) {
+    const int k0 = b * kTileFilters;
+    const int kt = std::min(2 * kTileFilters, packed.num_filters - k0);
+    float scale[2 * kTileFilters] = {}, bias[2 * kTileFilters] = {};
+    for (int f = 0; f < kt; ++f) {
+      scale[f] = packed.weight_scales[static_cast<std::size_t>(k0 + f)] * act_scale;
+      bias[f] = packed.out_bias[static_cast<std::size_t>(k0 + f)];
+    }
+    const unsigned char* const b0 = panels + static_cast<std::size_t>(b) * block_bytes;
+    const int tiles_b = b + 1 < blocks ? 2 : 1;
+    for (int s = 0; s < segments; s += 2) {
+      int seg[2][2];
+      for (int i = 0; i < 2; ++i) {
+        const int index = std::min(s + i, segments - 1);
+        seg[i][0] = y0 + index / per_row;
+        seg[i][1] = std::min(index % per_row * geo.m, geo.ow - geo.m);
+      }
+      if (tiles_b == 2) {
+        tile_sums<true>(geo, image, seg, b0, b0 + block_bytes, c);
+      } else {
+        tile_sums<false>(geo, image, seg, b0, b0, c);
+      }
+      for (int i = 0; i < 2; ++i) {
+        for (int h = 0; h < tiles_b; ++h) {
+          float* const dst = out_n + static_cast<std::size_t>(k0 + h * kTileFilters) * spatial +
+                             static_cast<std::size_t>(seg[i][0]) * geo.ow + seg[i][1];
+          store_tile(c[2 * i + h], scale + h * kTileFilters, bias + h * kTileFilters,
+                     std::min(kTileFilters, kt - h * kTileFilters), geo.m, dst, spatial);
+        }
+      }
+    }
+  }
+  _tile_release();
+}
+
+/// conv_forward_into on a kAmxI8 pack: the image, then (sample, block of
+/// output rows) tasks of at least kMinMacsPerThread.
+void conv_forward_tiles(const PackedSimd& packed, const float* acts, ActGrid grid,
+                        float act_scale, int batch, int in_c, int height, int width,
+                        int kernel, int stride, int pad, float* out,
+                        std::vector<std::uint32_t>& image, const util::ExecContext& exec) {
+  const TileGeometry geo(in_c, height, width, kernel, stride, pad);
+  image.resize((geo.image_bytes(batch) + 3) / 4);
+  auto* const bytes = reinterpret_cast<unsigned char*>(image.data());
+  std::memset(bytes + static_cast<std::size_t>(batch) * geo.sample, 0, TileGeometry::kSlack);
+  const auto hw = static_cast<std::size_t>(height) * static_cast<std::size_t>(width);
+  with_adoption(grid, [&](auto code) {
+    exec.capped(static_cast<std::int64_t>(hw) * in_c * batch / kMinElementsPerThread)
+        .parallel_for(0, batch, [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t n = lo; n < hi; ++n) {
+            encode_tile_sample(acts + static_cast<std::size_t>(n) * in_c * hw, in_c, height,
+                               width, pad, geo, bytes + static_cast<std::size_t>(n) * geo.sample,
+                               code);
+          }
+        });
+  });
+
+  const TileConfig config(geo);
+  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
+  const std::size_t spatial = static_cast<std::size_t>(geo.oh) * static_cast<std::size_t>(geo.ow);
+  const std::int64_t row_macs = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(geo.ow) * packed.num_filters * packed.weights_per_filter);
+  auto rows_per_task = static_cast<int>(std::clamp<std::int64_t>(
+      (kMinMacsPerThread + row_macs - 1) / row_macs, 1, geo.oh));
+  // conv_tiles pairs segments into its two A tiles, so a task with an
+  // odd segment count computes its last one twice: where a row holds an
+  // odd number of segments, tasks take an even number of rows.
+  if (geo.segments_per_row() % 2 == 1 && rows_per_task % 2 == 1 && rows_per_task < geo.oh) {
+    ++rows_per_task;
+  }
+  const std::int64_t row_blocks = (geo.oh + rows_per_task - 1) / rows_per_task;
+  exec.capped(batch * geo.oh * row_macs / kMinMacsPerThread)
+      .parallel_for(0, batch * row_blocks, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t task = lo; task < hi; ++task) {
+          const auto n = static_cast<std::size_t>(task / row_blocks);
+          const int y0 = static_cast<int>(task % row_blocks) * rows_per_task;
+          conv_tiles(packed, geo, config, bytes + n * geo.sample, act_scale,
+                     out + n * filters * spatial, y0, std::min(geo.oh, y0 + rows_per_task));
+        }
+      });
+}
+
+#endif  // CQ_HAVE_AMX
+
 }  // namespace
 
 void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid,
@@ -806,6 +1213,17 @@ void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid
   const int ow = (width + 2 * pad - kernel) / stride + 1;
   if (oh <= 0 || ow <= 0) {
     throw std::invalid_argument("simd::conv_forward_into: empty output");
+  }
+  if (packed.kernel == Kernel::kAmxI8) {
+    if (!cpu_features().amx) {
+      throw std::logic_error(
+          "simd::conv_forward_into: the amx kernel needs AMX-INT8 and the tile permission");
+    }
+#if CQ_HAVE_AMX
+    conv_forward_tiles(packed, acts, grid, act_scale, batch, in_c, height, width, kernel,
+                       stride, pad, out, image, exec);
+#endif
+    return;
   }
   const int g = codes_per_word(packed.kernel);
   const ImageLayout img(g, in_c, height, width, stride, pad);
@@ -877,6 +1295,9 @@ void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid gr
   if (packed.taps != 1 || in_features != packed.weights_per_filter) {
     throw std::invalid_argument("simd::linear_forward_into: in_features mismatch");
   }
+  if (packed.kernel == Kernel::kAmxI8) {
+    throw std::invalid_argument("simd::linear_forward_into: layer was packed for a conv");
+  }
   const int g = codes_per_word(packed.kernel);
   const std::size_t words = groups_of(in_features, g);
   image.resize(static_cast<std::size_t>(batch) * words);
@@ -894,28 +1315,38 @@ void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid gr
       });
 }
 
+TileImageBounds tile_image_bounds(int batch, int in_c, int height, int width, int kernel,
+                                  int stride, int pad) {
+  // The last A tile: the last sample's last row segment, at the last
+  // kernel row and K-chunk; its row m - 1 ends `chunk` bytes on.
+  const TileGeometry geo(in_c, height, width, kernel, stride, pad);
+  return {geo.image_bytes(batch),
+          static_cast<std::size_t>(batch - 1) * geo.sample +
+              geo.a_tile(geo.oh - 1, geo.ow - geo.m, kernel - 1, geo.run.chunks - 1) +
+              static_cast<std::size_t>(geo.m - 1) * geo.a_stride() + geo.run.chunk};
+}
+
 }  // namespace simd
 
 void SimdBackend::prepare(const ExecutionPlan& plan) {
   // Each integer layer is packed once, for the widest activation grid
   // among the ops that read it (one op per layer in compiled plans) and
-  // that op's kernel size; layers no op reads keep an empty kScalar
-  // pack.
+  // that op's shape; layers no op reads keep an empty kScalar pack.
   const std::vector<IntegerLayer>& layers = plan.integer_layers();
   std::vector<int> act_bits(layers.size(), 0);
-  std::vector<int> kernels(layers.size(), 1);
+  std::vector<simd::OpShape> shapes(layers.size(), simd::OpShape::linear());
   for (const PlanOp& op : plan.ops()) {
     if (op.kind != OpKind::IntConv && op.kind != OpKind::IntLinear) continue;
     if (op.layer < 0 || static_cast<std::size_t>(op.layer) >= layers.size()) continue;
     const auto layer = static_cast<std::size_t>(op.layer);
     act_bits[layer] = std::max(act_bits[layer], op.act_bits);
-    if (op.kind == OpKind::IntConv) kernels[layer] = op.kernel;
+    if (op.kind == OpKind::IntConv) shapes[layer] = simd::OpShape::conv(op.kernel);
   }
   packed_.clear();
   packed_.resize(layers.size());
   for (std::size_t i = 0; i < layers.size(); ++i) {
     if (act_bits[i] > 0) {
-      packed_[i] = simd::pack_simd(layers[i], tier_, act_bits[i], kernels[i]);
+      packed_[i] = simd::pack_simd(layers[i], tier_, act_bits[i], shapes[i]);
     }
   }
   prepared_for_ = &plan;

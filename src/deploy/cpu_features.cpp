@@ -4,6 +4,11 @@
 #include <cstdlib>
 #include <string>
 
+#if CQ_HAVE_AMX
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 namespace cq::deploy {
 
 namespace {
@@ -21,6 +26,15 @@ CpuFeatures probe() {
   f.fma = __builtin_cpu_supports("fma") != 0;
   f.avx512bw = __builtin_cpu_supports("avx512bw") != 0;
 #endif
+#if CQ_HAVE_AMX
+  // Tile data is an XSAVE feature Linux grants per process on request
+  // (Documentation/arch/x86/xstate.rst); without the grant a tile
+  // instruction faults. Asked once, here, before any kernel runs.
+  constexpr long kArchReqXcompPerm = 0x1023;
+  constexpr long kXfeatureXtiledata = 18;
+  f.amx = __builtin_cpu_supports("amx-tile") != 0 && __builtin_cpu_supports("amx-int8") != 0 &&
+          syscall(SYS_arch_prctl, kArchReqXcompPerm, kXfeatureXtiledata) == 0;
+#endif
   return f;
 }
 
@@ -28,15 +42,16 @@ CpuFeatures probe() {
 std::atomic<int> g_forced_tier{-1};
 
 /// The CQ_SIMD request, read fresh per resolve (construction-time
-/// only, never on a serving hot path): kVnni doubles as "auto" and is
+/// only, never on a serving hot path): kAmx doubles as "auto" and is
 /// clamped by max_supported_simd_tier() below.
 SimdTier env_requested_tier() {
   const char* env = std::getenv("CQ_SIMD");
-  if (env == nullptr) return SimdTier::kVnni;
+  if (env == nullptr) return SimdTier::kAmx;
   const std::string v(env);
   if (v == "portable") return SimdTier::kPortable;
   if (v == "avx2") return SimdTier::kAvx2;
-  return SimdTier::kVnni;  // "vnni", "auto", or a typo ("off" too): fastest tier
+  if (v == "vnni") return SimdTier::kVnni;
+  return SimdTier::kAmx;  // "amx", "auto", or a typo ("off" too): fastest tier
 }
 
 }  // namespace
@@ -54,6 +69,8 @@ const char* simd_tier_name(SimdTier tier) {
       return "avx2";
     case SimdTier::kVnni:
       return "vnni";
+    case SimdTier::kAmx:
+      return "amx";
   }
   return "?";
 }
@@ -64,7 +81,8 @@ SimdTier max_supported_simd_tier() {
   // the intrinsic tiers need a CPUID license.
   const CpuFeatures& f = cpu_features();
   if (!f.avx2) return SimdTier::kPortable;
-  return f.avxvnni ? SimdTier::kVnni : SimdTier::kAvx2;
+  if (!f.avxvnni) return SimdTier::kAvx2;
+  return f.amx ? SimdTier::kAmx : SimdTier::kVnni;
 }
 
 SimdTier resolve_simd_tier() {
@@ -96,6 +114,8 @@ std::string cpu_features_json() {
   json += b(f.avx2);
   json += ", \"avxvnni\": ";
   json += b(f.avxvnni);
+  json += ", \"amx\": ";
+  json += b(f.amx);
   json += ", \"avx512bw\": ";
   json += b(f.avx512bw);
   json += ", \"tier\": \"";

@@ -20,6 +20,7 @@
 
 #include "deploy/arena.h"
 #include "deploy/overflow.h"
+#include "quant/uniform.h"
 
 namespace cq::deploy {
 
@@ -470,13 +471,11 @@ class Verifier {
       const bool integer_op =
           op.kind == OpKind::IntConv || op.kind == OpKind::IntLinear;
       if (op.kind == OpKind::EncodeAct || integer_op) {
-        if (op.act_bits < 1 || op.act_bits > 16) {
-          add(VerifyRule::IntLayer, i, -1,
-              "activation bits " + std::to_string(op.act_bits) +
-                  " outside the encodable [1, 16]");
-        }
-        if (!(op.act_hi > 0.0f)) {
-          add(VerifyRule::IntLayer, i, -1, "activation clip bound is not positive");
+        // The loader's grid check (quant::activation_grid_error), so a
+        // plan built in memory meets the same bar as a loaded artifact.
+        if (const std::string why = quant::activation_grid_error(op.act_bits, op.act_hi);
+            !why.empty()) {
+          add(VerifyRule::IntLayer, i, -1, why);
         }
       }
       if (!integer_op) continue;
@@ -592,14 +591,9 @@ class Verifier {
                 shape_str(slot(op.out).shape));
       }
       if (op.ep_encode) {
-        if (op.out_bits < 1 || op.out_bits > 16) {
-          add(VerifyRule::Epilogue, i, -1,
-              "ep_encode output bits " + std::to_string(op.out_bits) +
-                  " outside the encodable [1, 16]");
-        }
-        if (!(op.out_hi > 0.0f)) {
-          add(VerifyRule::Epilogue, i, -1,
-              "ep_encode output clip bound is not positive");
+        if (const std::string why = quant::activation_grid_error(op.out_bits, op.out_hi);
+            !why.empty()) {
+          add(VerifyRule::Epilogue, i, -1, "ep_encode output grid: " + why);
         }
       }
     }

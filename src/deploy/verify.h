@@ -26,7 +26,9 @@ enum class VerifyRule {
   Alias,             ///< in-place output aliasing is exact, elementwise-legal,
                      ///  and only over an in0 that dies at the op
   IntLayer,          ///< integer ops reference a real IntegerLayer whose
-                     ///  geometry and metadata match the op record
+                     ///  geometry and metadata match the op record, and
+                     ///  they and EncodeAct ops encode onto a usable grid
+                     ///  (quant::activation_grid_error)
   CodeRange,         ///< the packed payload is exactly the bytes the declared
                      ///  widths (each <= 16) need, so every code is read at
                      ///  its width (the premise of the overflow bound)
@@ -71,9 +73,10 @@ struct IntOpCertificate {
   /// The SIMD kernels' int32 accumulator is exact for this op; when
   /// false, SimdBackend delegates it to the scalar int64 reference.
   bool int32_fast_path = false;
-  /// SimdBackend's vpdpbusd int8 path (the vnni tier) is proven exact
-  /// for this op (int_reduction_fits_int8_dot — u8 activations, s8
-  /// weights, the int32 bound); implies int32_fast_path.
+  /// SimdBackend's vpdpbusd int8 path (the vnni tier) and, for convs,
+  /// its tdpbusd tiles (the amx tier) are proven exact for this op
+  /// (int_reduction_fits_int8_dot — u8 activations, s8 weights, the
+  /// int32 bound); implies int32_fast_path.
   bool int8_dot_path = false;
   /// SimdBackend's maddubs int8 path is proven exact for this op
   /// (int_reduction_fits_int8_madd — the saturating pair sum cannot be

@@ -2,12 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 namespace cq::quant {
 
 int levels_for_bits(int bits) {
   if (bits <= 0) return 1;
   return 1 << bits;
+}
+
+std::string activation_grid_error(int bits, float hi) {
+  if (bits < 1 || bits > 16) {
+    return "activation bits " + std::to_string(bits) + " outside the encodable [1, 16]";
+  }
+  if (!(hi > 0.0f)) return "activation clip bound is not positive";
+  if (!std::isnormal(hi)) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", static_cast<double>(hi));
+    return std::string("activation clip bound ") + buf + " is not a finite normal float";
+  }
+  if (!std::isfinite(static_cast<float>(levels_for_bits(bits) - 1) / hi)) {
+    return "activation code scale (levels - 1) / clip bound is not finite";
+  }
+  return "";
 }
 
 namespace {

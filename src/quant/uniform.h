@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 
 namespace cq::quant {
 
@@ -62,6 +63,13 @@ inline float clip_from_lo(float x, UniformRange r) {
 inline std::int32_t activation_code(float v, float hi, float to_code) {
   return round_code(clip_from_lo(v, UniformRange{0.0f, hi}) * to_code);
 }
+
+/// Why [0, hi] x bits cannot be an activation grid, or "" when it can:
+/// bits in [1, 16], hi positive, finite and normal, and the code scale
+/// (levels - 1) / hi finite, so clip, scale and round never hand a NaN
+/// or an infinity to a float-to-int conversion. deploy::load_artifact
+/// and deploy::verify_plan both judge grids with it.
+std::string activation_grid_error(int bits, float hi);
 
 /// Integer code of x under the quantizer (0 .. levels-1); used by the
 /// integer inference engine. bits must be >= 1. NaN encodes to 0.

@@ -234,10 +234,11 @@ TEST(BackendFactory, UnknownKindErrorNamesValidKinds) {
 // --- SIMD backend ----------------------------------------------------
 
 /// Explicit-kernel tiers executable on this machine: portable always,
-/// avx2 and vnni when CPUID licenses them.
+/// avx2 and vnni when CPUID licenses them, amx when CPUID and the
+/// kernel's tile permission do.
 std::vector<SimdTier> reachable_simd_tiers() {
   std::vector<SimdTier> tiers = {SimdTier::kPortable};
-  for (const SimdTier tier : {SimdTier::kAvx2, SimdTier::kVnni}) {
+  for (const SimdTier tier : {SimdTier::kAvx2, SimdTier::kVnni, SimdTier::kAmx}) {
     if (tier <= max_supported_simd_tier()) tiers.push_back(tier);
   }
   return tiers;
@@ -291,7 +292,8 @@ TEST(BackendFactory, RunWithoutPrepareThrows) {
 }
 
 /// Activation widths that reach each conv/linear kernel: <= 8 bits ride
-/// the int8 dpbusd kernel on vnni and the int8 maddubs kernel on avx2
+/// the int8 tdpbusd tiles (convs) on amx, the int8 dpbusd kernel on
+/// vnni and the int8 maddubs kernel on avx2
 /// when the weight bound allows it (int16 pairs otherwise), 9-15 bits
 /// the int16 pair kernels, 16 bits the generic kernel. Weights stay
 /// narrow enough at 16 bits that the int32 accumulator stays certified.
@@ -311,11 +313,14 @@ std::vector<int> random_filter_bits(int max_bits, util::Rng& rng) {
   return bits;
 }
 
-/// Every explicit kernel a reachable tier can select.
-std::vector<simd::Kernel> reachable_kernels() {
+/// Every explicit kernel a reachable tier can select for an op of this
+/// shape: the amx tile kernel runs convs only (linears keep vnni's).
+std::vector<simd::Kernel> reachable_kernels(bool conv) {
   std::vector<simd::Kernel> kernels = {simd::Kernel::kGeneric};
   for (const SimdTier tier : reachable_simd_tiers()) {
-    if (tier == SimdTier::kVnni) {
+    if (tier == SimdTier::kAmx) {
+      if (conv) kernels.push_back(simd::Kernel::kAmxI8);
+    } else if (tier == SimdTier::kVnni) {
       kernels.push_back(simd::Kernel::kVnniI8);
     } else if (tier == SimdTier::kAvx2) {
       kernels.push_back(simd::Kernel::kAvx2I8);
@@ -328,8 +333,8 @@ std::vector<simd::Kernel> reachable_kernels() {
 }
 
 /// Asserts the randomized sweep compared every reachable kernel often.
-void expect_kernels_covered(const std::map<simd::Kernel, int>& compared) {
-  for (const simd::Kernel kernel : reachable_kernels()) {
+void expect_kernels_covered(const std::map<simd::Kernel, int>& compared, bool conv) {
+  for (const simd::Kernel kernel : reachable_kernels(conv)) {
     const auto it = compared.find(kernel);
     EXPECT_GE(it == compared.end() ? 0 : it->second, 20)
         << "kernel " << simd::kernel_label(kernel) << " #" << static_cast<int>(kernel)
@@ -392,7 +397,8 @@ TEST(BackendIdentity, SimdConvMatchesScalarAtEveryTier) {
                                                     in_c, height, width, kernel, stride, pad);
       ASSERT_EQ(reference.numel(), static_cast<std::size_t>(batch) * filters * oh * ow);
       for (const SimdTier tier : reachable_simd_tiers()) {
-        const simd::PackedSimd packed = simd::pack_simd(layer, tier, act_bits, kernel);
+        const simd::PackedSimd packed =
+            simd::pack_simd(layer, tier, act_bits, simd::OpShape::conv(kernel));
         if (packed.kernel == simd::Kernel::kScalar) continue;  // int64-only reduction
         if (act_bits == 16) {
           ASSERT_EQ(simd::Kernel::kGeneric, packed.kernel) << shape;
@@ -412,7 +418,93 @@ TEST(BackendIdentity, SimdConvMatchesScalarAtEveryTier) {
       }
     }
   }
-  expect_kernels_covered(compared);
+  expect_kernels_covered(compared, true);
+}
+
+/// The amx conv loads A tiles with tileloadd, which AddressSanitizer does
+/// not instrument, so the image slack is proven here instead: over the
+/// conv sweep's geometries (in_c 1-40, H and W 1-19, kernel 1/3/5,
+/// stride 1-3, pad 0-2, batch 1 and 3), the last byte the kernel's
+/// A-tile addressing reads lies inside the image the encoder allocates.
+TEST(BackendIdentity, SimdTileLoadsStayInsideTheImage) {
+  int geometries = 0;
+  for (int in_c = 1; in_c <= 40; ++in_c) {
+    for (const int kernel : {1, 3, 5}) {
+      for (int stride = 1; stride <= 3; ++stride) {
+        for (int pad = 0; pad <= 2; ++pad) {
+          for (int height = std::max(1, kernel - 2 * pad); height <= 19; ++height) {
+            for (int width = std::max(1, kernel - 2 * pad); width <= 19; ++width) {
+              for (const int batch : {1, 3}) {
+                const simd::TileImageBounds bounds =
+                    simd::tile_image_bounds(batch, in_c, height, width, kernel, stride, pad);
+                ASSERT_LE(bounds.read_end, bounds.image_bytes)
+                    << "in_c=" << in_c << " hw=" << height << "x" << width << " k=" << kernel
+                    << " s=" << stride << " p=" << pad << " batch=" << batch;
+                ++geometries;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(geometries, 100'000);
+}
+
+/// The amx layout arithmetic PackedSimd documents for one kernel row:
+/// pixel = channels rounded up to 4 bytes, and the run of kernel x
+/// pixel bytes split into `chunks` equal K-chunks of `chunk` bytes (a
+/// multiple of 4, at most 64).
+struct AmxRun {
+  AmxRun(std::size_t channels, std::size_t kernel)
+      : pixel((channels + 3) / 4 * 4),
+        chunks((kernel * pixel + 63) / 64),
+        chunk(((kernel * pixel + chunks - 1) / chunks + 3) / 4 * 4) {}
+  std::size_t pixel, chunks, chunk;
+};
+
+/// The amx panels read back through the layout PackedSimd documents:
+/// [16-filter block][ky][row][filter] words whose byte o % 4 of row o / 4
+/// holds the centered code of (c, ky, kx) for run byte o = kx * pixel + c
+/// (pixel = channels rounded up to 4), against decode_rows, and zero
+/// everywhere else. Packing runs no AMX instruction, so this runs on every
+/// x86 machine, with or without AMX.
+TEST(BackendIdentity, SimdAmxPanelsFollowTheDocumentedLayout) {
+  util::Rng rng(1212);
+  for (int c = 0; c < 40; ++c) {
+    const int kernel = static_cast<int>(1 + 2 * rng.uniform_int(0, 2));
+    const int channels = static_cast<int>(rng.uniform_int(1, 40));
+    const int filters = static_cast<int>(rng.uniform_int(1, 40));
+    const std::int64_t per_filter = static_cast<std::int64_t>(channels) * kernel * kernel;
+    const IntegerLayer layer =
+        random_integer_layer(filters, per_filter, random_filter_bits(4, rng), rng);
+    const simd::PackedSimd packed =
+        simd::pack_simd(layer, SimdTier::kAmx, 2, simd::OpShape::conv(kernel));
+    ASSERT_EQ(simd::Kernel::kAmxI8, packed.kernel);
+    const AmxRun run(static_cast<std::size_t>(channels), static_cast<std::size_t>(kernel));
+    const std::size_t pixel = run.pixel, chunks = run.chunks, chunk = run.chunk;
+    ASSERT_LE(chunk, 64u);
+    const std::size_t blocks = (static_cast<std::size_t>(filters) + 15) / 16;
+    ASSERT_EQ(blocks * kernel * chunks * chunk * 16, packed.panels.size() * 4);
+    const std::vector<std::int32_t> rows = decode_rows(layer);
+    const auto* bytes = reinterpret_cast<const std::int8_t*>(packed.panels.data());
+    for (std::size_t i = 0; i < packed.panels.size() * 4; ++i) {
+      const std::size_t filter = i / (kernel * chunks * chunk * 16) * 16 + i / 4 % 16;
+      const std::size_t ky = i / (chunks * chunk * 16) % kernel;
+      const std::size_t o = i % (chunks * chunk * 16) / 64 * 4 + i % 4;
+      const std::size_t kx = o / pixel, ch = o % pixel;
+      std::int32_t want = 0;
+      if (filter < static_cast<std::size_t>(filters) && kx < static_cast<std::size_t>(kernel) &&
+          ch < static_cast<std::size_t>(channels) && layer.filter_bits[filter] > 0) {
+        const std::int32_t code =
+            rows[filter * static_cast<std::size_t>(per_filter) +
+                 ch * static_cast<std::size_t>(kernel * kernel) + ky * kernel + kx];
+        want = 2 * code - ((1 << layer.filter_bits[filter]) - 1);
+      }
+      ASSERT_EQ(want, bytes[i]) << "case " << c << " byte " << i << " filter " << filter
+                                << " ky " << ky << " o " << o;
+    }
+  }
 }
 
 /// The linear twin: raw floats go through the row encoder, codes
@@ -449,7 +541,8 @@ TEST(BackendIdentity, SimdLinearMatchesScalarAtEveryTier) {
       const Tensor reference =
           integer_linear_forward(layer, adopt_codes(acts, grid), batch, in_features);
       for (const SimdTier tier : reachable_simd_tiers()) {
-        const simd::PackedSimd packed = simd::pack_simd(layer, tier, act_bits);
+        const simd::PackedSimd packed =
+            simd::pack_simd(layer, tier, act_bits, simd::OpShape::linear());
         if (packed.kernel == simd::Kernel::kScalar) continue;
         if (act_bits == 16) {
           ASSERT_EQ(simd::Kernel::kGeneric, packed.kernel) << shape;
@@ -469,7 +562,7 @@ TEST(BackendIdentity, SimdLinearMatchesScalarAtEveryTier) {
       }
     }
   }
-  expect_kernels_covered(compared);
+  expect_kernels_covered(compared, false);
 }
 
 /// Random codes never drive every lane to its worst case, so this pins
@@ -479,7 +572,8 @@ TEST(BackendIdentity, SimdLinearMatchesScalarAtEveryTier) {
 /// one sign and its sum reaches the bound. Each edge runs through the
 /// linear kernel and a 1x1 conv over a 3x3 image (one tail strip), raw
 /// and in_codes, batch 3, at every reachable tier, byte for byte against
-/// scalar. One more term past an int32 edge delegates to scalar.
+/// scalar; at amx the conv runs on tiles wherever vnni runs vpdpbusd.
+/// One more term past an int32 edge delegates to scalar.
 TEST(BackendIdentity, SimdKernelsExactAtCertifiedEdge) {
   struct Edge {
     int weight_bits, act_bits;
@@ -550,18 +644,25 @@ TEST(BackendIdentity, SimdKernelsExactAtCertifiedEdge) {
       for (const SimdTier tier : reachable_simd_tiers()) {
         const std::string what = edge + (in_codes ? " in_codes" : " raw") + " tier=" +
                                  simd_tier_name(tier);
-        const simd::PackedSimd packed = simd::pack_simd(layer, tier, e.act_bits);
-        const simd::Kernel want = tier == SimdTier::kVnni   ? e.vnni
+        const simd::PackedSimd linear =
+            simd::pack_simd(layer, tier, e.act_bits, simd::OpShape::linear());
+        const simd::PackedSimd conv =
+            simd::pack_simd(layer, tier, e.act_bits, simd::OpShape::conv(1));
+        const simd::Kernel want = tier >= SimdTier::kVnni ? e.vnni
                                   : tier == SimdTier::kAvx2 ? e.avx2
                                                             : e.portable;
-        ASSERT_EQ(want, packed.kernel) << what;
+        ASSERT_EQ(want, linear.kernel) << what;
+        ASSERT_EQ(tier == SimdTier::kAmx && want == simd::Kernel::kVnniI8 ? simd::Kernel::kAmxI8
+                                                                          : want,
+                  conv.kernel)
+            << what;
         std::vector<std::uint32_t> image;
         std::vector<float> out(linear_ref.numel(), -7.0f);
-        simd::linear_forward_into(packed, linear_acts.data(), grid, kBatch, in_features,
+        simd::linear_forward_into(linear, linear_acts.data(), grid, kBatch, in_features,
                                   out.data(), image);
         expect_bytes_equal(out.data(), linear_ref.data(), out.size(), what + " linear");
         out.assign(conv_ref.numel(), -7.0f);
-        simd::conv_forward_into(packed, acts.data(), grid, kBatch, in_features, 3, 3, 1, 1, 0,
+        simd::conv_forward_into(conv, acts.data(), grid, kBatch, in_features, 3, 3, 1, 1, 0,
                                 out.data(), image);
         expect_bytes_equal(out.data(), conv_ref.data(), out.size(), what + " conv");
       }
@@ -570,8 +671,10 @@ TEST(BackendIdentity, SimdKernelsExactAtCertifiedEdge) {
         kInt32Max) {
       const IntegerLayer past = alternating_layer(e.terms + 1);
       for (const SimdTier tier : reachable_simd_tiers()) {
-        EXPECT_EQ(simd::Kernel::kScalar, simd::pack_simd(past, tier, e.act_bits).kernel)
-            << edge << " + 1 term, tier=" << simd_tier_name(tier);
+        for (const simd::OpShape shape : {simd::OpShape::linear(), simd::OpShape::conv(1)}) {
+          EXPECT_EQ(simd::Kernel::kScalar, simd::pack_simd(past, tier, e.act_bits, shape).kernel)
+              << edge << " + 1 term, tier=" << simd_tier_name(tier);
+        }
       }
     }
   }
@@ -609,7 +712,7 @@ TEST(BackendIdentity, NanActivationsEncodeToZero) {
   const Tensor reference =
       integer_conv_forward(layer, adopt_codes(image, grid), 1, 4, 6, 6, 3, 1, 1);
   for (const SimdTier tier : reachable_simd_tiers()) {
-    const simd::PackedSimd packed = simd::pack_simd(layer, tier, 2, 3);
+    const simd::PackedSimd packed = simd::pack_simd(layer, tier, 2, simd::OpShape::conv(3));
     std::vector<float> simd_out(reference.numel());
     std::vector<std::uint32_t> scratch;
     simd::conv_forward_into(packed, image.data(), grid, 1, 4, 6, 6, 3, 1, 1,
@@ -660,7 +763,8 @@ TEST(BackendIdentity, PrunedRowsAreHardZero) {
   for (const int act_bits : {3, 9, 16}) {
     const std::vector<float> acts = random_float_codes(2 * 4 * 6 * 6, act_bits, rng);
     for (const SimdTier tier : reachable_simd_tiers()) {
-      const simd::PackedSimd packed = simd::pack_simd(layer, tier, act_bits, 3);
+      const simd::PackedSimd packed =
+          simd::pack_simd(layer, tier, act_bits, simd::OpShape::conv(3));
       std::vector<float> out(2 * 9 * 6 * 6, -1.0f);
       std::vector<std::uint32_t> image;
       simd::conv_forward_into(packed, acts.data(), {1.0f, act_bits, true}, 2, 4, 6, 6, 3,
@@ -678,7 +782,7 @@ TEST(BackendIdentity, SimdPrunedRowsAreHardZero) {
   const IntegerLayer layer = random_integer_layer(9, 18, {0}, rng);
   const std::vector<float> acts = random_float_codes(3 * 18, 4, rng);
   for (const SimdTier tier : reachable_simd_tiers()) {
-    const simd::PackedSimd packed = simd::pack_simd(layer, tier, 4);
+    const simd::PackedSimd packed = simd::pack_simd(layer, tier, 4, simd::OpShape::linear());
     std::vector<float> out(3 * 9, -1.0f);
     std::vector<std::uint32_t> image;
     simd::linear_forward_into(packed, acts.data(), {1.0f, 4, true}, 3, 18, out.data(),
@@ -708,7 +812,7 @@ TEST(BackendIdentity, SimdHighBitLayersAreNotPackable) {
   // Filter 2's centered 16-bit codes would overflow int16.
   const IntegerLayer layer = random_integer_layer(4, 10, {2, 3, 16, 1}, rng);
   for (const SimdTier tier : reachable_simd_tiers()) {
-    expect_unpacked(simd::pack_simd(layer, tier, 4));
+    expect_unpacked(simd::pack_simd(layer, tier, 4, simd::OpShape::linear()));
   }
 }
 
@@ -806,7 +910,8 @@ TEST(BackendIdentity, SimdKernelsRefuseWiderGridOrGeometry) {
   const IntegerLayer layer = random_integer_layer(4, 10, rng);
   // A layer packed for a narrower activation grid refuses wider codes:
   // the kernel choice was only certified for the packed width.
-  const simd::PackedSimd narrow = simd::pack_simd(layer, SimdTier::kPortable, 2);
+  const simd::PackedSimd narrow =
+      simd::pack_simd(layer, SimdTier::kPortable, 2, simd::OpShape::linear());
   ASSERT_NE(simd::Kernel::kScalar, narrow.kernel);
   const std::vector<float> acts = random_float_codes(10, 4, rng);
   std::vector<float> out(4);
@@ -816,8 +921,10 @@ TEST(BackendIdentity, SimdKernelsRefuseWiderGridOrGeometry) {
                std::logic_error);
   // A conv pack's taps must match the call's kernel size.
   const IntegerLayer conv = random_integer_layer(4, 2 * 3 * 3, rng);
-  EXPECT_THROW(simd::pack_simd(conv, SimdTier::kPortable, 2, 2), std::invalid_argument);
-  const simd::PackedSimd taps = simd::pack_simd(conv, SimdTier::kPortable, 2, 3);
+  EXPECT_THROW(simd::pack_simd(conv, SimdTier::kPortable, 2, simd::OpShape::conv(2)),
+               std::invalid_argument);
+  const simd::PackedSimd taps =
+      simd::pack_simd(conv, SimdTier::kPortable, 2, simd::OpShape::conv(3));
   const std::vector<float> pixels = random_float_codes(2 * 5 * 5, 2, rng);
   std::vector<float> conv_out(4 * 5 * 5);
   EXPECT_THROW(simd::conv_forward_into(taps, pixels.data(), {1.0f, 2, true}, 1, 18, 5, 5,
@@ -912,13 +1019,17 @@ TEST(BackendFactory, SimdDispatchNamesResolvedIsa) {
       const std::string label = backend->dispatch(op);
       if (op.kind == OpKind::IntConv || op.kind == OpKind::IntLinear) {
         saw_integer = true;
+        // Every layer that misses the dot bound misses maddubs too; amx
+        // takes the convs vnni runs on vpdpbusd, never a linear layer.
+        const std::string dot = tier == SimdTier::kAmx && op.kind == OpKind::IntConv
+                                    ? "simd/amx"
+                                    : "simd/vnni";
         if (tier == SimdTier::kPortable) {
           EXPECT_EQ("simd/portable", label);
         } else if (tier == SimdTier::kAvx2) {
           EXPECT_TRUE(label == "simd/avx2" || label == "simd/avx2-i8") << label;
         } else {
-          // Every layer that misses the dot bound misses maddubs too.
-          EXPECT_TRUE(label == "simd/avx2" || label == "simd/vnni") << label;
+          EXPECT_TRUE(label == "simd/avx2" || label == dot) << label;
         }
       } else {
         EXPECT_EQ("scalar", label);
@@ -936,7 +1047,8 @@ TEST(CpuFeatures, EnvAndForceResolveTiers) {
   // Each named tier resolves to min(request, what CPUID supports).
   const SimdTier supported = max_supported_simd_tier();
   const auto clamped = [&](SimdTier tier) { return std::min(tier, supported); };
-  for (const SimdTier tier : {SimdTier::kPortable, SimdTier::kAvx2, SimdTier::kVnni}) {
+  for (const SimdTier tier :
+       {SimdTier::kPortable, SimdTier::kAvx2, SimdTier::kVnni, SimdTier::kAmx}) {
     ::setenv("CQ_SIMD", simd_tier_name(tier), 1);
     EXPECT_EQ(clamped(tier), resolve_simd_tier()) << simd_tier_name(tier);
   }
@@ -950,7 +1062,8 @@ TEST(CpuFeatures, EnvAndForceResolveTiers) {
   // The forced override outranks the environment, and is clamped the
   // same way: a forced vnni on a CPU without AVX-VNNI runs a lower tier.
   ::setenv("CQ_SIMD", "portable", 1);
-  for (const SimdTier tier : {SimdTier::kPortable, SimdTier::kAvx2, SimdTier::kVnni}) {
+  for (const SimdTier tier :
+       {SimdTier::kPortable, SimdTier::kAvx2, SimdTier::kVnni, SimdTier::kAmx}) {
     force_simd_tier(tier);
     EXPECT_EQ(clamped(tier), resolve_simd_tier()) << simd_tier_name(tier);
   }
@@ -961,9 +1074,13 @@ TEST(CpuFeatures, EnvAndForceResolveTiers) {
   } else {
     ::unsetenv("CQ_SIMD");
   }
-  // The supported ceiling is exactly what CPUID reported.
+  // The supported ceiling is exactly what CPUID (and, for amx, the tile
+  // permission) reported.
   const CpuFeatures& f = cpu_features();
-  EXPECT_EQ(!f.avx2 ? SimdTier::kPortable : f.avxvnni ? SimdTier::kVnni : SimdTier::kAvx2,
+  EXPECT_EQ(!f.avx2      ? SimdTier::kPortable
+            : !f.avxvnni ? SimdTier::kAvx2
+            : f.amx      ? SimdTier::kAmx
+                         : SimdTier::kVnni,
             max_supported_simd_tier());
 }
 
@@ -972,6 +1089,7 @@ TEST(CpuFeatures, JsonNamesArchAndTier) {
   EXPECT_NE(json.find("\"arch\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"avx2\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"avxvnni\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"amx\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"tier\""), std::string::npos) << json;
   EXPECT_NE(json.find(simd_tier_name(resolve_simd_tier())), std::string::npos)
       << json;
@@ -980,7 +1098,9 @@ TEST(CpuFeatures, JsonNamesArchAndTier) {
 /// prepared_bytes() is exactly one panel set per integer op, by the
 /// layout arithmetic: whole 8-filter tiles x taps x channel groups of
 /// 32-bit words (4 codes per word for avx2-i8 and vnni ops, 2
-/// otherwise), plus a float scale and bias per filter.
+/// otherwise), or for amx ops whole 16-filter blocks x kernel rows x
+/// K-chunks x chunk bytes x 16 filters, plus a float scale and bias per
+/// filter.
 TEST(BackendFactory, SimdPreparedBytesAreOneLayoutPerOp) {
   const ExecutionPlan plan = compile_plan(serve::tiny_vgg_artifact());
   for (const SimdTier tier : reachable_simd_tiers()) {
@@ -997,9 +1117,15 @@ TEST(BackendFactory, SimdPreparedBytesAreOneLayoutPerOp) {
       const auto taps = static_cast<std::size_t>(conv ? op.kernel * op.kernel : 1);
       const auto channels = static_cast<std::size_t>(conv ? op.in_c : op.in_features);
       const std::string label = backend->dispatch(op);
-      const std::size_t g = label == "simd/avx2-i8" || label == "simd/vnni" ? 4 : 2;
-      const std::size_t lanes = (filters + 7) / 8 * 8;
-      expected += lanes * taps * ((channels + g - 1) / g) * sizeof(std::uint32_t);
+      if (label == "simd/amx") {
+        const AmxRun run(channels, static_cast<std::size_t>(op.kernel));
+        expected +=
+            (filters + 15) / 16 * static_cast<std::size_t>(op.kernel) * run.chunks * run.chunk * 16;
+      } else {
+        const std::size_t g = label == "simd/avx2-i8" || label == "simd/vnni" ? 4 : 2;
+        const std::size_t lanes = (filters + 7) / 8 * 8;
+        expected += lanes * taps * ((channels + g - 1) / g) * sizeof(std::uint32_t);
+      }
       expected += filters * 2 * sizeof(float);
     }
     EXPECT_EQ(expected, backend->prepared_bytes()) << simd_tier_name(tier);

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "nn/models/mlp.h"
 #include "nn/models/resnet20.h"
 #include "nn/models/vgg_small.h"
+#include "serve/zoo.h"
 #include "tensor/tensor.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -530,6 +532,57 @@ TEST(Artifact, SizeReportShowsCompression) {
   // The 4,3,2,1,0 pattern averages 2 bits/weight = 1/16 of fp32.
   EXPECT_LT(static_cast<double>(report.packed_code_bytes),
             0.11 * static_cast<double>(report.fp32_weight_bytes));
+}
+
+/// An activation clip that is denormal, infinite or NaN makes the code
+/// scale (levels - 1) / clip overflow or poison, and the encoders would
+/// hand the NaN it makes to a float-to-int conversion (UB). The loader
+/// refuses such a quantizer, and bits outside [0, 16], naming the
+/// quantizer; a clip at or below zero is a pass-through and still loads.
+TEST(Artifact, LoadRejectsUnusableActivationGrid) {
+  QuantizedArtifact artifact;
+  for (serve::ZooModel& model : serve::default_zoo()) {
+    if (model.name == "resnet20") artifact = std::move(model.artifact);
+  }
+  ASSERT_GT(artifact.act_quants.size(), 4u);
+  ActQuantState& aq = artifact.act_quants[4];
+  ASSERT_GE(aq.bits, 1);
+  ASSERT_GT(aq.max_activation, 0.0f);
+  const ActQuantState calibrated = aq;
+  const std::string path = temp_path("grid.cqar");
+  const auto load_error = [&]() -> std::string {
+    save_artifact(path, artifact);
+    try {
+      load_artifact(path);
+    } catch (const ArtifactError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ("", load_error());  // control
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float clip : {1.24e-40f, std::numeric_limits<float>::denorm_min(), inf,
+                           std::numeric_limits<float>::quiet_NaN()}) {
+    aq.max_activation = clip;
+    EXPECT_NE(std::string::npos, load_error().find("activation quantizer #4")) << clip;
+  }
+  aq.max_activation = 1.24e-40f;  // the message shows the subnormal value
+  EXPECT_NE(std::string::npos, load_error().find("clip bound 1.23999e-40 is not"));
+  // A normal clip whose 16-bit code scale overflows float.
+  aq.bits = 16;
+  aq.max_activation = std::numeric_limits<float>::min();
+  EXPECT_NE(std::string::npos, load_error().find("activation quantizer #4"));
+  for (const int bits : {-1, 17, 40}) {
+    aq = calibrated;
+    aq.bits = bits;
+    EXPECT_NE(std::string::npos, load_error().find("activation quantizer #4")) << bits;
+  }
+  for (const float clip : {0.0f, -1.0f, -inf}) {
+    aq = calibrated;
+    aq.max_activation = clip;
+    EXPECT_EQ("", load_error()) << clip;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Artifact, ActivationCalibrationSurvivesRoundTrip) {

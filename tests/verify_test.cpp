@@ -239,6 +239,36 @@ TEST(PlanVerify, InvalidActBitsFailOverflowCertification) {
   EXPECT_TRUE(has_finding(report, VerifyRule::Overflow, linear));
 }
 
+/// The loader's grid check, at the plan boundary: an EncodeAct or
+/// integer op whose clip is denormal or infinite would encode with a
+/// non-finite code scale, and so would an ep_encode epilogue.
+TEST(PlanVerify, NonFiniteActivationGridIsIntLayer) {
+  ExecutionPlan plan = resnet_plan();
+  PlanRewriter rw(plan);
+  const int encode = find_op(plan, OpKind::EncodeAct);
+  const int conv = find_op(plan, OpKind::IntConv);
+  ASSERT_GE(encode, 0);
+  ASSERT_GE(conv, 0);
+  rw.ops()[static_cast<std::size_t>(encode)].act_hi = 1.24e-40f;
+  rw.ops()[static_cast<std::size_t>(conv)].act_hi = std::numeric_limits<float>::infinity();
+  const VerifyReport report = verify_plan(plan);
+  EXPECT_TRUE(has_finding(report, VerifyRule::IntLayer, encode));
+  EXPECT_TRUE(has_finding(report, VerifyRule::IntLayer, conv));
+}
+
+TEST(PlanVerify, DenormalEncodeEpilogueGridIsEpilogue) {
+  ExecutionPlan plan = resnet_plan();
+  optimize_plan(plan);
+  PlanRewriter rw(plan);
+  int fused = -1;
+  for (std::size_t i = 0; i < plan.ops().size(); ++i) {
+    if (plan.ops()[i].ep_encode) fused = static_cast<int>(i);
+  }
+  ASSERT_GE(fused, 0) << "optimizer produced no ->codes epilogue on ResNet20";
+  rw.ops()[static_cast<std::size_t>(fused)].out_hi = 1.24e-40f;
+  EXPECT_TRUE(has_finding(verify_plan(plan), VerifyRule::Epilogue, fused));
+}
+
 TEST(PlanVerify, EpilogueFlagOnNonComputeOpIsEpilogue) {
   ExecutionPlan plan = vgg_plan();
   PlanRewriter rw(plan);
@@ -356,7 +386,7 @@ TEST(OverflowBound, MatchesSimdPackingExactly) {
         random_layer(3 + trial % 13, 5 + trial % 17, rng);
     const int act_bits = 1 + trial % 16;
     const simd::PackedSimd packed =
-        simd::pack_simd(layer, SimdTier::kPortable, act_bits);
+        simd::pack_simd(layer, SimdTier::kPortable, act_bits, simd::OpShape::linear());
     EXPECT_EQ(packed.max_abs_weight, max_abs_centered_code(layer));
     EXPECT_EQ(packed.kernel != simd::Kernel::kScalar,
               int_reduction_fits_int32(max_abs_centered_code(layer), act_bits,

@@ -19,7 +19,8 @@
 //               backend's maddubs path, int32 = its other kernels,
 //               int64 = delegated to the scalar reference; and the int8
 //               kernels the op is certified for: dpbusd on the vnni
-//               tier, maddubs on avx2)
+//               tier and tdpbusd tiles for convs on amx, maddubs on
+//               avx2)
 //
 // Exit status: 0 when every plan verifies clean, 1 on any finding or
 // unloadable/uncompilable artifact, 2 for usage errors.
