@@ -208,8 +208,8 @@ int main(int argc, char** argv) {
   /// (adopt into int32 codes, im2col, int64 MACs), the simd run
   /// simd::conv_forward_into straight from the floats.
   const auto add_conv_case = [&](const std::string& name, const std::string& desc,
-                                 int in_c, int hw, int filters, int kernel,
-                                 IntegerInput input) {
+                                 int in_c, int hw, int filters, int kernel, int stride,
+                                 int pad, IntegerInput input) {
     const std::int64_t per_filter = static_cast<std::int64_t>(in_c) * kernel * kernel;
     auto layer = std::make_shared<deploy::IntegerLayer>(
         fabricate_integer_layer(filters, per_filter, rng));
@@ -220,21 +220,22 @@ int main(int argc, char** argv) {
     auto codes = std::make_shared<deploy::ActCodes>();
     auto cols = std::make_shared<std::vector<std::int32_t>>();
     auto image = std::make_shared<std::vector<std::uint32_t>>();
-    const std::size_t out_size = static_cast<std::size_t>(filters) * hw * hw;
+    const int out_hw = (hw + 2 * pad - kernel) / stride + 1;
+    const std::size_t out_size = static_cast<std::size_t>(filters) * out_hw * out_hw;
     add_integer_case(
-        name, desc, 1LL * filters * per_filter * hw * hw,
+        name, desc, 1LL * filters * per_filter * out_hw * out_hw,
         [=](const util::ExecContext& exec) {
           std::vector<float> out(out_size);
           adopt(*in, *codes, exec);
-          deploy::integer_conv_forward_into(*layer, *codes, 1, in_c, hw, hw, kernel, 1,
-                                            kernel / 2, out.data(), *cols, exec);
+          deploy::integer_conv_forward_into(*layer, *codes, 1, in_c, hw, hw, kernel, stride,
+                                            pad, out.data(), *cols, exec);
           return out;
         },
         [=](const util::ExecContext& exec) {
           std::vector<float> out(out_size);
           deploy::simd::conv_forward_into(*spacked, in->acts.data(), in->grid, 1, in_c,
-                                          hw, hw, kernel, 1, kernel / 2, out.data(),
-                                          *image, exec);
+                                          hw, hw, kernel, stride, pad, out.data(), *image,
+                                          exec);
           return out;
         });
   };
@@ -242,47 +243,62 @@ int main(int argc, char** argv) {
   // The "large-layer case" of the perf-smoke assertions: one image
   // through a VGG-middle-sized conv, ~75M MACs, fed grid codes.
   add_conv_case("integer_conv_large", "integer conv 64x32x32 -> 128 filters, 3x3", 64, 32,
-                128, 3, fabricate_codes(64 * 32 * 32, 3, rng));
+                128, 3, 1, 1, fabricate_codes(64 * 32 * 32, 3, rng));
 
   // Small conv: shows where threading/tiling overhead eats the win.
   add_conv_case("integer_conv_small", "integer conv 8x16x16 -> 16 filters, 3x3", 8, 16, 16,
-                3, fabricate_codes(8 * 16 * 16, 3, rng));
+                3, 1, 1, fabricate_codes(8 * 16 * 16, 3, rng));
 
   // The paper-shaped case: ResNet20's stage-1 conv at CIFAR-10 size,
   // fed raw 2-bit activations, so both backends pay their encode.
   add_conv_case("integer_conv_paper",
                 "integer conv 16x32x32 -> 16 filters, 3x3, raw A2 activations", 16, 32,
-                16, 3, fabricate_raw(16 * 32 * 32, 2, rng));
+                16, 3, 1, 1, fabricate_raw(16 * 32 * 32, 2, rng));
 
-  // Integer FC layer, chunked over output rows / filter tiles.
-  {
-    const int in_features = 1024, filters = 1024, batch = 16;
+  // ResNet20's first downsampling conv (stage 2, block 1, conv1): the
+  // strided shape, fed raw 2-bit activations.
+  add_conv_case("integer_conv_strided",
+                "integer conv 16x32x32 -> 32 filters, 3x3, stride 2, raw A2 activations", 16,
+                32, 32, 3, 2, 1, fabricate_raw(16 * 32 * 32, 2, rng));
+
+  /// Registers a linear case: the scalar run is ScalarBackend's op, the
+  /// simd run simd::linear_forward_into straight from the floats.
+  const auto add_linear_case = [&](const std::string& name, const std::string& desc,
+                                   int batch, int in_features, int filters,
+                                   IntegerInput input) {
     auto layer = std::make_shared<deploy::IntegerLayer>(
         fabricate_integer_layer(filters, in_features, rng));
-    auto in = std::make_shared<const IntegerInput>(
-        fabricate_codes(static_cast<std::size_t>(batch) * in_features, 4, rng));
+    auto in = std::make_shared<const IntegerInput>(std::move(input));
     auto spacked = std::make_shared<deploy::simd::PackedSimd>(
         deploy::simd::pack_simd(*layer, simd_tier, in->grid.bits,
                                 deploy::simd::OpShape::linear()));
     auto codes = std::make_shared<deploy::ActCodes>();
     auto image = std::make_shared<std::vector<std::uint32_t>>();
+    const std::size_t out_size = static_cast<std::size_t>(batch) * filters;
     add_integer_case(
-        "integer_linear_large", "integer linear 16x1024 -> 1024",
-        1LL * batch * in_features * filters,
+        name, desc, 1LL * batch * in_features * filters,
         [=](const util::ExecContext& exec) {
-          std::vector<float> out(static_cast<std::size_t>(batch) * filters);
+          std::vector<float> out(out_size);
           adopt(*in, *codes, exec);
           deploy::integer_linear_forward_into(*layer, *codes, batch, in_features,
                                               out.data(), exec);
           return out;
         },
         [=](const util::ExecContext& exec) {
-          std::vector<float> out(static_cast<std::size_t>(batch) * filters);
+          std::vector<float> out(out_size);
           deploy::simd::linear_forward_into(*spacked, in->acts.data(), in->grid, batch,
                                             in_features, out.data(), *image, exec);
           return out;
         });
-  }
+  };
+
+  // Integer FC layer, chunked over output rows / filter tiles.
+  add_linear_case("integer_linear_large", "integer linear 16x1024 -> 1024", 16, 1024, 1024,
+                  fabricate_codes(16 * 1024, 4, rng));
+
+  // VGG-small's first FC layer (fc5) at batch 1, fed A2 grid codes.
+  add_linear_case("integer_linear_paper", "integer linear 1x2048 -> 128, A2 codes", 1, 2048,
+                  128, fabricate_codes(2048, 2, rng));
 
   // Float GEMM — the training-side im2col+GEMM path (backends only
   // differ on integer ops, so this is scalar-only).

@@ -3,7 +3,9 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <set>
+#include <sstream>
 
 #include "nn/models/mlp.h"
 #include "nn/models/resnet20.h"
@@ -210,41 +212,123 @@ ArchDescriptor describe_model(nn::Model& model) {
   throw ArtifactError("describe_model: unknown model kind '" + model.name() + "'");
 }
 
+namespace {
+
+/// What instantiate_model admits from a descriptor, checked before any
+/// layer is built so a corrupt or hostile .cqar cannot make it allocate
+/// without bound: widths, sizes and counts are integers in [lo,
+/// kMaxArchDim], the seed an integer in [0, 2^64), and the model's conv
+/// and linear weights, like one sample's activations summed over its
+/// layers, at most kMaxArchElements elements.
+constexpr int kMaxArchDim = 1 << 20;
+constexpr double kMaxArchElements = 1 << 26;
+
+std::string format_value(double v) {
+  std::ostringstream out;
+  out << std::setprecision(15) << v;
+  return out.str();
+}
+
+std::string describe_params(const ArchDescriptor& arch) {
+  std::string out;
+  for (const auto& [name, value] : arch.params) {
+    out += (out.empty() ? "" : ", ") + name + "=" + format_value(value);
+  }
+  return out;
+}
+
+int checked_int(const ArchDescriptor& arch, const std::string& key, int lo = 1) {
+  const double v = arch.param(key);
+  if (!(v >= lo && v <= kMaxArchDim) || v != std::floor(v)) {
+    throw ArtifactError("architecture descriptor '" + arch.kind + "' parameter '" + key +
+                        "' = " + format_value(v) + " is not an integer in [" +
+                        std::to_string(lo) + ", " + std::to_string(kMaxArchDim) + "]");
+  }
+  return static_cast<int>(v);
+}
+
+std::uint64_t checked_seed(const ArchDescriptor& arch) {
+  const double v = arch.param("seed");
+  if (!(v >= 0.0 && v < 18446744073709551616.0) || v != std::floor(v)) {
+    throw ArtifactError("architecture descriptor '" + arch.kind + "' parameter 'seed' = " +
+                        format_value(v) + " is not an integer in [0, 2^64)");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+void check_budget(const ArchDescriptor& arch, double weights, double activations) {
+  for (const auto& [what, elements] : {std::pair{"weights", weights},
+                                       std::pair{"per-sample activations", activations}}) {
+    if (elements > kMaxArchElements) {
+      throw ArtifactError("architecture descriptor '" + arch.kind + "' (" +
+                          describe_params(arch) + "): its " + what + " would hold " +
+                          format_value(elements) + " elements, past the budget of " +
+                          std::to_string(static_cast<std::int64_t>(kMaxArchElements)));
+    }
+  }
+}
+
+}  // namespace
+
 std::unique_ptr<nn::Model> instantiate_model(const ArchDescriptor& arch) {
   if (arch.kind == "VggSmall") {
     nn::VggSmallConfig c;
-    c.in_channels = arch.int_param("in_channels");
-    c.image_size = arch.int_param("image_size");
-    c.num_classes = arch.int_param("num_classes");
-    c.c1 = arch.int_param("c1");
-    c.c2 = arch.int_param("c2");
-    c.c3 = arch.int_param("c3");
-    c.f1 = arch.int_param("f1");
-    c.f2 = arch.int_param("f2");
-    c.f3 = arch.int_param("f3");
-    c.seed = static_cast<std::uint64_t>(arch.param("seed"));
+    c.in_channels = checked_int(arch, "in_channels");
+    c.image_size = checked_int(arch, "image_size");
+    c.num_classes = checked_int(arch, "num_classes");
+    c.c1 = checked_int(arch, "c1");
+    c.c2 = checked_int(arch, "c2");
+    c.c3 = checked_int(arch, "c3");
+    c.f1 = checked_int(arch, "f1");
+    c.f2 = checked_int(arch, "f2");
+    c.f3 = checked_int(arch, "f3");
+    c.seed = checked_seed(arch);
+    if (c.image_size % 8 != 0) {
+      throw ArtifactError("architecture descriptor 'VggSmall' parameter 'image_size' = " +
+                          std::to_string(c.image_size) + " is not a multiple of 8");
+    }
+    const double in = c.in_channels, c1 = c.c1, c2 = c.c2, c3 = c.c3, f1 = c.f1, f2 = c.f2,
+                 f3 = c.f3, classes = c.num_classes, s = c.image_size;
+    check_budget(arch,
+                 9.0 * (in * c1 + c1 * c1 + c1 * c2 + c2 * c2 + c2 * c3) +
+                     c3 * (s / 8) * (s / 8) * f1 + f1 * f2 + f2 * f3 + f3 * classes,
+                 s * s * (in + 2.0 * c1) + s * s / 4 * 2.0 * c2 + s * s / 16 * c3 + f1 + f2 +
+                     f3 + classes);
     return std::make_unique<nn::VggSmall>(c, nn::StructureOnly{});
   }
   if (arch.kind == "ResNet20") {
     nn::ResNet20Config c;
-    c.in_channels = arch.int_param("in_channels");
-    c.image_size = arch.int_param("image_size");
-    c.num_classes = arch.int_param("num_classes");
-    c.base_width = arch.int_param("base_width");
-    c.expand = arch.int_param("expand");
-    c.seed = static_cast<std::uint64_t>(arch.param("seed"));
+    c.in_channels = checked_int(arch, "in_channels");
+    c.image_size = checked_int(arch, "image_size");
+    c.num_classes = checked_int(arch, "num_classes");
+    c.base_width = checked_int(arch, "base_width");
+    c.expand = checked_int(arch, "expand");
+    c.seed = checked_seed(arch);
+    // Stage widths w, 2w, 4w at sizes s, s/2, s/4: six 3x3 convs per
+    // stage plus the stem, the two 1x1 downsamples and the output layer.
+    const double in = c.in_channels, classes = c.num_classes, s = c.image_size,
+                 w = static_cast<double>(c.base_width) * c.expand;
+    check_budget(arch,
+                 9.0 * (in * w + 6.0 * w * w + 24.0 * w * w + 96.0 * w * w) + 10.0 * w * w +
+                     4.0 * w * classes,
+                 s * s * (in + 7.0 * w) + s * s / 4 * 12.0 * w + s * s / 16 * 24.0 * w + classes);
     return std::make_unique<nn::ResNet20>(c, nn::StructureOnly{});
   }
   if (arch.kind == "Mlp") {
     nn::MlpConfig c;
-    c.in_features = arch.int_param("in_features");
-    c.num_classes = arch.int_param("num_classes");
-    c.seed = static_cast<std::uint64_t>(arch.param("seed"));
-    const int hidden_count = arch.int_param("hidden_count");
+    c.in_features = checked_int(arch, "in_features");
+    c.num_classes = checked_int(arch, "num_classes");
+    c.seed = checked_seed(arch);
+    const int hidden_count = checked_int(arch, "hidden_count", 0);
     c.hidden.clear();
+    double weights = 0.0, activations = c.in_features, in = c.in_features;
     for (int i = 0; i < hidden_count; ++i) {
-      c.hidden.push_back(arch.int_param("hidden" + std::to_string(i)));
+      c.hidden.push_back(checked_int(arch, "hidden" + std::to_string(i)));
+      weights += in * c.hidden.back();
+      activations += c.hidden.back();
+      in = c.hidden.back();
     }
+    check_budget(arch, weights + in * c.num_classes, activations + c.num_classes);
     return std::make_unique<nn::Mlp>(c, nn::StructureOnly{});
   }
   throw ArtifactError("instantiate_model: unknown architecture kind '" + arch.kind + "'");

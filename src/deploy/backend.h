@@ -32,8 +32,8 @@ struct BackendScratch {
   ActCodes codes;
   std::vector<std::int32_t> int_cols;
   std::vector<float> float_cols;
-  /// SimdBackend's padded code image (simd::conv_forward_into: channel
-  /// grouped, or position-major bytes for the amx kernel), which
+  /// SimdBackend's zero-padded, position-major code image
+  /// (simd::conv_forward_into, simd::linear_forward_into), which
   /// replaces both `codes` and `int_cols` on its path; capacity is
   /// retained across ops.
   std::vector<std::uint32_t> code_image;
@@ -158,19 +158,21 @@ class ScalarBackend : public Backend {
 
 namespace simd {
 
-/// Filters per packed panel: the kernels broadcast one weight word
-/// across a strip of 8 output positions for each of this many output
-/// filters — one ymm of int32 accumulator lanes per filter — so each
-/// activation strip is loaded once per tile instead of once per filter.
+/// Filters per packed panel: the vector kernels load one panel row of
+/// this many filters' weight words — one ymm of int32 lanes — and
+/// multiply it against one broadcast activation word per output
+/// position or sample, so each weight word is loaded once per block of
+/// positions instead of once per position.
 inline constexpr int kFilterTile = 8;
 
 /// The MAC kernel an integer layer runs on. pack_simd decides it once,
 /// from the tier, the layer's weights and the op's activation width,
 /// and packs only the layout that kernel reads; the kernels and the
 /// dispatch label both read this field, so they cannot disagree. Every
-/// explicit kernel is the same conv and linear loop instantiated with
-/// a per-kernel MAC policy (vector type, load, broadcast, multiply-add,
-/// rescaling store), so kernels differ only in those instructions.
+/// vector kernel is the same MAC loop, for convs and linear layers
+/// alike, instantiated with a per-kernel MAC policy (vector type, load,
+/// broadcast, multiply-add, transpose, rescaling store), so kernels
+/// differ only in those instructions; kAmxI8 runs convs as tiles.
 enum class Kernel {
   kScalar,   ///< no panels: the op delegates to ScalarBackend
   kAmxI8,    ///< AMX tdpbusd 16x16 int32 tiles over uint8 x int8 codes
@@ -202,13 +204,15 @@ int codes_per_word(Kernel kernel);
 ///   filter tile * kFilterTile + f for channels group * g .. + g - 1
 ///   at kernel tap (ky, kx), tap = ky * kernel + kx,
 ///
-/// with g = codes_per_word(kernel). A kernel loads one image strip per
-/// (tap, group) and multiplies it against the 8 words of that panel
-/// row. Tail filters (filters % tile), tail channels (channels % g) and
-/// pruned (0-bit) rows stay zero (exact: 0 * anything = 0), so they
-/// cost no branch in the hot loop; pruned filters also get scale =
-/// bias = 0. A linear layer is the 1x1 case: one tap, one channel per
-/// input feature.
+/// with g = codes_per_word(kernel). Kernel row ky's panel rows are thus
+/// word q = kx * ceil(C / g) + group of the run of k pixels an output
+/// position reads from the image, in image order: a kernel multiplies
+/// each panel row against that word of each position's run. Tail
+/// filters (filters % tile), tail channels (channels % g) and pruned
+/// (0-bit) rows stay zero (exact: 0 * anything = 0), so they cost no
+/// branch in the hot loop; pruned filters also get scale = bias = 0. A
+/// linear layer is the 1x1 case: one tap, one channel per input
+/// feature.
 ///
 /// kAmxI8 packs B tiles instead, in the VNNI order tdpbusd reads:
 ///
@@ -273,23 +277,22 @@ struct ActGrid {
 
 /// Explicit-SIMD integer convolution on packed.kernel over float
 /// activations [batch][in_c][height][width]. One pass adopts them into
-/// `image` — a zero-padded code image, [stride^2 phase planes][channel
-/// groups][rows][cols] words per sample, holding codes_per_word codes
-/// each — and the kernel then reads every tap's strip of 8 output
-/// positions (4 on SSE2) from it in place: no im2col, no intermediate
-/// int32 codes.
-/// Phase planes keep strided taps contiguous. kAmxI8 instead adopts
-/// into a position-major byte image, [height + 2 pad][width + 2 pad]
-/// [pixel] per sample, and loads each A tile — 16 output positions of
-/// one output row, one K-chunk each — from it in place at a stride of
-/// stride x pixel bytes. Throws std::logic_error
-/// for a kScalar pack, a kAmxI8 pack on a CPU without the amx tier, or
-/// a grid wider than packed.act_bits. Integer
-/// sums are exact and the rescale is the scalar kernel's, so outputs
-/// are byte-identical to encode/cast + integer_conv_forward_into at
-/// every tier and thread count. Chunks over (sample, filter tile,
-/// output rows) tasks of a minimum MAC count, so ops too small to
-/// repay a thread dispatch run on the calling thread.
+/// `image` — a zero-padded, position-major code image, [height + 2 pad]
+/// [width + 2 pad][ceil(in_c / g)] words per sample at g =
+/// codes_per_word codes each — and every kernel reads it in place: no
+/// im2col, no intermediate int32 codes. An output position reads, per
+/// kernel row, one contiguous run of kernel x ceil(in_c / g) words. The
+/// vector kernels multiply each panel row against that word of 8
+/// output positions of one row (4 on SSE2) and transpose the sums into
+/// the filter-major output; kAmxI8 loads each A tile — 16 output
+/// positions of one output row, one K-chunk each — from it in place at
+/// a stride of stride x pixel bytes. Throws std::logic_error for a
+/// kScalar pack, a kAmxI8 pack on a CPU without the amx tier, or a grid
+/// wider than packed.act_bits. Integer sums are exact and the rescale
+/// is the scalar kernel's, so outputs are byte-identical to encode/cast
+/// + integer_conv_forward_into at every tier and thread count. Chunks
+/// over (sample, output rows) tasks of a minimum MAC count, so ops too
+/// small to repay a thread dispatch run on the calling thread.
 void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid,
                        int batch, int in_c, int height, int width, int kernel,
                        int stride, int pad, float* out,
@@ -298,9 +301,11 @@ void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid
 
 /// Explicit-SIMD fully-connected kernel over float activations
 /// [batch][in_features]: the same adoption writes each sample's codes
-/// as one zero-padded row of words. Same requirements and byte-identity
-/// contract as conv_forward_into; a pack made for a convolution on the
-/// amx tier is refused (std::invalid_argument).
+/// as the 1 x 1 image of in_features channels, and the vector loop
+/// multiplies each panel row against up to 4 samples' words at a time.
+/// Same requirements and byte-identity contract as conv_forward_into; a
+/// pack made for a convolution on the amx tier is refused
+/// (std::invalid_argument).
 void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid,
                          int batch, int in_features, float* out,
                          std::vector<std::uint32_t>& image,

@@ -2,32 +2,35 @@
 //
 // Each integer op adopts its float input in one pass — clamp and exact
 // rounding for raw activations, a cast for in_codes inputs — straight
-// into a zero-padded, channel-grouped code image whose 32-bit words
-// hold what the kernel multiplies: 4 uint8 codes for the AVX-VNNI
-// dpbusd and AVX2 maddubs kernels, 2 int16 codes for the madd_epi16 /
-// SSE2 pmaddwd kernels, 1 int32 code for the GCC-vector-extension
-// kernel. The conv kernel then reads each tap's strip of 8 output
-// positions (4 on SSE2) from that image in place, against tap-major
-// weight panels packed once in prepare(), so no im2col matrix and no
-// intermediate int32 code copy exists on this path. Strided convs get
-// one image plane per stride phase, which keeps every tap's strip
-// contiguous. Each kernel is one of two loops, conv_rows and
-// linear_tiles, instantiated with that kernel's MAC policy, so the
-// tiers differ only in the instructions a policy supplies. Which tier
-// runs is decided by runtime CPUID (deploy/cpu_features.h), so one
-// binary serves every x86; the SSE2 policy needs no check (the x86-64
-// psABI mandates SSE2).
+// into one zero-padded, position-major code image, [rows][cols][pixel]
+// 32-bit words per sample, whose words hold what the kernel multiplies:
+// 4 uint8 codes for the AMX tdpbusd, AVX-VNNI dpbusd and AVX2 maddubs
+// kernels, 2 int16 codes for the madd_epi16 / SSE2 pmaddwd kernels, 1
+// int32 code for the GCC-vector-extension kernel. A pixel's words hold
+// all its channels, so the k pixels one kernel row covers are one
+// contiguous run of k x pixel words, and every kernel reads those runs
+// in place: no im2col matrix and no intermediate int32 code copy exists
+// on this path. A linear op's input is the 1 x 1 image of its features.
 //
-// The amx tier adds a third loop for convolutions: AMX tdpbusd tiles,
-// each one 16 output positions x 16 filters x 64 code bytes. Its image
-// is position-major bytes, [rows][cols][channels], so the k pixels one
-// kernel row covers are one contiguous run and a tile of 16 positions
-// loads in place at a stride of stride x pixel bytes; the B tiles are
-// packed once in prepare() in VNNI order, and the int32 C tiles are
-// transposed in ymm registers into the plan's filter-major output and
-// rescaled with the scalar expression. tdpbusd sums its u8 x s8
-// products exactly into int32, so the certificate that licenses
-// vpdpbusd licenses it too.
+// The vector kernels are one loop, block_sums, instantiated with each
+// tier's MAC policy, so the tiers differ only in the instructions a
+// policy supplies. For each word of a run it loads the panel row of 8
+// filters' weight words, packed once in prepare(), and multiplies it
+// against the broadcast word of each of several columns: 8 output
+// positions of one output row (4 on SSE2) for a conv, up to 4 samples
+// for a linear op. Conv sums are transposed into the plan's
+// filter-major rows before the rescale. Which tier runs is decided by
+// runtime CPUID (deploy/cpu_features.h), so one binary serves every
+// x86; the SSE2 policy needs no check (the x86-64 psABI mandates SSE2).
+//
+// The amx tier runs convolutions as AMX tdpbusd tiles instead, each
+// one 16 output positions x 16 filters x 64 code bytes, over the same
+// image: a tile of 16 positions loads in place at a stride of stride x
+// pixel bytes; the B tiles are packed once in prepare() in VNNI order,
+// and the int32 C tiles are transposed in ymm registers into the plan's
+// filter-major output and rescaled with the scalar expression. tdpbusd
+// sums its u8 x s8 products exactly into int32, so the certificate that
+// licenses vpdpbusd licenses it too.
 //
 // pack_simd picks each layer's kernel once, at prepare() time, and
 // packs only the panels that kernel reads: the kernels and the dispatch
@@ -44,7 +47,6 @@
 // the scalar reference.
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -331,14 +333,9 @@ namespace {
 /// Samples per weight-panel sweep of the linear kernels: each panel
 /// row is loaded once and multiplied into this many samples'
 /// accumulators, amortizing the weight traffic over the batch. Smaller
-/// blocks use the spare accumulators as extra chains (linear_block).
+/// blocks use the spare accumulators as extra chains (block_sums).
 inline constexpr int kBatchBlock = 4;
 static_assert(kBatchBlock == 4, "linear_tiles dispatches blocks of 1 to 4 samples");
-
-/// Words past the last sample's image that a strip load may touch: a
-/// tail strip's lanes beyond the output width read (and discard) up to
-/// 7 words past the last one a valid lane reads.
-inline constexpr std::size_t kImageSlack = 8;
 
 /// The kernels' entry check, returning the grid's activation scale
 /// (the expression encode_activations_into / cast_codes_into store).
@@ -366,9 +363,92 @@ float check_runnable(const PackedSimd& packed, ActGrid grid, const char* kernel)
   return grid.hi / static_cast<float>(quant::levels_for_bits(grid.bits) - 1);
 }
 
+/// The code image every kernel reads: per sample, [height + 2 pad]
+/// [width + 2 pad][pixel] words with zero borders, pixel = ceil(channels
+/// / g) words at g codes per word. Output position (oy, ox) reads, for
+/// kernel row ky, the run of kernel x pixel words starting ky rows below
+/// at(oy, ox); word q of that run is word q % pixel of input pixel
+/// (oy * stride + ky, ox * stride + q / pixel), the order of the vector
+/// panel rows of that kernel row. A linear op's features are the one
+/// pixel of a 1 x 1 image.
+///
+/// The amx frame reads the same image (g = 4) as bytes: the A tile of
+/// the m output positions ox0 .. ox0 + m - 1 of output row oy reads, for
+/// kernel row ky and K-chunk j of `run`, `chunk` bytes per row from
+/// a_tile(oy, ox0, ky, j) on, its rows a_stride() bytes apart. The last
+/// K-chunk of a run may read up to 63 bytes past it (into the next
+/// pixels, against zero weights), so kSlack zero words follow the last
+/// sample.
+struct ImageGeometry {
+  ImageGeometry(int g, int channels, int height, int width, int kernel, int stride, int pad)
+      : run(channels, kernel),
+        kernel(kernel),
+        stride(stride),
+        pad(pad),
+        oh((height + 2 * pad - kernel) / stride + 1),
+        ow((width + 2 * pad - kernel) / stride + 1),
+        m(std::min(kTileRows, ow)),
+        pixel(groups_of(channels, g)),
+        row(static_cast<std::size_t>(width + 2 * pad) * pixel),
+        sample(static_cast<std::size_t>(height + 2 * pad) * row) {}
+
+  static constexpr std::size_t kSlack = kTileRowBytes / sizeof(std::uint32_t);
+
+  /// Word offset of the first word output position (oy, ox) reads.
+  std::size_t at(int oy, int ox) const {
+    return static_cast<std::size_t>(oy * stride) * row +
+           static_cast<std::size_t>(ox) * static_cast<std::size_t>(stride) * pixel;
+  }
+  /// Words of a batch's image, slack included.
+  std::size_t words(int batch) const { return static_cast<std::size_t>(batch) * sample + kSlack; }
+
+  std::size_t a_stride() const {
+    return static_cast<std::size_t>(stride) * pixel * sizeof(std::uint32_t);
+  }
+  /// Segments of m positions that cover one output row.
+  int segments_per_row() const { return (ow + m - 1) / m; }
+  std::size_t a_tile(int oy, int ox0, int ky, std::size_t j) const {
+    return (at(oy, ox0) + static_cast<std::size_t>(ky) * row) * sizeof(std::uint32_t) +
+           j * run.chunk;
+  }
+
+  TileRun run;  ///< the amx K-chunks of one kernel row
+  int kernel, stride, pad, oh, ow;
+  int m;  ///< amx A-tile rows
+  std::size_t pixel, row, sample;
+};
+
 // ---------------------------------------------------------------------------
 // Activation adoption: float activations -> code image words.
 // ---------------------------------------------------------------------------
+
+#if CQ_SIMD_X86
+
+/// The first n epi32 lanes set.
+__attribute__((target("avx2"))) __m256i first_lanes(int n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(n), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// Transposes the 8x8 words v[row] lane by lane, in place.
+__attribute__((target("avx2"))) void transpose8(__m256i (&v)[8]) {
+  __m256i t[8], u[8];
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_epi32(v[i], v[i + 1]);
+    t[i + 1] = _mm256_unpackhi_epi32(v[i], v[i + 1]);
+  }
+  for (int i = 0; i < 8; i += 4) {
+    u[i] = _mm256_unpacklo_epi64(t[i], t[i + 2]);
+    u[i + 1] = _mm256_unpackhi_epi64(t[i], t[i + 2]);
+    u[i + 2] = _mm256_unpacklo_epi64(t[i + 1], t[i + 3]);
+    u[i + 3] = _mm256_unpackhi_epi64(t[i + 1], t[i + 3]);
+  }
+  for (int i = 0; i < 4; ++i) {
+    v[i] = _mm256_permute2x128_si256(u[i], u[i + 4], 0x20);
+    v[i + 4] = _mm256_permute2x128_si256(u[i], u[i + 4], 0x31);
+  }
+}
+
+#endif  // CQ_SIMD_X86
 
 /// Codes of raw activations: clamp to [0, hi] (NaN -> 0) and round onto
 /// the grid — encode_activations_into's arithmetic, via the same helper.
@@ -378,7 +458,7 @@ struct EncodeRaw {
   std::uint32_t operator()(float v) const {
     return static_cast<std::uint32_t>(quant::activation_code(v, hi, to_code));
   }
-#if CQ_HAVE_AMX
+#if CQ_SIMD_X86
   /// The same clip, scale and round_code on 8 lanes, in the same float
   /// operations: cvttps2dq is round_code's truncating cast, and a lane
   /// whose fraction reaches 0.5 subtracts its all-ones compare mask.
@@ -400,110 +480,12 @@ struct CastCodes {
   std::uint32_t operator()(float v) const {
     return static_cast<std::uint32_t>(static_cast<std::int32_t>(v));
   }
-#if CQ_HAVE_AMX
+#if CQ_SIMD_X86
   __attribute__((target("avx2"))) __m256i operator()(const __m256& v) const {
     return _mm256_cvttps_epi32(v);
   }
 #endif
 };
-
-/// Writes `count` words; word i packs the codes of channels c < channels
-/// (<= G), read from src[c * cstride + i * step], into its lanes. Lanes
-/// past `channels` stay zero: tail channels are code 0, activation 0.0.
-/// The unit-step instantiation is the one the compiler vectorizes.
-template <int G, bool kUnitStep, typename Code>
-void pack_words(const float* src, std::size_t cstride, std::size_t step, int channels,
-                std::size_t count, std::uint32_t* dst, Code code) {
-  constexpr int kWidth = 32 / G;
-  if constexpr (kUnitStep) step = 1;
-  if (channels == G) {
-    for (std::size_t i = 0; i < count; ++i) {
-      std::uint32_t word = 0;
-      for (int c = 0; c < G; ++c) {
-        word |= code(src[static_cast<std::size_t>(c) * cstride + i * step]) << (c * kWidth);
-      }
-      dst[i] = word;
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint32_t word = 0;
-    for (int c = 0; c < channels; ++c) {
-      word |= code(src[static_cast<std::size_t>(c) * cstride + i * step]) << (c * kWidth);
-    }
-    dst[i] = word;
-  }
-}
-
-/// One sample's code image: stride^2 phase planes — phase (ry, rx)
-/// holds the zero-padded input pixels (s*Y + ry, s*X + rx) — each laid
-/// out [channel groups][rows][cols]. Output (oy, ox) at tap (ky, kx)
-/// reads pixel (oy + ky/s, ox + kx/s) of phase (ky%s, kx%s), so 8
-/// consecutive outputs read 8 consecutive words for every stride.
-struct ImageLayout {
-  ImageLayout(int g, int channels, int height, int width, int stride, int pad)
-      : stride(stride),
-        pad(pad),
-        height(height),
-        width(width),
-        groups(groups_of(channels, g)),
-        rows(static_cast<std::size_t>((height + 2 * pad + stride - 1) / stride)),
-        cols(static_cast<std::size_t>((width + 2 * pad + stride - 1) / stride)),
-        plane(rows * cols),
-        phase_words(groups * plane),
-        sample_words(static_cast<std::size_t>(stride) * static_cast<std::size_t>(stride) *
-                     phase_words) {}
-
-  /// Word offset of phase (ry, rx), group 0, row qy, col qx.
-  std::size_t offset(int ry, int rx, int qy, int qx) const {
-    return static_cast<std::size_t>(ry * stride + rx) * phase_words +
-           static_cast<std::size_t>(qy) * cols + static_cast<std::size_t>(qx);
-  }
-
-  int stride, pad, height, width;
-  std::size_t groups, rows, cols, plane, phase_words, sample_words;
-};
-
-/// First phase index whose padded coordinate s*i + r - pad is >= 0.
-int first_inside(int pad, int r, int s) { return pad > r ? (pad - r + s - 1) / s : 0; }
-
-/// How many of x0, x0 + s, ... lie below `extent`.
-int count_inside(int x0, int extent, int s) {
-  return x0 < extent ? (extent - x0 + s - 1) / s : 0;
-}
-
-/// Encodes channels [c0, c0 + channels) of one sample — `src` points at
-/// channel c0's plane — into their group of every phase plane, borders
-/// zero.
-template <int G, typename Code>
-void encode_group(const float* src, int channels, const ImageLayout& img,
-                  std::uint32_t* group_image, Code code) {
-  const int s = img.stride;
-  const auto hw = static_cast<std::size_t>(img.height) * static_cast<std::size_t>(img.width);
-  for (int ry = 0; ry < s; ++ry) {
-    const int y_first = first_inside(img.pad, ry, s);
-    const int y0 = s * y_first + ry - img.pad;
-    const int ny = count_inside(y0, img.height, s);
-    for (int rx = 0; rx < s; ++rx) {
-      std::uint32_t* plane = group_image + img.offset(ry, rx, 0, 0);
-      std::fill(plane, plane + img.plane, 0u);
-      const int x_first = first_inside(img.pad, rx, s);
-      const int x0 = s * x_first + rx - img.pad;
-      const auto nx = static_cast<std::size_t>(count_inside(x0, img.width, s));
-      for (int i = 0; i < ny; ++i) {
-        const float* row = src + static_cast<std::size_t>(y0 + i * s) * img.width + x0;
-        std::uint32_t* dst = plane + static_cast<std::size_t>(y_first + i) * img.cols +
-                             static_cast<std::size_t>(x_first);
-        if (s == 1) {
-          pack_words<G, true>(row, hw, 1, channels, nx, dst, code);
-        } else {
-          pack_words<G, false>(row, hw, static_cast<std::size_t>(s), channels, nx, dst,
-                               code);
-        }
-      }
-    }
-  }
-}
 
 /// Runs body(code) with the adoption functor for `grid`.
 template <typename Body>
@@ -517,65 +499,141 @@ void with_adoption(ActGrid grid, Body&& body) {
   }
 }
 
-/// Adopts [batch][channels][height][width] float activations into the
-/// batch's code images, chunked over (sample, channel group).
-void encode_image(const float* acts, ActGrid grid, int batch, int channels, int g,
-                  const ImageLayout& img, std::uint32_t* image,
-                  const util::ExecContext& exec) {
-  const auto hw = static_cast<std::size_t>(img.height) * static_cast<std::size_t>(img.width);
-  const auto groups = static_cast<std::int64_t>(img.groups);
-  const util::ExecContext limited =
-      exec.capped(static_cast<std::int64_t>(hw) * channels * batch / kMinElementsPerThread);
-  with_codes_per_word(g, [&](auto group) {
-    constexpr int G = decltype(group)::value;
-    with_adoption(grid, [&](auto code) {
-      limited.parallel_for(0, batch * groups, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t task = lo; task < hi; ++task) {
-          const std::int64_t n = task / groups;
-          const int c0 = static_cast<int>(task % groups) * G;
-          encode_group<G>(acts + (static_cast<std::size_t>(n) * channels + c0) * hw,
-                          std::min(G, channels - c0), img,
-                          image + static_cast<std::size_t>(n) * img.sample_words +
-                              static_cast<std::size_t>(c0 / G) * img.plane,
-                          code);
-        }
-      });
-    });
-  });
+/// Writes one pixel's ceil(channels / G) words: word i packs the codes
+/// of channels i * G .. i * G + G - 1, read from src[c * cstride], into
+/// its lanes, channel c in lane c % G — the little-endian lane order the
+/// multiply-add instructions read. Lanes past `channels` stay zero: tail
+/// channels are code 0, activation 0.0.
+template <int G, typename Code>
+void pack_words(const float* src, std::size_t cstride, int channels, std::uint32_t* dst,
+                Code code) {
+  constexpr int kWidth = 32 / G;
+  const int full = channels / G;
+  for (int i = 0; i < full; ++i) {
+    std::uint32_t word = 0;
+    for (int c = 0; c < G; ++c) {
+      word |= code(src[static_cast<std::size_t>(i * G + c) * cstride]) << (c * kWidth);
+    }
+    dst[i] = word;
+  }
+  if (full * G < channels) {
+    std::uint32_t word = 0;
+    for (int c = full * G; c < channels; ++c) {
+      word |= code(src[static_cast<std::size_t>(c) * cstride]) << ((c - full * G) * kWidth);
+    }
+    dst[full] = word;
+  }
 }
 
-/// Adopts [batch][features] float activations into one zero-padded row
-/// of words per sample (the 1x1 image a linear kernel reads).
-void encode_rows(const float* acts, ActGrid grid, int batch, int features, int g,
-                 std::uint32_t* image, const util::ExecContext& exec) {
-  const std::size_t words = groups_of(features, g);
-  const util::ExecContext limited =
-      exec.capped(static_cast<std::int64_t>(features) * batch / kMinElementsPerThread);
-  with_codes_per_word(g, [&](auto group) {
-    constexpr int G = decltype(group)::value;
-    const std::size_t full = static_cast<std::size_t>(features) / G;
-    const int tail = features % G;
-    with_adoption(grid, [&](auto code) {
-      limited.parallel_for(0, batch, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t n = lo; n < hi; ++n) {
-          const float* src = acts + static_cast<std::size_t>(n) * features;
-          std::uint32_t* dst = image + static_cast<std::size_t>(n) * words;
-          pack_words<G, false>(src, 1, G, G, full, dst, code);
-          if (tail > 0) pack_words<G, false>(src + full * G, 1, G, tail, 1, dst + full, code);
+/// Adopts one sample's [channels][height][width] activations into its
+/// image pixel by pixel, in plain C++: the encoder of the SSE2 and
+/// generic kernels and of every linear op.
+template <int G, typename Code>
+void encode_sample(const float* src, int channels, int height, int width,
+                   const ImageGeometry& geo, std::uint32_t* image, Code code) {
+  const auto hw = static_cast<std::size_t>(height) * static_cast<std::size_t>(width);
+  if (hw == 1 && geo.pad == 0) {  // a linear op's row: unit stride, which vectorizes
+    pack_words<G>(src, 1, channels, image, code);
+    return;
+  }
+  for (int y = 0; y < height; ++y) {
+    std::uint32_t* dst = image + static_cast<std::size_t>(y + geo.pad) * geo.row +
+                         static_cast<std::size_t>(geo.pad) * geo.pixel;
+    for (int x = 0; x < width; ++x, dst += geo.pixel) {
+      pack_words<G>(src + static_cast<std::size_t>(y) * width + x, hw, channels, dst, code);
+    }
+  }
+}
+
+#if CQ_SIMD_X86
+
+/// The same adoption in one AVX2 pass, for the avx2-, vnni- and amx-tier
+/// kernels: per input row and 8 pixels at a time, build each word from G
+/// channels' codes (pack_words's lane order) and transpose 8 words x 8
+/// pixels so each pixel's words are stored together.
+template <int G, typename Code>
+__attribute__((target("avx2"))) void encode_sample_avx2(const float* src, int channels,
+                                                        int height, int width,
+                                                        const ImageGeometry& geo,
+                                                        std::uint32_t* image, Code code) {
+  constexpr int kWidth = 32 / G;
+  const auto hw = static_cast<std::size_t>(height) * static_cast<std::size_t>(width);
+  const int words = static_cast<int>(geo.pixel);
+  for (int y = 0; y < height; ++y) {
+    std::uint32_t* const row = image + static_cast<std::size_t>(y + geo.pad) * geo.row +
+                               static_cast<std::size_t>(geo.pad) * geo.pixel;
+    for (int x = 0; x < width; x += 8) {
+      const int n = std::min(8, width - x);
+      const __m256i pixels = first_lanes(n);
+      const float* const at = src + static_cast<std::size_t>(y) * width + x;
+      for (int w0 = 0; w0 < words; w0 += 8) {
+        __m256i v[8];
+        for (int w = 0; w < 8; ++w) {
+          v[w] = _mm256_setzero_si256();
+          for (int i = 0, c = (w0 + w) * G; i < G && c < channels; ++i, ++c) {
+            const float* const p = at + static_cast<std::size_t>(c) * hw;
+            const __m256 a = n == 8 ? _mm256_loadu_ps(p) : _mm256_maskload_ps(p, pixels);
+            v[w] = _mm256_or_si256(v[w], _mm256_slli_epi32(code(a), kWidth * i));
+          }
         }
-      });
+        transpose8(v);
+        const __m256i keep = first_lanes(words - w0);
+        for (int p = 0; p < n; ++p) {
+          _mm256_maskstore_epi32(
+              reinterpret_cast<int*>(row + static_cast<std::size_t>(x + p) * geo.pixel + w0),
+              keep, v[p]);
+        }
+      }
+    }
+  }
+}
+
+#endif  // CQ_SIMD_X86
+
+/// Adopts [batch][channels][height][width] float activations into the
+/// batch's image for `kernel`, one sample per task, and zeroes the
+/// border and the slack. Both encoders write every word of every input
+/// pixel.
+void adopt_image(const float* acts, ActGrid grid, int batch, int channels, int height,
+                 int width, Kernel kernel, const ImageGeometry& geo, std::uint32_t* image,
+                 const util::ExecContext& exec) {
+  const auto hw = static_cast<std::size_t>(height) * static_cast<std::size_t>(width);
+  const std::size_t per_sample = static_cast<std::size_t>(channels) * hw;
+  // Every kernel but SSE2's and the generic one runs at a tier with AVX2;
+  // a single pixel (a linear op's features) packs faster in plain C++.
+  const bool avx2 = hw > 1 && kernel != Kernel::kSse2I16 && kernel != Kernel::kGeneric;
+  std::fill(image + static_cast<std::size_t>(batch) * geo.sample, image + geo.words(batch), 0u);
+  with_codes_per_word(codes_per_word(kernel), [&](auto group) {
+    constexpr int G = decltype(group)::value;
+    with_adoption(grid, [&](auto code) {
+      exec.capped(static_cast<std::int64_t>(per_sample) * batch / kMinElementsPerThread)
+          .parallel_for(0, batch, [&](std::int64_t lo, std::int64_t hi) {
+            for (std::int64_t n = lo; n < hi; ++n) {
+              const float* const src = acts + static_cast<std::size_t>(n) * per_sample;
+              std::uint32_t* const dst = image + static_cast<std::size_t>(n) * geo.sample;
+              if (geo.pad > 0) std::fill(dst, dst + geo.sample, 0u);  // the border
+#if CQ_SIMD_X86
+              if (G > 1 && avx2) {
+                encode_sample_avx2<G>(src, channels, height, width, geo, dst, code);
+                continue;
+              }
+#endif
+              encode_sample<G>(src, channels, height, width, geo, dst, code);
+            }
+          });
     });
   });
 }
 
 // ---------------------------------------------------------------------------
-// MAC kernels: one conv loop (conv_rows) and one linear loop
-// (linear_tiles), each a template over a MAC policy. A policy supplies
-// only what differs between tiers: its vector type, its int32 lane count
-// kLanes, and zero / load / splat / mac (multiply-add) / store (rescale
-// the first lanes into floats) / spill (copy out the int32 lanes).
-// Vectors pass by reference, never by value: a by-value AVX vector in a
-// baseline-ISA template instance would change the psABI (-Wpsabi).
+// MAC kernels: one loop (block_sums) behind a conv frame (conv_block) and
+// a linear frame (linear_tiles), each a template over a MAC policy. A
+// policy supplies only what differs between tiers: its vector type, its
+// int32 lane count kLanes, and zero / load / splat / mac (multiply-add)
+// / add / transpose (kLanes x kLanes lanes) / store (rescale the first
+// lanes into floats) / spill (copy out the int32 lanes). Vectors pass by
+// reference, never by value: a by-value AVX vector in a baseline-ISA
+// template instance would change the psABI (-Wpsabi).
 // ---------------------------------------------------------------------------
 
 /// Kernel::kGeneric: GNU C vector extensions at the build's baseline
@@ -591,6 +649,15 @@ struct GenericMac {
   static void load(Vec& v, const std::uint32_t* p) { std::memcpy(&v, p, sizeof(v)); }
   static void splat(Vec& v, std::uint32_t word) { v = Vec{} + static_cast<std::int32_t>(word); }
   static void mac(Vec& acc, const Vec& a, const Vec& w) { acc += a * w; }
+  static void add(Vec& acc, const Vec& v) { acc += v; }
+  /// Through a spill: no shuffle is portable across vector ISAs.
+  static void transpose(Vec (&v)[kLanes]) {
+    std::int32_t t[kLanes][kLanes];
+    for (int r = 0; r < kLanes; ++r) {
+      for (int c = 0; c < kLanes; ++c) t[c][r] = v[r][c];
+    }
+    std::memcpy(v, t, sizeof(t));
+  }
   static void store(float* dst, const Vec& acc, float scale, float bias, std::size_t lanes) {
     const VecF o = __builtin_convertvector(acc, VecF) * scale + bias;
     std::memcpy(dst, &o, lanes * sizeof(float));
@@ -615,6 +682,15 @@ struct Sse2PairMac {
   }
   static void mac(Vec& acc, const Vec& a, const Vec& w) {
     acc = _mm_add_epi32(acc, _mm_madd_epi16(a, w));
+  }
+  static void add(Vec& acc, const Vec& v) { acc = _mm_add_epi32(acc, v); }
+  static void transpose(Vec (&v)[kLanes]) {
+    const __m128i t0 = _mm_unpacklo_epi32(v[0], v[1]), t1 = _mm_unpackhi_epi32(v[0], v[1]);
+    const __m128i t2 = _mm_unpacklo_epi32(v[2], v[3]), t3 = _mm_unpackhi_epi32(v[2], v[3]);
+    v[0] = _mm_unpacklo_epi64(t0, t2);
+    v[1] = _mm_unpackhi_epi64(t0, t2);
+    v[2] = _mm_unpacklo_epi64(t1, t3);
+    v[3] = _mm_unpackhi_epi64(t1, t3);
   }
   static void store(float* dst, const Vec& acc, float scale, float bias, std::size_t lanes) {
     const __m128 o =
@@ -655,6 +731,10 @@ struct Avx2PairMac {
   __attribute__((target("avx2"))) static void mac(Vec& acc, const Vec& a, const Vec& w) {
     acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a, w));
   }
+  __attribute__((target("avx2"))) static void add(Vec& acc, const Vec& v) {
+    acc = _mm256_add_epi32(acc, v);
+  }
+  __attribute__((target("avx2"))) static void transpose(Vec (&v)[kLanes]) { transpose8(v); }
   __attribute__((target("avx2"))) static void store(float* dst, const Vec& acc, float scale,
                                                     float bias, std::size_t lanes) {
     const __m256 o = _mm256_add_ps(
@@ -739,119 +819,138 @@ void with_mac(Kernel kernel, Body&& body) {
   }
 }
 
-/// What the conv kernel reads for one sample.
-struct ConvView {
-  const std::uint32_t* image = nullptr;  ///< the sample's code image
-  const std::size_t* tap_offset = nullptr;  ///< [taps] image offset per tap
-  std::size_t plane = 0;  ///< words between channel groups
-  std::size_t cols = 0;   ///< words per image row
-  std::size_t groups = 0;
-  int taps = 0;
-  int oh = 0, ow = 0;
-  float act_scale = 0.0f;
-};
-
 /// Filters of tile `tile` that exist (the last tile may be partial).
 int tile_filters(const PackedSimd& packed, std::size_t tile) {
   return static_cast<int>(std::min<std::size_t>(
       kFilterTile, static_cast<std::size_t>(packed.num_filters) - tile * kFilterTile));
 }
 
-/// Output rows [y0, y1) of one 8-filter tile for one sample, strip by
-/// strip of kLanes output positions: for every tap and channel group the
-/// strip's image words are loaded once and multiply-added against the 8
-/// filters' weight words of that panel row. Pruned and tail filters have
-/// zero words and add exact zeros; multiplying them anyway keeps the
-/// inner loop free of branches, which is faster than skipping them.
-template <typename Mac>
-void conv_rows(const PackedSimd& packed, const ConvView& v, float* out_n, std::size_t tile,
-               int y0, int y1) {
+/// The one vector MAC loop: the sums of one 8-filter tile for kP
+/// columns at once — a conv's output positions or a linear op's
+/// samples — where column p reads `rows` runs of `run` words, the run of
+/// kernel row ky starting at at[p] + ky * row; column p's sums end in
+/// acc[p][0]. For each kernel row and
+/// each word q of its run, the panel row of 8 filter words (kFilterTile
+/// / kLanes vectors) is loaded once and multiplied against each column's
+/// broadcast word. Pruned and tail filters have zero words, and zero
+/// codes (ReLU zeros, padding) multiply through too: a data-dependent
+/// skip mispredicts more than it saves. The kChains accumulator rows of
+/// each column split its reduction into that many chains over
+/// consecutive words, so a block of fewer than 4 columns keeps several
+/// multiply-adds in flight instead of waiting out vpdpbusd's latency
+/// word by word; integer sums are exact in any grouping, so the chains
+/// are added up at the end.
+template <typename Mac, int kP, int kChains, int kParts>
+void block_sums(const std::uint32_t* panel, const std::uint32_t* const (&at)[kP], int rows,
+                std::size_t row, std::size_t run,
+                typename Mac::Vec (&acc)[kP][kChains][kParts]) {
   using Vec = typename Mac::Vec;
-  const std::size_t k0 = tile * kFilterTile;
-  const int kt = tile_filters(packed, tile);
-  const std::size_t spatial = static_cast<std::size_t>(v.oh) * v.ow;
-  const std::uint32_t* panel =
-      packed.panels.data() + tile * static_cast<std::size_t>(v.taps) * v.groups * kFilterTile;
-  for (int oy = y0; oy < y1; ++oy) {
-    for (int ox = 0; ox < v.ow; ox += Mac::kLanes) {
-      Vec acc[kFilterTile];
-      for (Vec& a : acc) Mac::zero(a);
-      const std::uint32_t* origin = v.image + static_cast<std::size_t>(oy) * v.cols + ox;
-      const std::uint32_t* w = panel;
-      for (int t = 0; t < v.taps; ++t) {
-        const std::uint32_t* strip = origin + v.tap_offset[t];
-        for (std::size_t g = 0; g < v.groups; ++g, strip += v.plane, w += kFilterTile) {
-          Vec a;
-          Mac::load(a, strip);
-          for (int f = 0; f < kFilterTile; ++f) {
-            Vec wv;
-            Mac::splat(wv, w[f]);
-            Mac::mac(acc[f], a, wv);
+  static_assert(kParts * Mac::kLanes == kFilterTile, "one panel row is kParts vectors");
+  for (int b = 0; b < kP; ++b) {
+    for (int c = 0; c < kChains; ++c) {
+      for (int p = 0; p < kParts; ++p) Mac::zero(acc[b][c][p]);
+    }
+  }
+  for (int ky = 0; ky < rows; ++ky) {
+    const std::size_t offset = static_cast<std::size_t>(ky) * row;
+    const std::uint32_t* const w = panel + static_cast<std::size_t>(ky) * run * kFilterTile;
+    const auto step = [&](std::size_t q, int c) {
+      Vec wv[kParts];
+      for (int p = 0; p < kParts; ++p) Mac::load(wv[p], w + q * kFilterTile + p * Mac::kLanes);
+      for (int b = 0; b < kP; ++b) {
+        Vec a;
+        Mac::splat(a, at[b][offset + q]);
+        for (int p = 0; p < kParts; ++p) Mac::mac(acc[b][c][p], a, wv[p]);
+      }
+    };
+    std::size_t q = 0;
+    for (; q + kChains <= run; q += kChains) {
+      for (int c = 0; c < kChains; ++c) step(q + static_cast<std::size_t>(c), c);
+    }
+    for (; q < run; ++q) step(q, 0);
+  }
+  for (auto& column : acc) {
+    for (int c = 1; c < kChains; ++c) {
+      for (int p = 0; p < kParts; ++p) Mac::add(column[0][p], column[c][p]);
+    }
+  }
+}
+
+/// Output rows [y0, y1) of one sample, tile by tile, kLanes output
+/// positions of a row at a time (a row's last block repeats its last
+/// position in the lanes past the row end and stores only the real
+/// ones). The kLanes x 8 sums are transposed into filter-major vectors
+/// and rescaled with the scalar kernel's expression.
+template <typename Mac>
+void conv_block(const PackedSimd& packed, const ImageGeometry& geo, const std::uint32_t* image,
+                float act_scale, float* out_n, int y0, int y1) {
+  using Vec = typename Mac::Vec;
+  constexpr int kP = Mac::kLanes;
+  constexpr int kParts = kFilterTile / Mac::kLanes;
+  const std::size_t spatial = static_cast<std::size_t>(geo.oh) * static_cast<std::size_t>(geo.ow);
+  const std::size_t run = static_cast<std::size_t>(geo.kernel) * geo.pixel;
+  const std::size_t step = static_cast<std::size_t>(geo.stride) * geo.pixel;
+  const std::size_t tiles =
+      (static_cast<std::size_t>(packed.num_filters) + kFilterTile - 1) / kFilterTile;
+  for (std::size_t tile = 0; tile < tiles; ++tile) {
+    const std::uint32_t* const panel =
+        packed.panels.data() + tile * static_cast<std::size_t>(geo.kernel) * run * kFilterTile;
+    const int kt = tile_filters(packed, tile);
+    float scale[kFilterTile], bias[kFilterTile];
+    for (int f = 0; f < kt; ++f) {
+      scale[f] = packed.weight_scales[tile * kFilterTile + static_cast<std::size_t>(f)] * act_scale;
+      bias[f] = packed.out_bias[tile * kFilterTile + static_cast<std::size_t>(f)];
+    }
+    float* const out_tile = out_n + tile * kFilterTile * spatial;
+    for (int oy = y0; oy < y1; ++oy) {
+      for (int ox = 0; ox < geo.ow; ox += kP) {
+        const int n = std::min(kP, geo.ow - ox);
+        const std::uint32_t* at[kP] = {image + geo.at(oy, ox)};
+        for (int p = 1; p < kP; ++p) at[p] = p < n ? at[p - 1] + step : at[p - 1];
+        Vec acc[kP][1][kParts];
+        block_sums<Mac>(panel, at, geo.kernel, geo.row, run, acc);
+        float* const dst = out_tile + static_cast<std::size_t>(oy) * geo.ow + ox;
+        for (int part = 0; part < kParts; ++part) {
+          Vec v[kP];
+          for (int p = 0; p < kP; ++p) {
+            v[p] = acc[p][0][part];
+            // Through memory: transposing the sums straight out of the
+            // loop's registers makes GCC copy every accumulator on every
+            // iteration of block_sums, a fifth slower.
+            asm volatile("" : "+m"(v[p]));
+          }
+          Mac::transpose(v);
+          for (int f = 0; f < kP && part * kP + f < kt; ++f) {
+            const int k = part * kP + f;
+            Mac::store(dst + static_cast<std::size_t>(k) * spatial, v[f], scale[k], bias[k],
+                       static_cast<std::size_t>(n));
           }
         }
-      }
-      const auto lanes = static_cast<std::size_t>(std::min(Mac::kLanes, v.ow - ox));
-      float* dst = out_n + static_cast<std::size_t>(oy) * v.ow + ox;
-      for (int f = 0; f < kt; ++f) {
-        const std::size_t k = k0 + static_cast<std::size_t>(f);
-        Mac::store(dst + k * spatial, acc[f], packed.weight_scales[k] * v.act_scale,
-                   packed.out_bias[k], lanes);
       }
     }
   }
 }
 
 /// One filter tile of a linear op for kSamples samples (image rows and
-/// output rows start at the block's first sample): per image word, the
-/// 8-filter panel row (kFilterTile / kLanes vectors) is multiplied
-/// against each sample's broadcast word. Zero words (ReLU zeros,
-/// padding) multiply through too: a data-dependent skip mispredicts more
-/// than it saves. The kBatchBlock / kSamples accumulator rows a small
-/// block leaves free split each sample's reduction into that many
-/// chains over consecutive words, so a batch-1 sweep keeps several
-/// multiply-adds in flight instead of waiting out vpdpbusd's latency
-/// word by word; integer sums are exact in any grouping. The rescale is
-/// the scalar kernel's expression, filter by filter.
+/// output rows start at the block's first sample): block_sums over each
+/// sample's one run of `words` words with kBatchBlock / kSamples chains,
+/// then the scalar kernel's rescale filter by filter.
 template <typename Mac, int kSamples>
 void linear_block(const PackedSimd& packed, float act_scale, const std::uint32_t* image,
                   std::size_t words, std::size_t tile, float* out) {
   using Vec = typename Mac::Vec;
   constexpr int kParts = kFilterTile / Mac::kLanes;
-  constexpr int kChains = kBatchBlock / kSamples;
-  const std::uint32_t* panel = packed.panels.data() + tile * words * kFilterTile;
-  Vec acc[kSamples][kChains][kParts];
-  for (auto& sample : acc) {
-    for (auto& chain : sample) {
-      for (Vec& part : chain) Mac::zero(part);
-    }
-  }
-  const auto step = [&](std::size_t q, int c) {
-    Vec w[kParts];
-    for (int p = 0; p < kParts; ++p) {
-      Mac::load(w[p], panel + q * kFilterTile + p * Mac::kLanes);
-    }
-    for (int b = 0; b < kSamples; ++b) {
-      Vec a;
-      Mac::splat(a, image[static_cast<std::size_t>(b) * words + q]);
-      for (int p = 0; p < kParts; ++p) Mac::mac(acc[b][c][p], a, w[p]);
-    }
-  };
-  std::size_t q = 0;
-  for (; q + kChains <= words; q += kChains) {
-    for (int c = 0; c < kChains; ++c) step(q + static_cast<std::size_t>(c), c);
-  }
-  for (; q < words; ++q) step(q, 0);
+  const std::uint32_t* at[kSamples];
+  for (int b = 0; b < kSamples; ++b) at[b] = image + static_cast<std::size_t>(b) * words;
+  Vec acc[kSamples][kBatchBlock / kSamples][kParts];
+  block_sums<Mac>(packed.panels.data() + tile * words * kFilterTile, at, 1, 0, words, acc);
 
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
   const std::size_t k0 = tile * kFilterTile;
   const int kt = tile_filters(packed, tile);
   for (int b = 0; b < kSamples; ++b) {
-    std::int32_t sums[kFilterTile] = {};
-    for (const auto& chain : acc[b]) {
-      std::int32_t lanes[kFilterTile];
-      for (int p = 0; p < kParts; ++p) Mac::spill(lanes + p * Mac::kLanes, chain[p]);
-      for (int f = 0; f < kFilterTile; ++f) sums[f] += lanes[f];
-    }
+    std::int32_t sums[kFilterTile];
+    for (int p = 0; p < kParts; ++p) Mac::spill(sums + p * Mac::kLanes, acc[b][0][p]);
     float* row = out + static_cast<std::size_t>(b) * filters;
     for (int f = 0; f < kt; ++f) {
       const std::size_t k = k0 + static_cast<std::size_t>(f);
@@ -891,121 +990,46 @@ void linear_tiles(const PackedSimd& packed, float act_scale, const std::uint32_t
   }
 }
 
-// ---------------------------------------------------------------------------
-// The amx conv: tdpbusd tiles over a position-major code image.
-// ---------------------------------------------------------------------------
-
-/// The amx conv's image and A-tile addressing. Each sample's image is
-/// [height + 2 pad][width + 2 pad][pixel] bytes with zero borders. The
-/// A tile of the m output positions ox0 .. ox0 + m - 1 of output row oy
-/// reads, for kernel row ky and K-chunk j, `chunk` bytes per row from
-/// a_tile(oy, ox0, ky, j) on, its rows a_stride() bytes apart. The last
-/// K-chunk of a run may read up to 63 bytes past it (into the next
-/// pixels, against zero weights), so kSlack zero bytes follow the last
-/// sample.
-struct TileGeometry {
-  TileGeometry(int in_c, int height, int width, int kernel, int stride, int pad)
-      : run(in_c, kernel),
-        kernel(kernel),
-        stride(stride),
-        oh((height + 2 * pad - kernel) / stride + 1),
-        ow((width + 2 * pad - kernel) / stride + 1),
-        m(std::min(kTileRows, ow)),
-        row(static_cast<std::size_t>(width + 2 * pad) * run.pixel),
-        sample(static_cast<std::size_t>(height + 2 * pad) * row) {}
-
-  static constexpr std::size_t kSlack = kTileRowBytes;
-
-  std::size_t a_stride() const { return static_cast<std::size_t>(stride) * run.pixel; }
-  /// Segments of m positions that cover one output row.
-  int segments_per_row() const { return (ow + m - 1) / m; }
-  std::size_t a_tile(int oy, int ox0, int ky, std::size_t j) const {
-    return static_cast<std::size_t>(oy * stride + ky) * row +
-           static_cast<std::size_t>(ox0) * a_stride() + j * run.chunk;
+/// Runs body(n, y0, y1) for a conv's (sample n, output rows [y0, y1))
+/// tasks, every filter each, the rule both conv frames share: a task
+/// holds at least kMinMacsPerThread, so ops too small to repay a thread
+/// dispatch run on the calling thread. The amx frame pairs segments
+/// into its two A tiles, so a task with an odd segment count computes
+/// its last one twice: where a row holds an odd number of segments,
+/// tasks take an even number of rows.
+template <typename Body>
+void for_row_blocks(const PackedSimd& packed, const ImageGeometry& geo, int batch,
+                    const util::ExecContext& exec, Body&& body) {
+  const std::int64_t row_macs = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(geo.ow) * packed.num_filters * packed.weights_per_filter);
+  auto rows_per_task = static_cast<int>(std::clamp<std::int64_t>(
+      (kMinMacsPerThread + row_macs - 1) / row_macs, 1, geo.oh));
+  if (geo.segments_per_row() % 2 == 1 && rows_per_task % 2 == 1 && rows_per_task < geo.oh) {
+    ++rows_per_task;
   }
-  std::size_t image_bytes(int batch) const {
-    return static_cast<std::size_t>(batch) * sample + kSlack;
-  }
+  const std::int64_t row_blocks = (geo.oh + rows_per_task - 1) / rows_per_task;
+  exec.capped(batch * geo.oh * row_macs / kMinMacsPerThread)
+      .parallel_for(0, batch * row_blocks, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t task = lo; task < hi; ++task) {
+          const int y0 = static_cast<int>(task % row_blocks) * rows_per_task;
+          body(static_cast<std::size_t>(task / row_blocks), y0,
+               std::min(geo.oh, y0 + rows_per_task));
+        }
+      });
+}
 
-  TileRun run;
-  int kernel, stride, oh, ow, m;
-  std::size_t row, sample;
-};
+// ---------------------------------------------------------------------------
+// The amx conv: tdpbusd tiles over the code image.
+// ---------------------------------------------------------------------------
 
 #if CQ_HAVE_AMX
-
-/// The first n epi32 lanes set.
-__attribute__((target("avx2"))) __m256i first_lanes(int n) {
-  return _mm256_cmpgt_epi32(_mm256_set1_epi32(n), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-}
-
-/// Transposes the 8x8 words v[row] lane by lane, in place.
-__attribute__((target("avx2"))) void transpose8(__m256i (&v)[8]) {
-  __m256i t[8], u[8];
-  for (int i = 0; i < 8; i += 2) {
-    t[i] = _mm256_unpacklo_epi32(v[i], v[i + 1]);
-    t[i + 1] = _mm256_unpackhi_epi32(v[i], v[i + 1]);
-  }
-  for (int i = 0; i < 8; i += 4) {
-    u[i] = _mm256_unpacklo_epi64(t[i], t[i + 2]);
-    u[i + 1] = _mm256_unpackhi_epi64(t[i], t[i + 2]);
-    u[i + 2] = _mm256_unpacklo_epi64(t[i + 1], t[i + 3]);
-    u[i + 3] = _mm256_unpackhi_epi64(t[i + 1], t[i + 3]);
-  }
-  for (int i = 0; i < 4; ++i) {
-    v[i] = _mm256_permute2x128_si256(u[i], u[i + 4], 0x20);
-    v[i + 4] = _mm256_permute2x128_si256(u[i], u[i + 4], 0x31);
-  }
-}
-
-/// Adopts one sample's [channels][height][width] activations into its
-/// amx image in one AVX2 pass: zero it, then per input row and 8 pixels
-/// at a time build each word from 4 channels' codes (channel c in byte
-/// c % 4 of word c / 4, pack_words's order) and transpose 8 words x 8
-/// pixels so each pixel's words are stored together.
-template <typename Code>
-__attribute__((target("avx2"))) void encode_tile_sample(const float* src, int channels,
-                                                        int height, int width, int pad,
-                                                        const TileGeometry& geo,
-                                                        unsigned char* image, Code code) {
-  std::memset(image, 0, geo.sample);
-  const auto hw = static_cast<std::size_t>(height) * static_cast<std::size_t>(width);
-  const int words = static_cast<int>(geo.run.pixel / 4);
-  for (int y = 0; y < height; ++y) {
-    unsigned char* const row = image + static_cast<std::size_t>(y + pad) * geo.row +
-                               static_cast<std::size_t>(pad) * geo.run.pixel;
-    for (int x = 0; x < width; x += 8) {
-      const int n = std::min(8, width - x);
-      const __m256i pixels = first_lanes(n);
-      const float* const at = src + static_cast<std::size_t>(y) * width + x;
-      for (int w0 = 0; w0 < words; w0 += 8) {
-        __m256i v[8];
-        for (int w = 0; w < 8; ++w) {
-          v[w] = _mm256_setzero_si256();
-          for (int i = 0, c = (w0 + w) * 4; i < 4 && c < channels; ++i, ++c) {
-            const float* const p = at + static_cast<std::size_t>(c) * hw;
-            const __m256 a = n == 8 ? _mm256_loadu_ps(p) : _mm256_maskload_ps(p, pixels);
-            v[w] = _mm256_or_si256(v[w], _mm256_slli_epi32(code(a), 8 * i));
-          }
-        }
-        transpose8(v);
-        const __m256i keep = first_lanes(words - w0);
-        for (int p = 0; p < n; ++p) {
-          _mm256_maskstore_epi32(
-              reinterpret_cast<int*>(row + static_cast<std::size_t>(x + p) * geo.run.pixel) + w0,
-              keep, v[p]);
-        }
-      }
-    }
-  }
-}
 
 /// Palette-1 tile configuration: C tiles 0-3 (m rows x 16 int32), A
 /// tiles 4-5 (m rows x chunk bytes), B tiles 6-7 (chunk / 4 rows x 64
 /// bytes). Built outside the frame: _tile_loadconfig's asm names only
 /// the first 8 bytes as its input.
 struct alignas(64) TileConfig {
-  explicit TileConfig(const TileGeometry& geo) {
+  explicit TileConfig(const ImageGeometry& geo) {
     for (int t = 0; t < 8; ++t) {
       const bool b_tile = t >= 6;
       rows[t] = static_cast<std::uint8_t>(b_tile ? geo.run.chunk / 4 : geo.m);
@@ -1026,7 +1050,7 @@ static_assert(sizeof(TileConfig) == 64, "ldtilecfg reads 64 bytes");
 /// seg[i] = {oy, ox0} of A tile i.
 template <bool kB1>
 __attribute__((target("amx-tile,amx-int8"))) void tile_sums(
-    const TileGeometry& geo, const unsigned char* image, const int (&seg)[2][2],
+    const ImageGeometry& geo, const unsigned char* image, const int (&seg)[2][2],
     const unsigned char* b0, const unsigned char* b1,
     std::int32_t (&c)[4][kTileRows * kTileFilters]) {
   _tile_zero(0);
@@ -1104,7 +1128,7 @@ __attribute__((target("avx2"))) void store_tile(const std::int32_t* acc, const f
 /// tdpbusd over 4 tile loads. In optimized builds flatten inlines every
 /// helper, so the frame makes no calls.
 __attribute__((target("amx-tile,amx-int8,avx2"), flatten)) void conv_tiles(
-    const PackedSimd& packed, const TileGeometry& geo, const TileConfig& config,
+    const PackedSimd& packed, const ImageGeometry& geo, const TileConfig& config,
     const unsigned char* image, float act_scale, float* out_n, int y0, int y1) {
   _tile_loadconfig(&config);
   alignas(64) std::int32_t c[4][kTileRows * kTileFilters];  // written by tile_sums
@@ -1150,53 +1174,6 @@ __attribute__((target("amx-tile,amx-int8,avx2"), flatten)) void conv_tiles(
   _tile_release();
 }
 
-/// conv_forward_into on a kAmxI8 pack: the image, then (sample, block of
-/// output rows) tasks of at least kMinMacsPerThread.
-void conv_forward_tiles(const PackedSimd& packed, const float* acts, ActGrid grid,
-                        float act_scale, int batch, int in_c, int height, int width,
-                        int kernel, int stride, int pad, float* out,
-                        std::vector<std::uint32_t>& image, const util::ExecContext& exec) {
-  const TileGeometry geo(in_c, height, width, kernel, stride, pad);
-  image.resize((geo.image_bytes(batch) + 3) / 4);
-  auto* const bytes = reinterpret_cast<unsigned char*>(image.data());
-  std::memset(bytes + static_cast<std::size_t>(batch) * geo.sample, 0, TileGeometry::kSlack);
-  const auto hw = static_cast<std::size_t>(height) * static_cast<std::size_t>(width);
-  with_adoption(grid, [&](auto code) {
-    exec.capped(static_cast<std::int64_t>(hw) * in_c * batch / kMinElementsPerThread)
-        .parallel_for(0, batch, [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t n = lo; n < hi; ++n) {
-            encode_tile_sample(acts + static_cast<std::size_t>(n) * in_c * hw, in_c, height,
-                               width, pad, geo, bytes + static_cast<std::size_t>(n) * geo.sample,
-                               code);
-          }
-        });
-  });
-
-  const TileConfig config(geo);
-  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  const std::size_t spatial = static_cast<std::size_t>(geo.oh) * static_cast<std::size_t>(geo.ow);
-  const std::int64_t row_macs = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(geo.ow) * packed.num_filters * packed.weights_per_filter);
-  auto rows_per_task = static_cast<int>(std::clamp<std::int64_t>(
-      (kMinMacsPerThread + row_macs - 1) / row_macs, 1, geo.oh));
-  // conv_tiles pairs segments into its two A tiles, so a task with an
-  // odd segment count computes its last one twice: where a row holds an
-  // odd number of segments, tasks take an even number of rows.
-  if (geo.segments_per_row() % 2 == 1 && rows_per_task % 2 == 1 && rows_per_task < geo.oh) {
-    ++rows_per_task;
-  }
-  const std::int64_t row_blocks = (geo.oh + rows_per_task - 1) / rows_per_task;
-  exec.capped(batch * geo.oh * row_macs / kMinMacsPerThread)
-      .parallel_for(0, batch * row_blocks, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t task = lo; task < hi; ++task) {
-          const auto n = static_cast<std::size_t>(task / row_blocks);
-          const int y0 = static_cast<int>(task % row_blocks) * rows_per_task;
-          conv_tiles(packed, geo, config, bytes + n * geo.sample, act_scale,
-                     out + n * filters * spatial, y0, std::min(geo.oh, y0 + rows_per_task));
-        }
-      });
-}
-
 #endif  // CQ_HAVE_AMX
 
 }  // namespace
@@ -1209,82 +1186,40 @@ void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid
   if (packed.taps != kernel * kernel || packed.channels != in_c) {
     throw std::invalid_argument("simd::conv_forward_into: geometry mismatch");
   }
-  const int oh = (height + 2 * pad - kernel) / stride + 1;
-  const int ow = (width + 2 * pad - kernel) / stride + 1;
-  if (oh <= 0 || ow <= 0) {
+  const ImageGeometry geo(codes_per_word(packed.kernel), in_c, height, width, kernel, stride,
+                          pad);
+  if (geo.oh <= 0 || geo.ow <= 0) {
     throw std::invalid_argument("simd::conv_forward_into: empty output");
   }
-  if (packed.kernel == Kernel::kAmxI8) {
-    if (!cpu_features().amx) {
-      throw std::logic_error(
-          "simd::conv_forward_into: the amx kernel needs AMX-INT8 and the tile permission");
-    }
+  const bool amx = packed.kernel == Kernel::kAmxI8;
+  if (amx && !cpu_features().amx) {
+    throw std::logic_error(
+        "simd::conv_forward_into: the amx kernel needs AMX-INT8 and the tile permission");
+  }
+  image.resize(geo.words(batch));
+  adopt_image(acts, grid, batch, in_c, height, width, packed.kernel, geo, image.data(), exec);
+
+  const std::size_t out_sample = static_cast<std::size_t>(packed.num_filters) *
+                                 static_cast<std::size_t>(geo.oh) *
+                                 static_cast<std::size_t>(geo.ow);
+  const std::uint32_t* const data = image.data();
+  if (amx) {
 #if CQ_HAVE_AMX
-    conv_forward_tiles(packed, acts, grid, act_scale, batch, in_c, height, width, kernel,
-                       stride, pad, out, image, exec);
+    const TileConfig config(geo);
+    for_row_blocks(packed, geo, batch, exec, [&](std::size_t n, int y0, int y1) {
+      conv_tiles(packed, geo, config,
+                 reinterpret_cast<const unsigned char*>(data + n * geo.sample), act_scale,
+                 out + n * out_sample, y0, y1);
+    });
 #endif
     return;
   }
-  const int g = codes_per_word(packed.kernel);
-  const ImageLayout img(g, in_c, height, width, stride, pad);
-  image.resize(static_cast<std::size_t>(batch) * img.sample_words + kImageSlack);
-  encode_image(acts, grid, batch, in_c, g, img, image.data(), exec);
-  std::fill(image.end() - kImageSlack, image.end(), 0u);
-
-  // Per-tap image offsets, tap = ky * kernel + kx (the panel order);
-  // kernels up to 8x8 keep the table on the stack.
-  std::array<std::size_t, 64> small_offsets{};
-  std::vector<std::size_t> large_offsets;
-  if (packed.taps > static_cast<int>(small_offsets.size())) {
-    large_offsets.resize(static_cast<std::size_t>(packed.taps));
-  }
-  std::size_t* const tap_offset =
-      large_offsets.empty() ? small_offsets.data() : large_offsets.data();
-  for (int ky = 0; ky < kernel; ++ky) {
-    for (int kx = 0; kx < kernel; ++kx) {
-      tap_offset[ky * kernel + kx] =
-          img.offset(ky % stride, kx % stride, ky / stride, kx / stride);
-    }
-  }
-
-  ConvView view;
-  view.tap_offset = tap_offset;
-  view.plane = img.plane;
-  view.cols = img.cols;
-  view.groups = img.groups;
-  view.taps = packed.taps;
-  view.oh = oh;
-  view.ow = ow;
-  view.act_scale = act_scale;
-
-  // Tasks are (sample, filter tile, block of output rows), each at
-  // least kMinMacsPerThread; consecutive tasks share a tile's panel.
-  const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
-  const std::size_t spatial = static_cast<std::size_t>(oh) * ow;
-  const auto tiles = static_cast<std::int64_t>((filters + kFilterTile - 1) / kFilterTile);
-  const std::int64_t row_macs = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(ow) * kFilterTile * packed.weights_per_filter);
-  const auto rows_per_task = static_cast<int>(
-      std::clamp<std::int64_t>((kMinMacsPerThread + row_macs - 1) / row_macs, 1, oh));
-  const std::int64_t row_blocks = (oh + rows_per_task - 1) / rows_per_task;
-  const std::int64_t tasks = batch * tiles * row_blocks;
-  const std::uint32_t* const image_data = image.data();
-  exec.capped(batch * tiles * oh * row_macs / kMinMacsPerThread)
-      .parallel_for(0, tasks, [&](std::int64_t lo, std::int64_t hi) {
-        ConvView v = view;
-        for (std::int64_t task = lo; task < hi; ++task) {
-          const std::int64_t block = task % row_blocks;
-          const std::int64_t tile = task / row_blocks % tiles;
-          const auto n = static_cast<std::size_t>(task / row_blocks / tiles);
-          v.image = image_data + n * img.sample_words;
-          const int y0 = static_cast<int>(block) * rows_per_task;
-          with_mac(packed.kernel, [&](auto mac) {
-            conv_rows<decltype(mac)>(packed, v, out + n * filters * spatial,
-                                     static_cast<std::size_t>(tile), y0,
-                                     std::min(oh, y0 + rows_per_task));
-          });
-        }
-      });
+  for_row_blocks(packed, geo, batch, exec, [&](std::size_t n, int y0, int y1) {
+    with_mac(packed.kernel, [&](auto mac) {
+      conv_block<decltype(mac)>(packed, geo, data + n * geo.sample, act_scale,
+                                out + n * out_sample, y0, y1);
+    });
+  });
 }
 
 void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid,
@@ -1298,10 +1233,9 @@ void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid gr
   if (packed.kernel == Kernel::kAmxI8) {
     throw std::invalid_argument("simd::linear_forward_into: layer was packed for a conv");
   }
-  const int g = codes_per_word(packed.kernel);
-  const std::size_t words = groups_of(in_features, g);
-  image.resize(static_cast<std::size_t>(batch) * words);
-  encode_rows(acts, grid, batch, in_features, g, image.data(), exec);
+  const ImageGeometry geo(codes_per_word(packed.kernel), in_features, 1, 1, 1, 1, 0);
+  image.resize(geo.words(batch));
+  adopt_image(acts, grid, batch, in_features, 1, 1, packed.kernel, geo, image.data(), exec);
 
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
   const auto tiles = static_cast<std::int64_t>((filters + kFilterTile - 1) / kFilterTile);
@@ -1309,7 +1243,7 @@ void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid gr
   exec.capped(static_cast<std::int64_t>(filters) * in_features * batch / kMinMacsPerThread)
       .parallel_for(0, tiles, [&](std::int64_t t0, std::int64_t t1) {
         with_mac(packed.kernel, [&](auto mac) {
-          linear_tiles<decltype(mac)>(packed, act_scale, image_data, batch, words, out, t0,
+          linear_tiles<decltype(mac)>(packed, act_scale, image_data, batch, geo.pixel, out, t0,
                                       t1);
         });
       });
@@ -1319,9 +1253,10 @@ TileImageBounds tile_image_bounds(int batch, int in_c, int height, int width, in
                                   int stride, int pad) {
   // The last A tile: the last sample's last row segment, at the last
   // kernel row and K-chunk; its row m - 1 ends `chunk` bytes on.
-  const TileGeometry geo(in_c, height, width, kernel, stride, pad);
-  return {geo.image_bytes(batch),
-          static_cast<std::size_t>(batch - 1) * geo.sample +
+  const ImageGeometry geo(4, in_c, height, width, kernel, stride, pad);
+  const std::size_t sample_bytes = geo.sample * sizeof(std::uint32_t);
+  return {geo.words(batch) * sizeof(std::uint32_t),
+          static_cast<std::size_t>(batch - 1) * sample_bytes +
               geo.a_tile(geo.oh - 1, geo.ow - geo.m, kernel - 1, geo.run.chunks - 1) +
               static_cast<std::size_t>(geo.m - 1) * geo.a_stride() + geo.run.chunk};
 }

@@ -1,17 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "deploy/artifact.h"
+#include "deploy/backend.h"
 #include "deploy/plan.h"
 #include "nn/models/mlp.h"
 #include "nn/models/resnet20.h"
 #include "nn/models/vgg_small.h"
+#include "serve/engine_session.h"
 #include "serve/zoo.h"
 #include "tensor/tensor.h"
 #include "util/crc32.h"
@@ -603,6 +608,145 @@ TEST(Artifact, ActivationCalibrationSurvivesRoundTrip) {
     EXPECT_EQ(restored_aqs[i]->max_activation(), original_aqs[i]->max_activation());
     EXPECT_FALSE(restored_aqs[i]->calibrating());
   }
+}
+
+/// The default zoo's artifact named `name`.
+QuantizedArtifact zoo_artifact(const std::string& name) {
+  for (serve::ZooModel& model : serve::default_zoo()) {
+    if (model.name == name) return std::move(model.artifact);
+  }
+  ADD_FAILURE() << "no zoo model " << name;
+  return {};
+}
+
+/// Architecture parameters instantiate_model must refuse before building
+/// a layer: negative widths (which reached the tensor constructor as
+/// std::invalid_argument), a width whose conv weights need 144 TiB
+/// (std::bad_alloc, or an abort under AddressSanitizer), and a seed no
+/// uint64 holds (an undefined float-to-int conversion).
+TEST(ArchDescriptor, CompileRejectsNegativeVggWidth) {
+  QuantizedArtifact artifact = zoo_artifact("vgg_small");
+  artifact.arch.params["c1"] = -16;
+  EXPECT_THROW(compile_plan(artifact), ArtifactError);
+}
+
+TEST(ArchDescriptor, CompileRejectsNegativeMlpHiddenWidth) {
+  QuantizedArtifact artifact = zoo_artifact("mlp");
+  artifact.arch.params["hidden0"] = -32;
+  EXPECT_THROW(compile_plan(artifact), ArtifactError);
+}
+
+TEST(ArchDescriptor, CompileRejectsVggWidthPastTheElementBudget) {
+  QuantizedArtifact artifact = zoo_artifact("vgg_small");
+  // Past the width bound, then inside it but past the element budget.
+  for (const char* width : {"2097152", "65536"}) {
+    artifact.arch.params["c2"] = std::stod(width);
+    try {
+      compile_plan(artifact);
+      ADD_FAILURE() << "compile_plan accepted c2 = " << width;
+    } catch (const ArtifactError& e) {
+      EXPECT_NE(std::string::npos, std::string(e.what()).find(width)) << e.what();
+      EXPECT_NE(std::string::npos, std::string(e.what()).find("c2")) << e.what();
+    }
+  }
+}
+
+TEST(ArchDescriptor, CompileRejectsSeedOutsideUint64) {
+  QuantizedArtifact artifact = zoo_artifact("resnet20");
+  artifact.arch.params["seed"] = 1e300;
+  try {
+    compile_plan(artifact);
+    ADD_FAILURE() << "compile_plan accepted seed = 1e300";
+  } catch (const ArtifactError& e) {
+    EXPECT_NE(std::string::npos, std::string(e.what()).find("'seed'")) << e.what();
+  }
+}
+
+/// Seeded artifact fuzzer over the default zoo: each mutant of a saved
+/// artifact gets 1-4 payload mutations — a bit flip, a random byte, an
+/// interesting u32, or +-2 on a byte — half of them in the payload's
+/// first KiB (the architecture descriptor and quantizer table), then a
+/// recomputed CRC, so the structural checks behind it are what stand.
+/// Every mutant must either be refused with ArtifactError, or load,
+/// compile, verify and run a 2-sample batch byte-identically on the
+/// scalar and simd backends. Part of the sanitizer lane.
+TEST(ArtifactFuzz, MutantsAreRefusedOrRunIdentically) {
+  constexpr int kSeedsPerModel = 300;
+  constexpr std::size_t kHeader = 16;  // magic, version, payload size
+  constexpr std::uint32_t kInteresting[] = {0u,          1u,          0x7fu,       0x80u,
+                                            0xffu,       0x7fffu,     0x8000u,     0xffffu,
+                                            0x10000u,    0x7fffffffu, 0x80000000u, 0xffffffffu};
+  const std::string path = temp_path("fuzz.cqar");
+  int refused = 0, ran = 0;
+  for (serve::ZooModel& model : serve::default_zoo()) {
+    save_artifact(path, model.artifact);
+    std::vector<std::uint8_t> original;
+    {
+      std::ifstream in(path, std::ios::binary);
+      original.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(original.size(), kHeader + 4);
+    const std::size_t payload = original.size() - kHeader - 4;
+    util::Rng rng(0xC0A5);
+    const auto pick = [&rng](std::size_t n) {  // uniform in [0, n)
+      return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    for (int seed = 0; seed < kSeedsPerModel; ++seed) {
+      std::vector<std::uint8_t> bytes = original;
+      const std::size_t mutations = 1 + pick(4);
+      for (std::size_t m = 0; m < mutations; ++m) {
+        const std::size_t at = kHeader + pick(pick(2) == 0 ? std::min<std::size_t>(1024, payload)
+                                                           : payload);
+        switch (pick(4)) {
+          case 0:
+            bytes[at] ^= static_cast<std::uint8_t>(1u << pick(8));
+            break;
+          case 1:
+            bytes[at] = static_cast<std::uint8_t>(pick(256));
+            break;
+          case 2: {
+            const std::uint32_t v = kInteresting[pick(std::size(kInteresting))];
+            std::memcpy(bytes.data() + at, &v, std::min<std::size_t>(4, kHeader + payload - at));
+            break;
+          }
+          default:
+            bytes[at] = static_cast<std::uint8_t>(bytes[at] + (pick(2) == 0 ? 2 : -2));
+            break;
+        }
+      }
+      const std::uint32_t crc = util::crc32(bytes.data() + kHeader, payload);
+      std::memcpy(bytes.data() + kHeader + payload, &crc, sizeof crc);
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+      }
+      const std::string what = model.name + " seed " + std::to_string(seed);
+      try {
+        const auto plan =
+            std::make_shared<const ExecutionPlan>(compile_plan(load_artifact(path)));
+        serve::EngineSession scalar(plan, 1, {}, make_backend(BackendKind::Scalar));
+        serve::EngineSession simd(plan, 1, {}, make_backend(BackendKind::Simd));
+        const Tensor input = serve::random_batch(plan->sample_shape(), 2,
+                                                 static_cast<std::uint64_t>(seed));
+        const Tensor a = scalar.run(input);
+        const Tensor b = simd.run(input);
+        ASSERT_EQ(a.shape(), b.shape()) << what;
+        ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.numel() * sizeof(float))) << what;
+        ++ran;
+      } catch (const ArtifactError&) {
+        ++refused;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << what << " escaped ArtifactError: " << e.what();
+      }
+    }
+  }
+  std::remove(path.c_str());
+  RecordProperty("refused", refused);
+  RecordProperty("ran", ran);
+  EXPECT_EQ(3 * kSeedsPerModel, refused + ran);
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(ran, 0);
 }
 
 }  // namespace

@@ -29,9 +29,8 @@
 //   --queue=N         bounded request queue depth (default 1024)
 //   --warmup=N        untimed warmup requests (default 64)
 //   --seed=N          input generator seed (default 1)
-//   --json=PATH       machine-readable result, same schema as
-//                     bench/serve_throughput --json (one sweep row), so
-//                     trajectory tooling ingests both
+//   --json=PATH       machine-readable result: one sweep row for the
+//                     configuration this run measured
 //   --profile         attach obs::PlanProfiler to the engine: prints the
 //                     per-op-kind breakdown and embeds the full per-op
 //                     report in --json output
@@ -429,8 +428,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "cq_serve_bench: cannot write %s\n", json_path.c_str());
         return 1;
       }
-      // Same shape as bench/serve_throughput --json: one sweep row for
-      // the single configuration this run measured.
+      // One sweep row for the single configuration this run measured.
       std::fprintf(f,
                    "{\n  \"hardware_threads\": %u,\n  \"requests\": %ld,\n"
                    "  \"submitters\": %ld,\n  \"backend\": \"%s\",\n"
