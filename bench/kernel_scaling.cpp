@@ -57,18 +57,30 @@ namespace {
 
 using namespace cq;
 
-/// One timed kernel under test: run() executes the kernel under the
-/// given context and returns the output bytes for the byte-identity
-/// check. `ref` (when set) produces the reference those bytes must
-/// equal — simd cases point it at the scalar kernel, so every simd
-/// measurement doubles as a cross-backend identity check; scalar cases
-/// default to their own serial run.
+/// One kernel run under the given context, writing `out_size` floats
+/// to `out`; the caller allocates `out` once, outside every timed run.
+using KernelRun = std::function<void(const util::ExecContext&, float* out)>;
+
+/// Runs `run` serially into a fresh buffer and returns its bytes.
+std::vector<float> serial_output(const KernelRun& run, std::size_t out_size) {
+  std::vector<float> out(out_size);
+  run({}, out.data());
+  return out;
+}
+
+/// One timed kernel under test: run() executes the kernel and writes
+/// the output bytes for the byte-identity check. `ref` (when set)
+/// produces the reference those bytes must equal — simd cases point it
+/// at the scalar kernel, so every simd measurement doubles as a
+/// cross-backend identity check; scalar cases default to their own
+/// serial run.
 struct Case {
   std::string name;
   std::string desc;
   std::string backend = "scalar";
   long long work_macs = 0;  ///< multiply-accumulates per run, as deploy::op_macs counts
-  std::function<std::vector<float>(const util::ExecContext&)> run;
+  std::size_t out_size = 0;
+  KernelRun run;
   std::function<std::vector<float>()> ref;
 };
 
@@ -189,20 +201,18 @@ int main(int argc, char** argv) {
   /// twin running the packed kernel over the same layer and codes; the
   /// twin is byte-verified against the scalar serial run before any
   /// timing.
-  const auto add_integer_case =
-      [&](const std::string& name, const std::string& desc, long long macs,
-          std::function<std::vector<float>(const util::ExecContext&)> scalar_run,
-          std::function<std::vector<float>(const util::ExecContext&)> simd_run) {
-        if (want_scalar) cases.push_back({name, desc, "scalar", macs, scalar_run, {}});
-        if (want_simd) {
-          cases.push_back({name + "@simd",
-                           desc + " (simd backend, " +
-                               std::string(deploy::simd_tier_name(simd_tier)) +
-                               " tier)",
-                           "simd", macs, simd_run,
-                           [scalar_run] { return scalar_run({}); }});
-        }
-      };
+  const auto add_integer_case = [&](const std::string& name, const std::string& desc,
+                                    long long macs, std::size_t out_size,
+                                    KernelRun scalar_run, KernelRun simd_run) {
+    if (want_scalar) cases.push_back({name, desc, "scalar", macs, out_size, scalar_run, {}});
+    if (want_simd) {
+      cases.push_back({name + "@simd",
+                       desc + " (simd backend, " +
+                           std::string(deploy::simd_tier_name(simd_tier)) + " tier)",
+                       "simd", macs, out_size, simd_run,
+                       [scalar_run, out_size] { return serial_output(scalar_run, out_size); }});
+    }
+  };
 
   /// Registers a conv case: the scalar run is ScalarBackend's op
   /// (adopt into int32 codes, im2col, int64 MACs), the simd run
@@ -223,20 +233,15 @@ int main(int argc, char** argv) {
     const int out_hw = (hw + 2 * pad - kernel) / stride + 1;
     const std::size_t out_size = static_cast<std::size_t>(filters) * out_hw * out_hw;
     add_integer_case(
-        name, desc, 1LL * filters * per_filter * out_hw * out_hw,
-        [=](const util::ExecContext& exec) {
-          std::vector<float> out(out_size);
+        name, desc, 1LL * filters * per_filter * out_hw * out_hw, out_size,
+        [=](const util::ExecContext& exec, float* out) {
           adopt(*in, *codes, exec);
           deploy::integer_conv_forward_into(*layer, *codes, 1, in_c, hw, hw, kernel, stride,
-                                            pad, out.data(), *cols, exec);
-          return out;
+                                            pad, out, *cols, exec);
         },
-        [=](const util::ExecContext& exec) {
-          std::vector<float> out(out_size);
+        [=](const util::ExecContext& exec, float* out) {
           deploy::simd::conv_forward_into(*spacked, in->acts.data(), in->grid, 1, in_c,
-                                          hw, hw, kernel, stride, pad, out.data(), *image,
-                                          exec);
-          return out;
+                                          hw, hw, kernel, stride, pad, out, *image, exec);
         });
   };
 
@@ -276,19 +281,14 @@ int main(int argc, char** argv) {
     auto image = std::make_shared<std::vector<std::uint32_t>>();
     const std::size_t out_size = static_cast<std::size_t>(batch) * filters;
     add_integer_case(
-        name, desc, 1LL * batch * in_features * filters,
-        [=](const util::ExecContext& exec) {
-          std::vector<float> out(out_size);
+        name, desc, 1LL * batch * in_features * filters, out_size,
+        [=](const util::ExecContext& exec, float* out) {
           adopt(*in, *codes, exec);
-          deploy::integer_linear_forward_into(*layer, *codes, batch, in_features,
-                                              out.data(), exec);
-          return out;
+          deploy::integer_linear_forward_into(*layer, *codes, batch, in_features, out, exec);
         },
-        [=](const util::ExecContext& exec) {
-          std::vector<float> out(out_size);
+        [=](const util::ExecContext& exec, float* out) {
           deploy::simd::linear_forward_into(*spacked, in->acts.data(), in->grid, batch,
-                                            in_features, out.data(), *image, exec);
-          return out;
+                                            in_features, out, *image, exec);
         });
   };
 
@@ -310,12 +310,10 @@ int main(int argc, char** argv) {
     auto b = std::make_shared<tensor::Tensor>(
         tensor::Tensor::randn({k, n}, gemm_rng));
     cases.push_back({"gemm_float_256", "tensor::gemm 256x256x256", "scalar",
-                     1LL * m * k * n,
-                     [=](const util::ExecContext& exec) {
-                       std::vector<float> c(static_cast<std::size_t>(m) * n);
-                       tensor::gemm(a->data(), b->data(), c.data(), m, k, n,
+                     1LL * m * k * n, static_cast<std::size_t>(m) * n,
+                     [=](const util::ExecContext& exec, float* c) {
+                       tensor::gemm(a->data(), b->data(), c, m, k, n,
                                     /*accumulate=*/false, exec);
-                       return c;
                      },
                      {}});
   }
@@ -337,16 +335,18 @@ int main(int argc, char** argv) {
     // Identity reference: the case's own serial run, or — for simd
     // cases — the scalar kernel's serial run (the byte-identity
     // contract every backend is held to).
-    const std::vector<float> reference = c.ref ? c.ref() : c.run({});
+    const std::vector<float> reference = c.ref ? c.ref() : serial_output(c.run, c.out_size);
+    // Every run writes this one buffer, so no timed run allocates.
+    std::vector<float> out(c.out_size);
     // The speedup baseline is always the strictly serial run, whatever
     // --threads lists — otherwise omitting 1 would silently rebase the
     // asserted speedup on a threaded time. Scalar cases are already
     // warm from the reference run; simd cases warm their own kernel.
-    if (c.ref) c.run({});
+    if (c.ref) c.run({}, out.data());
     double base_ms = 0.0;
     for (int r = 0; r < repeat; ++r) {
       util::Timer timer;
-      c.run({});
+      c.run({}, out.data());
       const double ms = timer.millis();
       if (r == 0 || ms < base_ms) base_ms = ms;
     }
@@ -357,10 +357,12 @@ int main(int argc, char** argv) {
       if (t > 1) pool = std::make_unique<util::ThreadPool>(t - 1);
       const util::ExecContext exec{pool.get(), t};
 
-      const std::vector<float> warm = c.run(exec);  // warm + verify
-      if (warm.size() != reference.size() ||
-          std::memcmp(warm.data(), reference.data(),
-                      reference.size() * sizeof(float)) != 0) {
+      // Warm + verify, into a poisoned buffer: an output element the
+      // kernel fails to write cannot pass on an earlier run's bytes.
+      std::memset(out.data(), 0xff, out.size() * sizeof(float));
+      c.run(exec, out.data());
+      if (std::memcmp(out.data(), reference.data(), reference.size() * sizeof(float)) !=
+          0) {
         std::fprintf(stderr,
                      "kernel_scaling: %s at %d threads is NOT byte-identical "
                      "to the scalar serial reference\n",
@@ -371,7 +373,7 @@ int main(int argc, char** argv) {
       double best = 0.0;
       for (int r = 0; r < repeat; ++r) {
         util::Timer timer;
-        c.run(exec);
+        c.run(exec, out.data());
         const double ms = timer.millis();
         if (r == 0 || ms < best) best = ms;
       }

@@ -54,7 +54,6 @@ OptimizeReport optimize_plan(ExecutionPlan& plan) {
   OptimizeReport report;
   run_pass(plan, report, "fuse-epilogue", pass_fuse_epilogue);
   run_pass(plan, report, "propagate-codes", pass_propagate_codes);
-  run_pass(plan, report, "replan-arena", pass_replan_arena);
   return report;
 }
 

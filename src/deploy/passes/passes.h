@@ -31,13 +31,13 @@ struct OptimizeReport {
   std::string summary() const;
 };
 
-/// The pass pipeline over a compiled plan: fuse-epilogue,
-/// propagate-codes, replan-arena, in that order. Every pass mutates
-/// through PlanRewriter, runs to a fixpoint, and leaves the plan
-/// verify_plan-clean — optimize_plan re-verifies after each pass and
-/// throws ArtifactError naming the offending pass on any finding, so a
-/// broken rewrite can never reach a backend. All passes are bit-exact:
-/// an optimized plan produces byte-identical inference results.
+/// The pass pipeline over a compiled plan: fuse-epilogue, then
+/// propagate-codes. Every pass mutates through PlanRewriter, runs to a
+/// fixpoint, and leaves the plan verify_plan-clean — optimize_plan
+/// re-verifies after each pass and throws ArtifactError naming the
+/// offending pass on any finding, so a broken rewrite can never reach
+/// a backend. All passes are bit-exact: an optimized plan produces
+/// byte-identical inference results.
 OptimizeReport optimize_plan(ExecutionPlan& plan);
 
 // Individual passes, exposed for targeted tests. Each returns its
@@ -66,9 +66,9 @@ std::size_t pass_propagate_codes(ExecutionPlan& plan);
 
 /// Drops slots no op references anymore, renumbers the survivors, and
 /// re-runs the shared lifetime first-fit allocator (deploy/arena.h) so
-/// the arena shrinks to the rewritten program's actual footprint.
-/// Every mutating pass ends with this; it also runs standalone as the
-/// pipeline's final pass. Returns the number of dropped slots.
+/// the arena fits the rewritten program. Every mutating pass ends with
+/// this, so it is not a pipeline stage of its own (a compiled plan has
+/// no unreferenced slots). Returns the number of dropped slots.
 std::size_t pass_replan_arena(ExecutionPlan& plan);
 
 }  // namespace cq::deploy

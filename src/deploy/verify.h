@@ -106,8 +106,9 @@ std::string format_diagnostics(const VerifyReport& report);
 /// same op instead of reading out of bounds.
 ///
 /// compile_plan() runs this in debug builds and aborts on findings;
-/// serve::EngineSession offers an opt-in strict mode; tools/cqar_verify
-/// gates CI with it.
+/// optimize_plan() after every pass; every serve::EngineSession on the
+/// plan it is built over, refusing a failing plan with ArtifactError;
+/// tools/cqar_verify gates CI with it.
 VerifyReport verify_plan(const ExecutionPlan& plan);
 
 }  // namespace cq::deploy

@@ -12,9 +12,6 @@ BatchScheduler::BatchScheduler(BatchSchedulerConfig config) : config_(config) {
   if (config_.max_batch < 1) {
     throw std::invalid_argument("BatchScheduler: max_batch must be >= 1");
   }
-  if (config_.max_wait_us < 0) {
-    throw std::invalid_argument("BatchScheduler: max_wait_us must be >= 0");
-  }
 }
 
 bool BatchScheduler::push(Request& request) {
@@ -43,26 +40,10 @@ bool BatchScheduler::pop_batch(std::vector<Request>& batch) {
   batch.clear();
   std::unique_lock<std::mutex> lock(mutex_);
   ++waiting_consumers_;
-  for (;;) {
-    not_empty_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      --waiting_consumers_;
-      return false;  // closed and drained
-    }
-
-    // Micro-batch window: the deadline is anchored to the *oldest*
-    // queued request's submit time, so batching adds at most
-    // max_wait_us of latency to any request regardless of arrival
-    // pattern.
-    const auto deadline =
-        queue_.front().submitted + std::chrono::microseconds(config_.max_wait_us);
-    not_empty_.wait_until(lock, deadline, [this] {
-      return closed_ || queue_.size() >= static_cast<std::size_t>(config_.max_batch);
-    });
-    // A concurrent consumer may have drained the queue while this one
-    // sat out the batching window; if so, go back to sleep instead of
-    // flushing an empty batch.
-    if (!queue_.empty()) break;
+  not_empty_.wait(lock, [this] { return closed_ || !queue_.empty(); });
+  if (queue_.empty()) {
+    --waiting_consumers_;
+    return false;  // closed and drained
   }
 
   // Dynamic batch sizing: greedily draining the queue into one batch

@@ -29,23 +29,21 @@ struct Request {
 
 struct BatchSchedulerConfig {
   std::size_t capacity = 1024;  ///< bounded queue depth; push blocks when full
-  int max_batch = 16;           ///< flush a micro-batch at this size
-  long max_wait_us = 200;       ///< ... or when the oldest request is this old
+  int max_batch = 16;           ///< largest micro-batch one pop takes
 };
 
-/// Bounded multi-producer/multi-consumer request queue with dynamic
-/// micro-batching.
+/// Bounded multi-producer/multi-consumer request queue with
+/// work-conserving micro-batching.
 ///
 /// Producers push single requests; consumers pop *batches*: pop_batch
-/// blocks until at least one request is queued, then keeps the batch
-/// open until either max_batch requests are available or max_wait_us
-/// has passed since the oldest queued request was submitted. The flush
-/// then takes a fair share of the ready requests per idle consumer
-/// (capped at max_batch), so concurrent workers split a burst instead
-/// of serializing it behind one giant batch. Batching is a pure
-/// scheduling concern — consumers must produce outputs independent of
-/// how requests were coalesced (EngineSession guarantees exactly
-/// that).
+/// blocks only until at least one request is queued, then takes a fair
+/// share of the ready requests per idle consumer (capped at max_batch)
+/// at once. A consumer never idles while requests wait, and batches
+/// form exactly when requests arrive faster than the consumers free up;
+/// concurrent consumers split a burst instead of serializing it behind
+/// one giant batch. Batching is a pure scheduling concern — consumers
+/// must produce outputs independent of how requests were coalesced
+/// (EngineSession guarantees exactly that).
 class BatchScheduler {
  public:
   explicit BatchScheduler(BatchSchedulerConfig config);

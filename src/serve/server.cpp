@@ -9,14 +9,6 @@ namespace cq::serve {
 
 namespace {
 
-BatchSchedulerConfig scheduler_config(const ServerConfig& config) {
-  BatchSchedulerConfig sched;
-  sched.capacity = config.queue_capacity;
-  sched.max_batch = config.max_batch;
-  sched.max_wait_us = config.max_wait_us;
-  return sched;
-}
-
 ServerConfig normalized(ServerConfig config) {
   config.workers = std::max(1, config.workers);
   config.intra_threads = std::max(1, config.intra_threads);
@@ -36,7 +28,7 @@ Server::Server(std::shared_ptr<const deploy::ExecutionPlan> plan, ServerConfig c
       session_(std::move(plan), config_.workers,
                util::ExecContext{intra_pool_.get(), config_.intra_threads},
                deploy::make_backend(config_.backend)),
-      scheduler_(scheduler_config(config_)),
+      scheduler_({config_.queue_capacity, config_.max_batch}),
       pool_(config_.workers),
       submitted_(metrics_.counter("requests_submitted", "requests accepted by submit()")),
       failed_(metrics_.counter("requests_failed",

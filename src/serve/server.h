@@ -33,8 +33,10 @@ struct ServerConfig {
   /// explicit-SIMD integer backend. Both are byte-identical, so this
   /// only trades execution speed.
   deploy::BackendKind backend = deploy::BackendKind::Scalar;
-  int max_batch = 16;           ///< micro-batch flush size
-  long max_wait_us = 200;       ///< micro-batch flush age
+  /// Largest micro-batch a worker takes. A free worker never waits
+  /// for a batch to fill: it takes its fair share of what is queued,
+  /// so batches form only when requests arrive while workers are busy.
+  int max_batch = 16;
   std::size_t queue_capacity = 1024;  ///< bounded request queue depth
 };
 

@@ -436,15 +436,16 @@ TEST_F(FrontEndTest, ReplyDirectionFrameFromClientIsRejected) {
 // Pipelined overload against a deliberately tiny admission window must
 // answer explicit kBusy for the overflow — never block the loop, never
 // silently drop — while the admitted requests still complete correctly.
+// The one worker's millisecond-long forward holds the burst in the queue.
 TEST(FrontEndOverload, PipelinedBurstShedsExplicitly) {
   serve::ModelRegistry registry;
-  const deploy::QuantizedArtifact artifact = serve::tiny_mlp_artifact();
+  const serve::ZooModel slow = serve::slow_zoo_model();
   serve::ModelConfig config;
   config.server.workers = 1;
   config.server.max_batch = 64;
-  config.server.max_wait_us = 50000;  // hold the batch window open
   config.server.queue_capacity = 2;
-  registry.load("m", artifact, config);
+  registry.load("m", slow.artifact, config);
+  const tensor::Shape sample_shape = registry.info("m").sample_shape;
   net::FrontEndConfig net_config;
   net_config.port = 0;
   net::FrontEnd front(registry, net_config);
@@ -457,7 +458,7 @@ TEST(FrontEndOverload, PipelinedBurstShedsExplicitly) {
     frame.type = net::FrameType::kInfer;
     frame.request_id = static_cast<std::uint64_t>(i) + 1;
     frame.model = "m";
-    frame.tensor = sample_tensor({12}, static_cast<std::uint64_t>(i));
+    frame.tensor = sample_tensor(sample_shape, static_cast<std::uint64_t>(i));
     const std::vector<std::uint8_t> bytes = net::encode_frame(frame);
     wire.insert(wire.end(), bytes.begin(), bytes.end());
   }
@@ -489,11 +490,11 @@ TEST(FrontEndOverload, PipelinedBurstShedsExplicitly) {
 
 TEST(FrontEndLifecycle, StopDrainsInFlightRequests) {
   serve::ModelRegistry registry;
-  const deploy::QuantizedArtifact artifact = serve::tiny_vgg_artifact();
+  const serve::ZooModel slow = serve::slow_zoo_model();
   serve::ModelConfig config;
-  config.server.workers = 1;
-  config.server.max_wait_us = 20000;  // requests are in flight at stop()
-  registry.load("m", artifact, config);
+  config.server.workers = 1;  // requests queue behind its millisecond forwards
+  registry.load("m", slow.artifact, config);
+  const tensor::Shape sample_shape = registry.info("m").sample_shape;
   net::FrontEndConfig net_config;
   net_config.port = 0;
   auto front = std::make_unique<net::FrontEnd>(registry, net_config);
@@ -506,14 +507,14 @@ TEST(FrontEndLifecycle, StopDrainsInFlightRequests) {
     frame.type = net::FrameType::kInfer;
     frame.request_id = static_cast<std::uint64_t>(i) + 1;
     frame.model = "m";
-    frame.tensor = sample_tensor({3, 8, 8}, static_cast<std::uint64_t>(i));
+    frame.tensor = sample_tensor(sample_shape, static_cast<std::uint64_t>(i));
     const std::vector<std::uint8_t> bytes = net::encode_frame(frame);
     wire.insert(wire.end(), bytes.begin(), bytes.end());
   }
   raw.send_all(wire.data(), wire.size());
 
   // Wait until the loop has taken every request to the registry, then
-  // drain while they are queued inside the 20 ms batch window. A fixed
+  // drain while they are queued behind the worker's forwards. A fixed
   // sleep raced the loop thread on a loaded host: a connection still in
   // the listen backlog at stop() is never accepted, so the read below
   // would get none of its replies.

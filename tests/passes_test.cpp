@@ -67,10 +67,9 @@ TEST(PlanOptimize, PassLogStructureAndSummaryRoundTrip) {
     ExecutionPlan plan = compile_plan(entry.artifact);
     const std::size_t compiled_ops = plan.ops().size();
     const OptimizeReport report = optimize_plan(plan);
-    ASSERT_EQ(report.passes.size(), 3u) << entry.name;
+    ASSERT_EQ(report.passes.size(), 2u) << entry.name;
     EXPECT_EQ(report.passes[0].name, "fuse-epilogue");
     EXPECT_EQ(report.passes[1].name, "propagate-codes");
-    EXPECT_EQ(report.passes[2].name, "replan-arena");
     EXPECT_EQ(report.passes.front().ops_before, compiled_ops) << entry.name;
     EXPECT_EQ(report.passes.back().ops_after, plan.ops().size()) << entry.name;
     for (std::size_t i = 1; i < report.passes.size(); ++i) {

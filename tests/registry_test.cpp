@@ -153,23 +153,26 @@ TEST(ModelRegistry, UnloadDrainsAndForgets) {
             serve::ModelRegistry::Outcome::kUnknown);
 }
 
-// The queue-full shed path: one worker held busy by a long batch
-// window, a 2-deep queue, and more submits than fit must produce
+// The queue-full shed path: one worker busy with a millisecond-long
+// forward, a 2-deep queue, and more submits than fit must produce
 // explicit kShed outcomes plus matching counters — never a block,
 // never a silent drop.
 TEST(ModelRegistry, ShedsWhenQueueIsFull) {
+  const serve::ZooModel slow = serve::slow_zoo_model();
   serve::ModelRegistry registry;
   serve::ModelConfig config;
   config.server.workers = 1;
   config.server.max_batch = 64;
-  config.server.max_wait_us = 100000;  // hold requests in the queue
   config.server.queue_capacity = 2;
-  registry.load("m", serve::tiny_mlp_artifact(), config);
+  registry.load("m", slow.artifact, config);
+  const serve::ModelInfo model = registry.info("m");
+  std::vector<tensor::Tensor> samples;
+  for (int i = 0; i < 12; ++i) samples.push_back(sample_of(model.sample_shape, 10 + i));
 
   std::vector<serve::ModelRegistry::Admission> admitted;
   std::size_t shed = 0;
-  for (int i = 0; i < 12; ++i) {
-    auto admission = registry.submit("m", sample_of({12}, 10 + i));
+  for (tensor::Tensor& sample : samples) {
+    auto admission = registry.submit("m", std::move(sample));
     if (admission.outcome == serve::ModelRegistry::Outcome::kAdmitted) {
       admitted.push_back(std::move(admission));
     } else {
@@ -181,7 +184,7 @@ TEST(ModelRegistry, ShedsWhenQueueIsFull) {
   EXPECT_GT(shed, 0u);
   EXPECT_GT(admitted.size(), 0u);
   for (auto& a : admitted) {
-    EXPECT_EQ(a.result.get().shape(), tensor::Shape({5}));
+    EXPECT_EQ(a.result.get().shape(), tensor::Shape({model.num_classes}));
   }
   const serve::ModelInfo info = registry.info("m");
   EXPECT_EQ(info.requests_admitted, admitted.size());

@@ -47,4 +47,10 @@ inline deploy::QuantizedArtifact tiny_resnet_artifact() {
   return fabricate_artifact(model, {3, 8, 8}, 3, 17);
 }
 
+/// The default zoo's vgg_small. Its one-sample forward on the default
+/// scalar backend takes about a millisecond in Release and far longer
+/// under the sanitizers, so a burst of requests queues behind one busy
+/// worker.
+inline ZooModel slow_zoo_model() { return std::move(default_zoo().front()); }
+
 }  // namespace cq::serve

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <mutex>
 #include <string>
@@ -145,7 +146,6 @@ TEST(EngineSession, ConcurrentRunsOnMultipleContextsMatchSerial) {
 TEST(BatchScheduler, FlushesWhenMaxBatchIsReached) {
   BatchSchedulerConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_wait_us = 50000;  // large enough that only the size trigger fires
   BatchScheduler scheduler(cfg);
   for (int i = 0; i < 6; ++i) {
     Request request;
@@ -157,27 +157,28 @@ TEST(BatchScheduler, FlushesWhenMaxBatchIsReached) {
   ASSERT_TRUE(scheduler.pop_batch(batch));
   EXPECT_EQ(batch.size(), 4u);  // capped at max_batch
   ASSERT_TRUE(scheduler.pop_batch(batch));
-  EXPECT_EQ(batch.size(), 2u);  // remainder after the oldest's window
+  EXPECT_EQ(batch.size(), 2u);  // the remainder
 }
 
-TEST(BatchScheduler, FlushesAPartialBatchAfterMaxWait) {
+TEST(BatchScheduler, PopsALoneRequestAtOnce) {
   BatchSchedulerConfig cfg;
   cfg.max_batch = 64;
-  cfg.max_wait_us = 2000;
   BatchScheduler scheduler(cfg);
   Request request;
   request.sample = Tensor({1});
-  request.submitted = std::chrono::steady_clock::now();
+  // Stamped an hour ahead: a batching window anchored on the submit
+  // time would hold this pop for an hour.
+  request.submitted = std::chrono::steady_clock::now() + std::chrono::hours(1);
   ASSERT_TRUE(scheduler.push(request));
 
   std::vector<Request> batch;
-  const auto start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(scheduler.pop_batch(batch));
-  const auto waited = std::chrono::steady_clock::now() - start;
+  auto popped = std::async(std::launch::async, [&] { return scheduler.pop_batch(batch); });
+  const bool prompt =
+      popped.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  scheduler.close();  // releases a pop that waited anyway
+  EXPECT_TRUE(prompt) << "a free consumer must take a queued request at once";
+  EXPECT_TRUE(popped.get());
   EXPECT_EQ(batch.size(), 1u);
-  // The pop must not hang anywhere near the 64-request fill level; it
-  // returns once the oldest request's window expires.
-  EXPECT_LT(std::chrono::duration<double>(waited).count(), 1.0);
 }
 
 TEST(BatchScheduler, CloseRejectsPushesAndDrainsTheQueue) {
@@ -202,7 +203,9 @@ TEST(BatchScheduler, CloseRejectsPushesAndDrainsTheQueue) {
 /// The headline serving test: the same inputs submitted by 8
 /// concurrent threads — coalesced into whatever micro-batches the
 /// scheduler forms — must produce byte-identical outputs to the
-/// one-at-a-time EngineSession reference.
+/// one-at-a-time EngineSession reference. The one worker is held
+/// inside its first batch until every other submitter's request is
+/// queued, so a batch larger than one forms for certain.
 TEST(Server, CoalescedOutputsAreByteIdenticalUnderConcurrentLoad) {
   const deploy::QuantizedArtifact artifact = tiny_vgg_artifact();
 
@@ -224,11 +227,44 @@ TEST(Server, CoalescedOutputsAreByteIdenticalUnderConcurrentLoad) {
     }
   }
 
+  /// Holds the first batch at its first op until opened; records the
+  /// size of the held batch.
+  class Gate : public obs::TraceSink {
+   public:
+    void on_op(const obs::OpEvent& event) override {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (held_ == 0) {
+        held_ = event.batch;
+        changed_.notify_all();
+      }
+      changed_.wait(lock, [this] { return open_; });
+    }
+    int wait_held() {
+      std::unique_lock<std::mutex> lock(mutex_);
+      changed_.wait_for(lock, std::chrono::seconds(60), [this] { return held_ > 0; });
+      return held_;
+    }
+    void open() {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        open_ = true;
+      }
+      changed_.notify_all();
+    }
+
+   private:
+    std::mutex mutex_;
+    std::condition_variable changed_;
+    int held_ = 0;
+    bool open_ = false;
+  };
+
   ServerConfig config;
-  config.workers = 4;
+  config.workers = 1;
   config.max_batch = 8;
-  config.max_wait_us = 500;
   Server server(artifact, config);
+  Gate gate;
+  server.set_op_trace(&gate);
 
   std::vector<std::thread> submitters;
   std::atomic<int> mismatches{0};
@@ -254,11 +290,31 @@ TEST(Server, CoalescedOutputsAreByteIdenticalUnderConcurrentLoad) {
       }
     });
   }
+
+  // Every submitter whose first request is not in the held batch has
+  // it queued once the server's queue_depth gauge counts the rest.
+  const int held = gate.wait_held();
+  const auto queue_depth = [&server] {
+    const std::string json = server.metrics().to_json();
+    const std::string key = "\"queue_depth\": ";
+    return std::stoi(json.substr(json.find(key) + key.size()));
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (held > 0 && queue_depth() < kThreads - held &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int queued = queue_depth();
+  gate.open();
   for (std::thread& submitter : submitters) submitter.join();
+  server.set_op_trace(nullptr);
+  ASSERT_GT(held, 0) << "the worker never started a batch";
+  EXPECT_EQ(queued, kThreads - held);
   EXPECT_EQ(mismatches.load(), 0);
 
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed, static_cast<std::size_t>(kThreads * kPerThread));
+  EXPECT_GT(stats.max_batch, 1u);
   EXPECT_GE(stats.batches, 1u);
   EXPECT_GT(stats.p50_us, 0.0);
   EXPECT_GE(stats.p99_us, stats.p50_us);
@@ -311,7 +367,6 @@ TEST(Server, ResetStatsWhileInFlightNeverMixesWindows) {
   ServerConfig config;
   config.workers = 2;
   config.max_batch = 4;
-  config.max_wait_us = 100;
   Server server(tiny_mlp_artifact(), config);
 
   constexpr int kThreads = 4;

@@ -13,12 +13,15 @@
 //   <name> <artifact.cqar> [key=value ...]   # per-model overrides
 //
 // with keys workers, intra_threads, backend (scalar|simd),
-// max_batch, max_wait_us, queue_capacity, budget_mb; '#' starts a
-// comment, and any other key fails the load. Positional name=path
-// arguments load additional models with the flag-level defaults, and
-// --zoo fabricates the three default-size zoo models (vgg_small, mlp,
-// resnet20) in process — no artifact files needed, handy for load
-// tests and CI.
+// max_batch, queue_capacity, budget_mb; '#' starts a comment, and any
+// other key fails the load. The same keys are flags setting every
+// model's default. Every integer, in the manifest or a flag, must be a
+// whole decimal number in the range README states for its key; a bad
+// value exits 2 before any model loads, naming the manifest line and
+// key or the flag. Positional name=path arguments load additional
+// models with the flag-level defaults, and --zoo fabricates the three
+// default-size zoo models (vgg_small, mlp, resnet20) in process — no
+// artifact files needed, handy for load tests and CI.
 //
 // SIGTERM/SIGINT drain gracefully: stop accepting, finish every
 // admitted request on the version it started on, flush all replies,
@@ -30,13 +33,14 @@
 //
 // Usage: cq_serve [--manifest=FILE] [name=path...] [--zoo] [--port=N]
 //                 [--workers=N] [--intra_threads=N] [--backend=scalar|simd]
-//                 [--max_batch=N] [--max_wait_us=N] [--queue_capacity=N]
-//                 [--budget_mb=N] [--max_inflight=N] [--responders=N]
+//                 [--max_batch=N] [--queue_capacity=N] [--budget_mb=N]
+//                 [--max_inflight=N] [--responders=N]
 //                 [--max_connections=N] [--all_interfaces] [--smoke]
 
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -70,49 +74,71 @@ void on_signal(int) {
 
 struct LoadedModel {
   std::string name;
+  std::string path;  ///< artifact file; empty for a --zoo model
   deploy::QuantizedArtifact artifact;
   serve::ModelConfig config;
 };
 
-serve::ModelConfig config_from_flags(const util::Cli& cli) {
-  serve::ModelConfig config;
-  config.server.workers = static_cast<int>(cli.get_int("workers", 2));
-  config.server.intra_threads = static_cast<int>(cli.get_int("intra_threads", 1));
-  config.server.backend = deploy::parse_backend_kind(cli.get("backend", "simd"));
-  config.server.max_batch = static_cast<int>(cli.get_int("max_batch", 16));
-  config.server.max_wait_us = cli.get_int("max_wait_us", 200);
-  config.server.queue_capacity =
-      static_cast<std::size_t>(cli.get_int("queue_capacity", 256));
-  config.memory_budget_bytes =
-      static_cast<std::size_t>(cli.get_int("budget_mb", 0)) << 20;
-  return config;
+/// Parses `text` as a whole decimal integer in [min, max]; `what`
+/// names the flag or manifest key in the error.
+long parse_int(const std::string& what, const std::string& text, long min, long max) {
+  long n = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, n);
+  if (error != std::errc() || stop != end || n < min || n > max) {
+    throw std::runtime_error(what + "=" + text + ": expected a whole number in [" +
+                             std::to_string(min) + ", " + std::to_string(max) + "]");
+  }
+  return n;
 }
 
-/// Applies one "key=value" manifest token onto a model's config.
-bool apply_override(serve::ModelConfig& config, const std::string& key,
-                    const std::string& value) {
-  const long n = std::strtol(value.c_str(), nullptr, 10);
+/// Applies one per-model setting, from a flag or a manifest token, in
+/// the range README states for its key. Returns false for an unknown
+/// key.
+bool apply_setting(serve::ModelConfig& config, const std::string& key,
+                   const std::string& value, const std::string& what) {
+  const auto number = [&](long min, long max) { return parse_int(what, value, min, max); };
   if (key == "workers") {
-    config.server.workers = static_cast<int>(n);
+    config.server.workers = static_cast<int>(number(1, 256));
   } else if (key == "intra_threads") {
-    config.server.intra_threads = static_cast<int>(n);
+    config.server.intra_threads = static_cast<int>(number(1, 256));
   } else if (key == "backend") {
     config.server.backend = deploy::parse_backend_kind(value);
   } else if (key == "max_batch") {
-    config.server.max_batch = static_cast<int>(n);
-  } else if (key == "max_wait_us") {
-    config.server.max_wait_us = n;
+    config.server.max_batch = static_cast<int>(number(1, 1024));
   } else if (key == "queue_capacity") {
-    config.server.queue_capacity = static_cast<std::size_t>(n);
+    config.server.queue_capacity = static_cast<std::size_t>(number(1, 1 << 20));
   } else if (key == "budget_mb") {
-    config.memory_budget_bytes = static_cast<std::size_t>(n) << 20;
+    config.memory_budget_bytes = static_cast<std::size_t>(number(0, 1 << 20)) << 20;
   } else {
     return false;
   }
   return true;
 }
 
+/// An integer flag that is not a per-model setting.
+long flag_int(const util::Cli& cli, const std::string& key, long fallback, long min,
+              long max) {
+  return cli.has(key) ? parse_int("cq_serve: --" + key, cli.get(key, ""), min, max)
+                      : fallback;
+}
+
+serve::ModelConfig config_from_flags(const util::Cli& cli) {
+  serve::ModelConfig config;
+  config.server.workers = 2;
+  config.server.backend = deploy::BackendKind::Simd;
+  config.server.queue_capacity = 256;
+  for (const char* key :
+       {"workers", "intra_threads", "backend", "max_batch", "queue_capacity", "budget_mb"}) {
+    if (cli.has(key)) {
+      apply_setting(config, key, cli.get(key, ""), std::string("cq_serve: --") + key);
+    }
+  }
+  return config;
+}
+
 /// Parses "name path [key=value ...]" manifest lines; '#' comments.
+/// Reads no artifact, so a bad line is reported before any model loads.
 std::vector<LoadedModel> parse_manifest(const std::string& path,
                                         const serve::ModelConfig& defaults) {
   std::ifstream in(path);
@@ -128,23 +154,23 @@ std::vector<LoadedModel> parse_manifest(const std::string& path,
     std::string name;
     std::string artifact_path;
     if (!(tokens >> name)) continue;  // blank / comment-only line
+    const std::string where = "cq_serve: manifest line " + std::to_string(lineno) + ": ";
     if (!(tokens >> artifact_path)) {
-      throw std::runtime_error("cq_serve: manifest line " + std::to_string(lineno) +
-                               ": expected '<name> <artifact.cqar>'");
+      throw std::runtime_error(where + "expected '<name> <artifact.cqar>'");
     }
     LoadedModel model;
     model.name = name;
+    model.path = artifact_path;
     model.config = defaults;
     std::string token;
     while (tokens >> token) {
       const auto eq = token.find('=');
+      const std::string key = token.substr(0, eq);
       if (eq == std::string::npos ||
-          !apply_override(model.config, token.substr(0, eq), token.substr(eq + 1))) {
-        throw std::runtime_error("cq_serve: manifest line " + std::to_string(lineno) +
-                                 ": unknown override '" + token + "'");
+          !apply_setting(model.config, key, token.substr(eq + 1), where + key)) {
+        throw std::runtime_error(where + "unknown override '" + token + "'");
       }
     }
-    model.artifact = deploy::load_artifact(artifact_path);
     models.push_back(std::move(model));
   }
   return models;
@@ -231,10 +257,18 @@ bool run_smoke(std::uint16_t port, serve::ModelRegistry& registry,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const serve::ModelConfig defaults = config_from_flags(cli);
 
   std::vector<LoadedModel> models;
+  net::FrontEndConfig net_config;
   try {
+    const serve::ModelConfig defaults = config_from_flags(cli);
+    net_config.port = static_cast<std::uint16_t>(flag_int(cli, "port", 7411, 0, 65535));
+    net_config.loopback_only = !cli.get_bool("all_interfaces", false);
+    net_config.max_connections =
+        static_cast<int>(flag_int(cli, "max_connections", 64, 1, 4096));
+    net_config.max_inflight =
+        static_cast<std::size_t>(flag_int(cli, "max_inflight", 1024, 1, 1 << 20));
+    net_config.responders = static_cast<int>(flag_int(cli, "responders", 2, 1, 256));
     if (cli.has("manifest")) {
       models = parse_manifest(cli.get("manifest", ""), defaults);
     }
@@ -246,15 +280,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "cq_serve: expected name=path, got '%s'\n", arg.c_str());
         return 2;
       }
-      LoadedModel model;
-      model.name = arg.substr(0, eq);
-      model.config = defaults;
-      model.artifact = deploy::load_artifact(arg.substr(eq + 1));
-      models.push_back(std::move(model));
+      models.push_back({arg.substr(0, eq), arg.substr(eq + 1), {}, defaults});
     }
+    for (LoadedModel& model : models) model.artifact = deploy::load_artifact(model.path);
     if (cli.get_bool("zoo", false)) {
       for (serve::ZooModel& model : serve::default_zoo()) {
-        models.push_back({std::move(model.name), std::move(model.artifact), defaults});
+        models.push_back({std::move(model.name), "", std::move(model.artifact), defaults});
       }
     }
   } catch (const std::exception& error) {
@@ -281,13 +312,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", error.what());
     return 1;
   }
-
-  net::FrontEndConfig net_config;
-  net_config.port = static_cast<std::uint16_t>(cli.get_int("port", 7411));
-  net_config.loopback_only = !cli.get_bool("all_interfaces", false);
-  net_config.max_connections = static_cast<int>(cli.get_int("max_connections", 64));
-  net_config.max_inflight = static_cast<std::size_t>(cli.get_int("max_inflight", 1024));
-  net_config.responders = static_cast<int>(cli.get_int("responders", 2));
 
   if (::pipe(g_signal_pipe) != 0) {
     std::fprintf(stderr, "cq_serve: pipe: %s\n", std::strerror(errno));

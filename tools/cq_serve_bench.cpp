@@ -24,8 +24,7 @@
 //   --workers=N       server batch workers / engine contexts (default 4)
 //   --intra_threads=N threads one forward pass may occupy (default 1)
 //   --backend=NAME    kernel backend: scalar | simd (default scalar)
-//   --max_batch=N     micro-batch flush size (default 16)
-//   --max_wait_us=N   micro-batch flush age in microseconds (default 200)
+//   --max_batch=N     largest micro-batch a worker takes (default 16)
 //   --queue=N         bounded request queue depth (default 1024)
 //   --warmup=N        untimed warmup requests (default 64)
 //   --seed=N          input generator seed (default 1)
@@ -268,7 +267,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: cq_serve_bench <model.cqar> [--requests=512] [--threads=8] "
                  "[--workers=4] [--intra_threads=1] [--backend=scalar|simd] "
-                 "[--max_batch=16] [--max_wait_us=200] [--queue=1024] [--warmup=64] "
+                 "[--max_batch=16] [--queue=1024] [--warmup=64] "
                  "[--seed=1] [--json=PATH] [--profile] [--trace=PATH] [--metrics]\n"
                  "       cq_serve_bench --connect=host:port --model=NAME "
                  "[--requests=512] [--threads=8] [--duration_s=X] "
@@ -297,7 +296,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.max_batch = static_cast<int>(cli.get_int("max_batch", 16));
-  config.max_wait_us = cli.get_int("max_wait_us", 200);
   config.queue_capacity = static_cast<std::size_t>(cli.get_int("queue", 1024));
   const std::string json_path = cli.get("json", "");
   const std::string trace_path = cli.get("trace", "");
@@ -320,11 +318,11 @@ int main(int argc, char** argv) {
                 tensor::shape_to_string(sample_shape).c_str(),
                 server.session().num_classes(),
                 server.session().integer_layer_count());
-    std::printf("workers %d, intra %d, backend %s, max_batch %d, max_wait %ld us, "
-                "queue %zu, %ld closed-loop submitters, %ld requests, %u hw threads\n",
+    std::printf("workers %d, intra %d, backend %s, max_batch %d, queue %zu, "
+                "%ld closed-loop submitters, %ld requests, %u hw threads\n",
                 config.workers, config.intra_threads,
                 server.session().backend().name(), config.max_batch,
-                config.max_wait_us, config.queue_capacity, threads, requests,
+                config.queue_capacity, threads, requests,
                 std::thread::hardware_concurrency());
 
     // Deterministic per-thread request streams.
