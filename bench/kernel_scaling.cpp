@@ -22,7 +22,9 @@
 // Each integer case times the whole op from float activations — the
 // scalar reference's encode or cast, im2col and int64 MACs against the
 // simd backend's code-image build and MACs; integer_conv_paper feeds
-// raw activations, the others grid codes.
+// raw activations, the others grid codes. integer_conv_block also runs a
+// fused epilogue: apply_epilogue after the scalar kernel, the simd
+// kernel's own store on the simd side.
 // Exit codes: 0 ok, 1 assertion failed, 2 output mismatch vs the
 // scalar reference.
 //
@@ -137,6 +139,36 @@ IntegerInput fabricate_raw(std::size_t count, int bits, util::Rng& rng) {
   return in;
 }
 
+/// A conv case's fused epilogue: the op carrying its stages, BN vectors
+/// and output grid, and the residual its add reads.
+struct FusedTail {
+  deploy::PlanOp op;
+  std::vector<float> residual;
+
+  deploy::BackendIo io(float* out) const {
+    return {nullptr, op.ep_add ? residual.data() : nullptr, out, 1};
+  }
+};
+
+/// ResNet20's residual-block tail on `channels` planes of hw x hw:
+/// +bn+add+relu->codes onto an A2 grid, random BN constants and a
+/// post-ReLU residual, a fifth of it past the grid's clip.
+std::shared_ptr<const FusedTail> fabricate_block_tail(int channels, int hw, util::Rng& rng) {
+  auto tail = std::make_shared<FusedTail>();
+  deploy::PlanOp& op = tail->op;
+  op.out_c = channels;
+  op.out_h = op.out_w = hw;
+  op.ep_bn = op.ep_add = op.ep_relu = op.ep_encode = true;
+  for (auto* v : {&op.bn_mean, &op.bn_inv_std, &op.bn_gamma, &op.bn_beta}) {
+    for (int c = 0; c < channels; ++c) v->push_back(static_cast<float>(rng.uniform(0.2, 1.2)));
+  }
+  op.out_hi = 2.0f;
+  op.out_bits = 2;
+  tail->residual.resize(static_cast<std::size_t>(channels) * hw * hw);
+  for (float& r : tail->residual) r = static_cast<float>(rng.uniform(0.0, 2.5));
+  return tail;
+}
+
 /// The scalar reference's input adoption — ScalarBackend's cast or
 /// encode into int32 codes — reusing `codes` across runs.
 void adopt(const IntegerInput& in, deploy::ActCodes& codes, const util::ExecContext& exec) {
@@ -215,11 +247,13 @@ int main(int argc, char** argv) {
   };
 
   /// Registers a conv case: the scalar run is ScalarBackend's op
-  /// (adopt into int32 codes, im2col, int64 MACs), the simd run
-  /// simd::conv_forward_into straight from the floats.
+  /// (adopt into int32 codes, im2col, int64 MACs, then apply_epilogue
+  /// when the case has a `tail`), the simd run simd::conv_forward_into
+  /// straight from the floats, finishing the tail in its store.
   const auto add_conv_case = [&](const std::string& name, const std::string& desc,
                                  int in_c, int hw, int filters, int kernel, int stride,
-                                 int pad, IntegerInput input) {
+                                 int pad, IntegerInput input,
+                                 std::shared_ptr<const FusedTail> tail = nullptr) {
     const std::int64_t per_filter = static_cast<std::int64_t>(in_c) * kernel * kernel;
     auto layer = std::make_shared<deploy::IntegerLayer>(
         fabricate_integer_layer(filters, per_filter, rng));
@@ -238,10 +272,12 @@ int main(int argc, char** argv) {
           adopt(*in, *codes, exec);
           deploy::integer_conv_forward_into(*layer, *codes, 1, in_c, hw, hw, kernel, stride,
                                             pad, out, *cols, exec);
+          if (tail) deploy::apply_epilogue(tail->op, tail->io(out), out_size, exec);
         },
         [=](const util::ExecContext& exec, float* out) {
-          deploy::simd::conv_forward_into(*spacked, in->acts.data(), in->grid, 1, in_c,
-                                          hw, hw, kernel, stride, pad, out, *image, exec);
+          deploy::simd::conv_forward_into(
+              *spacked, in->acts.data(), in->grid, 1, in_c, hw, hw, kernel, stride, pad, out,
+              *image, exec, tail ? deploy::Epilogue(tail->op, tail->io(out)) : deploy::Epilogue());
         });
   };
 
@@ -299,6 +335,12 @@ int main(int argc, char** argv) {
   // VGG-small's first FC layer (fc5) at batch 1, fed A2 grid codes.
   add_linear_case("integer_linear_paper", "integer linear 1x2048 -> 128, A2 codes", 1, 2048,
                   128, fabricate_codes(2048, 2, rng));
+
+  // ResNet20's s1b3.conv2 as served: A2 codes in, its block's tail fused.
+  add_conv_case("integer_conv_block",
+                "integer conv 16x32x32 -> 16 filters, 3x3, A2 codes, +bn+add+relu->codes", 16, 32,
+                16, 3, 1, 1, fabricate_codes(16 * 32 * 32, 2, rng),
+                fabricate_block_tail(16, 32, rng));
 
   // Float GEMM — the training-side im2col+GEMM path (backends only
   // differ on integer ops, so this is scalar-only).

@@ -8,6 +8,7 @@
 #include "deploy/cpu_features.h"
 #include "deploy/int_engine.h"
 #include "deploy/plan.h"
+#include "quant/uniform.h"
 #include "util/exec_context.h"
 
 namespace cq::deploy {
@@ -116,16 +117,94 @@ std::size_t op_arena_bytes(const PlanOp& op, const ExecutionPlan& plan);
 /// GMAC/s shows layer by layer how far each kernel runs from its MACs.
 std::uint64_t op_macs(const PlanOp& op);
 
-/// Executes a compute op's fused epilogue stages in place on io.out
-/// (batch x out_numel_per_sample elements): BatchNorm -> residual Add
-/// (io.in1) -> Relu -> grid encode, as one elementwise pass applying
-/// the standalone ops' expressions in the standalone op order to each
-/// element in registers. Every stage maps element i from element i
-/// alone, so the single-pass folding — and chunking over `exec` —
-/// keeps the result byte-identical to running each deleted op
-/// separately. One shared implementation for every backend, so fused
-/// and unfused plans — and the backends among themselves — stay
-/// byte-identical. No-op when the op carries no epilogue flags.
+/// An Epilogue's post-BN stages as compile-time flags: a loop
+/// instantiated for one set runs no per-element branch on them.
+template <bool kAdd, bool kRelu, bool kEncode>
+struct TailStages {
+  static constexpr bool add = kAdd;
+  static constexpr bool relu = kRelu;
+  static constexpr bool encode = kEncode;
+};
+
+/// A compute op's fused elementwise tail (PlanOp::ep_*), resolved once
+/// per run() from the op and its BackendIo: which stages run, the
+/// per-channel BatchNorm vectors, the residual (io.in1, laid out as the
+/// output) and the output grid. The stages are the standalone
+/// BatchNorm, Add, Relu and EncodeAct ops' expressions, in that order;
+/// every stage maps element i from element i alone, so a kernel may
+/// finish each output where it rescales it and stay byte-identical to
+/// running the deleted ops one by one. Default-constructed: no stages.
+struct Epilogue {
+  Epilogue() = default;
+  Epilogue(const PlanOp& op, const BackendIo& io);
+
+  bool empty() const { return !bn && !add && !relu && !encode; }
+
+  /// The stages, one element at a time: the reference expressions every
+  /// backend's epilogue reproduces (a vector kernel in the same float
+  /// operations — multiply, then add, never FMA).
+  static float batch_norm(float v, float mean, float inv_std, float gamma, float beta) {
+    const float xh = (v - mean) * inv_std;
+    return gamma * xh + beta;
+  }
+  static float rectify(float v) { return v > 0.0f ? v : 0.0f; }
+  float to_grid(float v) const {
+    return static_cast<float>(quant::activation_code(v, out_hi, to_code));
+  }
+
+  /// Runs body(TailStages<add, relu, encode>{}) for this epilogue's
+  /// post-BN stages.
+  template <typename Body>
+  void with_tail_stages(Body&& body) const {
+    switch ((add ? 4 : 0) | (relu ? 2 : 0) | (encode ? 1 : 0)) {
+      case 0: body(TailStages<false, false, false>{}); return;
+      case 1: body(TailStages<false, false, true>{}); return;
+      case 2: body(TailStages<false, true, false>{}); return;
+      case 3: body(TailStages<false, true, true>{}); return;
+      case 4: body(TailStages<true, false, false>{}); return;
+      case 5: body(TailStages<true, false, true>{}); return;
+      case 6: body(TailStages<true, true, false>{}); return;
+      default: body(TailStages<true, true, true>{}); return;
+    }
+  }
+
+  /// The post-BN stages of `Stages` for one element; `residual` (its in1
+  /// element) is used only with Stages::add.
+  template <typename Stages>
+  float tail(float v, float residual) const {
+    if constexpr (Stages::add) v = v + residual;
+    if constexpr (Stages::relu) v = rectify(v);
+    if constexpr (Stages::encode) v = to_grid(v);
+    return v;
+  }
+
+
+  /// The whole epilogue for one output element `v` of channel `c`, the
+  /// stages chosen at run time; `residual` points at its in1 element and
+  /// is read only with `add`.
+  float operator()(float v, std::size_t c, const float* residual) const {
+    if (bn) v = batch_norm(v, mean[c], inv_std[c], gamma[c], beta[c]);
+    if (add) v = v + *residual;
+    if (relu) v = rectify(v);
+    if (encode) v = to_grid(v);
+    return v;
+  }
+
+  bool bn = false, add = false, relu = false, encode = false;
+  const float* mean = nullptr;  ///< BatchNorm vectors, one float per channel
+  const float* inv_std = nullptr;
+  const float* gamma = nullptr;
+  const float* beta = nullptr;
+  const float* residual = nullptr;  ///< io.in1, element i beside output i
+  float out_hi = 0.0f;   ///< output grid clip bound (encode)
+  float to_code = 0.0f;  ///< (levels - 1) / out_hi (encode)
+};
+
+/// The reference pass of a compute op's Epilogue: in place on io.out
+/// (batch x out_numel_per_sample elements), one read-modify-write per
+/// element, chunked over `exec`. ScalarBackend finishes every compute
+/// op with it; SimdBackend's kernels apply the same expressions in
+/// their stores instead. No-op when the op carries no epilogue flags.
 void apply_epilogue(const PlanOp& op, const BackendIo& io,
                     std::size_t out_numel_per_sample,
                     const util::ExecContext& exec = {});
@@ -288,28 +367,32 @@ struct ActGrid {
 /// positions of one output row, one K-chunk each — from it in place at
 /// a stride of stride x pixel bytes. Throws std::logic_error for a
 /// kScalar pack, a kAmxI8 pack on a CPU without the amx tier, or a grid
-/// wider than packed.act_bits. Integer sums are exact and the rescale
-/// is the scalar kernel's, so outputs are byte-identical to encode/cast
-/// + integer_conv_forward_into at every tier and thread count. Chunks
-/// over (sample, output rows) tasks of a minimum MAC count, so ops too
-/// small to repay a thread dispatch run on the calling thread.
+/// wider than packed.act_bits. Each output is written once, finished
+/// with `epilogue` (filter k is channel k; the residual is read only for
+/// the outputs stored) where the kernel rescales it. Integer sums are
+/// exact and the rescale and the epilogue are the scalar reference's
+/// expressions, so outputs are byte-identical to encode/cast +
+/// integer_conv_forward_into + apply_epilogue at every tier and thread
+/// count. Chunks over (sample, output rows) tasks of a minimum MAC
+/// count, so ops too small to repay a thread dispatch run on the
+/// calling thread. `out` must not overlap `acts` or the residual.
 void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid,
                        int batch, int in_c, int height, int width, int kernel,
                        int stride, int pad, float* out,
                        std::vector<std::uint32_t>& image,
-                       const util::ExecContext& exec = {});
+                       const util::ExecContext& exec = {}, const Epilogue& epilogue = {});
 
 /// Explicit-SIMD fully-connected kernel over float activations
 /// [batch][in_features]: the same adoption writes each sample's codes
 /// as the 1 x 1 image of in_features channels, and the vector loop
 /// multiplies each panel row against up to 4 samples' words at a time.
-/// Same requirements and byte-identity contract as conv_forward_into; a
-/// pack made for a convolution on the amx tier is refused
-/// (std::invalid_argument).
+/// Same requirements, epilogue (output feature k is channel k) and
+/// byte-identity contract as conv_forward_into; a pack made for a
+/// convolution on the amx tier is refused (std::invalid_argument).
 void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid,
                          int batch, int in_features, float* out,
                          std::vector<std::uint32_t>& image,
-                         const util::ExecContext& exec = {});
+                         const util::ExecContext& exec = {}, const Epilogue& epilogue = {});
 
 /// Where the amx conv's tile loads land, for a conv of this geometry
 /// over `batch` samples: the bytes conv_forward_into allocates for the
@@ -326,7 +409,8 @@ TileImageBounds tile_image_bounds(int batch, int in_c, int height, int width, in
 
 }  // namespace simd
 
-/// Explicit-SIMD integer backend: IntConv/IntLinear run hand-scheduled
+/// Explicit-SIMD integer backend: IntConv/IntLinear, with their fused
+/// epilogues, run hand-scheduled
 /// AVX2 kernels (_mm256_madd_epi16 int16 pairs; _mm256_maddubs_epi16
 /// int8 quads when the shared overflow bound proves saturation
 /// impossible; on AVX-VNNI CPUs _mm256_dpbusd_avx_epi32 int8 quads
@@ -335,7 +419,9 @@ TileImageBounds tile_image_bounds(int batch, int in_c, int height, int width, in
 /// kernels everywhere else
 /// (baseline-SSE2 pmaddwd on x86-64, GCC vector extensions otherwise),
 /// and delegate a layer to the scalar reference when its filters are
-/// wider than 15 bits or its int32 accumulator is not certified. The
+/// wider than 15 bits or its int32 accumulator is not certified;
+/// EncodeAct runs one AVX2 pass on CPUs that have AVX2, and every other
+/// op the scalar reference. The
 /// tier is resolved by runtime CPUID at construction — one binary,
 /// every x86 — and every tier is byte-identical to ScalarBackend
 /// (backend_test pins each reachable tier).
@@ -350,7 +436,8 @@ class SimdBackend : public ScalarBackend {
   void run(const PlanOp& op, const ExecutionPlan& plan, const BackendIo& io,
            BackendScratch& scratch, const util::ExecContext& exec) const override;
   /// The op's simd::kernel_label ("simd/amx", "simd/vnni", "simd/avx2-i8",
-  /// "simd/avx2", "simd/portable") or "scalar" for delegated ops — the resolved ISA
+  /// "simd/avx2", "simd/portable"), "simd/avx2" for EncodeAct at the tiers
+  /// with AVX2, or "scalar" for delegated ops — the resolved ISA
   /// cqar_info's dispatch column and the plan profiler rows show.
   const char* dispatch(const PlanOp& op) const override;
   /// One packed layout per integer layer.

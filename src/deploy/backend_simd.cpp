@@ -32,6 +32,14 @@
 // sums its u8 x s8 products exactly into int32, so the certificate that
 // licenses vpdpbusd licenses it too.
 //
+// Every kernel finishes an output where it rescales it: the op's fused
+// epilogue (deploy::Epilogue — BN, residual add, ReLU, grid encode) runs
+// in registers before the one store, so each output is written once. The
+// AVX2 policies and the amx store share its AVX2 helpers; the SSE2 and
+// generic stores and the linear frame apply the reference expression
+// lane by lane. EncodeAct runs in one AVX2 pass of quantize_span's
+// expression at the tiers with AVX2.
+//
 // pack_simd picks each layer's kernel once, at prepare() time, and
 // packs only the panels that kernel reads: the kernels and the dispatch
 // label switch on the stored choice instead of re-deriving it. Byte
@@ -42,9 +50,9 @@
 // exactly into int32), the maddubs pair bound holds for any pairing of
 // codes, the final rescale uses the scalar kernel's exact float
 // expressions (multiply then add — never FMA, which rounds
-// differently), and the fused tail goes through the shared
-// apply_epilogue. Anything the layouts cannot hold exactly delegates to
-// the scalar reference.
+// differently), and the epilogue stages are the reference's
+// expressions, vector or scalar, element by element. Anything the
+// layouts cannot hold exactly delegates to the scalar reference.
 
 #include <algorithm>
 #include <cstring>
@@ -487,6 +495,99 @@ struct CastCodes {
 #endif
 };
 
+/// An output position and, with ep_add, the residual element beside it
+/// (null without ep_add); they advance together.
+struct OutAt {
+  float* out;
+  const float* residual;
+  OutAt operator+(std::size_t offset) const {
+    return {out + offset, residual != nullptr ? residual + offset : nullptr};
+  }
+};
+
+/// The scalar stores' finish: `lanes` rescaled values through the
+/// epilogue's reference expression, value i of channel c + i * step (a
+/// conv store's lanes share one channel, a linear row's are consecutive
+/// features).
+void store_finished(OutAt at, const float* values, const Epilogue& ep, std::size_t c,
+                    std::size_t step, std::size_t lanes) {
+  for (std::size_t i = 0; i < lanes; ++i) {
+    at.out[i] = ep(values[i], c + i * step, (at + i).residual);
+  }
+}
+
+#if CQ_SIMD_X86
+
+// The vector stores' epilogue, shared by the AVX2 policies and the amx
+// store, in the reference's float operations (multiply, then add: never
+// FMA). The amx store applies BN to rows of 8 filters before its
+// transposes, the AVX2 stores to one filter's 8 positions after theirs;
+// both finish through store_tail. The conv frames are instantiated per
+// set of post-BN stages (Epilogue::with_tail_stages), so their store
+// loops branch on none of them, and each works on its own copy of the
+// Epilogue, so the grid constants stay in registers.
+
+/// BatchNorm on 8 lanes: (v - mean) * inv_std, then gamma * xh + beta.
+__attribute__((target("avx2"))) __m256 batch_norm_avx2(__m256 v, __m256 mean, __m256 inv_std,
+                                                       __m256 gamma, __m256 beta) {
+  const __m256 xh = _mm256_mul_ps(_mm256_sub_ps(v, mean), inv_std);
+  return _mm256_add_ps(_mm256_mul_ps(gamma, xh), beta);
+}
+
+/// The post-BN stages of `Stages` on 8 lanes of one channel's consecutive
+/// outputs, then the store of the first `lanes`: the residual added from
+/// only the lanes stored, ReLU as a compare mask (NaN and -0.0 give +0.0,
+/// as `v > 0 ? v : 0` does), and the encode through EncodeRaw's vector
+/// code.
+template <typename Stages>
+__attribute__((target("avx2"))) void store_tail(OutAt at, const __m256& finished,
+                                                const Epilogue& ep, int lanes) {
+  const bool full = lanes == 8;
+  __m256 v = finished;
+  if constexpr (Stages::add) {
+    v = _mm256_add_ps(v, full ? _mm256_loadu_ps(at.residual)
+                              : _mm256_maskload_ps(at.residual, first_lanes(lanes)));
+  }
+  if constexpr (Stages::relu) {
+    v = _mm256_and_ps(_mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ), v);
+  }
+  if constexpr (Stages::encode) v = _mm256_cvtepi32_ps(EncodeRaw{ep.out_hi, ep.to_code}(v));
+  if (full) {
+    _mm256_storeu_ps(at.out, v);
+  } else {
+    _mm256_maskstore_ps(at.out, first_lanes(lanes), v);
+  }
+}
+
+/// EncodeAct in one AVX2 pass of quantize_span's expression on [0, hi]:
+/// EncodeRaw's vector code, then + (xc - xc) with xc the clamp of x
+/// (NaN stays NaN, so a NaN input comes out as the scalar pass leaves
+/// it), then * inv_scale + lo; quantize_span itself takes the last
+/// count % 8 elements and any grid it refuses. `dst` may alias `src`.
+__attribute__((target("avx2"))) void encode_act_avx2(const float* src, float* dst,
+                                                     std::size_t count, float hi, int bits) {
+  const quant::UniformRange range{0.0f, hi};
+  std::size_t i = 0;
+  if (bits > 0 && range.valid()) {
+    const auto steps = static_cast<float>(quant::levels_for_bits(bits) - 1);
+    const EncodeRaw code{hi, steps / (range.hi - range.lo)};
+    const __m256 lo = _mm256_set1_ps(range.lo);
+    const __m256 top = _mm256_set1_ps(range.hi);
+    const __m256 inv_scale = _mm256_set1_ps((range.hi - range.lo) / steps);
+    for (; i + 8 <= count; i += 8) {
+      const __m256 x = _mm256_loadu_ps(src + i);
+      // std::min(std::max(x, lo), hi): maxps / minps return their second
+      // operand when either is NaN.
+      const __m256 xc = _mm256_min_ps(top, _mm256_max_ps(lo, x));
+      const __m256 q = _mm256_add_ps(_mm256_cvtepi32_ps(code(x)), _mm256_sub_ps(xc, xc));
+      _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_mul_ps(q, inv_scale), lo));
+    }
+  }
+  quant::quantize_span({src + i, count - i}, {dst + i, count - i}, range, bits);
+}
+
+#endif  // CQ_SIMD_X86
+
 /// Runs body(code) with the adoption functor for `grid`.
 template <typename Body>
 void with_adoption(ActGrid grid, Body&& body) {
@@ -630,8 +731,11 @@ void adopt_image(const float* acts, ActGrid grid, int batch, int channels, int h
 // a linear frame (linear_tiles), each a template over a MAC policy. A
 // policy supplies only what differs between tiers: its vector type, its
 // int32 lane count kLanes, and zero / load / splat / mac (multiply-add)
-// / add / transpose (kLanes x kLanes lanes) / store (rescale the first
-// lanes into floats) / spill (copy out the int32 lanes). Vectors pass by
+// / add / transpose (kLanes x kLanes lanes) / store<Stages> (rescale,
+// finish with the epilogue and store the first lanes; kStagedStore says
+// whether it uses Stages or the runtime Epilogue) / finish_row (a linear
+// row's rescaled outputs through the epilogue) / spill (copy out the
+// int32 lanes). Vectors pass by
 // reference, never by value: a by-value AVX vector in a baseline-ISA
 // template instance would change the psABI (-Wpsabi).
 // ---------------------------------------------------------------------------
@@ -645,6 +749,7 @@ struct GenericMac {
   typedef std::int32_t Vec __attribute__((vector_size(32), aligned(4)));
   typedef float VecF __attribute__((vector_size(32), aligned(4)));
   static constexpr int kLanes = 8;
+  static constexpr bool kStagedStore = false;
   static void zero(Vec& v) { v = Vec{}; }
   static void load(Vec& v, const std::uint32_t* p) { std::memcpy(&v, p, sizeof(v)); }
   static void splat(Vec& v, std::uint32_t word) { v = Vec{} + static_cast<std::int32_t>(word); }
@@ -658,9 +763,17 @@ struct GenericMac {
     }
     std::memcpy(v, t, sizeof(t));
   }
-  static void store(float* dst, const Vec& acc, float scale, float bias, std::size_t lanes) {
+  template <typename Stages>
+  static void store(OutAt at, const Vec& acc, float scale, float bias, const Epilogue& ep,
+                    std::size_t c, std::size_t lanes) {
     const VecF o = __builtin_convertvector(acc, VecF) * scale + bias;
-    std::memcpy(dst, &o, lanes * sizeof(float));
+    float values[kLanes];
+    std::memcpy(values, &o, sizeof(values));
+    store_finished(at, values, ep, c, 0, lanes);
+  }
+  static void finish_row(OutAt at, const float* values, const Epilogue& ep, std::size_t c0,
+                         int lanes) {
+    store_finished(at, values, ep, c0, 1, static_cast<std::size_t>(lanes));
   }
   static void spill(std::int32_t* dst, const Vec& acc) { std::memcpy(dst, &acc, sizeof(acc)); }
 };
@@ -673,6 +786,7 @@ struct GenericMac {
 struct Sse2PairMac {
   using Vec = __m128i;
   static constexpr int kLanes = 4;
+  static constexpr bool kStagedStore = false;
   static void zero(Vec& v) { v = _mm_setzero_si128(); }
   static void load(Vec& v, const std::uint32_t* p) {
     v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
@@ -692,14 +806,22 @@ struct Sse2PairMac {
     v[2] = _mm_unpacklo_epi64(t1, t3);
     v[3] = _mm_unpackhi_epi64(t1, t3);
   }
-  static void store(float* dst, const Vec& acc, float scale, float bias, std::size_t lanes) {
+  template <typename Stages>
+  static void store(OutAt at, const Vec& acc, float scale, float bias, const Epilogue& ep,
+                    std::size_t c, std::size_t lanes) {
     const __m128 o =
         _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(acc), _mm_set1_ps(scale)), _mm_set1_ps(bias));
-    if (lanes == kLanes) {
-      _mm_storeu_ps(dst, o);
-    } else {
-      std::memcpy(dst, &o, lanes * sizeof(float));
+    if (lanes == kLanes && ep.empty()) {
+      _mm_storeu_ps(at.out, o);
+      return;
     }
+    float values[kLanes];
+    _mm_storeu_ps(values, o);
+    store_finished(at, values, ep, c, 0, lanes);
+  }
+  static void finish_row(OutAt at, const float* values, const Epilogue& ep, std::size_t c0,
+                         int lanes) {
+    store_finished(at, values, ep, c0, 1, static_cast<std::size_t>(lanes));
   }
   static void spill(std::int32_t* dst, const Vec& acc) {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), acc);
@@ -715,12 +837,14 @@ struct Sse2PairMac {
 // they run only inside run_avx2's or run_vnni's frame after runtime
 // CPUID proved the ISA (deploy/cpu_features.h). No FMA anywhere on
 // these paths: the rescale is cvtepi32_ps, mul_ps, add_ps —
-// bit-identical to the scalar expression's two roundings.
+// bit-identical to the scalar expression's two roundings — and the
+// epilogue multiplies, then adds, likewise.
 
 /// Kernel::kAvx2I16: one madd_epi16 per int16 code-pair word.
 struct Avx2PairMac {
   using Vec = __m256i;
   static constexpr int kLanes = 8;
+  static constexpr bool kStagedStore = true;
   __attribute__((target("avx2"))) static void zero(Vec& v) { v = _mm256_setzero_si256(); }
   __attribute__((target("avx2"))) static void load(Vec& v, const std::uint32_t* p) {
     v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
@@ -735,15 +859,33 @@ struct Avx2PairMac {
     acc = _mm256_add_epi32(acc, v);
   }
   __attribute__((target("avx2"))) static void transpose(Vec (&v)[kLanes]) { transpose8(v); }
-  __attribute__((target("avx2"))) static void store(float* dst, const Vec& acc, float scale,
-                                                    float bias, std::size_t lanes) {
-    const __m256 o = _mm256_add_ps(
-        _mm256_mul_ps(_mm256_cvtepi32_ps(acc), _mm256_set1_ps(scale)), _mm256_set1_ps(bias));
-    if (lanes == kLanes) {
-      _mm256_storeu_ps(dst, o);
-    } else {
-      std::memcpy(dst, &o, lanes * sizeof(float));
+  template <typename Stages>
+  __attribute__((target("avx2"))) static void store(OutAt at, const Vec& acc, float scale,
+                                                    float bias, const Epilogue& ep,
+                                                    std::size_t c, std::size_t lanes) {
+    __m256 o = _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(acc), _mm256_set1_ps(scale)),
+                             _mm256_set1_ps(bias));
+    if (ep.bn) {
+      o = batch_norm_avx2(o, _mm256_set1_ps(ep.mean[c]), _mm256_set1_ps(ep.inv_std[c]),
+                          _mm256_set1_ps(ep.gamma[c]), _mm256_set1_ps(ep.beta[c]));
     }
+    store_tail<Stages>(at, o, ep, static_cast<int>(lanes));
+  }
+  /// A linear row's `lanes` rescaled outputs, features c0 .. c0 + lanes
+  /// - 1, finished in one vector (BN constants and residual read only
+  /// for those lanes).
+  __attribute__((target("avx2"))) static void finish_row(OutAt at, const float* values,
+                                                         const Epilogue& ep, std::size_t c0,
+                                                         int lanes) {
+    const __m256i keep = first_lanes(lanes);
+    __m256 v = _mm256_maskload_ps(values, keep);
+    if (ep.bn) {
+      v = batch_norm_avx2(v, _mm256_maskload_ps(ep.mean + c0, keep),
+                          _mm256_maskload_ps(ep.inv_std + c0, keep),
+                          _mm256_maskload_ps(ep.gamma + c0, keep),
+                          _mm256_maskload_ps(ep.beta + c0, keep));
+    }
+    ep.with_tail_stages([&](auto stages) { store_tail<decltype(stages)>(at, v, ep, lanes); });
   }
   __attribute__((target("avx2"))) static void spill(std::int32_t* dst, const Vec& acc) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), acc);
@@ -879,12 +1021,14 @@ void block_sums(const std::uint32_t* panel, const std::uint32_t* const (&at)[kP]
 /// Output rows [y0, y1) of one sample, tile by tile, kLanes output
 /// positions of a row at a time (a row's last block repeats its last
 /// position in the lanes past the row end and stores only the real
-/// ones). The kLanes x 8 sums are transposed into filter-major vectors
-/// and rescaled with the scalar kernel's expression.
-template <typename Mac>
+/// ones). The kLanes x 8 sums are transposed into filter-major vectors,
+/// rescaled with the scalar kernel's expression and finished with the
+/// epilogue, whose post-BN stages are `Stages`.
+template <typename Mac, typename Stages>
 void conv_block(const PackedSimd& packed, const ImageGeometry& geo, const std::uint32_t* image,
-                float act_scale, float* out_n, int y0, int y1) {
+                float act_scale, const Epilogue& epilogue, OutAt out_n, int y0, int y1) {
   using Vec = typename Mac::Vec;
+  const Epilogue ep = epilogue;
   constexpr int kP = Mac::kLanes;
   constexpr int kParts = kFilterTile / Mac::kLanes;
   const std::size_t spatial = static_cast<std::size_t>(geo.oh) * static_cast<std::size_t>(geo.ow);
@@ -901,7 +1045,7 @@ void conv_block(const PackedSimd& packed, const ImageGeometry& geo, const std::u
       scale[f] = packed.weight_scales[tile * kFilterTile + static_cast<std::size_t>(f)] * act_scale;
       bias[f] = packed.out_bias[tile * kFilterTile + static_cast<std::size_t>(f)];
     }
-    float* const out_tile = out_n + tile * kFilterTile * spatial;
+    const OutAt out_tile = out_n + tile * kFilterTile * spatial;
     for (int oy = y0; oy < y1; ++oy) {
       for (int ox = 0; ox < geo.ow; ox += kP) {
         const int n = std::min(kP, geo.ow - ox);
@@ -909,7 +1053,8 @@ void conv_block(const PackedSimd& packed, const ImageGeometry& geo, const std::u
         for (int p = 1; p < kP; ++p) at[p] = p < n ? at[p - 1] + step : at[p - 1];
         Vec acc[kP][1][kParts];
         block_sums<Mac>(panel, at, geo.kernel, geo.row, run, acc);
-        float* const dst = out_tile + static_cast<std::size_t>(oy) * geo.ow + ox;
+        const OutAt dst =
+            out_tile + (static_cast<std::size_t>(oy) * geo.ow + static_cast<std::size_t>(ox));
         for (int part = 0; part < kParts; ++part) {
           Vec v[kP];
           for (int p = 0; p < kP; ++p) {
@@ -922,8 +1067,10 @@ void conv_block(const PackedSimd& packed, const ImageGeometry& geo, const std::u
           Mac::transpose(v);
           for (int f = 0; f < kP && part * kP + f < kt; ++f) {
             const int k = part * kP + f;
-            Mac::store(dst + static_cast<std::size_t>(k) * spatial, v[f], scale[k], bias[k],
-                       static_cast<std::size_t>(n));
+            Mac::template store<Stages>(dst + static_cast<std::size_t>(k) * spatial, v[f],
+                                        scale[k], bias[k], ep,
+                                        tile * kFilterTile + static_cast<std::size_t>(k),
+                                        static_cast<std::size_t>(n));
           }
         }
       }
@@ -934,10 +1081,11 @@ void conv_block(const PackedSimd& packed, const ImageGeometry& geo, const std::u
 /// One filter tile of a linear op for kSamples samples (image rows and
 /// output rows start at the block's first sample): block_sums over each
 /// sample's one run of `words` words with kBatchBlock / kSamples chains,
-/// then the scalar kernel's rescale filter by filter.
+/// then the scalar kernel's rescale filter by filter, finished with the
+/// epilogue by Mac::finish_row (feature k is channel k).
 template <typename Mac, int kSamples>
 void linear_block(const PackedSimd& packed, float act_scale, const std::uint32_t* image,
-                  std::size_t words, std::size_t tile, float* out) {
+                  std::size_t words, std::size_t tile, const Epilogue& ep, OutAt out) {
   using Vec = typename Mac::Vec;
   constexpr int kParts = kFilterTile / Mac::kLanes;
   const std::uint32_t* at[kSamples];
@@ -951,12 +1099,13 @@ void linear_block(const PackedSimd& packed, float act_scale, const std::uint32_t
   for (int b = 0; b < kSamples; ++b) {
     std::int32_t sums[kFilterTile];
     for (int p = 0; p < kParts; ++p) Mac::spill(sums + p * Mac::kLanes, acc[b][0][p]);
-    float* row = out + static_cast<std::size_t>(b) * filters;
+    float values[kFilterTile];
     for (int f = 0; f < kt; ++f) {
       const std::size_t k = k0 + static_cast<std::size_t>(f);
       const float scale = packed.weight_scales[k] * act_scale;
-      row[k] = scale * static_cast<float>(sums[f]) + packed.out_bias[k];
+      values[f] = scale * static_cast<float>(sums[f]) + packed.out_bias[k];
     }
+    Mac::finish_row(out + (static_cast<std::size_t>(b) * filters + k0), values, ep, k0, kt);
   }
 }
 
@@ -965,25 +1114,26 @@ void linear_block(const PackedSimd& packed, float act_scale, const std::uint32_t
 /// its samples' accumulators, amortizing the weight traffic.
 template <typename Mac>
 void linear_tiles(const PackedSimd& packed, float act_scale, const std::uint32_t* image,
-                  int batch, std::size_t words, float* out, std::int64_t t0, std::int64_t t1) {
+                  int batch, std::size_t words, const Epilogue& ep, OutAt out, std::int64_t t0,
+                  std::int64_t t1) {
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
   for (std::int64_t t = t0; t < t1; ++t) {
     const auto tile = static_cast<std::size_t>(t);
     for (int n0 = 0; n0 < batch; n0 += kBatchBlock) {
       const std::uint32_t* rows = image + static_cast<std::size_t>(n0) * words;
-      float* out_rows = out + static_cast<std::size_t>(n0) * filters;
+      const OutAt out_rows = out + static_cast<std::size_t>(n0) * filters;
       switch (std::min(kBatchBlock, batch - n0)) {
         case 1:
-          linear_block<Mac, 1>(packed, act_scale, rows, words, tile, out_rows);
+          linear_block<Mac, 1>(packed, act_scale, rows, words, tile, ep, out_rows);
           break;
         case 2:
-          linear_block<Mac, 2>(packed, act_scale, rows, words, tile, out_rows);
+          linear_block<Mac, 2>(packed, act_scale, rows, words, tile, ep, out_rows);
           break;
         case 3:
-          linear_block<Mac, 3>(packed, act_scale, rows, words, tile, out_rows);
+          linear_block<Mac, 3>(packed, act_scale, rows, words, tile, ep, out_rows);
           break;
         default:
-          linear_block<Mac, kBatchBlock>(packed, act_scale, rows, words, tile, out_rows);
+          linear_block<Mac, kBatchBlock>(packed, act_scale, rows, words, tile, ep, out_rows);
           break;
       }
     }
@@ -1078,19 +1228,31 @@ __attribute__((target("amx-tile,amx-int8"))) void tile_sums(
   if constexpr (kB1) _tile_stored(3, c[3], kTileRowBytes);
 }
 
+/// Per-filter constants of a frame's 32 filters (two B tiles), zero past
+/// the layer's last filter so they load 8 at a time: the rescale, and
+/// the BatchNorm vectors when the epilogue has ep_bn.
+struct alignas(32) TileConsts {
+  float scale[2 * kTileFilters], bias[2 * kTileFilters];
+  float mean[2 * kTileFilters], inv_std[2 * kTileFilters];
+  float gamma[2 * kTileFilters], beta[2 * kTileFilters];
+};
+
 /// Rescales C tile `acc` ([m positions][16 filters] int32; rows past m
 /// are never read) with the scalar kernel's expression, (ws * act_scale) *
-/// float(acc) + bias — multiply, then add — and writes its first
-/// `filters` filters' m positions to dst + f * spatial: 8x8 transposes
-/// turn position rows into the plan's filter-major rows.
-__attribute__((target("avx2"))) void store_tile(const std::int32_t* acc, const float* scale,
-                                                const float* bias, int filters, int m,
-                                                float* dst, std::size_t spatial) {
+/// float(acc) + bias — multiply, then add — and BN, on rows of 8
+/// filters, then writes its first `filters` filters' m positions to dst
+/// + f * spatial through store_tail<Stages>: 8x8 transposes turn position
+/// rows into the plan's filter-major rows. `k` indexes the tile's first
+/// filter in `consts`.
+template <typename Stages>
+__attribute__((target("avx2"))) void store_tile(const std::int32_t* acc, const TileConsts& consts,
+                                                int k, int filters, int m, const Epilogue& ep,
+                                                OutAt dst, std::size_t spatial) {
   const int halves = (m + 7) / 8;
-  const __m256i tail = first_lanes(m - 8 * (halves - 1));
   for (int f0 = 0; f0 < filters; f0 += 8) {
-    const __m256 sc = _mm256_loadu_ps(scale + f0);
-    const __m256 bi = _mm256_loadu_ps(bias + f0);
+    const int f = k + f0;
+    const __m256 sc = _mm256_load_ps(consts.scale + f);
+    const __m256 bi = _mm256_load_ps(consts.bias + f);
     __m256i v[2][8];
     for (int h = 0; h < halves; ++h) {
       for (int r = 0; r < 8; ++r) {
@@ -1098,8 +1260,13 @@ __attribute__((target("avx2"))) void store_tile(const std::int32_t* acc, const f
         const __m256i sums = p < m ? _mm256_load_si256(reinterpret_cast<const __m256i*>(
                                          acc + p * kTileFilters + f0))
                                    : _mm256_setzero_si256();
-        v[h][r] = _mm256_castps_si256(
-            _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(sums), sc), bi));
+        __m256 o = _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(sums), sc), bi);
+        if (ep.bn) {
+          o = batch_norm_avx2(o, _mm256_load_ps(consts.mean + f),
+                              _mm256_load_ps(consts.inv_std + f),
+                              _mm256_load_ps(consts.gamma + f), _mm256_load_ps(consts.beta + f));
+        }
+        v[h][r] = _mm256_castps_si256(o);
       }
       transpose8(v[h]);
     }
@@ -1107,14 +1274,10 @@ __attribute__((target("avx2"))) void store_tile(const std::int32_t* acc, const f
     // plane the 16 filters' rows are 4 KB apart, one L1 set, so writing
     // a line in two visits would fetch it twice.
     for (int f = 0; f < std::min(8, filters - f0); ++f) {
-      float* const d = dst + static_cast<std::size_t>(f0 + f) * spatial;
+      const OutAt d = dst + static_cast<std::size_t>(f0 + f) * spatial;
       for (int h = 0; h < halves; ++h) {
-        const __m256 o = _mm256_castsi256_ps(v[h][f]);
-        if (h + 1 < halves || m % 8 == 0) {
-          _mm256_storeu_ps(d + 8 * h, o);
-        } else {
-          _mm256_maskstore_ps(d + 8 * h, tail, o);
-        }
+        store_tail<Stages>(d + static_cast<std::size_t>(8 * h), _mm256_castsi256_ps(v[h][f]),
+                           ep, std::min(8, m - 8 * h));
       }
     }
   }
@@ -1122,14 +1285,19 @@ __attribute__((target("avx2"))) void store_tile(const std::int32_t* acc, const f
 
 /// The AMX frame: output rows [y0, y1) of one sample, every filter.
 /// Each row is covered by segments of m positions, the last one shifted
-/// back to end at ow (it rewrites identical values); segment pairs fill
-/// the two A tiles (an odd last segment fills both and is written twice)
-/// and 16-filter block pairs the two B tiles, so each K-chunk is 4
-/// tdpbusd over 4 tile loads. In optimized builds flatten inlines every
-/// helper, so the frame makes no calls.
+/// back to end at ow (it rewrites identical values: it recomputes them
+/// from the image and reads the residual, never the output, which no
+/// compute op writes in place); segment pairs fill the two A tiles (an
+/// odd last segment fills both and is written twice) and 16-filter block
+/// pairs the two B tiles, so each K-chunk is 4 tdpbusd over 4 tile loads.
+/// In optimized builds flatten inlines every helper, so the frame makes
+/// no calls. `Stages` are the epilogue's post-BN stages.
+template <typename Stages>
 __attribute__((target("amx-tile,amx-int8,avx2"), flatten)) void conv_tiles(
     const PackedSimd& packed, const ImageGeometry& geo, const TileConfig& config,
-    const unsigned char* image, float act_scale, float* out_n, int y0, int y1) {
+    const unsigned char* image, float act_scale, const Epilogue& epilogue, OutAt out_n, int y0,
+    int y1) {
+  const Epilogue ep = epilogue;
   _tile_loadconfig(&config);
   alignas(64) std::int32_t c[4][kTileRows * kTileFilters];  // written by tile_sums
   const int per_row = geo.segments_per_row();
@@ -1142,10 +1310,17 @@ __attribute__((target("amx-tile,amx-int8,avx2"), flatten)) void conv_tiles(
   for (int b = 0; b < blocks; b += 2) {
     const int k0 = b * kTileFilters;
     const int kt = std::min(2 * kTileFilters, packed.num_filters - k0);
-    float scale[2 * kTileFilters] = {}, bias[2 * kTileFilters] = {};
+    TileConsts consts = {};
     for (int f = 0; f < kt; ++f) {
-      scale[f] = packed.weight_scales[static_cast<std::size_t>(k0 + f)] * act_scale;
-      bias[f] = packed.out_bias[static_cast<std::size_t>(k0 + f)];
+      const auto k = static_cast<std::size_t>(k0 + f);
+      consts.scale[f] = packed.weight_scales[k] * act_scale;
+      consts.bias[f] = packed.out_bias[k];
+      if (ep.bn) {
+        consts.mean[f] = ep.mean[k];
+        consts.inv_std[f] = ep.inv_std[k];
+        consts.gamma[f] = ep.gamma[k];
+        consts.beta[f] = ep.beta[k];
+      }
     }
     const unsigned char* const b0 = panels + static_cast<std::size_t>(b) * block_bytes;
     const int tiles_b = b + 1 < blocks ? 2 : 1;
@@ -1163,10 +1338,13 @@ __attribute__((target("amx-tile,amx-int8,avx2"), flatten)) void conv_tiles(
       }
       for (int i = 0; i < 2; ++i) {
         for (int h = 0; h < tiles_b; ++h) {
-          float* const dst = out_n + static_cast<std::size_t>(k0 + h * kTileFilters) * spatial +
-                             static_cast<std::size_t>(seg[i][0]) * geo.ow + seg[i][1];
-          store_tile(c[2 * i + h], scale + h * kTileFilters, bias + h * kTileFilters,
-                     std::min(kTileFilters, kt - h * kTileFilters), geo.m, dst, spatial);
+          const OutAt dst =
+              out_n + (static_cast<std::size_t>(k0 + h * kTileFilters) * spatial +
+                       static_cast<std::size_t>(seg[i][0]) * geo.ow +
+                       static_cast<std::size_t>(seg[i][1]));
+          store_tile<Stages>(c[2 * i + h], consts, h * kTileFilters,
+                             std::min(kTileFilters, kt - h * kTileFilters), geo.m, ep, dst,
+                             spatial);
         }
       }
     }
@@ -1181,7 +1359,7 @@ __attribute__((target("amx-tile,amx-int8,avx2"), flatten)) void conv_tiles(
 void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid,
                        int batch, int in_c, int height, int width, int kernel,
                        int stride, int pad, float* out, std::vector<std::uint32_t>& image,
-                       const util::ExecContext& exec) {
+                       const util::ExecContext& exec, const Epilogue& epilogue) {
   const float act_scale = check_runnable(packed, grid, "simd::conv_forward_into");
   if (packed.taps != kernel * kernel || packed.channels != in_c) {
     throw std::invalid_argument("simd::conv_forward_into: geometry mismatch");
@@ -1203,21 +1381,29 @@ void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid
                                  static_cast<std::size_t>(geo.oh) *
                                  static_cast<std::size_t>(geo.ow);
   const std::uint32_t* const data = image.data();
-  if (amx) {
+  const OutAt out_at{out, epilogue.add ? epilogue.residual : nullptr};
+  epilogue.with_tail_stages([&](auto stages) {
+    using Stages = decltype(stages);
+    if (amx) {
 #if CQ_HAVE_AMX
-    const TileConfig config(geo);
-    for_row_blocks(packed, geo, batch, exec, [&](std::size_t n, int y0, int y1) {
-      conv_tiles(packed, geo, config,
-                 reinterpret_cast<const unsigned char*>(data + n * geo.sample), act_scale,
-                 out + n * out_sample, y0, y1);
-    });
+      const TileConfig config(geo);
+      for_row_blocks(packed, geo, batch, exec, [&](std::size_t n, int y0, int y1) {
+        conv_tiles<Stages>(packed, geo, config,
+                           reinterpret_cast<const unsigned char*>(data + n * geo.sample),
+                           act_scale, epilogue, out_at + n * out_sample, y0, y1);
+      });
 #endif
-    return;
-  }
-  for_row_blocks(packed, geo, batch, exec, [&](std::size_t n, int y0, int y1) {
-    with_mac(packed.kernel, [&](auto mac) {
-      conv_block<decltype(mac)>(packed, geo, data + n * geo.sample, act_scale,
-                                out + n * out_sample, y0, y1);
+      return;
+    }
+    for_row_blocks(packed, geo, batch, exec, [&](std::size_t n, int y0, int y1) {
+      with_mac(packed.kernel, [&](auto mac) {
+        using Mac = decltype(mac);
+        // A store that applies the runtime Epilogue needs one instance.
+        using StoreStages =
+            std::conditional_t<Mac::kStagedStore, Stages, TailStages<false, false, false>>;
+        conv_block<Mac, StoreStages>(packed, geo, data + n * geo.sample, act_scale, epilogue,
+                                     out_at + n * out_sample, y0, y1);
+      });
     });
   });
 }
@@ -1225,7 +1411,7 @@ void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid
 void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid,
                          int batch, int in_features, float* out,
                          std::vector<std::uint32_t>& image,
-                         const util::ExecContext& exec) {
+                         const util::ExecContext& exec, const Epilogue& epilogue) {
   const float act_scale = check_runnable(packed, grid, "simd::linear_forward_into");
   if (packed.taps != 1 || in_features != packed.weights_per_filter) {
     throw std::invalid_argument("simd::linear_forward_into: in_features mismatch");
@@ -1240,11 +1426,12 @@ void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid gr
   const std::size_t filters = static_cast<std::size_t>(packed.num_filters);
   const auto tiles = static_cast<std::int64_t>((filters + kFilterTile - 1) / kFilterTile);
   const std::uint32_t* const image_data = image.data();
+  const OutAt out_at{out, epilogue.add ? epilogue.residual : nullptr};
   exec.capped(static_cast<std::int64_t>(filters) * in_features * batch / kMinMacsPerThread)
       .parallel_for(0, tiles, [&](std::int64_t t0, std::int64_t t1) {
         with_mac(packed.kernel, [&](auto mac) {
-          linear_tiles<decltype(mac)>(packed, act_scale, image_data, batch, geo.pixel, out, t0,
-                                      t1);
+          linear_tiles<decltype(mac)>(packed, act_scale, image_data, batch, geo.pixel, epilogue,
+                                      out_at, t0, t1);
         });
       });
 }
@@ -1297,27 +1484,35 @@ void SimdBackend::run(const PlanOp& op, const ExecutionPlan& plan,
     const simd::PackedSimd& packed = packed_[static_cast<std::size_t>(op.layer)];
     if (packed.kernel != simd::Kernel::kScalar) {
       // The scalar reference's input adoption (encode raw activations,
-      // cast pre-encoded grid codes), fused into the code image build.
+      // cast pre-encoded grid codes), fused into the code image build,
+      // and its epilogue, fused into the kernel's store.
       const simd::ActGrid grid{op.act_hi, op.act_bits, op.in_codes};
+      const Epilogue epilogue(op, io);
       if (op.kind == OpKind::IntConv) {
         simd::conv_forward_into(packed, io.in0, grid, io.batch, op.in_c, op.in_h,
                                 op.in_w, op.kernel, op.stride, op.pad, io.out,
-                                scratch.code_image, exec);
+                                scratch.code_image, exec, epilogue);
       } else {
         simd::linear_forward_into(packed, io.in0, grid, io.batch, op.in_features,
-                                  io.out, scratch.code_image, exec);
+                                  io.out, scratch.code_image, exec, epilogue);
       }
-      // The shared epilogue keeps fused tails byte-identical to the
-      // scalar reference (and to the unfused plan).
-      apply_epilogue(op, io, plan.slots()[static_cast<std::size_t>(op.out)].numel,
-                     exec);
       return;
     }
   }
+#if CQ_SIMD_X86
+  if (op.kind == OpKind::EncodeAct && tier_ >= SimdTier::kAvx2) {
+    simd::encode_act_avx2(io.in0, io.out,
+                          plan.slots()[static_cast<std::size_t>(op.out)].numel *
+                              static_cast<std::size_t>(io.batch),
+                          op.act_hi, op.act_bits);
+    return;
+  }
+#endif
   ScalarBackend::run(op, plan, io, scratch, exec);
 }
 
 const char* SimdBackend::dispatch(const PlanOp& op) const {
+  if (op.kind == OpKind::EncodeAct) return tier_ >= SimdTier::kAvx2 ? "simd/avx2" : "scalar";
   if (op.kind != OpKind::IntConv && op.kind != OpKind::IntLinear) return "scalar";
   const auto layer = static_cast<std::size_t>(op.layer);
   if (layer >= packed_.size()) return "scalar";

@@ -86,7 +86,9 @@ struct PlanOp {
 };
 
 /// True when the op kind can carry epilogue fields (a MAC compute op
-/// whose backends run the fused tail inside the rescale stage).
+/// whose backends finish its output with the fused tail: ScalarBackend
+/// in one apply_epilogue pass after the rescale, SimdBackend's integer
+/// kernels in the store that rescales each output).
 inline bool is_compute_op(OpKind kind) {
   return kind == OpKind::IntConv || kind == OpKind::IntLinear ||
          kind == OpKind::FloatConv || kind == OpKind::FloatLinear;

@@ -1,11 +1,19 @@
 #pragma once
 
+#include <climits>
 #include <map>
 #include <string>
 
 namespace cq::util {
 
-/// Minimal `--key=value` / `--flag` parser for the benches and
+/// Parses `text` as a whole decimal integer in [min, max] (std::from_chars:
+/// no sign but '-', no spaces, no trailing characters, no overflow);
+/// throws std::invalid_argument "<what>=<text>: expected a whole number
+/// in [min, max]" otherwise.
+long parse_int(const std::string& what, const std::string& text, long min = LONG_MIN,
+               long max = LONG_MAX);
+
+/// Minimal `--key=value` / `--flag` parser for the tools, benches and
 /// examples. Unknown keys are kept (callers may query freely); values
 /// are returned through typed getters with defaults.
 class Cli {
@@ -14,7 +22,10 @@ class Cli {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
-  long get_int(const std::string& key, long fallback) const;
+  /// `fallback` when --key is absent, else its value through parse_int:
+  /// a bad value throws std::invalid_argument naming --key=value.
+  long get_int(const std::string& key, long fallback, long min = LONG_MIN,
+               long max = LONG_MAX) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 

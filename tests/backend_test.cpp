@@ -342,16 +342,53 @@ void expect_kernels_covered(const std::map<simd::Kernel, int>& compared, bool co
   }
 }
 
+/// A random fused epilogue for an op of `channels` output channels of
+/// `spatial` positions over `batch` samples: each of bn / add / relu /
+/// encode drawn on or off, random BN vectors, a random output grid, and
+/// a residual holding every edge value of that grid (NaN, +-inf, -0.0,
+/// negatives, values past the clip, half steps).
+struct RandomEpilogue {
+  RandomEpilogue(int channels, int out_h, int out_w, int batch, util::Rng& rng) {
+    op.out_c = channels;
+    op.out_h = out_h;
+    op.out_w = out_w;
+    op.ep_bn = rng.uniform_int(0, 1) == 1;
+    op.ep_add = rng.uniform_int(0, 1) == 1;
+    op.ep_relu = rng.uniform_int(0, 1) == 1;
+    op.ep_encode = rng.uniform_int(0, 1) == 1;
+    for (auto* v : {&op.bn_mean, &op.bn_inv_std, &op.bn_gamma, &op.bn_beta}) {
+      for (int c = 0; c < channels; ++c) v->push_back(static_cast<float>(rng.uniform(-2.0, 2.0)));
+    }
+    op.out_bits = static_cast<int>(rng.uniform_int(1, 8));
+    op.out_hi = static_cast<float>(rng.uniform(0.5, 4.0));
+    residual = random_raw_activations(
+        static_cast<std::size_t>(batch) * channels * out_h * out_w, op.out_hi, op.out_bits, rng);
+  }
+
+  /// The io the epilogue reads its residual from.
+  BackendIo io(float* out, int batch) const {
+    return BackendIo{nullptr, op.ep_add ? residual.data() : nullptr, out, batch};
+  }
+  std::string label() const {
+    return std::string(" epilogue=") + (epilogue_suffix(op).empty() ? "-" : epilogue_suffix(op));
+  }
+
+  PlanOp op;  ///< carries the stages, the BN vectors and the output grid
+  std::vector<float> residual;
+};
+
 /// Randomized differential test of the SIMD conv kernels against the
 /// scalar reference (encode or cast, im2col, int64 MACs): 200 seeded
 /// cases over in_c 1-40, H and W 1-19 (output widths off the 8-position
 /// strip), kernel {1, 3, 5}, stride {1, 2, 3}, pad 0-2, 1-20 filters
 /// (off-tile counts), weight bits 0-8 with pruned filters, activation
 /// widths reaching every kernel, batch {1, 3} and threads {1, 3}, fed
-/// both raw floats with every encode edge value and in_codes codes —
-/// byte for byte at every reachable tier. Three more cases are large
-/// enough (tens of millions of MACs, >= 2 x 128K activations) that the
-/// kernel and the encoder really spread over the 3-thread context.
+/// both raw floats with every encode edge value and in_codes codes, each
+/// case finishing with a random fused epilogue — byte for byte against
+/// the scalar kernel followed by apply_epilogue at every reachable tier.
+/// Three more cases are large enough (tens of millions of MACs, >= 2 x
+/// 128K activations) that the kernel and the encoder really spread over
+/// the 3-thread context.
 TEST(BackendIdentity, SimdConvMatchesScalarAtEveryTier) {
   util::Rng rng(505);
   ThreadedExec threaded(3);
@@ -381,21 +418,24 @@ TEST(BackendIdentity, SimdConvMatchesScalarAtEveryTier) {
     const std::size_t count = static_cast<std::size_t>(batch) * in_c * height * width;
     const int oh = (height + 2 * pad - kernel) / stride + 1;
     const int ow = (width + 2 * pad - kernel) / stride + 1;
+    const RandomEpilogue tail(filters, oh, ow, batch, rng);
     const std::string shape =
         "case " + std::to_string(c) + ": in_c=" + std::to_string(in_c) + " hw=" +
         std::to_string(height) + "x" + std::to_string(width) + " k=" +
         std::to_string(kernel) + " s=" + std::to_string(stride) + " p=" +
         std::to_string(pad) + " filters=" + std::to_string(filters) + " batch=" +
         std::to_string(batch) + " act_bits=" + std::to_string(act_bits) +
-        " hi=" + std::to_string(hi);
+        " hi=" + std::to_string(hi) + tail.label();
     for (const bool in_codes : {false, true}) {
       const simd::ActGrid grid{hi, act_bits, in_codes};
       const std::vector<float> acts = in_codes
                                           ? random_float_codes(count, act_bits, rng)
                                           : random_raw_activations(count, hi, act_bits, rng);
-      const Tensor reference = integer_conv_forward(layer, adopt_codes(acts, grid), batch,
-                                                    in_c, height, width, kernel, stride, pad);
+      Tensor reference = integer_conv_forward(layer, adopt_codes(acts, grid), batch, in_c,
+                                              height, width, kernel, stride, pad);
       ASSERT_EQ(reference.numel(), static_cast<std::size_t>(batch) * filters * oh * ow);
+      apply_epilogue(tail.op, tail.io(reference.data(), batch),
+                     static_cast<std::size_t>(filters) * oh * ow);
       for (const SimdTier tier : reachable_simd_tiers()) {
         const simd::PackedSimd packed =
             simd::pack_simd(layer, tier, act_bits, simd::OpShape::conv(kernel));
@@ -407,7 +447,8 @@ TEST(BackendIdentity, SimdConvMatchesScalarAtEveryTier) {
           std::vector<float> out(reference.numel(), -7.0f);
           std::vector<std::uint32_t> image;
           simd::conv_forward_into(packed, acts.data(), grid, batch, in_c, height, width,
-                                  kernel, stride, pad, out.data(), image, exec);
+                                  kernel, stride, pad, out.data(), image, exec,
+                                  Epilogue(tail.op, tail.io(out.data(), batch)));
           expect_bytes_equal(out.data(), reference.data(), reference.numel(),
                              shape + (in_codes ? " in_codes" : " raw") + " kernel=" +
                                  simd::kernel_label(packed.kernel) + " tier=" +
@@ -508,8 +549,9 @@ TEST(BackendIdentity, SimdAmxPanelsFollowTheDocumentedLayout) {
 }
 
 /// The linear twin: raw floats go through the row encoder, codes
-/// through the cast, across feature counts off the word boundary; the
-/// last three cases are large enough to spread over threads.
+/// through the cast, across feature counts off the word boundary, each
+/// case with a random fused epilogue (output feature k is channel k);
+/// the last three cases are large enough to spread over threads.
 TEST(BackendIdentity, SimdLinearMatchesScalarAtEveryTier) {
   util::Rng rng(606);
   ThreadedExec threaded(3);
@@ -528,18 +570,20 @@ TEST(BackendIdentity, SimdLinearMatchesScalarAtEveryTier) {
                                 : static_cast<float>(rng.uniform(0.5, 4.0));
     const IntegerLayer layer = random_integer_layer(
         filters, in_features, random_filter_bits(kc.max_weight_bits, rng), rng);
+    const RandomEpilogue tail(filters, 1, 1, batch, rng);
     const std::string shape = "case " + std::to_string(c) + ": in=" +
                               std::to_string(in_features) + " filters=" +
                               std::to_string(filters) + " batch=" + std::to_string(batch) +
-                              " act_bits=" + std::to_string(act_bits);
+                              " act_bits=" + std::to_string(act_bits) + tail.label();
     for (const bool in_codes : {false, true}) {
       const simd::ActGrid grid{hi, act_bits, in_codes};
       const std::size_t count = static_cast<std::size_t>(batch) * in_features;
       const std::vector<float> acts = in_codes
                                           ? random_float_codes(count, act_bits, rng)
                                           : random_raw_activations(count, hi, act_bits, rng);
-      const Tensor reference =
+      Tensor reference =
           integer_linear_forward(layer, adopt_codes(acts, grid), batch, in_features);
+      apply_epilogue(tail.op, tail.io(reference.data(), batch), static_cast<std::size_t>(filters));
       for (const SimdTier tier : reachable_simd_tiers()) {
         const simd::PackedSimd packed =
             simd::pack_simd(layer, tier, act_bits, simd::OpShape::linear());
@@ -551,7 +595,8 @@ TEST(BackendIdentity, SimdLinearMatchesScalarAtEveryTier) {
           std::vector<float> out(reference.numel(), -7.0f);
           std::vector<std::uint32_t> image;
           simd::linear_forward_into(packed, acts.data(), grid, batch, in_features,
-                                    out.data(), image, exec);
+                                    out.data(), image, exec,
+                                    Epilogue(tail.op, tail.io(out.data(), batch)));
           expect_bytes_equal(out.data(), reference.data(), reference.numel(),
                              shape + (in_codes ? " in_codes" : " raw") + " kernel=" +
                                  simd::kernel_label(packed.kernel) + " tier=" +
@@ -563,6 +608,51 @@ TEST(BackendIdentity, SimdLinearMatchesScalarAtEveryTier) {
     }
   }
   expect_kernels_covered(compared, false);
+}
+
+/// EncodeAct over every edge value of its grid (NaN, +-inf, -0.0,
+/// negatives, values past the clip, exact half steps and the floats just
+/// below them): SimdBackend::run — the AVX2 pass and its scalar tail
+/// (some of the zoo MLP's feature counts end off the 8-lane boundary),
+/// or the delegated portable tier — writes ScalarBackend::run's bytes at
+/// every reachable tier, batch 1 and 3, into another slot and in place.
+TEST(BackendIdentity, SimdEncodeActMatchesScalarAtEveryTier) {
+  util::Rng rng(707);
+  int runs = 0, tails = 0;
+  for (const deploy::QuantizedArtifact& artifact :
+       {serve::tiny_mlp_artifact(), serve::tiny_vgg_artifact(), serve::tiny_resnet_artifact()}) {
+    const ExecutionPlan plan = compile_plan(artifact);
+    ScalarBackend scalar;
+    for (const PlanOp& op : plan.ops()) {
+      if (op.kind != OpKind::EncodeAct) continue;
+      for (const int batch : {1, 3}) {
+        const std::size_t count =
+            plan.slots()[static_cast<std::size_t>(op.out)].numel * static_cast<std::size_t>(batch);
+        const std::vector<float> in = random_raw_activations(count, op.act_hi, op.act_bits, rng);
+        std::vector<float> expected(count);
+        BackendScratch scratch;
+        scalar.run(op, plan, BackendIo{in.data(), nullptr, expected.data(), batch}, scratch, {});
+        for (const SimdTier tier : reachable_simd_tiers()) {
+          ForcedTier forced(tier);
+          SimdBackend simd_backend;
+          simd_backend.prepare(plan);
+          const std::string what = artifact.arch.kind + " " + op.label + " batch=" +
+                                   std::to_string(batch) + " tier=" + simd_tier_name(tier);
+          std::vector<float> out(count, -7.0f), in_place = in;
+          simd_backend.run(op, plan, BackendIo{in.data(), nullptr, out.data(), batch}, scratch,
+                           {});
+          expect_bytes_equal(out.data(), expected.data(), count, what);
+          simd_backend.run(op, plan, BackendIo{in_place.data(), nullptr, in_place.data(), batch},
+                           scratch, {});
+          expect_bytes_equal(in_place.data(), expected.data(), count, what + " in place");
+        }
+        ++runs;
+        tails += count % 8 != 0 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(runs, 20);
+  EXPECT_GT(tails, 0);
 }
 
 /// Random codes never drive every lane to its worst case, so this pins
@@ -1031,6 +1121,8 @@ TEST(BackendFactory, SimdDispatchNamesResolvedIsa) {
         } else {
           EXPECT_TRUE(label == "simd/avx2" || label == dot) << label;
         }
+      } else if (op.kind == OpKind::EncodeAct && tier != SimdTier::kPortable) {
+        EXPECT_EQ("simd/avx2", label);  // the one AVX2 pass of quantize_span
       } else {
         EXPECT_EQ("scalar", label);
       }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "util/cli.h"
 #include "util/csv.h"
@@ -199,6 +200,27 @@ TEST(Cli, ParsesKeyValueAndFlags) {
   EXPECT_EQ(cli.get("name", ""), "vgg");
   EXPECT_EQ(cli.get_int("missing", 7), 7);
   EXPECT_FALSE(cli.has("missing"));
+}
+
+// An integer flag is a whole decimal number in its range or an error
+// naming --key=value: no strtol-style prefix ("4x" -> 4, "abc" -> 0).
+TEST(Cli, IntegersAreWholeNumbersInRange) {
+  const char* argv[] = {"prog", "--a=abc", "--b=4x", "--c=", "--d=-3", "--e=257", "--f=256",
+                        "--g=99999999999999999999"};
+  Cli cli(8, const_cast<char**>(argv));
+  for (const char* key : {"a", "b", "c", "g"}) {
+    EXPECT_THROW(cli.get_int(key, 1), std::invalid_argument) << key;
+  }
+  EXPECT_EQ(-3, cli.get_int("d", 0));
+  EXPECT_THROW(cli.get_int("d", 0, 0, 10), std::invalid_argument);
+  EXPECT_EQ(256, cli.get_int("f", 1, 1, 256));
+  EXPECT_EQ(7, cli.get_int("missing", 7, 1, 256));  // the fallback is not checked
+  try {
+    cli.get_int("e", 1, 1, 256);
+    FAIL() << "257 accepted in [1, 256]";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ("--e=257: expected a whole number in [1, 256]", e.what());
+  }
 }
 
 }  // namespace

@@ -40,7 +40,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -79,25 +78,12 @@ struct LoadedModel {
   serve::ModelConfig config;
 };
 
-/// Parses `text` as a whole decimal integer in [min, max]; `what`
-/// names the flag or manifest key in the error.
-long parse_int(const std::string& what, const std::string& text, long min, long max) {
-  long n = 0;
-  const char* const end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, n);
-  if (error != std::errc() || stop != end || n < min || n > max) {
-    throw std::runtime_error(what + "=" + text + ": expected a whole number in [" +
-                             std::to_string(min) + ", " + std::to_string(max) + "]");
-  }
-  return n;
-}
-
 /// Applies one per-model setting, from a flag or a manifest token, in
 /// the range README states for its key. Returns false for an unknown
 /// key.
 bool apply_setting(serve::ModelConfig& config, const std::string& key,
                    const std::string& value, const std::string& what) {
-  const auto number = [&](long min, long max) { return parse_int(what, value, min, max); };
+  const auto number = [&](long min, long max) { return util::parse_int(what, value, min, max); };
   if (key == "workers") {
     config.server.workers = static_cast<int>(number(1, 256));
   } else if (key == "intra_threads") {
@@ -116,13 +102,6 @@ bool apply_setting(serve::ModelConfig& config, const std::string& key,
   return true;
 }
 
-/// An integer flag that is not a per-model setting.
-long flag_int(const util::Cli& cli, const std::string& key, long fallback, long min,
-              long max) {
-  return cli.has(key) ? parse_int("cq_serve: --" + key, cli.get(key, ""), min, max)
-                      : fallback;
-}
-
 serve::ModelConfig config_from_flags(const util::Cli& cli) {
   serve::ModelConfig config;
   config.server.workers = 2;
@@ -131,7 +110,7 @@ serve::ModelConfig config_from_flags(const util::Cli& cli) {
   for (const char* key :
        {"workers", "intra_threads", "backend", "max_batch", "queue_capacity", "budget_mb"}) {
     if (cli.has(key)) {
-      apply_setting(config, key, cli.get(key, ""), std::string("cq_serve: --") + key);
+      apply_setting(config, key, cli.get(key, ""), std::string("--") + key);
     }
   }
   return config;
@@ -142,7 +121,7 @@ serve::ModelConfig config_from_flags(const util::Cli& cli) {
 std::vector<LoadedModel> parse_manifest(const std::string& path,
                                         const serve::ModelConfig& defaults) {
   std::ifstream in(path);
-  if (!in) throw std::runtime_error("cq_serve: cannot open manifest " + path);
+  if (!in) throw std::runtime_error("cannot open manifest " + path);
   std::vector<LoadedModel> models;
   std::string line;
   int lineno = 0;
@@ -154,7 +133,7 @@ std::vector<LoadedModel> parse_manifest(const std::string& path,
     std::string name;
     std::string artifact_path;
     if (!(tokens >> name)) continue;  // blank / comment-only line
-    const std::string where = "cq_serve: manifest line " + std::to_string(lineno) + ": ";
+    const std::string where = "manifest line " + std::to_string(lineno) + ": ";
     if (!(tokens >> artifact_path)) {
       throw std::runtime_error(where + "expected '<name> <artifact.cqar>'");
     }
@@ -262,13 +241,12 @@ int main(int argc, char** argv) {
   net::FrontEndConfig net_config;
   try {
     const serve::ModelConfig defaults = config_from_flags(cli);
-    net_config.port = static_cast<std::uint16_t>(flag_int(cli, "port", 7411, 0, 65535));
+    net_config.port = static_cast<std::uint16_t>(cli.get_int("port", 7411, 0, 65535));
     net_config.loopback_only = !cli.get_bool("all_interfaces", false);
-    net_config.max_connections =
-        static_cast<int>(flag_int(cli, "max_connections", 64, 1, 4096));
+    net_config.max_connections = static_cast<int>(cli.get_int("max_connections", 64, 1, 4096));
     net_config.max_inflight =
-        static_cast<std::size_t>(flag_int(cli, "max_inflight", 1024, 1, 1 << 20));
-    net_config.responders = static_cast<int>(flag_int(cli, "responders", 2, 1, 256));
+        static_cast<std::size_t>(cli.get_int("max_inflight", 1024, 1, 1 << 20));
+    net_config.responders = static_cast<int>(cli.get_int("responders", 2, 1, 256));
     if (cli.has("manifest")) {
       models = parse_manifest(cli.get("manifest", ""), defaults);
     }
@@ -289,7 +267,7 @@ int main(int argc, char** argv) {
       }
     }
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s\n", error.what());
+    std::fprintf(stderr, "cq_serve: %s\n", error.what());
     return 2;
   }
   if (models.empty()) {

@@ -48,11 +48,17 @@
 //   --assert_p99_ms=X         fail unless admitted client p99 <= X ms
 //   --assert_busy_p99_ms=X    fail unless BUSY round-trip p99 <= X ms
 //   --json gains "admitted"/"shed" fields in both modes.
+//
+// Every integer must be a whole decimal number in its range: --workers,
+// --intra_threads and --threads 1-256, --max_batch 1-1024, --queue
+// 1-2^20, --requests >= 1, the other counts and --seed >= 0, the
+// --connect port 1-65535. A bad value exits 2 before any thread starts,
+// naming --key=value.
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <memory>
 #include <thread>
@@ -84,24 +90,31 @@ int run_remote(const util::Cli& cli) {
     return 2;
   }
   const std::string host = connect.substr(0, colon);
-  const auto port = static_cast<std::uint16_t>(
-      std::strtol(connect.c_str() + colon + 1, nullptr, 10));
   const std::string model = cli.get("model", "");
   if (model.empty()) {
     std::fprintf(stderr, "cq_serve_bench: --connect requires --model=NAME\n");
     return 2;
   }
-  const long requests = cli.get_int("requests", 512);
-  const long threads = cli.get_int("threads", 8);
-  const long warmup = cli.get_int("warmup", 32);
-  const double duration_s = cli.get_double("duration_s", 0.0);
-  const long busy_backoff_us = cli.get_int("busy_backoff_us", 0);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const std::string json_path = cli.get("json", "");
-  if (requests < 1 || threads < 1 || warmup < 0) {
-    std::fprintf(stderr, "cq_serve_bench: requests/threads must be >= 1, warmup >= 0\n");
+  std::uint16_t port = 0;
+  long requests = 0, threads = 0, warmup = 0, busy_backoff_us = 0, admitted_min = 0,
+       shed_min = 0;
+  std::uint64_t seed = 0;
+  try {
+    port = static_cast<std::uint16_t>(
+        util::parse_int("--connect port", connect.substr(colon + 1), 1, 65535));
+    requests = cli.get_int("requests", 512, 1, LONG_MAX);
+    threads = cli.get_int("threads", 8, 1, 256);
+    warmup = cli.get_int("warmup", 32, 0, LONG_MAX);
+    busy_backoff_us = cli.get_int("busy_backoff_us", 0, 0, LONG_MAX);
+    admitted_min = cli.get_int("assert_admitted_min", 0, 0, LONG_MAX);
+    shed_min = cli.get_int("assert_shed_min", 0, 0, LONG_MAX);
+    seed = static_cast<std::uint64_t>(cli.get_int("seed", 1, 0, LONG_MAX));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "cq_serve_bench: %s\n", e.what());
     return 2;
   }
+  const double duration_s = cli.get_double("duration_s", 0.0);
+  const std::string json_path = cli.get("json", "");
 
   try {
     net::Client probe(host, port);
@@ -224,13 +237,11 @@ int run_remote(const util::Cli& cli) {
       std::fprintf(stderr, "cq_serve_bench: %ld submitter(s) errored\n", failed.load());
       ok_gates = false;
     }
-    const long admitted_min = cli.get_int("assert_admitted_min", 0);
     if (admitted.load() < admitted_min) {
       std::fprintf(stderr, "cq_serve_bench: FAIL admitted %ld < %ld\n",
                    admitted.load(), admitted_min);
       ok_gates = false;
     }
-    const long shed_min = cli.get_int("assert_shed_min", 0);
     if (shed.load() < shed_min) {
       std::fprintf(stderr, "cq_serve_bench: FAIL shed %ld < %ld\n", shed.load(),
                    shed_min);
@@ -278,25 +289,23 @@ int main(int argc, char** argv) {
   }
   const std::string path = argv[1];
   const util::Cli cli(argc, argv);
-  const long requests = cli.get_int("requests", 512);
-  const long threads = cli.get_int("threads", 8);
-  const long warmup = cli.get_int("warmup", 64);
-  if (requests < 1 || threads < 1 || warmup < 0) {
-    std::fprintf(stderr, "cq_serve_bench: requests/threads must be >= 1, warmup >= 0\n");
-    return 2;
-  }
-
+  long requests = 0, threads = 0, warmup = 0;
+  std::uint64_t seed = 0;
   serve::ServerConfig config;
-  config.workers = static_cast<int>(cli.get_int("workers", 4));
-  config.intra_threads = static_cast<int>(cli.get_int("intra_threads", 1));
   try {
+    requests = cli.get_int("requests", 512, 1, LONG_MAX);
+    threads = cli.get_int("threads", 8, 1, 256);
+    warmup = cli.get_int("warmup", 64, 0, LONG_MAX);
+    seed = static_cast<std::uint64_t>(cli.get_int("seed", 1, 0, LONG_MAX));
+    config.workers = static_cast<int>(cli.get_int("workers", 4, 1, 256));
+    config.intra_threads = static_cast<int>(cli.get_int("intra_threads", 1, 1, 256));
     config.backend = deploy::parse_backend_kind(cli.get("backend", "scalar"));
+    config.max_batch = static_cast<int>(cli.get_int("max_batch", 16, 1, 1024));
+    config.queue_capacity = static_cast<std::size_t>(cli.get_int("queue", 1024, 1, 1 << 20));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cq_serve_bench: %s\n", e.what());
     return 2;
   }
-  config.max_batch = static_cast<int>(cli.get_int("max_batch", 16));
-  config.queue_capacity = static_cast<std::size_t>(cli.get_int("queue", 1024));
   const std::string json_path = cli.get("json", "");
   const std::string trace_path = cli.get("trace", "");
   const bool profile = cli.get_bool("profile", false);
@@ -326,7 +335,6 @@ int main(int argc, char** argv) {
                 std::thread::hardware_concurrency());
 
     // Deterministic per-thread request streams.
-    const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
     const auto make_sample = [&sample_shape](util::Rng& rng) {
       return tensor::Tensor::rand_uniform(sample_shape, rng, 0.0f, 1.0f);
     };

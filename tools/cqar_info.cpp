@@ -24,11 +24,12 @@
 //              profiler attributes to ops
 //   --backend  backend --plan's dispatch column reflects and --profile
 //              executes on: scalar | simd (default scalar)
-//   --runs     profiled runs for --profile (default 16)
-//   --batch    samples per profiled run (default 8)
+//   --runs     profiled runs for --profile (default 16, 1-2^20)
+//   --batch    samples per profiled run (default 8, 1-65536)
 //
 // Exit status: 0 on success, 1 for any unreadable/truncated/corrupted
-// artifact (with a one-line diagnostic on stderr), 2 for usage errors.
+// artifact (with a one-line diagnostic on stderr), 2 for usage errors
+// (a --runs or --batch that is not a whole number in range included).
 
 #include <cstdio>
 #include <map>
@@ -144,8 +145,11 @@ int main(int argc, char** argv) {
               size.total_bytes(), size.compression_ratio());
 
   deploy::BackendKind backend_kind;
+  int runs = 0, batch = 0;
   try {
     backend_kind = deploy::parse_backend_kind(cli.get("backend", "scalar"));
+    runs = static_cast<int>(cli.get_int("runs", 16, 1, 1 << 20));
+    batch = static_cast<int>(cli.get_int("batch", 8, 1, 1 << 16));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cqar_info: %s\n", e.what());
     return 2;  // usage error, not a corrupted artifact
@@ -211,12 +215,6 @@ int main(int argc, char** argv) {
   }
 
   if (cli.get_bool("profile", false)) {
-    const int runs = static_cast<int>(cli.get_int("runs", 16));
-    const int batch = static_cast<int>(cli.get_int("batch", 8));
-    if (runs < 1 || batch < 1) {
-      std::fprintf(stderr, "cqar_info: --runs/--batch must be >= 1\n");
-      return 2;
-    }
     try {
       serve::EngineSession session(artifact, 1, {},
                                    deploy::make_backend(backend_kind));
