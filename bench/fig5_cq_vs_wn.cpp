@@ -5,7 +5,9 @@
 // Paper shape to reproduce: CQ > WN at every setting, and CQ is more
 // stable at low activation bit-widths.
 
+#include <climits>
 #include <cstdio>
+#include <stdexcept>
 
 #include "baselines/wrapnet.h"
 #include "harness.h"
@@ -17,7 +19,13 @@ int main(int argc, char** argv) {
   using namespace cq;
   const util::Cli cli(argc, argv);
   const bench::BenchScale scale = bench::BenchScale::from_cli(cli);
-  const int acc_bits = static_cast<int>(cli.get_int("acc_bits", 14));
+  int acc_bits = 0;
+  try {
+    acc_bits = static_cast<int>(cli.get_int("acc_bits", 14, 1, 32));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "fig5_cq_vs_wn: %s\n", e.what());
+    return 2;
+  }
 
   const data::DataSplit split = bench::dataset_c10(scale);
   auto fp_model = bench::make_resnet20(10, 1);

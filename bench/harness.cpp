@@ -1,6 +1,10 @@
 #include "harness.h"
 
+#include <climits>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 
 #include "nn/models/checkpoint.h"
 #include "util/logging.h"
@@ -28,13 +32,21 @@ BenchScale BenchScale::from_cli(const util::Cli& cli) {
     s.eval_samples = 60;
     s.importance_samples = 8;
   }
-  s.train_per_class_c10 =
-      static_cast<int>(cli.get_int("train_per_class", s.train_per_class_c10));
-  s.fp_epochs = static_cast<int>(cli.get_int("fp_epochs", s.fp_epochs));
-  s.refine_epochs = static_cast<int>(cli.get_int("refine_epochs", s.refine_epochs));
-  s.eval_samples = static_cast<int>(cli.get_int("eval_samples", s.eval_samples));
-  s.importance_samples =
-      static_cast<int>(cli.get_int("importance_samples", s.importance_samples));
+  // Every bench reads its scale first, so a refused value exits 2 before
+  // any work starts, as the tools do.
+  try {
+    s.train_per_class_c10 =
+        static_cast<int>(cli.get_int("train_per_class", s.train_per_class_c10, 1, INT_MAX));
+    s.fp_epochs = static_cast<int>(cli.get_int("fp_epochs", s.fp_epochs, 0, INT_MAX));
+    s.refine_epochs =
+        static_cast<int>(cli.get_int("refine_epochs", s.refine_epochs, 0, INT_MAX));
+    s.eval_samples = static_cast<int>(cli.get_int("eval_samples", s.eval_samples, 1, INT_MAX));
+    s.importance_samples = static_cast<int>(
+        cli.get_int("importance_samples", s.importance_samples, 1, INT_MAX));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench: %s\n", e.what());
+    std::exit(2);
+  }
   return s;
 }
 

@@ -36,10 +36,12 @@
 // the resolved SIMD tier) so perf artifacts say what machine produced
 // them.
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -207,18 +209,24 @@ bool contains(const std::vector<std::string>& list, const std::string& value) {
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   std::vector<int> thread_counts;
-  for (const std::string& t : parse_list(cli.get("threads", "1,2,4"))) {
-    thread_counts.push_back(std::stoi(t));
+  int repeat = 0, assert_threads = 0;
+  try {
+    for (const std::string& t : parse_list(cli.get("threads", "1,2,4"))) {
+      thread_counts.push_back(static_cast<int>(util::parse_int("--threads", t, 1, 256)));
+    }
+    repeat = static_cast<int>(cli.get_int("repeat", 5, 1, INT_MAX));
+    assert_threads = static_cast<int>(cli.get_int("assert-threads", 4, 1, 256));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "kernel_scaling: %s\n", e.what());
+    return 2;
   }
   const std::vector<std::string> backends =
       parse_list(cli.get("backends", "scalar,simd"));
   for (const std::string& b : backends) {
     deploy::parse_backend_kind(b);  // fail fast on typos, naming the options
   }
-  const int repeat = static_cast<int>(cli.get_int("repeat", 5));
   const std::string json_path = cli.get("json", "");
   const std::string assert_case = cli.get("assert-case", "");
-  const int assert_threads = static_cast<int>(cli.get_int("assert-threads", 4));
   const double assert_speedup = cli.get_double("assert-speedup", 0.0);
   const double assert_backend_speedup = cli.get_double("assert-backend-speedup", 0.0);
   const bool want_scalar = contains(backends, "scalar");
@@ -229,13 +237,13 @@ int main(int argc, char** argv) {
   util::Rng rng(42);
   std::vector<Case> cases;
 
-  /// Registers a scalar integer case plus (per --backends) its simd
-  /// twin running the packed kernel over the same layer and codes; the
-  /// twin is byte-verified against the scalar serial run before any
-  /// timing.
-  const auto add_integer_case = [&](const std::string& name, const std::string& desc,
-                                    long long macs, std::size_t out_size,
-                                    KernelRun scalar_run, KernelRun simd_run) {
+  /// Registers a scalar case plus (per --backends) its simd twin running
+  /// the same op (for integer cases, the packed kernel over the same
+  /// layer and codes); the twin is byte-verified against the scalar
+  /// serial run before any timing.
+  const auto add_case_pair = [&](const std::string& name, const std::string& desc,
+                                 long long macs, std::size_t out_size, KernelRun scalar_run,
+                                 KernelRun simd_run) {
     if (want_scalar) cases.push_back({name, desc, "scalar", macs, out_size, scalar_run, {}});
     if (want_simd) {
       cases.push_back({name + "@simd",
@@ -266,7 +274,7 @@ int main(int argc, char** argv) {
     auto image = std::make_shared<std::vector<std::uint32_t>>();
     const int out_hw = (hw + 2 * pad - kernel) / stride + 1;
     const std::size_t out_size = static_cast<std::size_t>(filters) * out_hw * out_hw;
-    add_integer_case(
+    add_case_pair(
         name, desc, 1LL * filters * per_filter * out_hw * out_hw, out_size,
         [=](const util::ExecContext& exec, float* out) {
           adopt(*in, *codes, exec);
@@ -316,7 +324,7 @@ int main(int argc, char** argv) {
     auto codes = std::make_shared<deploy::ActCodes>();
     auto image = std::make_shared<std::vector<std::uint32_t>>();
     const std::size_t out_size = static_cast<std::size_t>(batch) * filters;
-    add_integer_case(
+    add_case_pair(
         name, desc, 1LL * batch * in_features * filters, out_size,
         [=](const util::ExecContext& exec, float* out) {
           adopt(*in, *codes, exec);
@@ -341,6 +349,74 @@ int main(int argc, char** argv) {
                 "integer conv 16x32x32 -> 16 filters, 3x3, A2 codes, +bn+add+relu->codes", 16, 32,
                 16, 3, 1, 1, fabricate_codes(16 * 32 * 32, 2, rng),
                 fabricate_block_tail(16, 32, rng));
+
+  /// Registers a float op case: `op` in a one-op plan (slot 0 its
+  /// input, slot 1 its output), run through ScalarBackend::run and, for
+  /// the simd twin, SimdBackend::run, each prepared once.
+  const auto add_op_case = [&](const std::string& name, const std::string& desc,
+                               deploy::PlanOp op, std::vector<float> input,
+                               std::size_t out_size) {
+    auto plan = std::make_shared<deploy::ExecutionPlan>();
+    deploy::PlanRewriter rewriter(*plan);
+    rewriter.slots().resize(2);
+    rewriter.slots()[0].numel = input.size();
+    rewriter.slots()[1].numel = out_size;
+    op.in0 = 0;
+    op.out = 1;
+    rewriter.ops().push_back(std::move(op));
+    auto in = std::make_shared<const std::vector<float>>(std::move(input));
+    const auto backend_run = [plan, in](deploy::BackendKind kind) {
+      std::shared_ptr<deploy::Backend> backend = deploy::make_backend(kind);
+      backend->prepare(*plan);
+      auto scratch = std::make_shared<deploy::BackendScratch>();
+      return KernelRun([plan, in, backend, scratch](const util::ExecContext& exec, float* out) {
+        backend->run(plan->ops().front(), *plan, {in->data(), nullptr, out, 1}, *scratch, exec);
+      });
+    };
+    add_case_pair(name, desc, static_cast<long long>(deploy::op_macs(plan->ops().front())),
+                     out_size, backend_run(deploy::BackendKind::Scalar),
+                     backend_run(deploy::BackendKind::Simd));
+  };
+
+  // ResNet20's stem as served: the raw 3x32x32 image through a 3x3 float
+  // conv to 16 filters, +bn+relu fused (im2col + gemm + bias + the
+  // epilogue pass on scalar, the padded-image loop with the epilogue in
+  // its store on simd).
+  {
+    deploy::PlanOp op;
+    op.kind = deploy::OpKind::FloatConv;
+    op.in_c = 3;
+    op.in_h = op.in_w = op.out_h = op.out_w = 32;
+    op.out_c = 16;
+    op.kernel = 3;
+    op.stride = 1;
+    op.pad = 1;
+    op.weight = tensor::Tensor::rand_uniform({16, 27}, rng, -0.5f, 0.5f);
+    for (int k = 0; k < 16; ++k) op.bias.push_back(static_cast<float>(rng.uniform(-0.1, 0.1)));
+    op.ep_bn = op.ep_relu = true;
+    for (auto* v : {&op.bn_mean, &op.bn_inv_std, &op.bn_gamma, &op.bn_beta}) {
+      for (int c = 0; c < 16; ++c) v->push_back(static_cast<float>(rng.uniform(0.2, 1.2)));
+    }
+    std::vector<float> image(3 * 32 * 32);
+    for (float& x : image) x = static_cast<float>(rng.uniform(-2.0, 2.0));
+    add_op_case("float_conv_stem",
+                "float conv 3x32x32 -> 16 filters, 3x3, pad 1, raw image, +bn+relu", op,
+                std::move(image), 16 * 32 * 32);
+  }
+
+  // VGG-small's first max-pool: 32 planes of 32x32, 2x2 windows, stride 2.
+  {
+    deploy::PlanOp op;
+    op.kind = deploy::OpKind::MaxPool;
+    op.in_c = op.out_c = 32;
+    op.in_h = op.in_w = 32;
+    op.out_h = op.out_w = 16;
+    op.kernel = op.stride = 2;
+    std::vector<float> planes(32 * 32 * 32);
+    for (float& x : planes) x = static_cast<float>(rng.uniform(0.0, 3.0));
+    add_op_case("max_pool_paper", "max-pool 32x32x32, 2x2 stride 2", op, std::move(planes),
+                32 * 16 * 16);
+  }
 
   // Float GEMM — the training-side im2col+GEMM path (backends only
   // differ on integer ops, so this is scalar-only).

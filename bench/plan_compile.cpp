@@ -12,8 +12,10 @@
 //              reported (default 5)
 //   --json     machine-readable output for the CI artifact
 
+#include <climits>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -103,7 +105,13 @@ Result measure(const std::string& name, const deploy::QuantizedArtifact& artifac
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const int repeat = static_cast<int>(cli.get_int("repeat", 5));
+  int repeat = 0;
+  try {
+    repeat = static_cast<int>(cli.get_int("repeat", 5, 1, INT_MAX));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "plan_compile: %s\n", e.what());
+    return 2;
+  }
   const std::string json_path = cli.get("json", "");
 
   // Default-size zoo models (larger than the tiny test fixtures, so

@@ -21,9 +21,11 @@
 // sessions), --threads=N (intra-op threads), --batch=N (samples per
 // run), --repeat=N (timed runs per session; best-of reported).
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -53,9 +55,15 @@ struct Result {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const int repeat = static_cast<int>(cli.get_int("repeat", 20));
-  const int batch = static_cast<int>(cli.get_int("batch", 4));
-  const int threads = static_cast<int>(cli.get_int("threads", 1));
+  int repeat = 0, batch = 0, threads = 0;
+  try {
+    repeat = static_cast<int>(cli.get_int("repeat", 20, 1, INT_MAX));
+    batch = static_cast<int>(cli.get_int("batch", 4, 1, 1 << 16));
+    threads = static_cast<int>(cli.get_int("threads", 1, 1, 256));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "plan_optimize: %s\n", e.what());
+    return 2;
+  }
   const std::string json_path = cli.get("json", "");
   const std::string assert_case = cli.get("assert-case", "");
   const double assert_speedup = cli.get_double("assert-speedup", 0.0);
@@ -64,10 +72,6 @@ int main(int argc, char** argv) {
     backend_kind = deploy::parse_backend_kind(cli.get("backend", "scalar"));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "plan_optimize: %s\n", e.what());
-    return 1;
-  }
-  if (repeat < 1 || batch < 1 || threads < 1) {
-    std::fprintf(stderr, "plan_optimize: --repeat/--batch/--threads must be >= 1\n");
     return 1;
   }
 

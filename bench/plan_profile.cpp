@@ -17,7 +17,9 @@
 //   --assert_coverage  fail (exit 1) when attributed_ms / wall_ms falls
 //                      below F for any model x backend (e.g. 0.9)
 
+#include <climits>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -79,13 +81,15 @@ const obs::ProfileAggregate* top_kind(const obs::ProfileReport& report) {
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bool fast = cli.get_bool("fast", false);
-  const int repeat = static_cast<int>(cli.get_int("repeat", fast ? 4 : 16));
-  const int batch = static_cast<int>(cli.get_int("batch", 8));
-  const double min_coverage = cli.get_double("assert_coverage", 0.0);
-  if (repeat < 1 || batch < 1) {
-    std::fprintf(stderr, "plan_profile: repeat/batch must be >= 1\n");
+  int repeat = 0, batch = 0;
+  try {
+    repeat = static_cast<int>(cli.get_int("repeat", fast ? 4 : 16, 1, INT_MAX));
+    batch = static_cast<int>(cli.get_int("batch", 8, 1, 1 << 16));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "plan_profile: %s\n", e.what());
     return 2;
   }
+  const double min_coverage = cli.get_double("assert_coverage", 0.0);
 
   // Default-size zoo models: ops run tens of microseconds and up, so
   // the two steady_clock reads the tracing loop adds per op are noise

@@ -10,7 +10,9 @@
 //
 // Run: ./export_and_deploy [--bits=2.0] [--epochs=3] [--out=model.cqar]
 
+#include <climits>
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/pipeline.h"
 #include "data/synthetic.h"
@@ -23,7 +25,13 @@ int main(int argc, char** argv) {
   using namespace cq;
   const util::Cli cli(argc, argv);
   const double bits = cli.get_double("bits", 2.0);
-  const int epochs = static_cast<int>(cli.get_int("epochs", 3));
+  int epochs = 0;
+  try {
+    epochs = static_cast<int>(cli.get_int("epochs", 3, 0, INT_MAX));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "export_and_deploy: %s\n", e.what());
+    return 2;
+  }
   const std::string out = cli.get("out", "model.cqar");
 
   // 1. Data + full-precision training.

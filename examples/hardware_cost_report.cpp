@@ -9,7 +9,9 @@
 //
 // Run: ./hardware_cost_report [--bits=2.0] [--epochs=3]
 
+#include <climits>
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/pipeline.h"
 #include "data/synthetic.h"
@@ -24,7 +26,13 @@ int main(int argc, char** argv) {
   using namespace cq;
   const util::Cli cli(argc, argv);
   const double bits = cli.get_double("bits", 2.0);
-  const int epochs = static_cast<int>(cli.get_int("epochs", 3));
+  int epochs = 0;
+  try {
+    epochs = static_cast<int>(cli.get_int("epochs", 3, 0, INT_MAX));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "hardware_cost_report: %s\n", e.what());
+    return 2;
+  }
 
   data::SyntheticVisionConfig data_cfg = data::synthetic_cifar10_like();
   data_cfg.train_per_class = 100;

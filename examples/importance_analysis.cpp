@@ -13,8 +13,10 @@
 // Run: ./importance_analysis [--cifar_dir=/path/to/cifar-10-batches-bin]
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 
 #include "core/importance.h"
 #include "data/cifar10.h"
@@ -55,6 +57,13 @@ cq::data::DataSplit load_data(const cq::util::Cli& cli, int* image_size) {
 int main(int argc, char** argv) {
   using namespace cq;
   const util::Cli cli(argc, argv);
+  int epochs = 0;
+  try {
+    epochs = static_cast<int>(cli.get_int("epochs", 4, 0, INT_MAX));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "importance_analysis: %s\n", e.what());
+    return 2;
+  }
   int image_size = 16;
   const data::DataSplit data = load_data(cli, &image_size);
   const int classes = data.train.num_classes();
@@ -65,7 +74,7 @@ int main(int argc, char** argv) {
   nn::VggSmall model(model_cfg);
 
   nn::TrainConfig tc;
-  tc.epochs = static_cast<int>(cli.get_int("epochs", 4));
+  tc.epochs = epochs;
   tc.batch_size = 50;
   tc.lr = 0.02;
   nn::Trainer trainer(tc);

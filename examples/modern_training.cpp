@@ -10,7 +10,9 @@
 //
 // Run: ./modern_training [--bits=3.0] [--epochs=6]
 
+#include <climits>
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/pipeline.h"
 #include "data/augment.h"
@@ -23,7 +25,13 @@ int main(int argc, char** argv) {
   using namespace cq;
   const util::Cli cli(argc, argv);
   const double bits = cli.get_double("bits", 3.0);
-  const int epochs = static_cast<int>(cli.get_int("epochs", 6));
+  int epochs = 0;
+  try {
+    epochs = static_cast<int>(cli.get_int("epochs", 6, 0, INT_MAX));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "modern_training: %s\n", e.what());
+    return 2;
+  }
 
   data::SyntheticVisionConfig data_cfg = data::synthetic_cifar10_like();
   data_cfg.train_per_class = 100;

@@ -8,7 +8,9 @@
 //
 // Run: ./quickstart [--bits=2.0] [--epochs=4]
 
+#include <climits>
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/pipeline.h"
 #include "data/synthetic.h"
@@ -21,7 +23,13 @@ int main(int argc, char** argv) {
   using namespace cq;
   const util::Cli cli(argc, argv);
   const double bits = cli.get_double("bits", 2.0);
-  const int epochs = static_cast<int>(cli.get_int("epochs", 4));
+  int epochs = 0;
+  try {
+    epochs = static_cast<int>(cli.get_int("epochs", 4, 0, INT_MAX));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 2;
+  }
 
   // 1. Data: a synthetic 10-class image corpus (3x16x16).
   data::SyntheticVisionConfig data_cfg = data::synthetic_cifar10_like();

@@ -38,6 +38,10 @@ struct BackendScratch {
   /// replaces both `codes` and `int_cols` on its path; capacity is
   /// retained across ops.
   std::vector<std::uint32_t> code_image;
+  /// SimdBackend's zero-padded, channel-major float image of a stride-1
+  /// FloatConv's input at the tiers with AVX2, which replaces
+  /// `float_cols` on that path; capacity is retained across ops.
+  std::vector<float> float_image;
 };
 
 /// Kernel-dispatch seam of the deployment runtime.
@@ -64,9 +68,23 @@ struct BackendScratch {
 ///    block them freely as long as the final per-output float rescale
 ///    `weight_scale(k) * act_scale * acc + bias` is computed with the
 ///    same expressions — outputs must be byte-identical to
-///    ScalarBackend. Float ops (FloatConv/FloatLinear, stem/head) must
-///    keep the per-output-element reduction order or delegate to the
-///    scalar reference.
+///    ScalarBackend. Float ops (FloatConv/FloatLinear, stem/head) keep
+///    the scalar reference's arithmetic for each output or delegate to
+///    it. For a FloatConv that is im2col + tensor::gemm's sum + bias:
+///    the im2col rows p = c * k^2 + ky * k + kx summed in ascending
+///    order from a +0.0 accumulator, each term the product x * w added
+///    to it (multiply, then add: never FMA), a NaN product keeping its
+///    own payload in the sum (ScalarBackend's rule; gemm's `+=` leaves
+///    it to the compiler), a zero or -0.0 weight skipped for its own
+///    filter only (masking its product to +0.0 is exact: a sum that
+///    starts at +0.0 is never -0.0), padding multiplied through as +0.0
+///    (0 * inf is NaN), and the bias added after the sum
+///    (unconditionally is exact, for the same reason). Which payload a
+///    NaN-times-NaN product keeps is not defined: GCC's vectorized loop
+///    keeps x's in its vector body and w's in its odd remainder lane.
+///    MaxPool keeps `if (v > best) best = v`
+///    from -inf in (ky, kx) order, which is maxps(v, best) lane for
+///    lane, NaN and +-0 ties included.
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -133,7 +151,9 @@ struct TailStages {
 /// BatchNorm, Add, Relu and EncodeAct ops' expressions, in that order;
 /// every stage maps element i from element i alone, so a kernel may
 /// finish each output where it rescales it and stay byte-identical to
-/// running the deleted ops one by one. Default-constructed: no stages.
+/// running the deleted ops one by one (the fused add also pins which
+/// payload a NaN-plus-NaN sum keeps: add_residual). Default-constructed:
+/// no stages.
 struct Epilogue {
   Epilogue() = default;
   Epilogue(const PlanOp& op, const BackendIo& io);
@@ -147,6 +167,12 @@ struct Epilogue {
     const float xh = (v - mean) * inv_std;
     return gamma * xh + beta;
   }
+  /// The residual add, v + residual, except that a NaN v keeps its own
+  /// payload: GCC treats float + as commutative and emits either operand
+  /// order, so a plain add would leave which of two NaN payloads the sum
+  /// keeps to the compiler. The op's own output is always an arithmetic
+  /// result, hence a quiet NaN, so returning it is what the add would.
+  static float add_residual(float v, float residual) { return v != v ? v : v + residual; }
   static float rectify(float v) { return v > 0.0f ? v : 0.0f; }
   float to_grid(float v) const {
     return static_cast<float>(quant::activation_code(v, out_hi, to_code));
@@ -172,7 +198,7 @@ struct Epilogue {
   /// element) is used only with Stages::add.
   template <typename Stages>
   float tail(float v, float residual) const {
-    if constexpr (Stages::add) v = v + residual;
+    if constexpr (Stages::add) v = add_residual(v, residual);
     if constexpr (Stages::relu) v = rectify(v);
     if constexpr (Stages::encode) v = to_grid(v);
     return v;
@@ -184,7 +210,7 @@ struct Epilogue {
   /// is read only with `add`.
   float operator()(float v, std::size_t c, const float* residual) const {
     if (bn) v = batch_norm(v, mean[c], inv_std[c], gamma[c], beta[c]);
-    if (add) v = v + *residual;
+    if (add) v = add_residual(v, *residual);
     if (relu) v = rectify(v);
     if (encode) v = to_grid(v);
     return v;
@@ -394,6 +420,16 @@ void linear_forward_into(const PackedSimd& packed, const float* acts, ActGrid gr
                          std::vector<std::uint32_t>& image,
                          const util::ExecContext& exec = {}, const Epilogue& epilogue = {});
 
+/// A stride-1 FloatConv's weights as 8-filter float panels, packed once
+/// in prepare(): panels[tile][p][f] is filter tile * kFilterTile + f's
+/// weight at im2col row p = c * k^2 + ky * k + kx, the order its sum
+/// runs in (tail filters zero, never stored). `out` is the op's output
+/// slot, which names the op: a verified plan assigns each slot once.
+struct FloatPanels {
+  int out = -1;
+  std::vector<float> panels;
+};
+
 /// Where the amx conv's tile loads land, for a conv of this geometry
 /// over `batch` samples: the bytes conv_forward_into allocates for the
 /// position-major image (the samples plus zeroed slack) and one past
@@ -409,7 +445,7 @@ TileImageBounds tile_image_bounds(int batch, int in_c, int height, int width, in
 
 }  // namespace simd
 
-/// Explicit-SIMD integer backend: IntConv/IntLinear, with their fused
+/// Explicit-SIMD backend: IntConv/IntLinear, with their fused
 /// epilogues, run hand-scheduled
 /// AVX2 kernels (_mm256_madd_epi16 int16 pairs; _mm256_maddubs_epi16
 /// int8 quads when the shared overflow bound proves saturation
@@ -419,9 +455,14 @@ TileImageBounds tile_image_bounds(int batch, int in_c, int height, int width, in
 /// kernels everywhere else
 /// (baseline-SSE2 pmaddwd on x86-64, GCC vector extensions otherwise),
 /// and delegate a layer to the scalar reference when its filters are
-/// wider than 15 bits or its int32 accumulator is not certified;
-/// EncodeAct runs one AVX2 pass on CPUs that have AVX2, and every other
-/// op the scalar reference. The
+/// wider than 15 bits or its int32 accumulator is not certified. On
+/// CPUs that have AVX2 three float ops run in the backend too: a
+/// stride-1 FloatConv (the stem over the raw image) as one AVX2 loop
+/// over a zero-padded float image and 8-filter float panels, its
+/// epilogue in the store; MaxPool as maxps; EncodeAct as one AVX2 pass.
+/// FloatLinear, AvgPool, strided FloatConvs, the elementwise ops, and
+/// every op but the integer ones at the portable tier run the scalar
+/// reference. The
 /// tier is resolved by runtime CPUID at construction — one binary,
 /// every x86 — and every tier is byte-identical to ScalarBackend
 /// (backend_test pins each reachable tier).
@@ -431,16 +472,18 @@ class SimdBackend : public ScalarBackend {
 
   const char* name() const override { return "simd"; }
   /// Packs each integer layer once, for the activation width and the
-  /// shape of the op that reads it.
+  /// shape of the op that reads it, and at the tiers with AVX2 each
+  /// stride-1 FloatConv's float panels.
   void prepare(const ExecutionPlan& plan) override;
   void run(const PlanOp& op, const ExecutionPlan& plan, const BackendIo& io,
            BackendScratch& scratch, const util::ExecContext& exec) const override;
   /// The op's simd::kernel_label ("simd/amx", "simd/vnni", "simd/avx2-i8",
-  /// "simd/avx2", "simd/portable"), "simd/avx2" for EncodeAct at the tiers
-  /// with AVX2, or "scalar" for delegated ops — the resolved ISA
-  /// cqar_info's dispatch column and the plan profiler rows show.
+  /// "simd/avx2", "simd/portable"), "simd/avx2" for EncodeAct, MaxPool and
+  /// a packed FloatConv at the tiers with AVX2, or "scalar" for delegated
+  /// ops — the resolved ISA cqar_info's dispatch column and the plan
+  /// profiler rows show.
   const char* dispatch(const PlanOp& op) const override;
-  /// One packed layout per integer layer.
+  /// One packed layout per integer layer, plus the float panels.
   std::size_t prepared_bytes() const override;
 
   /// The tier this instance resolved at construction.
@@ -449,6 +492,9 @@ class SimdBackend : public ScalarBackend {
  private:
   SimdTier tier_;
   std::vector<simd::PackedSimd> packed_;  ///< by PlanOp::layer
+  std::vector<simd::FloatPanels> float_panels_;  ///< one per packed FloatConv
+  /// The panels of `op`, or null when it runs the scalar reference.
+  const simd::FloatPanels* float_panels(const PlanOp& op) const;
   /// Identity of the plan prepare() packed for; run() refuses any
   /// other plan (same-sized layer lists would otherwise silently
   /// execute with the wrong weights).

@@ -3,6 +3,8 @@
 // expression for expression. Every other backend's byte-identity
 // contract is defined against this file.
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -11,6 +13,44 @@
 #include "tensor/ops.h"
 
 namespace cq::deploy {
+
+namespace {
+
+/// A FloatConv's c = a * b: tensor::gemm's arithmetic (each c element the
+/// ascending-p sum from +0.0 of a[i][p] * b[p][j], a zero a[i][p]
+/// skipped), except that a NaN product keeps its own payload in the sum,
+/// as a hardware add with the product as its first operand does. GCC
+/// treats float + as commutative and emits either operand order (gemm's
+/// `+=` sums the product first in Release builds and the accumulator
+/// first under the sanitizers), so only an explicit rule gives every
+/// build, and every backend, the same bytes when two NaNs meet. The rule
+/// is a bit blend, which vectorizes; a select on a float compare does
+/// not.
+void conv_gemm(const float* a, const float* b, float* c, int m, int k, int n,
+               const util::ExecContext& exec) {
+  exec.parallel_for(0, m, [=](std::int64_t i0, std::int64_t i1) {
+    std::memset(c + static_cast<std::size_t>(i0) * n, 0,
+                sizeof(float) * static_cast<std::size_t>(i1 - i0) * n);
+    for (std::int64_t i = i0; i < i1; ++i) {
+      const float* arow = a + static_cast<std::size_t>(i) * k;
+      float* crow = c + static_cast<std::size_t>(i) * n;
+      for (int p = 0; p < k; ++p) {
+        const float av = arow[p];
+        if (av == 0.0f) continue;
+        const float* brow = b + static_cast<std::size_t>(p) * n;
+        for (int j = 0; j < n; ++j) {
+          const auto product = std::bit_cast<std::uint32_t>(brow[j] * av);
+          const auto sum = std::bit_cast<std::uint32_t>(std::bit_cast<float>(product) + crow[j]);
+          const std::uint32_t nan =
+              0u - static_cast<std::uint32_t>((product & 0x7fffffffu) > 0x7f800000u);
+          crow[j] = std::bit_cast<float>((product & nan) | (sum & ~nan));
+        }
+      }
+    }
+  });
+}
+
+}  // namespace
 
 void ScalarBackend::run(const PlanOp& op, const ExecutionPlan& plan,
                         const BackendIo& io, BackendScratch& scratch,
@@ -129,8 +169,8 @@ void ScalarBackend::run(const PlanOp& op, const ExecutionPlan& plan,
         tensor::im2col(in0 + static_cast<std::size_t>(n) * in_stride, g,
                        scratch.float_cols.data(), per_image);
         float* out_n = out + static_cast<std::size_t>(n) * out_stride;
-        tensor::gemm(op.weight.data(), scratch.float_cols.data(), out_n, op.out_c,
-                     g.patch_size(), spatial, /*accumulate=*/false, per_image);
+        conv_gemm(op.weight.data(), scratch.float_cols.data(), out_n, op.out_c, g.patch_size(),
+                  spatial, per_image);
         for (int c = 0; c < op.out_c; ++c) {
           const float b = op.bias[static_cast<std::size_t>(c)];
           if (b == 0.0f) continue;

@@ -1,4 +1,7 @@
-// Explicit-SIMD integer backend.
+// Explicit-SIMD backend: the integer convolutions and linear layers at
+// every tier, and at the tiers with AVX2 the stride-1 float convolution
+// (the stem over the raw image), max-pooling and EncodeAct; every other
+// op delegates to the scalar reference.
 //
 // Each integer op adopts its float input in one pass — clamp and exact
 // rounding for raw activations, a cast for in_codes inputs — straight
@@ -40,6 +43,15 @@
 // lane by lane. EncodeAct runs in one AVX2 pass of quantize_span's
 // expression at the tiers with AVX2.
 //
+// The float conv keeps the scalar reference's arithmetic for each output
+// instead of retiling it: a zero-padded, channel-major float image
+// replaces the im2col matrix, and one AVX2 loop sums each output's im2col
+// rows in ascending order, as `product + acc` with the add pinned in asm
+// (never FMA), masking a zero weight's product as gemm skips it, against
+// 8-filter float panels packed in prepare(); its sums leave through the
+// integer kernels' AVX2 store (bias, then the epilogue). MaxPool is
+// maxps(v, best) in the reference's window order.
+//
 // pack_simd picks each layer's kernel once, at prepare() time, and
 // packs only the panels that kernel reads: the kernels and the dispatch
 // label switch on the stored choice instead of re-deriving it. Byte
@@ -56,6 +68,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -536,17 +549,19 @@ __attribute__((target("avx2"))) __m256 batch_norm_avx2(__m256 v, __m256 mean, __
 
 /// The post-BN stages of `Stages` on 8 lanes of one channel's consecutive
 /// outputs, then the store of the first `lanes`: the residual added from
-/// only the lanes stored, ReLU as a compare mask (NaN and -0.0 give +0.0,
-/// as `v > 0 ? v : 0` does), and the encode through EncodeRaw's vector
-/// code.
+/// only the lanes stored (a NaN lane keeping its payload, as
+/// Epilogue::add_residual does), ReLU as a compare mask (NaN and -0.0
+/// give +0.0, as `v > 0 ? v : 0` does), and the encode through
+/// EncodeRaw's vector code.
 template <typename Stages>
 __attribute__((target("avx2"))) void store_tail(OutAt at, const __m256& finished,
                                                 const Epilogue& ep, int lanes) {
   const bool full = lanes == 8;
   __m256 v = finished;
   if constexpr (Stages::add) {
-    v = _mm256_add_ps(v, full ? _mm256_loadu_ps(at.residual)
-                              : _mm256_maskload_ps(at.residual, first_lanes(lanes)));
+    const __m256 residual = full ? _mm256_loadu_ps(at.residual)
+                                 : _mm256_maskload_ps(at.residual, first_lanes(lanes));
+    v = _mm256_blendv_ps(_mm256_add_ps(v, residual), v, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
   }
   if constexpr (Stages::relu) {
     v = _mm256_and_ps(_mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ), v);
@@ -557,6 +572,22 @@ __attribute__((target("avx2"))) void store_tail(OutAt at, const __m256& finished
   } else {
     _mm256_maskstore_ps(at.out, first_lanes(lanes), v);
   }
+}
+
+/// The finish of a store whose 8 lanes are consecutive outputs of channel
+/// c: BN with the channel's broadcast constants when the epilogue has it,
+/// then store_tail.
+template <typename Stages>
+__attribute__((target("avx2"))) void store_channel(OutAt at, const __m256& v, const Epilogue& ep,
+                                                   std::size_t c, int lanes) {
+  if (!ep.bn) {
+    store_tail<Stages>(at, v, ep, lanes);
+    return;
+  }
+  store_tail<Stages>(at,
+                     batch_norm_avx2(v, _mm256_set1_ps(ep.mean[c]), _mm256_set1_ps(ep.inv_std[c]),
+                                     _mm256_set1_ps(ep.gamma[c]), _mm256_set1_ps(ep.beta[c])),
+                     ep, lanes);
 }
 
 /// EncodeAct in one AVX2 pass of quantize_span's expression on [0, hi]:
@@ -863,13 +894,11 @@ struct Avx2PairMac {
   __attribute__((target("avx2"))) static void store(OutAt at, const Vec& acc, float scale,
                                                     float bias, const Epilogue& ep,
                                                     std::size_t c, std::size_t lanes) {
-    __m256 o = _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(acc), _mm256_set1_ps(scale)),
-                             _mm256_set1_ps(bias));
-    if (ep.bn) {
-      o = batch_norm_avx2(o, _mm256_set1_ps(ep.mean[c]), _mm256_set1_ps(ep.inv_std[c]),
-                          _mm256_set1_ps(ep.gamma[c]), _mm256_set1_ps(ep.beta[c]));
-    }
-    store_tail<Stages>(at, o, ep, static_cast<int>(lanes));
+    store_channel<Stages>(
+        at,
+        _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(acc), _mm256_set1_ps(scale)),
+                      _mm256_set1_ps(bias)),
+        ep, c, static_cast<int>(lanes));
   }
   /// A linear row's `lanes` rescaled outputs, features c0 .. c0 + lanes
   /// - 1, finished in one vector (BN constants and residual read only
@@ -1141,29 +1170,26 @@ void linear_tiles(const PackedSimd& packed, float act_scale, const std::uint32_t
 }
 
 /// Runs body(n, y0, y1) for a conv's (sample n, output rows [y0, y1))
-/// tasks, every filter each, the rule both conv frames share: a task
-/// holds at least kMinMacsPerThread, so ops too small to repay a thread
-/// dispatch run on the calling thread. The amx frame pairs segments
-/// into its two A tiles, so a task with an odd segment count computes
-/// its last one twice: where a row holds an odd number of segments,
-/// tasks take an even number of rows.
+/// tasks, every filter each, the rule every conv frame shares: a task
+/// holds at least kMinMacsPerThread (an output row costs `row_macs`), so
+/// ops too small to repay a thread dispatch run on the calling thread.
+/// The amx frame pairs segments into its two A tiles, so a task with an
+/// odd segment count computes its last one twice: with `even_rows` (a
+/// row holds an odd number of segments) tasks take an even number of
+/// rows.
 template <typename Body>
-void for_row_blocks(const PackedSimd& packed, const ImageGeometry& geo, int batch,
+void for_row_blocks(std::int64_t row_macs, int oh, bool even_rows, int batch,
                     const util::ExecContext& exec, Body&& body) {
-  const std::int64_t row_macs = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(geo.ow) * packed.num_filters * packed.weights_per_filter);
-  auto rows_per_task = static_cast<int>(std::clamp<std::int64_t>(
-      (kMinMacsPerThread + row_macs - 1) / row_macs, 1, geo.oh));
-  if (geo.segments_per_row() % 2 == 1 && rows_per_task % 2 == 1 && rows_per_task < geo.oh) {
-    ++rows_per_task;
-  }
-  const std::int64_t row_blocks = (geo.oh + rows_per_task - 1) / rows_per_task;
-  exec.capped(batch * geo.oh * row_macs / kMinMacsPerThread)
+  row_macs = std::max<std::int64_t>(1, row_macs);
+  auto rows_per_task = static_cast<int>(
+      std::clamp<std::int64_t>((kMinMacsPerThread + row_macs - 1) / row_macs, 1, oh));
+  if (even_rows && rows_per_task % 2 == 1 && rows_per_task < oh) ++rows_per_task;
+  const std::int64_t row_blocks = (oh + rows_per_task - 1) / rows_per_task;
+  exec.capped(batch * oh * row_macs / kMinMacsPerThread)
       .parallel_for(0, batch * row_blocks, [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t task = lo; task < hi; ++task) {
           const int y0 = static_cast<int>(task % row_blocks) * rows_per_task;
-          body(static_cast<std::size_t>(task / row_blocks), y0,
-               std::min(geo.oh, y0 + rows_per_task));
+          body(static_cast<std::size_t>(task / row_blocks), y0, std::min(oh, y0 + rows_per_task));
         }
       });
 }
@@ -1354,6 +1380,297 @@ __attribute__((target("amx-tile,amx-int8,avx2"), flatten)) void conv_tiles(
 
 #endif  // CQ_HAVE_AMX
 
+// ---------------------------------------------------------------------------
+// Float convolutions and max-pools at the tiers with AVX2.
+// ---------------------------------------------------------------------------
+
+/// A stride-1 float conv's geometry and its zero-padded, channel-major
+/// input image, per sample [channels][height + 2 pad][width + 2 pad]
+/// floats: output position (oy, ox) reads, for im2col row (c, ky), the
+/// run of `kernel` floats at at(oy, ox) + c * plane + ky * row, so the
+/// padding im2col writes as +0.0 is read as +0.0. With no padding the
+/// image is the input itself.
+struct FloatImage {
+  explicit FloatImage(const PlanOp& op)
+      : channels(op.in_c),
+        height(op.in_h),
+        width(op.in_w),
+        kernel(op.kernel),
+        pad(op.pad),
+        oh(op.in_h + 2 * op.pad - op.kernel + 1),
+        ow(op.in_w + 2 * op.pad - op.kernel + 1),
+        row(static_cast<std::size_t>(op.in_w + 2 * op.pad)),
+        plane(static_cast<std::size_t>(op.in_h + 2 * op.pad) * row),
+        sample(static_cast<std::size_t>(op.in_c) * plane) {}
+
+  std::size_t at(int oy, int ox) const {
+    return static_cast<std::size_t>(oy) * row + static_cast<std::size_t>(ox);
+  }
+  /// Copies one sample's [channels][height][width] input into `dst`.
+  void fill(const float* src, float* dst) const {
+    std::fill(dst, dst + sample, 0.0f);
+    const auto w = static_cast<std::size_t>(width);
+    for (int c = 0; c < channels; ++c) {
+      for (int y = 0; y < height; ++y, src += w) {
+        std::copy(src, src + w,
+                  dst + static_cast<std::size_t>(c) * plane + at(y + pad, pad));
+      }
+    }
+  }
+
+  int channels, height, width, kernel, pad, oh, ow;
+  std::size_t row, plane, sample;
+};
+
+/// Whether prepare() packs `op` as a float conv: stride 1, at least one
+/// output, and weights and bias of the sizes its geometry names.
+bool packs_as_float_conv(const PlanOp& op) {
+  if (op.kind != OpKind::FloatConv || op.stride != 1 || op.kernel < 1 || op.in_c < 1 ||
+      op.out_c < 1 || op.pad < 0) {
+    return false;
+  }
+  const FloatImage geo(op);
+  return geo.oh >= 1 && geo.ow >= 1 && op.out_h == geo.oh && op.out_w == geo.ow &&
+         op.weight.numel() == static_cast<std::size_t>(op.out_c) * op.in_c * op.kernel *
+                                  op.kernel &&
+         op.bias.size() == static_cast<std::size_t>(op.out_c);
+}
+
+/// op.weight ([out_c][in_c * k * k], im2col row order) as FloatPanels.
+FloatPanels pack_float_panels(const PlanOp& op) {
+  const auto filters = static_cast<std::size_t>(op.out_c);
+  const std::size_t rows = op.weight.numel() / filters;
+  FloatPanels packed;
+  packed.out = op.out;
+  packed.panels.assign((filters + kFilterTile - 1) / kFilterTile * rows * kFilterTile, 0.0f);
+  for (std::size_t k = 0; k < filters; ++k) {
+    float* const lane = packed.panels.data() + k / kFilterTile * rows * kFilterTile + k % kFilterTile;
+    for (std::size_t p = 0; p < rows; ++p) lane[p * kFilterTile] = op.weight.data()[k * rows + p];
+  }
+  return packed;
+}
+
+#if CQ_SIMD_X86
+
+/// One term of the reference conv's sum on 8 lanes: x * w, masked to
+/// +0.0 where `live` (w != 0) is clear — gemm's skip of a zero weight —
+/// then added as product + acc: with the product as the first operand a
+/// NaN product keeps its own payload, ScalarBackend's rule. GCC treats
+/// float + as commutative and may swap the operands of an intrinsic, so
+/// the add is pinned in asm (a plain vaddps: the multiply is never fused
+/// into it).
+__attribute__((target("avx2"))) inline void float_mac(__m256& acc, const __m256& x,
+                                                      const __m256& w, const __m256& live) {
+  const __m256 product = _mm256_and_ps(_mm256_mul_ps(x, w), live);
+  asm("vaddps {%2, %1, %0|%0, %1, %2}" : "=x"(acc) : "x"(product), "x"(acc));
+}
+
+/// Output rows [y0, y1) of one sample of a stride-1 float conv, tile by
+/// tile, 8 output positions of a row at a time (a row's last block
+/// repeats its last position in the lanes past the row end and stores
+/// only the real ones). For each im2col row p in ascending order the
+/// panel row of 8 filters' weights is loaded once and multiplied against
+/// each position's broadcast input; the 8 x 8 sums are transposed into
+/// filter-major vectors, the bias added, and finished with the epilogue
+/// (post-BN stages `Stages`) in the store. In optimized builds flatten
+/// inlines every helper, so the frame makes no calls.
+template <typename Stages>
+__attribute__((target("avx2"), flatten)) void float_conv_rows(
+    const FloatImage& geo, const float* panels, const float* bias, int filters,
+    const float* image, const Epilogue& epilogue, OutAt out_n, int y0, int y1) {
+  const Epilogue ep = epilogue;
+  const std::size_t spatial = static_cast<std::size_t>(geo.oh) * static_cast<std::size_t>(geo.ow);
+  const std::size_t panel_floats =
+      static_cast<std::size_t>(geo.channels) * geo.kernel * geo.kernel * kFilterTile;
+  const __m256 zero = _mm256_setzero_ps();
+  for (int k0 = 0; k0 < filters; k0 += kFilterTile) {
+    const float* const panel = panels + static_cast<std::size_t>(k0 / kFilterTile) * panel_floats;
+    const int kt = std::min(kFilterTile, filters - k0);
+    const OutAt out_tile = out_n + static_cast<std::size_t>(k0) * spatial;
+    for (int oy = y0; oy < y1; ++oy) {
+      for (int ox = 0; ox < geo.ow; ox += 8) {
+        const int n = std::min(8, geo.ow - ox);
+        const float* at[8] = {image + geo.at(oy, ox)};
+        for (int b = 1; b < 8; ++b) at[b] = b < n ? at[b - 1] + 1 : at[b - 1];
+        __m256 acc[8];
+        for (__m256& a : acc) a = zero;
+        const float* w = panel;
+        for (int c = 0; c < geo.channels; ++c) {
+          for (int ky = 0; ky < geo.kernel; ++ky) {
+            const std::size_t offset = static_cast<std::size_t>(c) * geo.plane +
+                                       static_cast<std::size_t>(ky) * geo.row;
+            for (int kx = 0; kx < geo.kernel; ++kx, w += kFilterTile) {
+              const __m256 wv = _mm256_loadu_ps(w);
+              const __m256 live = _mm256_cmp_ps(wv, zero, _CMP_NEQ_UQ);
+              for (int b = 0; b < 8; ++b) {
+                float_mac(acc[b], _mm256_set1_ps(at[b][offset + static_cast<std::size_t>(kx)]), wv,
+                          live);
+              }
+            }
+          }
+        }
+        __m256i v[8];
+        for (int b = 0; b < 8; ++b) v[b] = _mm256_castps_si256(acc[b]);
+        transpose8(v);
+        const OutAt dst =
+            out_tile + (static_cast<std::size_t>(oy) * geo.ow + static_cast<std::size_t>(ox));
+        for (int f = 0; f < kt; ++f) {
+          const auto k = static_cast<std::size_t>(k0 + f);
+          store_channel<Stages>(dst + static_cast<std::size_t>(f) * spatial,
+                                _mm256_add_ps(_mm256_castsi256_ps(v[f]), _mm256_set1_ps(bias[k])),
+                                ep, k, n);
+        }
+      }
+    }
+  }
+}
+
+/// One pool tap for `Lanes` (8 or 4) consecutive outputs at stride
+/// `Stride` (1 or 2), from p, the tap's input for the first of them;
+/// every load ends at the last float the tap reads. At stride 2 the 8
+/// lanes come out as p0 p2 p8 p10 | p4 p6 p12 p14 (one shuffle of two
+/// loads); every tap shares that order, and maxps works lane by lane, so
+/// pool_block puts the lanes in order once, after the last tap.
+template <int Lanes, int Stride>
+__attribute__((target("avx2"))) auto pool_tap(const float* p) {
+  if constexpr (Lanes == 8 && Stride == 1) {
+    return _mm256_loadu_ps(p);
+  } else if constexpr (Lanes == 8) {
+    return _mm256_shuffle_ps(_mm256_loadu_ps(p), _mm256_loadu_ps(p + 7), 0xD8);
+  } else if constexpr (Stride == 1) {
+    return _mm_loadu_ps(p);
+  } else {  // p0 p2 p4 p6 from p0..p3 and p3..p6
+    return _mm_shuffle_ps(_mm_loadu_ps(p), _mm_loadu_ps(p + 3), 0xD8);
+  }
+}
+
+/// maxps(v, best): best unless v is greater, lane for lane (NaN and +-0
+/// ties included), which is `if (v > best) best = v`.
+__attribute__((target("avx2"))) __m256 max_lanes(const __m256& v, const __m256& best) {
+  return _mm256_max_ps(v, best);
+}
+__attribute__((target("avx2"))) __m128 max_lanes(const __m128& v, const __m128& best) {
+  return _mm_max_ps(v, best);
+}
+
+/// `Lanes` consecutive pooled outputs, from output x on, of each of the
+/// `Rows` output rows from y on of one plane: each output's taps run in
+/// order, and the rows' independent maxps chains interleave.
+template <int Lanes, int Stride, int Rows>
+__attribute__((target("avx2"))) void pool_block(const float* src, int in_w, int kernel, int y,
+                                                int x, int ow, float* out) {
+  const float lowest = -std::numeric_limits<float>::infinity();
+  decltype(pool_tap<Lanes, Stride>(src)) best[Rows];
+  for (auto& b : best) {
+    if constexpr (Lanes == 8) {
+      b = _mm256_set1_ps(lowest);
+    } else {
+      b = _mm_set1_ps(lowest);
+    }
+  }
+  const std::size_t row_step = static_cast<std::size_t>(Stride) * in_w;
+  for (int ky = 0; ky < kernel; ++ky) {
+    const float* const row = src + static_cast<std::size_t>(y * Stride + ky) * in_w + x * Stride;
+    for (int kx = 0; kx < kernel; ++kx) {
+      for (int r = 0; r < Rows; ++r) {
+        best[r] = max_lanes(pool_tap<Lanes, Stride>(row + r * row_step + kx), best[r]);
+      }
+    }
+  }
+  for (int r = 0; r < Rows; ++r) {
+    float* const dst = out + static_cast<std::size_t>(r) * ow + x;
+    if constexpr (Lanes == 4) {
+      _mm_storeu_ps(dst, best[r]);
+    } else if constexpr (Stride == 2) {
+      _mm256_storeu_ps(dst,
+                       _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(best[r]), 0xD8)));
+    } else {
+      _mm256_storeu_ps(dst, best[r]);
+    }
+  }
+}
+
+/// Output rows [y, y + Rows) of one plane, `out` at row y: 8 outputs of
+/// a row at a time, then 4 (VGG-small's last pool is 4 wide), then the
+/// last 1-3 through the scalar expression itself.
+template <int Stride, int Rows>
+__attribute__((target("avx2"))) void pool_rows(const float* src, int in_w, int kernel, int y,
+                                               int ow, float* out) {
+  int x = 0;
+  for (; x + 8 <= ow; x += 8) pool_block<8, Stride, Rows>(src, in_w, kernel, y, x, ow, out);
+  if (x + 4 <= ow) {
+    pool_block<4, Stride, Rows>(src, in_w, kernel, y, x, ow, out);
+    x += 4;
+  }
+  for (int r = 0; r < Rows; ++r) {
+    for (int xr = x; xr < ow; ++xr) {
+      float best = -std::numeric_limits<float>::infinity();
+      for (int ky = 0; ky < kernel; ++ky) {
+        for (int kx = 0; kx < kernel; ++kx) {
+          const float v =
+              src[static_cast<std::size_t>((y + r) * Stride + ky) * in_w + xr * Stride + kx];
+          if (v > best) best = v;
+        }
+      }
+      out[static_cast<std::size_t>(r) * ow + xr] = best;
+    }
+  }
+}
+
+/// MaxPool at stride `Stride` over `planes` [in_h][in_w] planes:
+/// ScalarBackend's `if (v > best) best = v` from -inf in (ky, kx) order,
+/// as maxps(v, best) on 8 or 4 outputs of a row, 4 rows at a time.
+template <int Stride>
+__attribute__((target("avx2"), flatten)) void max_pool_rows(const float* in, float* out,
+                                                            std::size_t planes, int in_h,
+                                                            int in_w, int kernel, int oh,
+                                                            int ow) {
+  for (std::size_t plane = 0; plane < planes; ++plane) {
+    const float* const src = in + plane * static_cast<std::size_t>(in_h) * in_w;
+    int y = 0;
+    for (; y + 4 <= oh; y += 4, out += 4 * static_cast<std::size_t>(ow)) {
+      pool_rows<Stride, 4>(src, in_w, kernel, y, ow, out);
+    }
+    for (; y < oh; ++y, out += ow) pool_rows<Stride, 1>(src, in_w, kernel, y, ow, out);
+  }
+}
+
+/// A packed stride-1 FloatConv over io: each sample's image (the input
+/// itself without padding), then float_conv_rows over (sample, output
+/// rows) tasks of a minimum MAC count.
+void float_conv_forward_into(const FloatPanels& packed, const PlanOp& op, const BackendIo& io,
+                             std::vector<float>& image, const util::ExecContext& exec) {
+  const FloatImage geo(op);
+  const std::size_t in_sample = static_cast<std::size_t>(op.in_c) * op.in_h * op.in_w;
+  const float* data = io.in0;
+  if (geo.pad > 0) {
+    image.resize(static_cast<std::size_t>(io.batch) * geo.sample);
+    exec.capped(static_cast<std::int64_t>(geo.sample) * io.batch / kMinElementsPerThread)
+        .parallel_for(0, io.batch, [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t n = lo; n < hi; ++n) {
+            geo.fill(io.in0 + static_cast<std::size_t>(n) * in_sample,
+                     image.data() + static_cast<std::size_t>(n) * geo.sample);
+          }
+        });
+    data = image.data();
+  }
+  const Epilogue epilogue(op, io);
+  const OutAt out_at{io.out, epilogue.add ? epilogue.residual : nullptr};
+  const std::size_t out_sample =
+      static_cast<std::size_t>(op.out_c) * static_cast<std::size_t>(geo.oh) * geo.ow;
+  const std::int64_t row_macs =
+      static_cast<std::int64_t>(geo.ow) * op.out_c * op.in_c * op.kernel * op.kernel;
+  epilogue.with_tail_stages([&](auto stages) {
+    for_row_blocks(row_macs, geo.oh, false, io.batch, exec, [&](std::size_t n, int y0, int y1) {
+      float_conv_rows<decltype(stages)>(geo, packed.panels.data(), op.bias.data(), op.out_c,
+                                        data + n * geo.sample, epilogue,
+                                        out_at + n * out_sample, y0, y1);
+    });
+  });
+}
+
+#endif  // CQ_SIMD_X86
+
 }  // namespace
 
 void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid,
@@ -1382,12 +1699,15 @@ void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid
                                  static_cast<std::size_t>(geo.ow);
   const std::uint32_t* const data = image.data();
   const OutAt out_at{out, epilogue.add ? epilogue.residual : nullptr};
+  const std::int64_t row_macs =
+      static_cast<std::int64_t>(geo.ow) * packed.num_filters * packed.weights_per_filter;
+  const bool even_rows = geo.segments_per_row() % 2 == 1;
   epilogue.with_tail_stages([&](auto stages) {
     using Stages = decltype(stages);
     if (amx) {
 #if CQ_HAVE_AMX
       const TileConfig config(geo);
-      for_row_blocks(packed, geo, batch, exec, [&](std::size_t n, int y0, int y1) {
+      for_row_blocks(row_macs, geo.oh, even_rows, batch, exec, [&](std::size_t n, int y0, int y1) {
         conv_tiles<Stages>(packed, geo, config,
                            reinterpret_cast<const unsigned char*>(data + n * geo.sample),
                            act_scale, epilogue, out_at + n * out_sample, y0, y1);
@@ -1395,7 +1715,7 @@ void conv_forward_into(const PackedSimd& packed, const float* acts, ActGrid grid
 #endif
       return;
     }
-    for_row_blocks(packed, geo, batch, exec, [&](std::size_t n, int y0, int y1) {
+    for_row_blocks(row_macs, geo.oh, even_rows, batch, exec, [&](std::size_t n, int y0, int y1) {
       with_mac(packed.kernel, [&](auto mac) {
         using Mac = decltype(mac);
         // A store that applies the runtime Epilogue needs one instance.
@@ -1471,7 +1791,21 @@ void SimdBackend::prepare(const ExecutionPlan& plan) {
       packed_[i] = simd::pack_simd(layers[i], tier_, act_bits[i], shapes[i]);
     }
   }
+  float_panels_.clear();
+  if (tier_ >= SimdTier::kAvx2) {
+    for (const PlanOp& op : plan.ops()) {
+      if (simd::packs_as_float_conv(op)) float_panels_.push_back(simd::pack_float_panels(op));
+    }
+  }
   prepared_for_ = &plan;
+}
+
+const simd::FloatPanels* SimdBackend::float_panels(const PlanOp& op) const {
+  if (op.kind != OpKind::FloatConv) return nullptr;
+  for (const simd::FloatPanels& packed : float_panels_) {
+    if (packed.out == op.out) return &packed;
+  }
+  return nullptr;
 }
 
 void SimdBackend::run(const PlanOp& op, const ExecutionPlan& plan,
@@ -1500,28 +1834,61 @@ void SimdBackend::run(const PlanOp& op, const ExecutionPlan& plan,
     }
   }
 #if CQ_SIMD_X86
-  if (op.kind == OpKind::EncodeAct && tier_ >= SimdTier::kAvx2) {
-    simd::encode_act_avx2(io.in0, io.out,
-                          plan.slots()[static_cast<std::size_t>(op.out)].numel *
-                              static_cast<std::size_t>(io.batch),
-                          op.act_hi, op.act_bits);
-    return;
+  if (tier_ >= SimdTier::kAvx2) {
+    switch (op.kind) {
+      case OpKind::EncodeAct:
+        simd::encode_act_avx2(io.in0, io.out,
+                              plan.slots()[static_cast<std::size_t>(op.out)].numel *
+                                  static_cast<std::size_t>(io.batch),
+                              op.act_hi, op.act_bits);
+        return;
+      case OpKind::MaxPool:
+        if (op.stride > 2) break;
+        (op.stride == 1 ? simd::max_pool_rows<1> : simd::max_pool_rows<2>)(
+            io.in0, io.out, static_cast<std::size_t>(io.batch) * static_cast<std::size_t>(op.in_c),
+            op.in_h, op.in_w, op.kernel, op.out_h, op.out_w);
+        return;
+      case OpKind::FloatConv:
+        if (op.stride != 1) break;
+        if (prepared_for_ != &plan) {
+          throw std::logic_error("SimdBackend: prepare() was not run for this plan");
+        }
+        if (const simd::FloatPanels* packed = float_panels(op)) {
+          simd::float_conv_forward_into(*packed, op, io, scratch.float_image, exec);
+          return;
+        }
+        break;
+      default:
+        break;
+    }
   }
 #endif
   ScalarBackend::run(op, plan, io, scratch, exec);
 }
 
 const char* SimdBackend::dispatch(const PlanOp& op) const {
-  if (op.kind == OpKind::EncodeAct) return tier_ >= SimdTier::kAvx2 ? "simd/avx2" : "scalar";
-  if (op.kind != OpKind::IntConv && op.kind != OpKind::IntLinear) return "scalar";
-  const auto layer = static_cast<std::size_t>(op.layer);
-  if (layer >= packed_.size()) return "scalar";
-  return simd::kernel_label(packed_[layer].kernel);
+  const bool avx2 = tier_ >= SimdTier::kAvx2;
+  switch (op.kind) {
+    case OpKind::IntConv:
+    case OpKind::IntLinear: {
+      const auto layer = static_cast<std::size_t>(op.layer);
+      return layer < packed_.size() ? simd::kernel_label(packed_[layer].kernel) : "scalar";
+    }
+    case OpKind::EncodeAct:
+      return avx2 ? "simd/avx2" : "scalar";
+    case OpKind::MaxPool:
+      return avx2 && op.stride <= 2 ? "simd/avx2" : "scalar";
+    case OpKind::FloatConv:
+      return float_panels(op) != nullptr ? "simd/avx2" : "scalar";
+    default:
+      return "scalar";
+  }
 }
 
 std::size_t SimdBackend::prepared_bytes() const {
   std::size_t bytes = 0;
   for (const simd::PackedSimd& packed : packed_) bytes += packed.bytes();
+  for (const simd::FloatPanels& packed : float_panels_) bytes += packed.panels.size() * sizeof(float);
   return bytes;
 }
 

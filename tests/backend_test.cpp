@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -655,6 +656,215 @@ TEST(BackendIdentity, SimdEncodeActMatchesScalarAtEveryTier) {
   EXPECT_GT(tails, 0);
 }
 
+/// A one-op plan around `op` (through PlanRewriter): slot 0 its input of
+/// `in_numel` floats per sample, slot 1 the residual and slot 2 the
+/// output, `out_numel` each, so both backends' run() can execute it.
+ExecutionPlan single_op_plan(PlanOp op, std::size_t in_numel, std::size_t out_numel) {
+  ExecutionPlan plan;
+  PlanRewriter rewriter(plan);
+  rewriter.slots().resize(3);
+  rewriter.slots()[0].numel = in_numel;
+  rewriter.slots()[1].numel = out_numel;
+  rewriter.slots()[2].numel = out_numel;
+  op.in0 = 0;
+  op.in1 = op.ep_add ? 1 : -1;
+  op.out = 2;
+  rewriter.ops().push_back(std::move(op));
+  return plan;
+}
+
+/// A quiet NaN whose payload is neither the default NaN's (0xffc00000,
+/// which 0 * inf and inf - inf make) nor std::numeric_limits' (0x7fc00000).
+float payload_nan() {
+  const std::uint32_t bits = 0x7fc0beefu;
+  float f = 0.0f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+/// Runs `op` of `plan` on ScalarBackend and then on SimdBackend at every
+/// reachable tier, batch `batch`, serial and on `threaded`, byte for byte;
+/// counts the runs whose dispatch label is not "scalar" in `simd_runs`.
+void expect_op_matches_scalar(const ExecutionPlan& plan, const std::vector<float>& in,
+                              const std::vector<float>& residual, int batch,
+                              const util::ExecContext& threaded, const std::string& what,
+                              int& simd_runs) {
+  const PlanOp& op = plan.ops().front();
+  const std::size_t count = plan.slots()[2].numel * static_cast<std::size_t>(batch);
+  std::vector<float> expected(count, -7.0f);
+  BackendScratch scratch;
+  ScalarBackend().run(op, plan, BackendIo{in.data(), residual.data(), expected.data(), batch},
+                      scratch, {});
+  for (const SimdTier tier : reachable_simd_tiers()) {
+    ForcedTier forced(tier);
+    SimdBackend backend;
+    backend.prepare(plan);
+    const std::string label = backend.dispatch(op);
+    for (const util::ExecContext& exec : {util::ExecContext{}, threaded}) {
+      std::vector<float> out(count, -7.0f);
+      backend.run(op, plan, BackendIo{in.data(), residual.data(), out.data(), batch}, scratch,
+                  exec);
+      expect_bytes_equal(out.data(), expected.data(), count,
+                         what + " tier=" + simd_tier_name(tier) + " dispatch=" + label +
+                             " threads=" + std::to_string(exec.threads()));
+      simd_runs += label != "scalar" ? 1 : 0;
+    }
+  }
+}
+
+/// Randomized differential test of the float conv (the stem over the raw
+/// image) through both backends' run(): 160 seeded cases over channels
+/// 1-8, H and W 1-19 (output widths off the 8-position block), kernel
+/// {1, 3, 5}, pad 0-2, 1-20 filters, stride 1 (the simd/avx2 loop at the
+/// tiers with AVX2) and stride 2 (delegated), batch {1, 3}, threads
+/// {1, 3}, each finishing with a random fused epilogue (a residual
+/// holding NaN, a random output grid). Inputs carry a NaN whose payload
+/// is not the default NaN's next to +inf/-inf pairs whose sum is the
+/// default NaN, so a sum that swaps its operands keeps the wrong payload;
+/// +-inf, -0.0 and +-3e38 too. Weights include zero, -0.0 (skipped, so
+/// 0 * inf is never summed), inf (pad taps make 0 * inf) and NaN (the
+/// inputs' payload: which payload a NaN-times-NaN product keeps is not
+/// defined); biases zero, -0.0 or plain. Two more cases are large enough
+/// that the loop spreads over the 3-thread context.
+TEST(BackendIdentity, SimdFloatConvMatchesScalarAtEveryTier) {
+  util::Rng rng(909);
+  ThreadedExec threaded(3);
+  const float inf = std::numeric_limits<float>::infinity();
+  int simd_runs = 0;
+  constexpr int kCases = 160, kLargeCases = 2;
+  for (int c = 0; c < kCases + kLargeCases; ++c) {
+    const bool large = c >= kCases;
+    PlanOp op;
+    op.kind = OpKind::FloatConv;
+    op.label = "case" + std::to_string(c);
+    op.kernel = large ? 5 : static_cast<int>(1 + 2 * rng.uniform_int(0, 2));
+    op.stride = !large && c % 4 == 3 ? 2 : 1;
+    op.pad = large ? 2 : static_cast<int>(rng.uniform_int(0, 2));
+    const int min_hw = std::max(1, op.kernel - 2 * op.pad);
+    op.in_c = static_cast<int>(large ? 8 : rng.uniform_int(1, 8));
+    op.in_h = static_cast<int>(large ? rng.uniform_int(36, 44) : rng.uniform_int(min_hw, 19));
+    op.in_w = static_cast<int>(large ? rng.uniform_int(36, 44) : rng.uniform_int(min_hw, 19));
+    op.out_c = static_cast<int>(large ? rng.uniform_int(17, 20) : rng.uniform_int(1, 20));
+    op.out_h = (op.in_h + 2 * op.pad - op.kernel) / op.stride + 1;
+    op.out_w = (op.in_w + 2 * op.pad - op.kernel) / op.stride + 1;
+    const int batch = large || rng.uniform_int(0, 1) == 1 ? 3 : 1;
+    const auto taps = static_cast<std::size_t>(op.in_c) * op.kernel * op.kernel;
+    // Each case draws how often its weights and inputs take edge values,
+    // so some outputs stay finite and others meet every edge.
+    const double weight_edges = std::array{0.0, 1.0 / 64, 1.0 / 16}[rng.uniform_int(0, 2)];
+    const double input_edges = std::array{1.0 / 256, 1.0 / 32, 1.0 / 8}[rng.uniform_int(0, 2)];
+    op.weight = Tensor({op.out_c, static_cast<int>(taps)});
+    for (std::size_t i = 0; i < op.weight.numel(); ++i) {
+      const double u = rng.uniform();
+      const float edges[] = {inf, -inf, payload_nan()};
+      op.weight.data()[i] = u < 1.0 / 8    ? 0.0f
+                            : u < 3.0 / 16 ? -0.0f
+                            : u < 3.0 / 16 + weight_edges
+                                ? edges[rng.uniform_int(0, 2)]
+                                : static_cast<float>(rng.uniform(-1.5, 1.5));
+    }
+    for (int k = 0; k < op.out_c; ++k) {
+      const auto pick = rng.uniform_int(0, 2);
+      op.bias.push_back(pick == 0   ? 0.0f
+                        : pick == 1 ? -0.0f
+                                    : static_cast<float>(rng.uniform(-1.0, 1.0)));
+    }
+    const std::size_t in_numel = static_cast<std::size_t>(op.in_c) * op.in_h * op.in_w;
+    std::vector<float> in(in_numel * static_cast<std::size_t>(batch));
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      in[i] = rng.uniform() < 1.0 / 32 ? -0.0f : static_cast<float>(rng.uniform(-2.0, 2.0));
+      if (rng.uniform() >= input_edges) continue;
+      switch (rng.uniform_int(0, 3)) {
+        case 0: in[i] = payload_nan(); break;
+        case 1:  // a +inf, -inf pair: one kernel row sums both into the default NaN
+          in[i] = inf;
+          if (i + 1 < in.size()) in[++i] = -inf;
+          break;
+        case 2: in[i] = -inf; break;
+        default: in[i] = rng.uniform_int(0, 1) == 0 ? 3e38f : -3e38f; break;
+      }
+    }
+    const RandomEpilogue tail(op.out_c, op.out_h, op.out_w, batch, rng);
+    for (const bool fused : {false, true}) {
+      PlanOp run_op = op;
+      if (fused) {
+        run_op.ep_bn = tail.op.ep_bn;
+        run_op.ep_add = tail.op.ep_add;
+        run_op.ep_relu = tail.op.ep_relu;
+        run_op.ep_encode = tail.op.ep_encode;
+        run_op.bn_mean = tail.op.bn_mean;
+        run_op.bn_inv_std = tail.op.bn_inv_std;
+        run_op.bn_gamma = tail.op.bn_gamma;
+        run_op.bn_beta = tail.op.bn_beta;
+        run_op.out_hi = tail.op.out_hi;
+        run_op.out_bits = tail.op.out_bits;
+      }
+      const ExecutionPlan plan = single_op_plan(
+          run_op, in_numel, static_cast<std::size_t>(op.out_c) * op.out_h * op.out_w);
+      const std::string what =
+          "case " + std::to_string(c) + ": in_c=" + std::to_string(op.in_c) + " hw=" +
+          std::to_string(op.in_h) + "x" + std::to_string(op.in_w) + " k=" +
+          std::to_string(op.kernel) + " s=" + std::to_string(op.stride) + " p=" +
+          std::to_string(op.pad) + " filters=" + std::to_string(op.out_c) +
+          " batch=" + std::to_string(batch) + (fused ? tail.label() : std::string(" epilogue=-"));
+      expect_op_matches_scalar(plan, in, tail.residual, batch, threaded.exec, what, simd_runs);
+    }
+  }
+  // The stride-1 cases ran the simd loop at every tier with AVX2.
+  if (max_supported_simd_tier() >= SimdTier::kAvx2) {
+    EXPECT_GT(simd_runs, 400);
+  }
+}
+
+/// Randomized differential test of MaxPool through both backends' run():
+/// kernel/stride 2/2 (VGG-small's), 3/2, 3/1 and 2/1, output widths and
+/// heights 1-9 (VGG-small's last pool is 4 wide, so whole rows run as a
+/// partial block), 1-8 channels, batch {1, 3}, inputs drawn from NaN
+/// (two payloads), +-0, +-inf and a few repeated values, so ties between
+/// -0.0 and +0.0 and NaN against every other value decide which operand
+/// maxps must return.
+TEST(BackendIdentity, SimdMaxPoolMatchesScalarAtEveryTier) {
+  util::Rng rng(1111);
+  ThreadedExec threaded(3);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float values[] = {payload_nan(), std::numeric_limits<float>::quiet_NaN(), 0.0f, -0.0f,
+                          -inf, inf, 1.0f, -1.0f, 2.5f};
+  const int geometries[][2] = {{2, 2}, {3, 2}, {3, 1}, {2, 1}};
+  int simd_runs = 0;
+  for (int c = 0; c < 80; ++c) {
+    PlanOp op;
+    op.kind = OpKind::MaxPool;
+    op.kernel = geometries[c % 4][0];
+    op.stride = geometries[c % 4][1];
+    op.in_c = static_cast<int>(rng.uniform_int(1, 8));
+    op.out_c = op.in_c;
+    op.out_h = static_cast<int>(rng.uniform_int(1, 9));
+    op.out_w = static_cast<int>(rng.uniform_int(1, 9));
+    // Inputs past the last window (the floor in the output size) stay unread.
+    op.in_h = (op.out_h - 1) * op.stride + op.kernel + static_cast<int>(rng.uniform_int(0, op.stride - 1));
+    op.in_w = (op.out_w - 1) * op.stride + op.kernel + static_cast<int>(rng.uniform_int(0, op.stride - 1));
+    const int batch = rng.uniform_int(0, 1) == 1 ? 3 : 1;
+    const std::size_t in_numel = static_cast<std::size_t>(op.in_c) * op.in_h * op.in_w;
+    std::vector<float> in(in_numel * static_cast<std::size_t>(batch));
+    for (float& v : in) {
+      v = rng.uniform_int(0, 3) == 0 ? static_cast<float>(rng.uniform(-3.0, 3.0))
+                                     : values[rng.uniform_int(0, 8)];
+    }
+    const ExecutionPlan plan =
+        single_op_plan(op, in_numel, static_cast<std::size_t>(op.in_c) * op.out_h * op.out_w);
+    expect_op_matches_scalar(plan, in, {}, batch, threaded.exec,
+                             "case " + std::to_string(c) + ": k=" + std::to_string(op.kernel) +
+                                 " s=" + std::to_string(op.stride) + " in_c=" +
+                                 std::to_string(op.in_c) + " out=" + std::to_string(op.out_h) +
+                                 "x" + std::to_string(op.out_w) + " batch=" +
+                                 std::to_string(batch),
+                             simd_runs);
+  }
+  if (max_supported_simd_tier() >= SimdTier::kAvx2) {
+    EXPECT_GT(simd_runs, 200);
+  }
+}
+
 /// Random codes never drive every lane to its worst case, so this pins
 /// each MAC instruction at the edge of the certificate that selected it:
 /// filters alternate all-max and all-zero codes (centered +-max|w|)
@@ -1105,6 +1315,7 @@ TEST(BackendFactory, SimdDispatchNamesResolvedIsa) {
     const auto backend = make_backend(BackendKind::Simd);
     backend->prepare(plan);
     bool saw_integer = false;
+    int saw_float = 0;
     for (const PlanOp& op : plan.ops()) {
       const std::string label = backend->dispatch(op);
       if (op.kind == OpKind::IntConv || op.kind == OpKind::IntLinear) {
@@ -1121,13 +1332,21 @@ TEST(BackendFactory, SimdDispatchNamesResolvedIsa) {
         } else {
           EXPECT_TRUE(label == "simd/avx2" || label == dot) << label;
         }
-      } else if (op.kind == OpKind::EncodeAct && tier != SimdTier::kPortable) {
-        EXPECT_EQ("simd/avx2", label);  // the one AVX2 pass of quantize_span
+      } else if (tier != SimdTier::kPortable &&
+                 (op.kind == OpKind::EncodeAct || op.kind == OpKind::MaxPool ||
+                  (op.kind == OpKind::FloatConv && op.stride == 1))) {
+        // quantize_span's AVX2 pass, maxps, and the stride-1 float conv loop.
+        EXPECT_EQ("simd/avx2", label) << op.label;
+        saw_float += op.kind != OpKind::EncodeAct ? 1 : 0;
       } else {
-        EXPECT_EQ("scalar", label);
+        EXPECT_EQ("scalar", label) << op.label;
       }
     }
     EXPECT_TRUE(saw_integer);
+    // The tiny VGG's stem conv and its max-pools.
+    if (tier != SimdTier::kPortable) {
+      EXPECT_GE(saw_float, 2);
+    }
   }
 }
 
@@ -1201,6 +1420,11 @@ TEST(BackendFactory, SimdPreparedBytesAreOneLayoutPerOp) {
     backend->prepare(plan);
     std::size_t expected = 0;
     for (const PlanOp& op : plan.ops()) {
+      if (op.kind == OpKind::FloatConv && backend->dispatch(op) == std::string("simd/avx2")) {
+        // 8-filter float panels: one float per filter lane and im2col row.
+        expected += (static_cast<std::size_t>(op.out_c) + 7) / 8 * 8 *
+                    static_cast<std::size_t>(op.in_c * op.kernel * op.kernel) * sizeof(float);
+      }
       if (op.kind != OpKind::IntConv && op.kind != OpKind::IntLinear) continue;
       const IntegerLayer& layer =
           plan.integer_layers()[static_cast<std::size_t>(op.layer)];
