@@ -73,16 +73,17 @@ struct BackendScratch {
 ///    it. For a FloatConv that is im2col + tensor::gemm's sum + bias:
 ///    the im2col rows p = c * k^2 + ky * k + kx summed in ascending
 ///    order from a +0.0 accumulator, each term the product x * w added
-///    to it (multiply, then add: never FMA), a NaN product keeping its
-///    own payload in the sum (ScalarBackend's rule; gemm's `+=` leaves
-///    it to the compiler), a zero or -0.0 weight skipped for its own
-///    filter only (masking its product to +0.0 is exact: a sum that
-///    starts at +0.0 is never -0.0), padding multiplied through as +0.0
-///    (0 * inf is NaN), and the bias added after the sum
-///    (unconditionally is exact, for the same reason). Which payload a
-///    NaN-times-NaN product keeps is not defined: GCC's vectorized loop
-///    keeps x's in its vector body and w's in its odd remainder lane.
-///    MaxPool keeps `if (v > best) best = v`
+///    to it (multiply, then add: never FMA) as add_keeping_nan(product,
+///    sum), so a NaN product keeps its own payload (gemm's `+=` leaves
+///    that to the compiler; ScalarBackend sums each NaN output again by
+///    the rule), a zero or -0.0 weight skipped for its own filter only
+///    (masking its product to +0.0 is exact: a sum that starts at +0.0
+///    is never -0.0), padding multiplied through as +0.0 (0 * inf is
+///    NaN), and the bias added after the sum as add_keeping_nan(sum,
+///    bias) (unconditionally is exact, for the same reason). Which
+///    payload a NaN-times-NaN product keeps is not defined: GCC's
+///    vectorized loop keeps x's in its vector body and w's in its odd
+///    remainder lane. MaxPool keeps `if (v > best) best = v`
 ///    from -inf in (ky, kx) order, which is maxps(v, best) lane for
 ///    lane, NaN and +-0 ties included.
 class Backend {
@@ -135,6 +136,17 @@ std::size_t op_arena_bytes(const PlanOp& op, const ExecutionPlan& plan);
 /// GMAC/s shows layer by layer how far each kernel runs from its MACs.
 std::uint64_t op_macs(const PlanOp& op);
 
+/// v + x, except that a NaN v keeps its own payload: the float add of
+/// the Add op, the fused residual add and a FloatConv's sum and bias.
+/// An add of two NaNs returns one operand's payload, and GCC treats
+/// float + as commutative and emits either operand order, so a plain
+/// add would leave which one to the compiler. A NaN v is added to +0.0
+/// instead of x, so no add ever meets two NaNs. The select picks an
+/// operand, not a result, so GCC vectorizes it (compare, and, add) and
+/// needs no branch for one element; `v != v ? v : v + x` it does not
+/// vectorize.
+inline float add_keeping_nan(float v, float x) { return v + (v != v ? 0.0f : x); }
+
 /// An Epilogue's post-BN stages as compile-time flags: a loop
 /// instantiated for one set runs no per-element branch on them.
 template <bool kAdd, bool kRelu, bool kEncode>
@@ -151,9 +163,9 @@ struct TailStages {
 /// BatchNorm, Add, Relu and EncodeAct ops' expressions, in that order;
 /// every stage maps element i from element i alone, so a kernel may
 /// finish each output where it rescales it and stay byte-identical to
-/// running the deleted ops one by one (the fused add also pins which
-/// payload a NaN-plus-NaN sum keeps: add_residual). Default-constructed:
-/// no stages.
+/// running the deleted ops one by one (the fused add and the standalone
+/// Add op both pin which payload a NaN-plus-NaN sum keeps:
+/// add_keeping_nan). Default-constructed: no stages.
 struct Epilogue {
   Epilogue() = default;
   Epilogue(const PlanOp& op, const BackendIo& io);
@@ -167,12 +179,6 @@ struct Epilogue {
     const float xh = (v - mean) * inv_std;
     return gamma * xh + beta;
   }
-  /// The residual add, v + residual, except that a NaN v keeps its own
-  /// payload: GCC treats float + as commutative and emits either operand
-  /// order, so a plain add would leave which of two NaN payloads the sum
-  /// keeps to the compiler. The op's own output is always an arithmetic
-  /// result, hence a quiet NaN, so returning it is what the add would.
-  static float add_residual(float v, float residual) { return v != v ? v : v + residual; }
   static float rectify(float v) { return v > 0.0f ? v : 0.0f; }
   float to_grid(float v) const {
     return static_cast<float>(quant::activation_code(v, out_hi, to_code));
@@ -198,7 +204,7 @@ struct Epilogue {
   /// element) is used only with Stages::add.
   template <typename Stages>
   float tail(float v, float residual) const {
-    if constexpr (Stages::add) v = add_residual(v, residual);
+    if constexpr (Stages::add) v = add_keeping_nan(v, residual);
     if constexpr (Stages::relu) v = rectify(v);
     if constexpr (Stages::encode) v = to_grid(v);
     return v;
@@ -210,7 +216,7 @@ struct Epilogue {
   /// is read only with `add`.
   float operator()(float v, std::size_t c, const float* residual) const {
     if (bn) v = batch_norm(v, mean[c], inv_std[c], gamma[c], beta[c]);
-    if (add) v = add_residual(v, *residual);
+    if (add) v = add_keeping_nan(v, *residual);
     if (relu) v = rectify(v);
     if (encode) v = to_grid(v);
     return v;

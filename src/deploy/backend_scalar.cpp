@@ -16,38 +16,41 @@ namespace cq::deploy {
 
 namespace {
 
-/// A FloatConv's c = a * b: tensor::gemm's arithmetic (each c element the
-/// ascending-p sum from +0.0 of a[i][p] * b[p][j], a zero a[i][p]
-/// skipped), except that a NaN product keeps its own payload in the sum,
-/// as a hardware add with the product as its first operand does. GCC
-/// treats float + as commutative and emits either operand order (gemm's
-/// `+=` sums the product first in Release builds and the accumulator
-/// first under the sanitizers), so only an explicit rule gives every
-/// build, and every backend, the same bytes when two NaNs meet. The rule
-/// is a bit blend, which vectorizes; a select on a float compare does
-/// not.
-void conv_gemm(const float* a, const float* b, float* c, int m, int k, int n,
-               const util::ExecContext& exec) {
-  exec.parallel_for(0, m, [=](std::int64_t i0, std::int64_t i1) {
-    std::memset(c + static_cast<std::size_t>(i0) * n, 0,
-                sizeof(float) * static_cast<std::size_t>(i1 - i0) * n);
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = a + static_cast<std::size_t>(i) * k;
-      float* crow = c + static_cast<std::size_t>(i) * n;
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        const float* brow = b + static_cast<std::size_t>(p) * n;
-        for (int j = 0; j < n; ++j) {
-          const auto product = std::bit_cast<std::uint32_t>(brow[j] * av);
-          const auto sum = std::bit_cast<std::uint32_t>(std::bit_cast<float>(product) + crow[j]);
-          const std::uint32_t nan =
-              0u - static_cast<std::uint32_t>((product & 0x7fffffffu) > 0x7f800000u);
-          crow[j] = std::bit_cast<float>((product & nan) | (sum & ~nan));
+/// The end of a FloatConv's reference arithmetic on c = a * b (filters x
+/// patch x positions) as tensor::gemm left it: the NaN payload rule,
+/// then the bias. gemm's `+=` leaves which payload a NaN-plus-NaN sum
+/// keeps to the compiler (Release sums the product first, the sanitizer
+/// builds the accumulator), so each NaN output is summed again by the
+/// rule: ascending p from +0.0, a zero weight skipped, each term
+/// add_keeping_nan(product, sum). A sum that is not NaN met no NaN, and
+/// an add of two numbers is the same in either operand order, so gemm's
+/// own sums stand. A row is scanned first in a loop that vectorizes, so
+/// only rows that hold a NaN pay for the re-sum.
+void finish_float_conv(const float* a, const float* b, const float* bias, float* c, int m,
+                       int k, int n) {
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a + static_cast<std::size_t>(i) * k;
+    float* crow = c + static_cast<std::size_t>(i) * n;
+    std::uint32_t any_nan = 0;
+    for (int j = 0; j < n; ++j) {
+      any_nan |= static_cast<std::uint32_t>(
+          (std::bit_cast<std::uint32_t>(crow[j]) & 0x7fffffffu) > 0x7f800000u);
+    }
+    if (any_nan != 0) {
+      for (int j = 0; j < n; ++j) {
+        if (crow[j] == crow[j]) continue;
+        float sum = 0.0f;
+        for (int p = 0; p < k; ++p) {
+          const float av = arow[p];
+          if (av != 0.0f) sum = add_keeping_nan(av * b[static_cast<std::size_t>(p) * n + j], sum);
         }
+        crow[j] = sum;
       }
     }
-  });
+    const float bv = bias[i];
+    if (bv == 0.0f) continue;
+    for (int j = 0; j < n; ++j) crow[j] = add_keeping_nan(crow[j], bv);
+  }
 }
 
 }  // namespace
@@ -84,7 +87,7 @@ void ScalarBackend::run(const PlanOp& op, const ExecutionPlan& plan,
     }
     case OpKind::Add: {
       const float* in1 = io.in1;
-      for (std::size_t i = 0; i < out_numel; ++i) out[i] = in0[i] + in1[i];
+      for (std::size_t i = 0; i < out_numel; ++i) out[i] = add_keeping_nan(in0[i], in1[i]);
       return;
     }
     case OpKind::BatchNorm: {
@@ -169,14 +172,10 @@ void ScalarBackend::run(const PlanOp& op, const ExecutionPlan& plan,
         tensor::im2col(in0 + static_cast<std::size_t>(n) * in_stride, g,
                        scratch.float_cols.data(), per_image);
         float* out_n = out + static_cast<std::size_t>(n) * out_stride;
-        conv_gemm(op.weight.data(), scratch.float_cols.data(), out_n, op.out_c, g.patch_size(),
-                  spatial, per_image);
-        for (int c = 0; c < op.out_c; ++c) {
-          const float b = op.bias[static_cast<std::size_t>(c)];
-          if (b == 0.0f) continue;
-          float* plane = out_n + static_cast<std::size_t>(c) * spatial;
-          for (int s = 0; s < spatial; ++s) plane[s] += b;
-        }
+        tensor::gemm(op.weight.data(), scratch.float_cols.data(), out_n, op.out_c,
+                     g.patch_size(), spatial, /*accumulate=*/false, per_image);
+        finish_float_conv(op.weight.data(), scratch.float_cols.data(), op.bias.data(), out_n,
+                          op.out_c, g.patch_size(), spatial);
       }
       apply_epilogue(op, io, out_per_sample, exec);
       return;

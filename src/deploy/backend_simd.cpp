@@ -547,11 +547,15 @@ __attribute__((target("avx2"))) __m256 batch_norm_avx2(__m256 v, __m256 mean, __
   return _mm256_add_ps(_mm256_mul_ps(gamma, xh), beta);
 }
 
+/// add_keeping_nan on 8 lanes: v + x, x masked to +0.0 where v is NaN.
+__attribute__((target("avx2"))) __m256 add_keeping_nan_avx2(const __m256& v, const __m256& x) {
+  return _mm256_add_ps(v, _mm256_and_ps(_mm256_cmp_ps(v, v, _CMP_ORD_Q), x));
+}
+
 /// The post-BN stages of `Stages` on 8 lanes of one channel's consecutive
 /// outputs, then the store of the first `lanes`: the residual added from
-/// only the lanes stored (a NaN lane keeping its payload, as
-/// Epilogue::add_residual does), ReLU as a compare mask (NaN and -0.0
-/// give +0.0, as `v > 0 ? v : 0` does), and the encode through
+/// only the lanes stored (add_keeping_nan), ReLU as a compare mask (NaN
+/// and -0.0 give +0.0, as `v > 0 ? v : 0` does), and the encode through
 /// EncodeRaw's vector code.
 template <typename Stages>
 __attribute__((target("avx2"))) void store_tail(OutAt at, const __m256& finished,
@@ -561,7 +565,7 @@ __attribute__((target("avx2"))) void store_tail(OutAt at, const __m256& finished
   if constexpr (Stages::add) {
     const __m256 residual = full ? _mm256_loadu_ps(at.residual)
                                  : _mm256_maskload_ps(at.residual, first_lanes(lanes));
-    v = _mm256_blendv_ps(_mm256_add_ps(v, residual), v, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
+    v = add_keeping_nan_avx2(v, residual);
   }
   if constexpr (Stages::relu) {
     v = _mm256_and_ps(_mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ), v);
@@ -1471,7 +1475,8 @@ __attribute__((target("avx2"))) inline void float_mac(__m256& acc, const __m256&
 /// only the real ones). For each im2col row p in ascending order the
 /// panel row of 8 filters' weights is loaded once and multiplied against
 /// each position's broadcast input; the 8 x 8 sums are transposed into
-/// filter-major vectors, the bias added, and finished with the epilogue
+/// filter-major vectors, the bias added (add_keeping_nan: a NaN sum keeps
+/// its payload), and finished with the epilogue
 /// (post-BN stages `Stages`) in the store. In optimized builds flatten
 /// inlines every helper, so the frame makes no calls.
 template <typename Stages>
@@ -1517,7 +1522,8 @@ __attribute__((target("avx2"), flatten)) void float_conv_rows(
         for (int f = 0; f < kt; ++f) {
           const auto k = static_cast<std::size_t>(k0 + f);
           store_channel<Stages>(dst + static_cast<std::size_t>(f) * spatial,
-                                _mm256_add_ps(_mm256_castsi256_ps(v[f]), _mm256_set1_ps(bias[k])),
+                                add_keeping_nan_avx2(_mm256_castsi256_ps(v[f]),
+                                                     _mm256_set1_ps(bias[k])),
                                 ep, k, n);
         }
       }

@@ -673,10 +673,10 @@ ExecutionPlan single_op_plan(PlanOp op, std::size_t in_numel, std::size_t out_nu
   return plan;
 }
 
-/// A quiet NaN whose payload is neither the default NaN's (0xffc00000,
-/// which 0 * inf and inf - inf make) nor std::numeric_limits' (0x7fc00000).
-float payload_nan() {
-  const std::uint32_t bits = 0x7fc0beefu;
+/// A quiet NaN of payload `bits`, by default one that is neither the
+/// default NaN's (0xffc00000, which 0 * inf and inf - inf make) nor
+/// std::numeric_limits' (0x7fc00000).
+float payload_nan(std::uint32_t bits = 0x7fc0beefu) {
   float f = 0.0f;
   std::memcpy(&f, &bits, sizeof(f));
   return f;
@@ -724,8 +724,9 @@ void expect_op_matches_scalar(const ExecutionPlan& plan, const std::vector<float
 /// +-inf, -0.0 and +-3e38 too. Weights include zero, -0.0 (skipped, so
 /// 0 * inf is never summed), inf (pad taps make 0 * inf) and NaN (the
 /// inputs' payload: which payload a NaN-times-NaN product keeps is not
-/// defined); biases zero, -0.0 or plain. Two more cases are large enough
-/// that the loop spreads over the 3-thread context.
+/// defined); biases zero, -0.0, +-inf, plain, or a NaN of a third
+/// payload, which a NaN sum must not take. Two more cases are large
+/// enough that the loop spreads over the 3-thread context.
 TEST(BackendIdentity, SimdFloatConvMatchesScalarAtEveryTier) {
   util::Rng rng(909);
   ThreadedExec threaded(3);
@@ -764,9 +765,11 @@ TEST(BackendIdentity, SimdFloatConvMatchesScalarAtEveryTier) {
                                 : static_cast<float>(rng.uniform(-1.5, 1.5));
     }
     for (int k = 0; k < op.out_c; ++k) {
-      const auto pick = rng.uniform_int(0, 2);
+      const auto pick = rng.uniform_int(0, 5);
       op.bias.push_back(pick == 0   ? 0.0f
                         : pick == 1 ? -0.0f
+                        : pick == 2 ? payload_nan(0x7fc0cafeu)
+                        : pick == 3 ? (rng.uniform_int(0, 1) == 0 ? inf : -inf)
                                     : static_cast<float>(rng.uniform(-1.0, 1.0)));
     }
     const std::size_t in_numel = static_cast<std::size_t>(op.in_c) * op.in_h * op.in_w;

@@ -5,6 +5,7 @@
 // composition, single-layer plans).
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -109,6 +110,88 @@ TEST(PlanOptimize, ByteIdenticalAcrossZooBatchThreadsBackends) {
               << entry.name << " backend=" << backend_kind_name(kind)
               << " threads=" << threads << " batch=" << batch;
         }
+      }
+    }
+  }
+}
+
+// Two NaNs of different payloads meeting at a residual Add: the
+// as-compiled plan runs the standalone Add, the optimized one the conv's
+// fused ep_add, and on both backends each keeps the main path's (in0's)
+// payload, add_keeping_nan's rule, so the two plans stay byte-identical.
+// The 1x1 conv's filter f copies channel (f + 1) % 3, so output channel
+// 0 carries one payload into the Add and the residual (the plan input)
+// brings the other; 5 x 6 positions leave a partial 8-lane store.
+TEST(PlanOptimize, FusedResidualAddKeepsTheMainPathsNanPayload) {
+  constexpr int kC = 3, kH = 5, kW = 6, kNumel = kC * kH * kW, kSpatial = kH * kW;
+  const tensor::Shape chw{kC, kH, kW};
+  ExecutionPlan compiled;
+  {
+    PlanRewriter rw(compiled);
+    const auto numel = static_cast<std::size_t>(kNumel);
+    rw.slots() = {{0, numel, chw}, {0, numel, chw}, {0, numel, chw}, {0, numel, {kNumel}}};
+    rw.input_slot() = 0;
+    rw.output_slot() = 3;
+    rw.sample_shape() = chw;
+    rw.num_classes() = kNumel;
+    PlanOp conv;
+    conv.kind = OpKind::FloatConv;
+    conv.label = "conv";
+    conv.in_c = conv.out_c = kC;
+    conv.in_h = conv.out_h = kH;
+    conv.in_w = conv.out_w = kW;
+    conv.kernel = conv.stride = 1;
+    conv.weight = tensor::Tensor({kC, kC});
+    for (int f = 0; f < kC; ++f) conv.weight.data()[f * kC + (f + 1) % kC] = 1.0f;
+    conv.bias.assign(kC, 0.0f);
+    conv.in0 = 0;
+    conv.out = 1;
+    PlanOp add;
+    add.kind = OpKind::Add;
+    add.label = "add";
+    add.in0 = 1;
+    add.in1 = 0;
+    add.out = 2;
+    PlanOp flatten;
+    flatten.kind = OpKind::Flatten;
+    flatten.label = "flatten";
+    flatten.in0 = 2;
+    flatten.out = 3;
+    rw.ops() = {conv, add, flatten};
+  }
+  pass_replan_arena(compiled);
+  ASSERT_TRUE(verifies_clean(compiled));
+  ExecutionPlan fused = compiled;
+  ASSERT_EQ(pass_fuse_epilogue(fused), 1u);
+  ASSERT_TRUE(verifies_clean(fused));
+  ASSERT_TRUE(fused.ops().front().ep_add);
+
+  const auto nan = [](std::uint32_t bits) {
+    float f = 0.0f;
+    std::memcpy(&f, &bits, sizeof(f));
+    return f;
+  };
+  constexpr std::uint32_t kMain = 0x7fc0beefu, kResidual = 0x7fc0cafeu;
+  tensor::Tensor input = serve::random_batch(chw, 2, 41);
+  for (int n = 0; n < 2; ++n) {
+    for (int s = n; s < kSpatial; s += 2) {
+      input.data()[n * kNumel + s] = nan(kResidual);            // channel 0: residual
+      input.data()[n * kNumel + kSpatial + s] = nan(kMain);     // channel 1: conv's channel 0
+    }
+  }
+  for (const BackendKind kind : all_backend_kinds()) {
+    serve::EngineSession o0(compiled, 1, {}, make_backend(kind));
+    serve::EngineSession o1(fused, 1, {}, make_backend(kind));
+    const tensor::Tensor ref = o0.run(input);
+    const tensor::Tensor opt = o1.run(input);
+    ASSERT_EQ(ref.numel(), opt.numel());
+    EXPECT_EQ(std::memcmp(ref.data(), opt.data(), ref.numel() * sizeof(float)), 0)
+        << backend_kind_name(kind);
+    for (int n = 0; n < 2; ++n) {
+      for (int s = n; s < kSpatial; s += 2) {
+        std::uint32_t bits = 0;
+        std::memcpy(&bits, ref.data() + n * kNumel + s, sizeof(bits));
+        EXPECT_EQ(bits, kMain) << backend_kind_name(kind) << " sample " << n << " position " << s;
       }
     }
   }
